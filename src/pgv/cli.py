@@ -60,6 +60,16 @@ def _resolve_group(spec: str, order_cap: int) -> GroupTable:
     return find_entry(spec).group(order_cap=order_cap)
 
 
+def _positive_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"{what} must be a positive integer, got {text!r}")
+    return value
+
+
 def _resolve_normal(g: GroupTable, spec: str) -> Subgroup:
     named = {
         "center": lambda: center(g),
@@ -129,7 +139,7 @@ def cmd_h2(args) -> int:
     kind, _, param = args.module.partition(":")
     if kind != "trivial":
         raise UsageError("h2 supports --module trivial:<dim>")
-    dim = int(param) if param else 1
+    dim = _positive_int(param, "module dimension") if param else 1
     m = trivial_module(g, dim)
     sp = cohomology(g, m, 2, h2_order_cap=args.h2_cap)
     print(f"Z^2: {sp.z_dim}  B^2: {sp.b_dim}  H^2: {sp.h_dim}")
@@ -138,7 +148,7 @@ def cmd_h2(args) -> int:
 
 def cmd_extend(args) -> int:
     g = _resolve_group(args.group, args.order_cap)
-    t = int(args.kernel.split(",")[-1])
+    t = _positive_int(args.kernel.split(",")[-1], "--kernel")
     m = trivial_module(g, t)
     if args.cocycle == "random":
         sp = cohomology(g, m, 2, h2_cap_or_default(args))
@@ -152,8 +162,11 @@ def cmd_extend(args) -> int:
     else:
         from .cohomology import TwoCocycle
 
-        table = np.asarray(json.loads(Path(args.cocycle).read_text()), dtype=np.int64)
-        f = TwoCocycle(g, m, table)
+        try:
+            table = json.loads(Path(args.cocycle).read_text(encoding="utf-8"))
+            f = TwoCocycle(g, m, np.asarray(table, dtype=np.int64))
+        except (OSError, TypeError, ValueError) as e:  # CohomologyError is a ValueError
+            raise UsageError(f"--cocycle must be a JSON {g.order}x{g.order}x{t} integer table: {e}")
         if not f.is_cocycle():
             print("not a cocycle", file=sys.stderr)
             return 1
@@ -207,7 +220,10 @@ def cmd_find_noninner(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _resolve_group(args.group, args.order_cap)
-    cert = Certificate.from_json(Path(args.cert).read_text(encoding="utf-8"))
+    try:
+        cert = Certificate.from_json(Path(args.cert).read_text(encoding="utf-8"))
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"--cert {args.cert!r} is not certificate JSON: {e!r}")
     try:
         ok, transcript = verify_certificate(g, cert)
     except NoninnerError as e:

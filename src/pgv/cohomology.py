@@ -159,14 +159,6 @@ def _h1(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
     return CohomologySpace(1, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
 
 
-def _pair_index(q: int):
-    # unknowns indexed by (g, h) with g, h >= 1
-    def idx(gg, hh):
-        return (gg - 1) * (q - 1) + (hh - 1)
-
-    return idx
-
-
 def _h2(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
     q, d, p = g.order, m.dim, m.p
     mul, act = g.mul, m.act

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fp_linalg as fl
-from .fp_linalg import FpSubspace, RowSpace
+from .fp_linalg import FpSubspace
 from .cohomology import TwoCocycle
 from .group_core import (
     DEFAULT_ORDER_CAP,
@@ -359,8 +359,5 @@ def _filtration_meta(tp: TransferPair):
 def filtration_product(tp: TransferPair, a: FpSubspace, b: FpSubspace) -> FpSubspace:
     """Span of pairwise algebra products of two carriers."""
     fbt = tp.free_total
-    rs = RowSpace(fbt.p, fbt.dim)
-    for x in a.basis.a:
-        for y in b.basis.a:
-            rs.add(fbt.algebra_product(x, y).reshape(1, -1))
-    return rs.subspace()
+    products = [fbt.algebra_product(a.basis, y) for y in b.basis]
+    return FpSubspace.from_rows(np.vstack(products) if products else b.basis, fbt.p, fbt.dim)

@@ -119,24 +119,7 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
 
 def solve_left(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     """One solution x of x @ a = b (row convention), free variables 0."""
-    sol = solve_array(np.ascontiguousarray(a.T), b, p)
-    return sol
-
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (as_residues(a, p) @ as_residues(b, p)) % p
-
-
-def mat_inverse(a: np.ndarray, p: int) -> np.ndarray:
-    a = as_residues(a, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("square matrix expected")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    R, piv = rref_array(aug, p)
-    if piv != list(range(n)):
-        raise ValueError("matrix not invertible mod p")
-    return R[:, n:]
+    return solve_array(np.ascontiguousarray(a.T), b, p)
 
 
 def is_invertible(a: np.ndarray, p: int) -> bool:
@@ -144,77 +127,75 @@ def is_invertible(a: np.ndarray, p: int) -> bool:
     return a.shape[0] == a.shape[1] and rank_array(a, p) == a.shape[0]
 
 
-@dataclass(frozen=True)
-class FpMatrix:
-    """Immutable matrix over F_p (row-major residues)."""
-
-    p: int
-    a: np.ndarray
-
-    def __post_init__(self):
-        check_prime(self.p)
-        arr = as_residues(self.a, self.p)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], p: int) -> "FpMatrix":
-        return cls(p, np.array(rows, dtype=np.int64).reshape(len(rows), -1))
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        return FpMatrix(self.p, matmul(self.a, other.a, self.p))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
+# -- the echelon representation ------------------------------------------------
+#
+# A subspace of F_p^n is stored as its canonical RREF basis (no zero rows)
+# together with the pivot column of each row.  Because the pivot columns of
+# such a basis hold an identity block, reducing rows against it is one matrix
+# product, rows - rows[:, pivots] @ basis, and no elimination.
 
 
-def rref(m: FpMatrix) -> Tuple[FpMatrix, int, List[int]]:
-    """RREF of m with its rank and pivot columns."""
-    R, piv = rref_array(m.a, m.p)
-    return FpMatrix(m.p, R), len(piv), piv
+def _reduce(rows: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
+    """Residues of rows after clearing the pivot columns of an RREF basis."""
+    B = as_residues(np.atleast_2d(rows), p)
+    if len(pivots):
+        B = (B - B[:, list(pivots)] @ basis) % p
+    return B
 
 
-@dataclass(frozen=True)
+def _extend(
+    basis: np.ndarray, pivots: Sequence[int], rows: np.ndarray, p: int
+) -> Tuple[np.ndarray, List[int], int]:
+    """RREF basis and pivots of span(basis) + span(rows), and the rank gained.
+
+    Only the residues of rows are eliminated; the old rows are then cleared
+    at the new pivot columns and both sets are merged by pivot.
+    """
+    B = _reduce(rows, basis, pivots, p)
+    B = B[np.any(B, axis=1)]
+    if not B.shape[0]:
+        return basis, list(pivots), 0
+    R, new_piv = rref_array(B, p)
+    new = R[: len(new_piv)]
+    old = _reduce(basis, new, new_piv, p)
+    merged_piv = list(pivots) + new_piv
+    order = np.argsort(merged_piv, kind="stable")
+    merged = np.vstack([old, new])[order]
+    return merged, [merged_piv[i] for i in order], len(new_piv)
+
+
+@dataclass(frozen=True, eq=False)
 class FpSubspace:
-    """Subspace of F_p^ambient_dim; basis rows in RREF with no zero rows."""
+    """Subspace of F_p^ambient_dim in its one echelon representation.
+
+    Invariant: ``basis`` is the canonical RREF basis (int64 residues, no zero
+    rows, read-only) and ``pivots[i]`` is the pivot column of row i, so two
+    subspaces are equal exactly when their bases are.  ``from_rows`` builds
+    one with exactly one elimination; ``RowSpace`` is the only mutable
+    builder and hands over its rows with none.  The constructor checks the
+    pivot structure without eliminating.
+    """
 
     p: int
     ambient_dim: int
-    basis: FpMatrix
+    basis: np.ndarray
+    pivots: Tuple[int, ...]
 
     def __post_init__(self):
-        b = self.basis
-        if b.cols != self.ambient_dim:
-            raise ValueError("basis width != ambient dim")
-        R, rank, _ = rref(b)
-        if rank != b.rows or not np.array_equal(R.a, b.a):
+        b = as_residues(self.basis, self.p)
+        piv = tuple(int(c) for c in self.pivots)
+        if b.ndim != 2 or b.shape != (len(piv), self.ambient_dim):
+            raise ValueError("basis must have one row per pivot and ambient_dim columns")
+        increasing = all(c1 < c2 for c1, c2 in zip(piv, piv[1:]))
+        if not increasing or (piv and not 0 <= piv[0] <= piv[-1] < b.shape[1]):
+            raise ValueError("pivots must increase within the ambient dimension")
+        before_pivot = np.arange(b.shape[1])[None, :] < np.array(piv, dtype=np.int64)[:, None]
+        identity = np.array_equal(b[:, list(piv)], np.eye(len(piv), dtype=np.int64))
+        if np.any(b[before_pivot]) or not identity:
             raise ValueError("basis must be in RREF with no zero rows")
+        b.setflags(write=False)
+        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "pivots", piv)
 
     @classmethod
     def from_rows(cls, rows, p: int, ambient_dim: Optional[int] = None) -> "FpSubspace":
@@ -226,55 +207,46 @@ class FpSubspace:
                 raise ValueError("ambient_dim required for empty row list")
             arr = arr.reshape(0, ambient_dim)
         R, piv = rref_array(arr, p)
-        R = R[: len(piv)]
-        return cls(p, arr.shape[1], FpMatrix(p, R))
+        return cls(p, arr.shape[1], R[: len(piv)], tuple(piv))
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "FpSubspace":
-        return cls.from_rows(np.zeros((0, ambient_dim), dtype=np.int64), p, ambient_dim)
+        return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
 
     @classmethod
     def full(cls, ambient_dim: int, p: int) -> "FpSubspace":
-        return cls.from_rows(np.eye(ambient_dim, dtype=np.int64), p, ambient_dim)
+        return cls(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
+
+    def reduce(self, rows: np.ndarray) -> np.ndarray:
+        """Residues of rows modulo the subspace: zero exactly for members."""
+        return _reduce(rows, self.basis, self.pivots, self.p)
 
     def contains_vector(self, v) -> bool:
-        v = as_residues(v, self.p).reshape(1, -1)
-        stacked = np.vstack([self.basis.a, v])
-        return rank_array(stacked, self.p) == self.dim
+        return not np.any(self.reduce(v))
 
     def contains(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
-        if other.dim == 0:
-            return True
-        stacked = np.vstack([self.basis.a, other.basis.a])
-        return rank_array(stacked, self.p) == self.dim
+        return not np.any(self.reduce(other.basis))
 
     def sum(self, other: "FpSubspace") -> "FpSubspace":
         self._check_compatible(other)
-        return FpSubspace.from_rows(
-            np.vstack([self.basis.a, other.basis.a]), self.p, self.ambient_dim
-        )
+        basis, piv, _ = _extend(self.basis, self.pivots, other.basis, self.p)
+        return FpSubspace(self.p, self.ambient_dim, basis, tuple(piv))
 
     def intersect(self, other: "FpSubspace") -> "FpSubspace":
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
             return FpSubspace.zero(self.ambient_dim, self.p)
-        stacked = np.vstack([self.basis.a, other.basis.a])
+        stacked = np.vstack([self.basis, other.basis])
         coeffs = left_kernel_array(np.ascontiguousarray(stacked), self.p)
         if coeffs.shape[0] == 0:
             return FpSubspace.zero(self.ambient_dim, self.p)
-        vecs = (coeffs[:, : self.dim] @ self.basis.a) % self.p
+        vecs = (coeffs[:, : self.dim] @ self.basis) % self.p
         return FpSubspace.from_rows(vecs, self.p, self.ambient_dim)
-
-    def quotient_dim(self, other: "FpSubspace") -> int:
-        self._check_compatible(other)
-        if not self.contains(other):
-            raise ValueError("not a subspace")
-        return self.dim - other.dim
 
     def _check_compatible(self, other: "FpSubspace"):
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
@@ -285,28 +257,19 @@ class FpSubspace:
             isinstance(other, FpSubspace)
             and self.p == other.p
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and bool(np.array_equal(self.basis, other.basis))
         )
 
     def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis))
-
-
-def kernel(m: FpMatrix) -> FpSubspace:
-    """Right kernel {v : m @ v = 0} as a subspace (basis rows)."""
-    rows = right_kernel_array(m.a, m.p)
-    return FpSubspace.from_rows(rows, m.p, m.cols)
-
-
-def solve(a: FpMatrix, b) -> Optional[np.ndarray]:
-    return solve_array(a.a, np.asarray(b, dtype=np.int64), a.p)
+        return hash((self.p, self.ambient_dim, self.basis.shape, self.basis.tobytes()))
 
 
 class RowSpace:
-    """Incrementally built row space; rows are kept fully reduced.
+    """Mutable builder of a row space, kept in the echelon representation.
 
-    Used wherever a large equation system or orbit closure is accumulated
-    batch by batch instead of materializing one giant matrix.
+    Used where a span really grows batch by batch (orbit closures, large
+    equation systems, complements); ``subspace()`` freezes it into an
+    ``FpSubspace`` without another elimination.
     """
 
     def __init__(self, p: int, ncols: int):
@@ -323,40 +286,13 @@ class RowSpace:
     def basis(self) -> np.ndarray:
         return self._rows
 
-    def reduce(self, rows: np.ndarray) -> np.ndarray:
-        """Residues of rows after reduction against the current basis."""
-        B = as_residues(np.atleast_2d(rows), self.p).copy()
-        for idx, c in enumerate(self._piv):
-            col = B[:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                B[nz] = (B[nz] - np.outer(col[nz], self._rows[idx])) % self.p
-        return B
-
     def add(self, rows: np.ndarray) -> int:
         """Add rows to the span; returns the rank gained."""
-        B = self.reduce(rows)
-        R, piv_local = rref_array(B, self.p)
-        new = R[: len(piv_local)]
-        if not len(piv_local):
-            return 0
-        # Reduce existing rows against the new pivots, then merge sorted by pivot.
-        for idx, c in enumerate(piv_local):
-            col = self._rows[:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                self._rows[nz] = (self._rows[nz] - np.outer(col[nz], new[idx])) % self.p
-        merged = list(zip(self._piv, self._rows)) + list(zip(piv_local, new))
-        merged.sort(key=lambda t: t[0])
-        self._piv = [c for c, _ in merged]
-        self._rows = np.array([r for _, r in merged], dtype=np.int64)
-        return len(piv_local)
-
-    def contains(self, rows: np.ndarray) -> bool:
-        return not np.any(self.reduce(rows) % self.p)
+        self._rows, self._piv, gained = _extend(self._rows, self._piv, rows, self.p)
+        return gained
 
     def subspace(self) -> FpSubspace:
-        return FpSubspace.from_rows(self._rows.copy(), self.p, self.ncols)
+        return FpSubspace(self.p, self.ncols, self._rows, tuple(self._piv))
 
 
 def complement_reps(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:

@@ -66,9 +66,6 @@ class GModule:
     def apply(self, v: np.ndarray, g: int) -> np.ndarray:
         return (np.asarray(v, dtype=np.int64) @ self.act[g]) % self.p
 
-    def full_space(self) -> FpSubspace:
-        return FpSubspace.full(self.dim, self.p)
-
     def __repr__(self):
         return f"<{self.side} module dim {self.dim} over {self.group.name or 'G'}>"
 
@@ -94,31 +91,6 @@ def dual_module(m: GModule) -> GModule:
     act = np.ascontiguousarray(np.transpose(m.act, (0, 2, 1)))
     side = "left" if m.side == "right" else "right"
     return GModule(opp, act, side=side, check=False, name=f"dual({m.name})")
-
-
-def restrict_to_subgroup(m: GModule, h: Subgroup, h_table: GroupTable, h_index: np.ndarray) -> GModule:
-    """Module over a subgroup's own table; h_index maps h-table indices to parent elements."""
-    act = m.act[h_index]
-    return GModule(h_table, act, side=m.side, check=False)
-
-
-@dataclass
-class Submodule:
-    """Carrier subspace of a module, stable under the module action."""
-
-    ambient: "FreeBimodule | GModule"
-    carrier: FpSubspace
-
-    @property
-    def dim(self) -> int:
-        return self.carrier.dim
-
-    @property
-    def p(self) -> int:
-        return self.carrier.p
-
-    def size(self) -> int:
-        return self.p**self.dim
 
 
 # -- core operations ---------------------------------------------------------
@@ -152,20 +124,31 @@ def radical(m: GModule) -> FpSubspace:
     return out
 
 
+def _closure(p: int, seeds: np.ndarray, mats: Sequence[np.ndarray]) -> FpSubspace:
+    """Least subspace containing the seed rows and stable under x -> x @ mtx."""
+    rs = RowSpace(p, seeds.shape[1])
+    gained = rs.add(seeds)
+    while gained:
+        # Each image is taken of the basis as it stands after the last add.
+        gained = sum(rs.add((rs.basis @ mtx) % p) for mtx in mats)
+    return rs.subspace()
+
+
+def _is_stable_under(carrier: FpSubspace, mats: Sequence[np.ndarray]) -> bool:
+    return not any(np.any(carrier.reduce(carrier.basis @ mtx)) for mtx in mats)
+
+
+def _actions(m: GModule) -> List[np.ndarray]:
+    return [m.act[g] for g in m.group.generating_sequence()]
+
+
 def radical_of_carrier(m: GModule, carrier: FpSubspace) -> FpSubspace:
-    rs = RowSpace(m.p, m.dim)
-    basis = carrier.basis.a
-    for g in m.group.generating_sequence():
-        rs.add((basis @ ((m.act[g] - np.eye(m.dim, dtype=np.int64)) % m.p)) % m.p)
+    mats = _actions(m)
+    eye = np.eye(m.dim, dtype=np.int64)
     # (gh - 1) = (g - 1)h + (h - 1): generator images must be closed off under
     # the action to span the full radical.
-    changed = True
-    while changed:
-        changed = False
-        for g in m.group.generating_sequence():
-            if rs.add((rs.basis @ m.act[g]) % m.p):
-                changed = True
-    return rs.subspace()
+    seeds = [carrier.basis @ ((a - eye) % m.p) for a in mats]
+    return _closure(m.p, np.vstack(seeds) if seeds else carrier.basis[:0], mats)
 
 
 def d_G(m: GModule, carrier: Optional[FpSubspace] = None) -> int:
@@ -181,37 +164,23 @@ def minimal_generators(m: GModule, carrier: Optional[FpSubspace] = None) -> np.n
     if carrier is None:
         carrier = FpSubspace.full(m.dim, m.p)
     rad = radical_of_carrier(m, carrier)
-    reps = fl.complement_reps(rad.basis.a, carrier.basis.a, m.p)
-    return reps
+    return fl.complement_reps(rad.basis, carrier.basis, m.p)
 
 
 def generated_submodule(m: GModule, vectors: np.ndarray) -> FpSubspace:
     """Least action-stable subspace containing the given row vectors."""
-    rs = RowSpace(m.p, m.dim)
-    rs.add(np.atleast_2d(vectors))
-    gens = m.group.generating_sequence()
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            if rs.add((rs.basis @ m.act[g]) % m.p):
-                changed = True
-    return rs.subspace()
+    return _closure(m.p, np.atleast_2d(vectors).reshape(-1, m.dim), _actions(m))
 
 
 def is_stable(m: GModule, carrier: FpSubspace) -> bool:
-    basis = carrier.basis.a
-    for g in m.group.generating_sequence():
-        if not carrier.contains(FpSubspace.from_rows((basis @ m.act[g]) % m.p, m.p, m.dim)):
-            return False
-    return True
+    return _is_stable_under(carrier, _actions(m))
 
 
 def restrict_action(m: GModule, carrier: FpSubspace) -> Tuple[GModule, np.ndarray]:
     """Abstract module on a stable carrier; returns (module, basis rows)."""
     if not is_stable(m, carrier):
         raise ModuleError("carrier not stable under the action")
-    basis = carrier.basis.a
+    basis = carrier.basis
     k = carrier.dim
     act = np.zeros((m.group.order, k, k), dtype=np.int64)
     for g in range(m.group.order):
@@ -224,24 +193,19 @@ def restrict_action(m: GModule, carrier: FpSubspace) -> Tuple[GModule, np.ndarra
 
 def _coords_in_rref_basis(rows: np.ndarray, space: FpSubspace) -> np.ndarray:
     """Coordinates of rows in the RREF basis of `space` (must lie inside)."""
-    basis = space.basis.a
-    piv = []
-    for r in basis:
-        piv.append(int(np.nonzero(r)[0][0]))
-    coords = rows[:, piv] % space.p
-    if np.any((coords @ basis - rows) % space.p):
+    if np.any(space.reduce(rows)):
         raise ModuleError("vector outside carrier")
-    return coords
+    return rows[:, list(space.pivots)] % space.p
 
 
 def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
     """Module on a complement basis of `sub`; returns (module, complement rows)."""
     if not is_stable(m, sub):
         raise ModuleError("quotient by unstable subspace")
-    comp = fl.complement_reps(sub.basis.a, np.eye(m.dim, dtype=np.int64), m.p)
+    comp = fl.complement_reps(sub.basis, np.eye(m.dim, dtype=np.int64), m.p)
     k = comp.shape[0]
     # Full basis: radical rows then complement rows; coordinates of images.
-    full = np.vstack([sub.basis.a, comp]) if sub.dim else comp
+    full = np.vstack([sub.basis, comp]) if sub.dim else comp
     act = np.zeros((m.group.order, k, k), dtype=np.int64)
     for g in range(m.group.order):
         img = (comp @ m.act[g]) % m.p
@@ -413,24 +377,13 @@ class FreeBimodule:
         return rows
 
     def algebra_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Componentwise product of two tuple vectors."""
-        x = fl.as_residues(x, self.p).reshape(self.n, self.block)
+        """Componentwise product x*y of tuple vectors; x may be a stack of rows."""
+        x = fl.as_residues(x, self.p)
+        xs = x.reshape(-1, self.n, self.block)
         y = fl.as_residues(y, self.p).reshape(self.n, self.block)
         g = self.group
-        out = np.zeros((self.n, self.block), dtype=np.int64)
-        for l in range(self.n):
-            out[l] = (x[l] @ y[l][g.mul[g.inv][:, :]]) % self.p
-        return out.reshape(-1)
-
-    def dot_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Dot product sum_l x_l y_l, valued in the group algebra."""
-        x = fl.as_residues(x, self.p).reshape(self.n, self.block)
-        y = fl.as_residues(y, self.p).reshape(self.n, self.block)
-        g = self.group
-        out = np.zeros(self.block, dtype=np.int64)
-        for l in range(self.n):
-            out = (out + x[l] @ y[l][g.mul[g.inv][:, :]]) % self.p
-        return out
+        out = np.stack([xs[:, l] @ y[l][g.mul[g.inv]] for l in range(self.n)], axis=1)
+        return (out % self.p).reshape(x.shape)
 
     def delta_pairing_matrix(self) -> np.ndarray:
         """Gram matrix of <x,y> = Delta(sum_l x_l y_l); a permutation matrix."""
@@ -445,39 +398,24 @@ class FreeBimodule:
         self._cache[key] = B
         return B
 
-    def delta_pairing(self, x: np.ndarray, y: np.ndarray) -> int:
-        B = self.delta_pairing_matrix()
-        return int((fl.as_residues(x, self.p) @ B @ fl.as_residues(y, self.p)) % self.p)
 
-
-def free_submodule_closure(fb: FreeBimodule, vectors: np.ndarray, side: str) -> FpSubspace:
-    """Least one-sided (or two-sided) submodule containing the vectors."""
-    rs = RowSpace(fb.p, fb.dim)
-    rs.add(np.atleast_2d(vectors))
+def _free_actions(fb: FreeBimodule, side: str) -> List[np.ndarray]:
     gens = fb.group.generating_sequence()
     mats = []
     if side in ("right", "both"):
         mats += [fb.right_element_action(g) for g in gens]
     if side in ("left", "both"):
         mats += [fb.left_element_action(g) for g in gens]
-    changed = True
-    while changed:
-        changed = False
-        for mtx in mats:
-            if rs.add((rs.basis @ mtx) % fb.p):
-                changed = True
-    return rs.subspace()
+    return mats
+
+
+def free_submodule_closure(fb: FreeBimodule, vectors: np.ndarray, side: str) -> FpSubspace:
+    """Least one-sided (or two-sided) submodule containing the vectors."""
+    return _closure(fb.p, np.atleast_2d(vectors).reshape(-1, fb.dim), _free_actions(fb, side))
 
 
 def is_free_submodule(fb: FreeBimodule, carrier: FpSubspace, side: str) -> bool:
-    gens = fb.group.generating_sequence()
-    basis = carrier.basis.a
-    for g in gens:
-        mtx = fb.right_element_action(g) if side == "right" else fb.left_element_action(g)
-        reduced = (basis @ mtx) % fb.p
-        if not carrier.contains(FpSubspace.from_rows(reduced, fb.p, fb.dim)):
-            return False
-    return True
+    return _is_stable_under(carrier, _free_actions(fb, side))
 
 
 def annihilator(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSubspace:
@@ -497,10 +435,10 @@ def annihilator(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSubspace:
     B = fb.delta_pairing_matrix()
     if side == "left_of_right":
         # x with x B y^T = 0 for y in Q: left kernel of B @ Q^T.
-        m = (B @ q.basis.a.T) % fb.p
+        m = (B @ q.basis.T) % fb.p
     else:
         # x with y B x^T = 0: kernel of (Q B)
-        m = np.ascontiguousarray(((q.basis.a @ B) % fb.p).T)
+        m = np.ascontiguousarray(((q.basis @ B) % fb.p).T)
     rows = fl.left_kernel_array(m, fb.p)
     return FpSubspace.from_rows(rows, fb.p, fb.dim)
 
@@ -509,7 +447,7 @@ def annihilator_by_products(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSub
     """Definition-level annihilator: full dot product zero in the algebra."""
     blocks = []
     g = fb.group
-    for y in q.basis.a:
+    for y in q.basis:
         yb = y.reshape(fb.n, fb.block)
         if side == "left_of_right":
             # x . y as a function of x: block l contributes x_l * y_l.
@@ -598,7 +536,7 @@ def embed_into_free(m: GModule) -> FreeEmbedding:
 
     # Prescribed socle values: w_i P = socle_i.
     socle = fb.socle_basis()
-    for i, w in enumerate(fixed.basis.a):
+    for i, w in enumerate(fixed.basis):
         coeff = np.zeros((D, nun), dtype=np.int64)
         for k in range(d):
             if w[k]:

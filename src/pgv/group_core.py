@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -491,26 +491,6 @@ def iset(g: GroupTable, a: Subgroup) -> ISet:
     return ISet(g, members, closed, Subgroup(g, members, check=False) if closed else None)
 
 
-def standard_subgroup(g: GroupTable, kind: str, arg: Optional[Subgroup] = None):
-    """Dispatcher for the standard subgroup computations."""
-    full = Subgroup(g, np.arange(g.order), check=False)
-    if kind == "center":
-        return center(g)
-    if kind == "centralizer":
-        return centralizer(g, arg if arg is not None else full)
-    if kind == "commutator":
-        return commutator_subgroup(g)
-    if kind == "frattini":
-        return frattini(g)
-    if kind == "omega1":
-        return omega1(g, arg if arg is not None else full)
-    if kind == "agemo1":
-        return agemo1(g, arg if arg is not None else full)
-    if kind == "iset":
-        return iset(g, arg if arg is not None else full)
-    raise GroupError(f"unknown subgroup kind {kind!r}")
-
-
 def all_subgroups(g: GroupTable, max_order: int = 128) -> List[Subgroup]:
     """Complete subgroup lattice by closure BFS; guarded by a size cap."""
     if g.order > max_order:
@@ -615,9 +595,6 @@ class QuotientMap:
     image_of: np.ndarray  # source element -> quotient element
     section: np.ndarray  # quotient element -> least source element in the coset
 
-    def compose_section(self, q: int) -> int:
-        return int(self.section[q])
-
 
 def quotient(g: GroupTable, n: Subgroup) -> Tuple[GroupTable, QuotientMap]:
     if not n.is_normal():
@@ -667,12 +644,6 @@ class GroupMap:
 
     def __call__(self, x: int) -> int:
         return int(self.image_of[x])
-
-    def compose(self, other: "GroupMap") -> "GroupMap":
-        """self after other."""
-        if other.target is not self.source:
-            raise GroupError("composition mismatch")
-        return GroupMap(other.source, self.target, self.image_of[other.image_of], check=False)
 
 
 def identity_map(g: GroupTable) -> GroupMap:
@@ -850,44 +821,46 @@ def _abelian_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]
     return phi
 
 
-def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]:
-    """Backtracking isomorphism search on generator images; None if not isomorphic."""
-    if _group_invariants(g1) != _group_invariants(g2):
-        return None
-    if g1.is_abelian() and g2.is_abelian():
-        return _abelian_isomorphism(g1, g2)
+def iter_isomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[np.ndarray]:
+    """Every isomorphism g1 -> g2, by backtracking on generator images.
+
+    Candidate images of each generator are the g2 elements with its element
+    signature, in ascending index order; a prefix of images is pruned as soon
+    as the map it induces on the generated subgroup fails.  Groups whose
+    signature multisets differ yield nothing without a search.
+    """
     n = g1.order
     gens = g1.generating_sequence()
     sig1 = _element_signature(g1)
     sig2 = _element_signature(g2)
-    sig_counts1 = {}
-    sig_counts2 = {}
-    for x in range(n):
-        sig_counts1[tuple(sig1[x])] = sig_counts1.get(tuple(sig1[x]), 0) + 1
-        sig_counts2[tuple(sig2[x])] = sig_counts2.get(tuple(sig2[x]), 0) + 1
-    if sig_counts1 != sig_counts2:
-        return None
+    if sorted(map(tuple, sig1.tolist())) != sorted(map(tuple, sig2.tolist())):
+        return iter(())
     sig2_index: Dict[tuple, List[int]] = {}
-    for x in range(n):
+    for x in range(g2.order):
         sig2_index.setdefault(tuple(sig2[x]), []).append(x)
 
-    def backtrack(pos: int, images: List[int]) -> Optional[np.ndarray]:
+    def backtrack(pos: int, images: List[int]) -> Iterator[np.ndarray]:
         if pos == len(gens):
             phi = _partial_hom_image(g1, g2, gens, images)
             if phi is not None and np.all(phi >= 0) and np.unique(phi).size == n:
-                return phi
-            return None
-        target_sig = tuple(sig1[gens[pos]])
-        for cand in sig2_index.get(target_sig, []):
+                yield phi
+            return
+        for cand in sig2_index.get(tuple(sig1[gens[pos]]), []):
             images.append(cand)
             if _partial_hom_image(g1, g2, gens[: pos + 1], images) is not None:
-                res = backtrack(pos + 1, images)
-                if res is not None:
-                    return res
+                yield from backtrack(pos + 1, images)
             images.pop()
-        return None
 
     return backtrack(0, [])
+
+
+def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]:
+    """An isomorphism g1 -> g2 as an image table; None if not isomorphic."""
+    if _group_invariants(g1) != _group_invariants(g2):
+        return None
+    if g1.is_abelian() and g2.is_abelian():
+        return _abelian_isomorphism(g1, g2)
+    return next(iter_isomorphisms(g1, g2), None)
 
 
 def is_isomorphic(g1: GroupTable, g2: GroupTable) -> bool:

@@ -39,6 +39,7 @@ from .group_core import (
     frattini,
     is_inner,
     iset,
+    iter_isomorphisms,
     map_order,
     maximal_subgroups,
     normal_subgroups,
@@ -462,31 +463,8 @@ class BruteForceResult:
 
 
 def all_automorphisms(g: GroupTable) -> List[np.ndarray]:
-    """Every automorphism by backtracking on generator images."""
-    from .group_core import _element_signature, _partial_hom_image
-
-    n = g.order
-    gens = g.generating_sequence()
-    sig = _element_signature(g)
-    sig_index: Dict[tuple, List[int]] = {}
-    for x in range(n):
-        sig_index.setdefault(tuple(sig[x]), []).append(x)
-    out: List[np.ndarray] = []
-
-    def backtrack(pos: int, images: List[int]):
-        if pos == len(gens):
-            phi = _partial_hom_image(g, g, gens, images)
-            if phi is not None and np.all(phi >= 0) and np.unique(phi).size == n:
-                out.append(phi.copy())
-            return
-        for cand in sig_index.get(tuple(sig[gens[pos]]), []):
-            images.append(cand)
-            if _partial_hom_image(g, g, gens[: pos + 1], images) is not None:
-                backtrack(pos + 1, images)
-            images.pop()
-
-    backtrack(0, [])
-    return out
+    """Every automorphism, in the order the isomorphism search yields them."""
+    return list(iter_isomorphisms(g, g))
 
 
 def brute_force_order_p_noninner(g: GroupTable) -> BruteForceResult:

@@ -28,10 +28,21 @@ def test_group_info_from_file(tmp_path, capsys):
     assert "order: 9 = 3^2" in capsys.readouterr().out
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert main(["group", "info", "NoSuchGroup"]) == 1
     assert main(["h1", "--group", "D8", "--normal", "bogus-name"]) == 1
     assert main(["check", "--id", "not-a-check"]) == 1
+    assert main(["h2", "--group", "C4", "--module", "trivial:x"]) == 1
+    assert main(["h2", "--group", "C4", "--module", "trivial:-1"]) == 1
+    assert main(["extend", "--group", "C2", "--kernel", "x"]) == 1
+    not_json = tmp_path / "not.json"
+    not_json.write_text("this is not json")
+    wrong_shape = tmp_path / "shape.json"
+    wrong_shape.write_text("[[0, 1], [1, 0]]")
+    for bad in (not_json, wrong_shape):
+        assert main(["extend", "--group", "C2", "--kernel", "1", "--cocycle", str(bad)]) == 1
+        assert main(["verify", "--group", "M16", "--cert", str(bad)]) == 1
+    assert "infrastructure error" not in capsys.readouterr().err
 
 
 def test_h1_command(capsys):

@@ -209,7 +209,7 @@ def test_embed_trivial_and_regular():
     assert emb.free.n == 1
     # Socle prescription: the fixed vector maps to the all-ones vector.
     f = fixed_points(m)
-    img = (f.basis.a @ emb.matrix) % 2
+    img = (f.basis @ emb.matrix) % 2
     assert np.array_equal(img, emb.free.socle_basis())
 
     t = trivial_module(g, 2)
@@ -314,7 +314,7 @@ def test_sample_nG_module_cp_chain():
             break
         sub, basis = restrict_action(m, cur)
         nxt_local = radical(sub)
-        rows = (nxt_local.basis.a @ basis) % 3 if nxt_local.dim else np.zeros((0, 3), dtype=np.int64)
+        rows = (nxt_local.basis @ basis) % 3 if nxt_local.dim else np.zeros((0, 3), dtype=np.int64)
         cur = FpSubspace.from_rows(rows, 3, 3)
     for seed in range(4):
         s = sample_nG_module(g, 1, seed=seed)

@@ -77,10 +77,9 @@ def test_special_scan_small_catalog(catalog):
 
 
 def test_aut_counts_small():
-    d8 = find_entry("D8").group()
-    q8 = find_entry("Q8").group()
-    assert len(all_automorphisms(d8)) == 8
-    assert len(all_automorphisms(q8)) == 24
+    # |Aut(C_p x C_p)| = |GL_2(p)| = (p^2 - 1)(p^2 - p).
+    for name, order in (("D8", 8), ("Q8", 24), ("C2xC2", 6), ("C3xC3", 48)):
+        assert len(all_automorphisms(find_entry(name).group())) == order, name
 
 
 def test_brute_force_examples(catalog):
