@@ -53,6 +53,8 @@ class CatalogEntry:
         return self.presentation.p
 
     def group(self, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+        if self.order > order_cap:
+            raise GroupError(f"order cap: {self.order} > {order_cap}")
         if self._table is None:
             tbl = from_pc_presentation(self.presentation, order_cap=order_cap)
             tbl.name = self.name

@@ -2,8 +2,12 @@
 
 Degree-1 cocycles satisfy tau(gh) = tau(g).act(h) + tau(h); normalized
 degree-2 cocycles satisfy f(g,h).act(k) + f(gh,k) = f(h,k) + f(g,hk) with
-f(1,.) = f(.,1) = 0.  The solvers intersect the kernel of the full
-all-pairs (all-triples) linear system one slice at a time.
+f(1,.) = f(.,1) = 0.  The solvers intersect the kernels of the linear
+system's slices (fixing the last argument h or k) one slice at a time, and
+only for the slices at a generating sequence of the group: the identity then
+holds at every element (see ``_solution_space``).  Every elimination runs in
+``fp_linalg``, whose blocked kernel and ``matmul_mod`` use exact float64 BLAS
+products.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, is_inner
 from .gmodule import ConjugationModule, GModule
 
 DEFAULT_H2_ORDER_CAP = 64
+SLICE_ROWS = 64  # identity rows the first slice operator is applied to at once
 
 
 class CohomologyError(ValueError):
@@ -91,15 +96,37 @@ class CohomologySpace:
     h_reps: list  # Derivation or TwoCocycle representatives (echelon complement)
 
 
-def _solution_space(init_dim: int, slices: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Intersect ker of each slice-operator; returns basis rows of the kernel."""
-    S = np.eye(init_dim, dtype=np.int64)
-    for apply_slice in slices:
+def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
+    """RREF basis of the common kernel of the slice operators.
+
+    Slices are taken only at a generating sequence.  That is enough: the
+    2-cocycle identity f(g,h).k + f(gh,k) = f(h,k) + f(g,hk) at (g,h,k) says
+    that the product (m,g)(n,h) = (m.h + n + f(g,h), gh) on M x G is
+    associative whenever its third argument lies over k.  If that holds over
+    k1 and k2 for all first arguments, then for x, y arbitrary and z, w over
+    k1, k2: (xy)(zw) = ((xy)z)w = (x(yz))w = x((yz)w) = x(y(zw)), and zw runs
+    over every element above k1k2, so the set of good k is closed under
+    products.  In the same way tau(gh) = tau(g).h + tau(h) at h1 and h2 gives
+    it at h1h2.  In a finite group products of the generators reach every
+    element, the identity included.
+
+    The first slice is applied to the identity a chunk of rows at a time and
+    its kernel K is the first solution basis (K times the identity is K).
+    """
+    if init_dim == 0 or not slices:
+        return np.eye(init_dim, dtype=np.int64)
+    first, *rest = slices
+    D = np.empty((init_dim, init_dim), dtype=np.int64)
+    for a in range(0, init_dim, SLICE_ROWS):
+        rows = min(SLICE_ROWS, init_dim - a)
+        D[a : a + rows] = first(np.eye(rows, init_dim, k=a, dtype=np.int64))
+    S = fl.left_kernel_array(D, p)
+    del D
+    for apply_slice in rest:
         if S.shape[0] == 0:
             break
-        D = apply_slice(S)
-        K = fl.left_kernel_array(D, p)
-        S = (K @ S) % p
+        K = fl.left_kernel_array(apply_slice(S), p)
+        S = fl.matmul_mod(K, S, p)
     R, piv = fl.rref_array(S, p)
     return R[: len(piv)]
 
@@ -122,12 +149,6 @@ def cohomology(
     raise CohomologyError("degree must be 1 or 2")
 
 
-def _slice_order(g: GroupTable) -> List[int]:
-    gens = g.generating_sequence()
-    rest = [h for h in range(g.order) if h not in gens]
-    return gens + rest
-
-
 def _h1(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
     q, d, p = g.order, m.dim, m.p
     mul, act = g.mul, m.act
@@ -143,7 +164,7 @@ def _h1(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
 
         return apply_slice
 
-    Z = _solution_space(q * d, [make_slice(h) for h in _slice_order(g)], p)
+    Z = _solution_space(q * d, [make_slice(h) for h in g.generating_sequence() or [0]], p)
 
     # Coboundaries: tau_v(g) = v.act(g) - v for basis vectors v.
     b_rows = np.zeros((d, q * d), dtype=np.int64)
@@ -188,7 +209,7 @@ def _h2(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
 
         return apply_slice
 
-    slices = [make_slice(k) for k in _slice_order(g) if k != 0]
+    slices = [make_slice(k) for k in g.generating_sequence()]
     Z = _solution_space(nun, slices, p)
 
     # Coboundaries of normalized 1-cochains: dsigma(g,h) = s(g).act(h) + s(h) - s(gh).

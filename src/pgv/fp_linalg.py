@@ -44,11 +44,56 @@ def as_residues(a, p: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % p
 
 
-def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    A = np.array(a, dtype=np.int64) % p
-    if A.ndim != 2:
-        raise ValueError("matrix expected")
+# The blocked elimination works through column panels of PANEL columns and
+# updates the other rows in PANEL x PANEL tiles.  A panel has at most PANEL
+# pivots, so every partial sum of a tile product is at most PANEL * (p - 1)^2
+# < 2^53 for p <= MAX_PRIME and float64 arithmetic stays exact.  A tile
+# product has PANEL^3 = 2^18 multiply-adds, below the size at which OpenBLAS
+# splits a product over threads: on a small shared host the hand-off to a
+# second thread can cost several milliseconds.
+PANEL = 64
+BLAS_MIN = 1 << 16  # multiply-adds from which matmul_mod uses a float64 product
+
+
+def _mod_float(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """out = x mod p for float64 integers x with -2^52 < x < 2^53.
+
+    The rounded quotient is within |x / p| * 2^-53 < 1/p of x / p, which is
+    an integer (then the quotient is exact) or at least 1/p from one, so its
+    floor q is exact, and so are q * p and x - q * p.  np.remainder on floats
+    is several times slower.
+    """
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=out)
+
+
+def _float_exact(inner: int, p: int) -> bool:
+    """Whether a float64 product of residue matrices with this inner size is exact."""
+    return inner * (p - 1) ** 2 < 1 << 53
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p for residue matrices.
+
+    A product of at least BLAS_MIN multiply-adds runs as a float64 BLAS
+    product when that is exact, i.e. inner * (p - 1)^2 < 2^53.  Smaller ones
+    stay in int64, which numpy multiplies without BLAS, so a run that makes
+    only small products never allocates BLAS's buffers.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.size * b.shape[-1] >= BLAS_MIN and _float_exact(a.shape[-1], p):
+        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        return _mod_float(prod, p, out=prod).astype(np.int64)
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+
+
+def _eliminate(A: np.ndarray, p: int, swaps: Optional[List[Tuple[int, int]]] = None) -> List[int]:
+    """The per-pivot loop: bring residues A to RREF in place; returns the pivots.
+
+    Each row exchange is appended to ``swaps`` when it is given.
+    """
     m, n = A.shape
     r = 0
     piv: List[int] = []
@@ -61,6 +106,8 @@ def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         i = r + int(hits[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
+            if swaps is not None:
+                swaps.append((r, i))
         A[r] = (A[r] * inv_scalar(A[r, c], p)) % p
         others = np.nonzero(A[:, c])[0]
         others = others[others != r]
@@ -68,7 +115,67 @@ def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
         piv.append(c)
         r += 1
-    return A, piv
+    return piv
+
+
+def _eliminate_blocked(A: np.ndarray, p: int) -> List[int]:
+    """RREF of residues A in place, one column panel at a time.
+
+    The per-pivot loop finds the pivots of each panel below the rows already
+    holding pivots; those rows are swapped into place and multiplied by the
+    inverse of their k x k pivot block, and every other row with a nonzero
+    entry in a pivot column is cleared by float64 tile products.
+    """
+    m, n = A.shape
+    W = A.astype(np.float64)
+    r = 0
+    piv: List[int] = []
+    for c0 in range(0, n, PANEL):
+        if r == m:
+            break
+        swaps: List[Tuple[int, int]] = []
+        local = _eliminate(W[r:, c0 : c0 + PANEL].astype(np.int64), p, swaps)
+        if not local:
+            continue
+        k = len(local)
+        for i, j in swaps:
+            W[[r + i, r + j]] = W[[r + j, r + i]]
+        cols = [c0 + c for c in local]
+        pivot_rows = W[r : r + k]
+        aug = np.hstack([pivot_rows[:, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
+        _eliminate(aug, p)
+        inverse = aug[:, k:].astype(np.float64)
+        for a in range(c0, n, PANEL):
+            block = pivot_rows[:, a : a + PANEL]
+            _mod_float(inverse @ block, p, out=block)
+        factors = W[:, cols]
+        touched = np.flatnonzero(factors.any(axis=1))
+        touched = touched[(touched < r) | (touched >= r + k)]
+        for t in range(0, touched.size, PANEL):
+            rows = touched[t : t + PANEL]
+            f = factors[rows]
+            for a in range(c0, n, PANEL):
+                update = f @ pivot_rows[:, a : a + PANEL]
+                np.subtract(W[rows, a : a + PANEL], update, out=update)
+                W[rows, a : a + PANEL] = _mod_float(update, p, out=update)
+        piv.extend(cols)
+        r += k
+    np.copyto(A, W, casting="unsafe")
+    return piv
+
+
+def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    Matrices with both dimensions above PANEL take the blocked path; the
+    result is the same, since the RREF is unique.
+    """
+    A = np.remainder(np.asarray(a, dtype=np.int64), p, order="C")
+    if A.ndim != 2:
+        raise ValueError("matrix expected")
+    if min(A.shape) > PANEL:
+        return A, _eliminate_blocked(A, p)
+    return A, _eliminate(A, p)
 
 
 def rank_array(a: np.ndarray, p: int) -> int:
@@ -78,22 +185,21 @@ def rank_array(a: np.ndarray, p: int) -> int:
 
 def left_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     """Basis (rows, in RREF) of {x : x @ a = 0}."""
-    return right_kernel_array(np.ascontiguousarray(a.T), p)
+    return right_kernel_array(np.asarray(a).T, p)
 
 
 def right_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     """Basis (rows, in RREF) of {x : a @ x^T = 0}."""
     A, piv = rref_array(a, p)
-    m, n = A.shape
-    piv_set = set(piv)
-    free = [j for j in range(n) if j not in piv_set]
-    if not free:
-        return np.zeros((0, n), dtype=np.int64)
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for row_idx, pc in enumerate(piv):
-            basis[k, pc] = (-A[row_idx, f]) % p
+    n = A.shape[1]
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    if not free.size:
+        return basis
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = -A[: len(piv), free].T
     # Free columns each carry a lone 1, so the rows are independent; put them
     # into canonical form for deterministic output.
     out, _ = rref_array(basis, p)

@@ -215,6 +215,10 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
     lines: List[str] = []
     if cert.fingerprint != g.fingerprint():
         raise NoninnerError("fingerprint mismatch")
+    defect = _map_defect(cert.map, g.order)
+    if defect is not None:
+        lines.append(f"FAIL map {defect}")
+        return False, lines
     image = np.asarray(cert.map, dtype=np.int64)
     f = GroupMap(g, g, image, check=False)
     if not f.is_homomorphism():
@@ -257,6 +261,18 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
             lines.append(f"FAIL provenance replay error: {e}")
             return False, lines
     return True, lines
+
+
+def _map_defect(image, order: int) -> Optional[str]:
+    """Why ``image`` is not a list of ``order`` element indices, or None."""
+    if not isinstance(image, list):
+        return f"is a {type(image).__name__}, not a list"
+    if len(image) != order:
+        return f"length {len(image)} != {order}"
+    for i, x in enumerate(image):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
+            return f"entry {i} = {x!r} is not an element index in 0..{order - 1}"
+    return None
 
 
 def _first_bad_pair(g: GroupTable, image: np.ndarray) -> Tuple[int, int]:

@@ -91,6 +91,48 @@ def test_verify_wrong_group_is_infra_error(tmp_path, capsys):
     assert rc == 2
 
 
+def _tampered_map_cert(tmp_path, edit):
+    cert = tmp_path / "cert.json"
+    assert main(["find-noninner", "--group", "M16", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    edit(payload["map"])
+    cert.write_text(json.dumps(payload))
+    return cert
+
+
+def _verify_says_invalid_map(cert, capsys):
+    capsys.readouterr()
+    rc = main(["verify", "--group", "M16", "--cert", str(cert)])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert rc == 0  # the INVALID exit code is unchanged
+    assert lines[-1] == "INVALID"
+    assert lines[0].startswith("FAIL map ")
+    assert "error" not in captured.err
+    return lines[0]
+
+
+def test_verify_map_of_wrong_length_is_invalid(tmp_path, capsys):
+    cert = _tampered_map_cert(tmp_path, lambda m: m.pop())
+    assert _verify_says_invalid_map(cert, capsys) == "FAIL map length 15 != 16"
+
+
+def test_verify_map_entry_past_the_order_is_invalid(tmp_path, capsys):
+    cert = _tampered_map_cert(tmp_path, lambda m: m.__setitem__(4, 16))
+    assert "entry 4 = 16" in _verify_says_invalid_map(cert, capsys)
+
+
+def test_verify_negative_map_entry_is_invalid(tmp_path, capsys):
+    cert = _tampered_map_cert(tmp_path, lambda m: m.__setitem__(0, -1))
+    assert "entry 0 = -1" in _verify_says_invalid_map(cert, capsys)
+
+
+def test_order_cap_refuses_catalog_groups(capsys):
+    assert main(["--order-cap", "8", "group", "info", "D16"]) == 2
+    assert "order cap: 16 > 8" in capsys.readouterr().err
+    assert main(["--order-cap", "16", "group", "info", "D16"]) == 0
+
+
 def test_paper_mode_diagnostic(tmp_path, capsys):
     out = tmp_path / "diag.json"
     rc = main(["find-noninner", "--group", "D8", "--mode", "paper", "--out", str(out)])

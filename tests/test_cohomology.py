@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from pgv.cohomology import (
     two_coboundary,
     zero_two_cocycle,
 )
-from pgv.fp_linalg import rank_array
+from pgv.catalog import builtin_catalog, find_entry
+from pgv.fp_linalg import left_kernel_array, matmul_mod, rank_array, rref_array
 from pgv.group_core import (
     GroupTable,
     Subgroup,
     center,
+    centralizer,
     conjugation_map,
     cyclic_group,
     direct_product_tables,
@@ -260,3 +263,111 @@ def test_h1_dim_of_submodule_free_is_zero():
     fb = FreeBimodule(g, 1)
     full = free_submodule_closure(fb, np.eye(8, dtype=np.int64), "right")
     assert h1_dim_of_submodule(fb, full) == 0
+
+
+# -- slices at generators against slices at every element ----------------------
+
+
+def h1_slice(g, m, h):
+    """Matrix of tau -> [tau(xh) - tau(x).h - tau(h)]_x, rows indexed by (x, i)."""
+    q, d = g.order, m.dim
+    D = np.zeros((q, d, q, d), dtype=np.int64)
+    x = np.arange(q)
+    for j in range(d):
+        np.add.at(D, (g.mul[x, h], j, x, j), 1)
+        np.add.at(D, (h, j, x, j), -1)
+        for i in range(d):
+            np.add.at(D, (x, i, x, j), -m.act[h, i, j])
+    return D.reshape(q * d, q * d) % m.p
+
+
+def h2_slice(g, m, k):
+    """Matrix of f -> [f(x,y).k + f(xy,k) - f(y,k) - f(x,yk)]_(x,y), x, y, k != 1."""
+    q, d = g.order, m.dim
+    D = np.zeros((q - 1, q - 1, d, q - 1, q - 1, d), dtype=np.int64)
+    x, y = (a.reshape(-1) for a in np.meshgrid(np.arange(1, q), np.arange(1, q), indexing="ij"))
+    xy, yk = g.mul[x, y], g.mul[y, k]
+    for j in range(d):
+        for i in range(d):
+            np.add.at(D, (x - 1, y - 1, i, x - 1, y - 1, j), m.act[k, i, j])
+        keep = xy != 0
+        np.add.at(D, (xy[keep] - 1, k - 1, j, x[keep] - 1, y[keep] - 1, j), 1)
+        np.add.at(D, (y - 1, k - 1, j, x - 1, y - 1, j), -1)
+        keep = yk != 0
+        np.add.at(D, (x[keep] - 1, yk[keep] - 1, j, x[keep] - 1, y[keep] - 1, j), -1)
+    n = (q - 1) ** 2 * d
+    return D.reshape(n, n) % m.p
+
+
+def z_over_all_slices(g, m, degree):
+    """Oracle: RREF basis of the cocycles, intersecting the slice at every element."""
+    p = m.p
+    if degree == 1:
+        n, slices = g.order * m.dim, [h1_slice(g, m, h) for h in range(g.order)]
+    else:
+        n, slices = (g.order - 1) ** 2 * m.dim, [h2_slice(g, m, k) for k in range(1, g.order)]
+    S = np.eye(n, dtype=np.int64)
+    for D in slices:
+        S = matmul_mod(left_kernel_array(matmul_mod(S, D, p), p), S, p)
+    R, piv = rref_array(S, p)
+    return R[: len(piv)]
+
+
+def conjugation_module(g):
+    """W = the largest elementary abelian normal subgroup, acted on by G/C_G(W)."""
+    orders = g.element_orders()
+    elementary = [n for n in normal_subgroups(g) if np.all(orders[n.members] <= g.p)]
+    w = max(elementary, key=lambda n: n.order)
+    return module_from_conjugation(g, centralizer(g, w), w).module
+
+
+def assert_z_matches_all_slices(g, m, degree):
+    sp = cohomology(g, m, degree, want_reps=False)
+    assert np.array_equal(sp.z_basis, z_over_all_slices(g, m, degree)), (g, m.name, degree)
+
+
+def test_generator_slices_give_every_slice_z1():
+    small = [e.group() for e in builtin_catalog() if e.order <= 16]
+    nontrivial_actions = 0
+    for g in small:
+        conj = conjugation_module(g)
+        nontrivial_actions += bool(np.any(conj.act != np.eye(conj.dim, dtype=np.int64)))
+        for m in (trivial_module(g, 1), trivial_module(g, 2), regular_module(g), conj):
+            assert_z_matches_all_slices(m.group, m, 1)
+    assert nontrivial_actions >= 5
+
+
+def test_generator_slices_give_every_slice_z2():
+    for e in builtin_catalog():
+        if e.order > 16 and e.order != 27:
+            continue
+        g = e.group()
+        assert_z_matches_all_slices(g, trivial_module(g, 1), 2)
+        if e.order <= 16:
+            conj = conjugation_module(g)
+            assert_z_matches_all_slices(conj.group, conj, 2)
+        if e.order <= 8:
+            assert_z_matches_all_slices(g, regular_module(g), 2)
+
+
+def test_trivial_group_h1_pins_tau_at_the_identity():
+    # The trivial group has an empty generating sequence; its one slice, at
+    # the identity, forces tau(1) = 0.
+    g = cyclic_group(2, 2)
+    cm = module_from_conjugation(g, Subgroup(g, [0, 1]), center(g))
+    assert cm.module.group.order == 1
+    sp = cohomology(cm.module.group, cm.module, 1)
+    assert (sp.z_dim, sp.b_dim, sp.h_dim) == (0, 0, 0)
+    assert np.array_equal(sp.z_basis, z_over_all_slices(cm.module.group, cm.module, 1))
+
+
+def test_h2_peak_memory_he27():
+    g = find_entry("He27").group()
+    m = trivial_module(g, 1)
+    tracemalloc.start()
+    try:
+        cohomology(g, m, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

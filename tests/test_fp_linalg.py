@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgv.fp_linalg as fl
@@ -12,6 +12,7 @@ from pgv.fp_linalg import (
     check_prime,
     complement_reps,
     left_kernel_array,
+    matmul_mod,
     rank_array,
     right_kernel_array,
     rref_array,
@@ -331,3 +332,141 @@ def test_subspace_basis_is_read_only_echelon():
         FpSubspace(3, 3, np.array([[0, 2, 0]]), (1,))
     with pytest.raises(ValueError):  # a zero row
         FpSubspace(3, 3, np.zeros((1, 3), dtype=np.int64), (0,))
+
+
+# -- the blocked kernel against the per-pivot row loop -------------------------
+
+
+def loop_rref(a, p):
+    """Oracle: the plain per-pivot row loop over the whole matrix."""
+    A = np.array(a, dtype=np.int64) % p
+    m, n = A.shape
+    r = 0
+    piv = []
+    for c in range(n):
+        if r == m:
+            break
+        hits = np.nonzero(A[r:, c])[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        A[r] = (A[r] * pow(int(A[r, c]), p - 2, p)) % p
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+        piv.append(c)
+        r += 1
+    return A, piv
+
+
+def loop_right_kernel(a, p):
+    """Oracle: kernel basis filled by the double loop, then canonicalized by the row loop."""
+    A, piv = loop_rref(a, p)
+    n = A.shape[1]
+    free = [j for j in range(n) if j not in set(piv)]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for row_idx, pc in enumerate(piv):
+            basis[k, pc] = (-A[row_idx, f]) % p
+    return loop_rref(basis, p)[0]
+
+
+PANEL = fl.PANEL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 32749]),
+    st.integers(min_value=1, max_value=3 * PANEL + 10),
+    st.integers(min_value=1, max_value=3 * PANEL + 10),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3 * PANEL)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(p=2, m=PANEL + 1, n=2 * PANEL + 7, rank=None, transposed=False, raw=False, seed=1)
+@example(p=3, m=2 * PANEL + 7, n=PANEL + 1, rank=PANEL - 3, transposed=True, raw=True, seed=2)
+@example(p=32749, m=3 * PANEL, n=3 * PANEL + 5, rank=2 * PANEL + 1, transposed=False, raw=True, seed=3)
+@example(p=7, m=PANEL, n=3 * PANEL, rank=None, transposed=True, raw=False, seed=4)
+def test_blocked_kernel_matches_row_loop(p, m, n, rank, transposed, raw, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, m) if transposed else (m, n)
+    if rank is None:
+        a = rng.integers(0, p, size=shape)
+    else:  # rank at most `rank`
+        left = rng.integers(0, p, size=(shape[0], rank))
+        a = (left @ rng.integers(0, p, size=(rank, shape[1]))) % p
+    a[:, rng.random(shape[1]) < 0.2] = 0
+    a[rng.random(shape[0]) < 0.1] = 0
+    if raw:  # unreduced and negative entries
+        a = a + p * rng.integers(-3, 4, size=shape)
+    if transposed:  # a non-contiguous view
+        a = a.T
+    before = a.copy()
+
+    R, piv = rref_array(a, p)
+    want_R, want_piv = loop_rref(a, p)
+    assert piv == want_piv
+    assert R.dtype == np.int64 and np.array_equal(R, want_R)
+    assert np.array_equal(right_kernel_array(a, p), loop_right_kernel(a, p))
+    assert np.array_equal(left_kernel_array(a, p), loop_right_kernel(np.asarray(a).T, p))
+    assert np.array_equal(a, before)
+
+
+def test_blocked_kernel_runs_past_one_panel(monkeypatch):
+    # Both dimensions above the panel width take the blocked path; pivots
+    # then come from more than one panel.
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 5, size=(PANEL + 30, 2 * PANEL + 30))
+    calls = []
+    real = fl._eliminate_blocked
+
+    def counting(A, p):
+        calls.append(A.shape)
+        return real(A, p)
+
+    monkeypatch.setattr(fl, "_eliminate_blocked", counting)
+    R, piv = rref_array(a, 5)
+    rref_array(a[:PANEL], 5)
+    assert calls == [a.shape]
+    assert len(piv) == PANEL + 30 and piv[-1] >= PANEL
+    assert np.array_equal(R, loop_rref(a, 5)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 32749]),
+    st.integers(min_value=0, max_value=90),
+    st.integers(min_value=0, max_value=90),
+    st.integers(min_value=0, max_value=90),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(p=32749, m=90, k=90, n=90, seed=0)  # a float64 product
+@example(p=3, m=2, k=5, n=4, seed=1)  # an int64 one
+def test_matmul_mod_matches_int64_product(p, m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(m, k))
+    b = rng.integers(0, p, size=(k, n))
+    got = matmul_mod(a, b, p)
+    assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p)
+
+
+def test_matmul_mod_guard_sits_at_2_53(monkeypatch):
+    p = 32749
+    widest = ((1 << 53) - 1) // (p - 1) ** 2
+    assert fl._float_exact(widest, p) and not fl._float_exact(widest + 1, p)
+    assert fl._float_exact(1 << 40, 2)
+    # Past the guard the product is the int64 one.
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, p, size=(70, 33))
+    b = rng.integers(0, p, size=(33, 90))
+    assert a.size * b.shape[1] >= fl.BLAS_MIN
+    float_path = matmul_mod(a, b, p)
+    monkeypatch.setattr(fl, "_float_exact", lambda inner, q: False)
+    int_path = matmul_mod(a, b, p)
+    assert np.array_equal(float_path, (a @ b) % p)
+    assert np.array_equal(int_path, (a @ b) % p)
