@@ -383,63 +383,86 @@ def _is_abelian_subset(g: GroupTable, s: Subgroup) -> bool:
     return bool(np.array_equal(sub, sub.T))
 
 
-def _centralizes(g: GroupTable, a: Subgroup, w: Subgroup) -> bool:
-    for x in a.members:
-        if not np.array_equal(g.mul[g.mul[g.inv[x], w.members], x], w.members):
-            return False
-    return True
+def _centralizes(g: GroupTable, bitmaps: np.ndarray, w: Subgroup) -> np.ndarray:
+    """Which rows of the stacked subgroup bitmaps lie inside C_G(W)."""
+    outside = ~centralizer(g, w).bitmap
+    return ~(bitmaps & outside).any(axis=1)
+
+
+Config = Tuple[Subgroup, Subgroup, str, Optional[Dict[str, object]], bool]
+
+
+def _sweep_configs(g: GroupTable) -> List[Config]:
+    """The (N1, W, tag, extra, all_h) configurations of the sweep, in order.
+
+    Stage A follows the narrow schedule (N inside the Frattini subgroup with
+    W the socle of its center); stages B and C widen W to every elementary
+    abelian normal subgroup and to central homomorphism targets.  A pair
+    (N1, W) is kept only the first time it comes up.
+
+    Subgroups are rows of the normal-subgroup lattice: every W here is
+    characteristic in a normal subgroup, so it is a row too, and
+    holds[i, j] says row j lies inside row i.
+    """
+    normals = normal_subgroups(g)
+    bitmaps = np.stack([n.bitmap for n in normals])
+    orders = np.array([n.order for n in normals])
+    # |N_i ∩ N_j| for every pair by one product; the counts are exact.
+    counts = bitmaps.astype(np.float64)
+    holds = (counts @ counts.T) == orders
+    row = {n.bitmap.tobytes(): i for i, n in enumerate(normals)}
+
+    def index(s: Subgroup) -> int:
+        return row[s.bitmap.tobytes()]
+
+    phi = index(frattini(g))
+    seen: set = set()
+    configs: List[Config] = []
+
+    def push(n1: int, w: int, tag: str, extra=None, all_h=False):
+        if (n1, w) in seen:
+            return
+        seen.add((n1, w))
+        configs.append((normals[n1], normals[w], tag, extra, all_h))
+
+    # Stage A: N <= Phi(G) ascending, W = socle of Z(N), N1 between W and N.
+    for i, n in enumerate(normals):
+        if not holds[phi, i] or n.order == 1:
+            continue
+        socle = omega1(g, subgroup_center(g, n))
+        if socle.order == 1:
+            continue
+        w = index(socle)
+        for n1 in np.flatnonzero((orders < n.order) & holds[i] & holds[:, w]):
+            push(int(n1), w, "lp", {"n_members": _members(n)})
+        push(i, w, "lp", {"n_members": _members(n)})
+
+    # Stage B: W any elementary abelian normal, N1 any normal supergroup
+    # centralizing it.
+    for wsub in _elementary_abelian_normals(g):
+        w = index(wsub)
+        for n1 in np.flatnonzero(holds[:, w] & _centralizes(g, bitmaps, wsub)):
+            push(int(n1), w, "engine_wide")
+
+    # Stage C: central homomorphism targets: W = socle of the center, N1 any
+    # normal subgroup containing the Frattini subgroup (W need not sit in N1).
+    socle = omega1(g, center(g))
+    if socle.order > 1:
+        w = index(socle)
+        for n1 in np.flatnonzero(holds[:, phi]):
+            push(int(n1), w, "central_hom", None, True)
+    return configs
 
 
 def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     """Derivation sweep; returns the first certificate in a fixed config order.
 
-    Stage A follows the narrow schedule (N inside the Frattini subgroup with
-    W the socle of its center); stages B and C widen W to every elementary
-    abelian normal subgroup and to central homomorphism targets, which is
-    what makes the sweep complete on the small-order catalog.
+    The configurations come from ``_sweep_configs``; the widening stages B
+    and C are what make the sweep complete on the small-order catalog.
     """
     if g.is_abelian():
         return None
-    phi = frattini(g)
-    normals = normal_subgroups(g)
-    seen: set = set()
-    configs: List[Tuple[Subgroup, Subgroup, str, Optional[Dict[str, object]], bool]] = []
-
-    def push(n1: Subgroup, w: Subgroup, tag: str, extra=None, all_h=False):
-        key = (n1.key(), w.key())
-        if key in seen:
-            return
-        seen.add(key)
-        configs.append((n1, w, tag, extra, all_h))
-
-    # Stage A: N <= Phi(G) ascending, W = socle of Z(N), N1 between W and N.
-    for n in normals:
-        if not phi.contains_subgroup(n) or n.order == 1:
-            continue
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        for n1 in normals:
-            if n1.order < n.order and n.contains_subgroup(n1) and n1.contains_subgroup(w):
-                push(n1, w, "lp", {"n_members": _members(n)})
-        push(n, w, "lp", {"n_members": _members(n)})
-
-    # Stage B: W any elementary abelian normal, N1 any normal supergroup
-    # centralizing it.
-    for w in _elementary_abelian_normals(g):
-        for n1 in normals:
-            if n1.contains_subgroup(w) and _centralizes(g, n1, w):
-                push(n1, w, "engine_wide")
-
-    # Stage C: central homomorphism targets: W = socle of the center, N1 any
-    # normal subgroup containing the Frattini subgroup (W need not sit in N1).
-    wc = omega1(g, center(g))
-    if wc.order > 1:
-        for n1 in normals:
-            if n1.contains_subgroup(phi):
-                push(n1, wc, "central_hom", None, True)
-
-    for n1, w, tag, extra, all_h in configs:
+    for n1, w, tag, extra, all_h in _sweep_configs(g):
         cert, _ = _try_config(g, n1, w, "search", tag, extra, require_all_h=all_h)
         if cert is not None:
             return cert

@@ -34,7 +34,9 @@ from pgv.group_core import (
     subgroup_center,
     subgroup_closure,
     trivial_group,
+    _element_signature,
 )
+from pgv.catalog import builtin_catalog, find_entry
 from pgv.presentations import PcPresentation, PresentationError, parse_presentations
 
 
@@ -201,6 +203,60 @@ def test_normal_subgroups_within_trivial():
     triv = Subgroup(g, [0], check=False)
     subs = normal_subgroups(g, within=triv)
     assert len(subs) == 1 and subs[0].order == 1
+
+
+def _catalog_groups(max_order):
+    return [e.group() for e in builtin_catalog() if e.order <= max_order]
+
+
+def _is_normal_by_definition(g, s):
+    # s^x for every x at once: row x holds x^-1 m x for the members m.
+    conj = g.mul[g.mul[g.inv[:, None], s.members[None, :]], np.arange(g.order)[:, None]]
+    return bool(s.bitmap[conj].all())
+
+
+def test_normal_subgroups_match_subgroup_lattice_oracle():
+    # Slow oracle: the full subgroup lattice filtered by the definition of
+    # normality, also restricted to the Frattini subgroup.
+    groups = _catalog_groups(32)
+    assert len(groups) == 56
+    for g in groups:
+        normal = [s for s in all_subgroups(g) if _is_normal_by_definition(g, s)]
+        assert [s.key() for s in normal_subgroups(g)] == [s.key() for s in normal], g.name
+        phi = frattini(g)
+        inside = [s.key() for s in normal if phi.contains_subgroup(s)]
+        assert [s.key() for s in normal_subgroups(g, within=phi)] == inside, g.name
+
+
+def test_normal_subgroups_of_he27_squared():
+    he = find_entry("He27").group()
+    assert len(normal_subgroups(direct_product_tables(he, he))) == 259
+
+
+def test_normal_subgroups_order_cap_message():
+    g = from_pc_presentation(pres_d8())
+    with pytest.raises(GroupError, match=r"^order cap: 8 > 4$"):
+        normal_subgroups(g, order_cap=4)
+
+
+def test_centralizer_and_derived_subgroup_match_definitions():
+    groups = _catalog_groups(64)
+    assert len(groups) == 100
+    for g in groups:
+        n = g.order
+        subsets = [Subgroup(g, [x], check=False) for x in range(n)] + normal_subgroups(g)
+        for s in subsets:
+            mask = np.ones(n, dtype=bool)
+            for m in s.members:
+                mask &= g.mul[:, m] == g.mul[m, :]
+            assert centralizer(g, s).key() == tuple(np.flatnonzero(mask).tolist()), g.name
+        sizes = [centralizer(g, [x]).order for x in range(n)]
+        assert _element_signature(g)[:, 1].tolist() == sizes, g.name
+        # G' from every commutator [x, y], not only those with a generator.
+        idx = np.arange(n)
+        comms = g.mul[g.mul[g.mul[g.inv[:, None], g.inv[None, :]], idx[:, None]], idx[None, :]]
+        derived = subgroup_closure(g, np.unique(comms))
+        assert commutator_subgroup(g).key() == derived.key(), g.name
 
 
 def test_quotient_by_whole_and_trivial():

@@ -10,15 +10,21 @@ from pgv.group_core import (
     center,
     conjugation_map,
     cyclic_group,
+    frattini,
     from_pc_presentation,
     is_inner,
     map_order,
+    normal_subgroups,
+    omega1,
+    subgroup_center,
 )
 from pgv.noninner import (
     BruteForceResult,
     Certificate,
     Diagnostic,
     NoninnerError,
+    _elementary_abelian_normals,
+    _sweep_configs,
     all_automorphisms,
     brute_force_order_p_noninner,
     descent,
@@ -116,6 +122,55 @@ def test_engine_matches_brute_force_up_to_16(catalog):
         bf = brute_force_order_p_noninner(g)
         assert (cert is not None) == (bf.automorphism is not None), e.name
         assert cert is not None  # the existence theorem at this scale
+
+
+def _reference_sweep_configs(g):
+    """The sweep's configurations by pairwise loops over the lattice, with
+    one centralizer test per element."""
+    phi = frattini(g)
+    normals = normal_subgroups(g)
+    seen = set()
+    configs = []
+
+    def push(n1, w, tag, extra=None, all_h=False):
+        if (n1.key(), w.key()) not in seen:
+            seen.add((n1.key(), w.key()))
+            configs.append((n1, w, tag, extra, all_h))
+
+    def centralizes(a, w):
+        return all(
+            np.array_equal(g.mul[g.mul[g.inv[x], w.members], x], w.members) for x in a.members
+        )
+
+    for n in normals:
+        if not phi.contains_subgroup(n) or n.order == 1:
+            continue
+        w = omega1(g, subgroup_center(g, n))
+        if w.order == 1:
+            continue
+        for n1 in normals:
+            if n1.order < n.order and n.contains_subgroup(n1) and n1.contains_subgroup(w):
+                push(n1, w, "lp", {"n_members": [int(x) for x in n.members]})
+        push(n, w, "lp", {"n_members": [int(x) for x in n.members]})
+    for w in _elementary_abelian_normals(g):
+        for n1 in normals:
+            if n1.contains_subgroup(w) and centralizes(n1, w):
+                push(n1, w, "engine_wide")
+    wc = omega1(g, center(g))
+    if wc.order > 1:
+        for n1 in normals:
+            if n1.contains_subgroup(phi):
+                push(n1, wc, "central_hom", None, True)
+    return configs
+
+
+def test_sweep_configs_match_pairwise_reference(catalog):
+    groups = [e.group() for e in catalog if not e.group().is_abelian()]
+    assert len(groups) == 73
+    for g in groups:
+        got = _sweep_configs(g)
+        assert got, g.name
+        assert got == _reference_sweep_configs(g), g.name
 
 
 def test_certificate_roundtrip_and_tamper(catalog):
