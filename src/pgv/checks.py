@@ -4,17 +4,23 @@ Every check takes a JSON-able instance dict (catalog entry name, seed, size
 parameters), materializes the objects it needs, evaluates its hypothesis
 gates computationally, and reports PASS / COUNTEREXAMPLE with both sides of
 the claim in the details.  Checks report; they never assert.
+
+A check body returns ``(ok, details)``; a failed hypothesis gate raises
+``Skip`` and an instance too large to evaluate raises ``Unsupported``.
+Bodies that loop over configurations yield one ``(ok, details)`` per tested
+configuration into ``_sweep``.  ``register`` alone turns the outcome into a
+``CheckVerdict``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import fp_linalg as fl
-from .catalog import CatalogEntry, builtin_catalog, find_entry
+from .catalog import CatalogEntry, CatalogError, builtin_catalog, find_entry
 from .cohomology import (
     TwoCocycle,
     cohomology,
@@ -60,6 +66,7 @@ from .gmodule import (
     dual_module,
     embed_into_free,
     fixed_points,
+    fixed_under,
     free_submodule_closure,
     generated_submodule,
     minimal_generators,
@@ -118,12 +125,53 @@ CHECKS: Dict[str, CheckDef] = {}
 ALIASES = {"thm_gg": "gg_growth", "thm5.5": "thm5_5"}
 
 
+Outcome = Tuple[bool, Dict[str, object]]
+
+
+class Skip(Exception):
+    """A hypothesis gate failed: the instance reports SKIPPED_HYPOTHESIS."""
+
+    status = SKIPPED
+
+    def __init__(self, reason: str, **details):
+        super().__init__(reason)
+        self.details = dict(details, reason=reason)
+
+
+class Unsupported(Skip):
+    """The instance is too large to evaluate: it reports UNSUPPORTED."""
+
+    status = UNSUPPORTED
+
+
 def register(check_id: str, description: str, generate=None):
-    def deco(fn):
-        CHECKS[check_id] = CheckDef(check_id, description, fn, generate or (lambda cat, seed, lim: []))
-        return fn
+    """Register a body ``inst -> (ok, details)`` as the check ``check_id``."""
+
+    def deco(body: Callable[[Dict[str, object]], Outcome]):
+        def run(inst: Dict[str, object]) -> CheckVerdict:
+            try:
+                ok, details = body(inst)
+            except Skip as s:
+                return CheckVerdict(check_id, inst, s.status, s.details)
+            return CheckVerdict(check_id, inst, PASS if ok else COUNTEREXAMPLE, details)
+
+        CHECKS[check_id] = CheckDef(check_id, description, run, generate or (lambda cat, seed, lim: []))
+        return body
 
     return deco
+
+
+def _sweep(trials: Iterator[Outcome], none: str = "hypotheses never met", count: str = "instances") -> Outcome:
+    """Fold one ``(ok, details)`` per tested configuration: the first failure
+    wins (later trials are not drawn), no trial at all is a skip."""
+    n = 0
+    for ok, details in trials:
+        if not ok:
+            return False, details
+        n += 1
+    if n == 0:
+        raise Skip(none)
+    return True, {count: n}
 
 
 def run_check(check_id: str, instance: Dict[str, object]) -> CheckVerdict:
@@ -191,7 +239,6 @@ def _quotient_mod_cocycle(
     qmod, comp = quotient_module(nmod, sub)
     basis_full = np.vstack([sub.basis, comp]) if sub.dim else comp
     q, d = g.order, nmod.dim
-    tab = np.zeros((q, q, qmod.dim), dtype=np.int64)
     from .gmodule import _solve_coords
 
     flat = f.table.reshape(q * q, d)
@@ -218,7 +265,7 @@ def _tiny_groups(cat, names=("C2", "C3", "C4", "C2xC2")):
     for nm in names:
         try:
             out.append(find_entry(nm, cat))
-        except Exception:
+        except CatalogError:
             continue
     return out
 
@@ -265,12 +312,7 @@ def check_gen_count(inst):
                 changed = True
                 break
     ok = span_ok and gens.shape[0] == d and (mod.dim == 0 or len(pruned) == d)
-    return CheckVerdict(
-        "gen_count",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"d_G": int(d), "canonical": int(gens.shape[0]), "random_minimal": len(pruned)},
-    )
+    return ok, {"d_G": int(d), "canonical": int(gens.shape[0]), "random_minimal": len(pruned)}
 
 
 @register("cc_bound", "generator count of a submodule vs the chain bound", _gen_modules)
@@ -278,32 +320,27 @@ def check_cc_bound(inst):
     g = _group(inst)
     fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
     if carrier.dim == 0:
-        return CheckVerdict("cc_bound", inst, SKIPPED, {"reason": "zero module"})
+        raise Skip("zero module")
     mod = _restricted(fb, carrier)
     rng = np.random.default_rng(int(inst["seed"]) + 5)
     seed_vec = rng.integers(0, g.p, size=(1, mod.dim))
     a1 = generated_submodule(mod, (seed_vec @ np.eye(mod.dim, dtype=np.int64)) % g.p)
     full = FpSubspace.full(mod.dim, g.p)
     if a1.dim == full.dim or a1.dim == 0:
-        return CheckVerdict("cc_bound", inst, SKIPPED, {"reason": "degenerate submodule"})
+        raise Skip("degenerate submodule")
     m = d_G(mod)
     rad_full = radical(mod)
     s = full.dim - rad_full.sum(a1).dim  # d_G(A/A1) = dim A - dim(J(A)+A1)
     d_a1 = d_G(mod, a1)
     reading1 = d_a1 <= s + m
     reading2 = m <= d_a1 + s
-    return CheckVerdict(
-        "cc_bound",
-        inst,
-        PASS if reading1 else COUNTEREXAMPLE,
-        {
-            "d_A": int(m),
-            "d_quotient": int(s),
-            "d_A1": int(d_a1),
-            "bound_on_submodule_holds": bool(reading1),
-            "bound_on_ambient_holds": bool(reading2),
-        },
-    )
+    return reading1, {
+        "d_A": int(m),
+        "d_quotient": int(s),
+        "d_A1": int(d_a1),
+        "bound_on_submodule_holds": bool(reading1),
+        "bound_on_ambient_holds": bool(reading2),
+    }
 
 
 @register("ut_embed", "socle-prescribed embedding into the free module", _gen_modules)
@@ -312,7 +349,7 @@ def check_ut_embed(inst):
     fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
     mod = _restricted(fb, carrier)
     if fixed_points(mod).dim < 1:
-        return CheckVerdict("ut_embed", inst, SKIPPED, {"reason": "no fixed points"})
+        raise Skip("no fixed points")
     emb = embed_into_free(mod)
     fixed = fixed_points(mod)
     socle_img = (fixed.basis @ emb.matrix) % g.p
@@ -324,12 +361,7 @@ def check_ut_embed(inst):
         if not np.array_equal(lhs, rhs):
             equiv_ok = False
     ok = emb.injective and socle_ok and equiv_ok
-    return CheckVerdict(
-        "ut_embed",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"injective": emb.injective, "socle_prescribed": bool(socle_ok), "equivariant": bool(equiv_ok)},
-    )
+    return ok, {"injective": emb.injective, "socle_prescribed": bool(socle_ok), "equivariant": bool(equiv_ok)}
 
 
 @register("free_iff_h1zero", "vanishing H^1 forces an explicit free decomposition", _gen_modules)
@@ -337,11 +369,11 @@ def check_free_iff_h1zero(inst):
     g = _group(inst)
     fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
     if carrier.dim == 0:
-        return CheckVerdict("free_iff_h1zero", inst, SKIPPED, {"reason": "zero module"})
+        raise Skip("zero module")
     mod = _restricted(fb, carrier)
     h1 = _h1_of_module(g, mod)
     if h1 != 0:
-        return CheckVerdict("free_iff_h1zero", inst, SKIPPED, {"reason": f"H1 = {h1}"})
+        raise Skip(f"H1 = {h1}")
     nfree = d_G(mod)
     dim_ok = mod.dim == nfree * g.order
     iso_ok = False
@@ -356,12 +388,7 @@ def check_free_iff_h1zero(inst):
         # Action tables agree by construction: e_{l,h}.k -> e_{l,hk} maps to
         # x_l act(h) act(k); verified via the rank/bijectivity check above.
     ok = dim_ok and iso_ok
-    return CheckVerdict(
-        "free_iff_h1zero",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"h1": int(h1), "rank": int(nfree), "dim_matches": bool(dim_ok), "bijective": bool(iso_ok)},
-    )
+    return ok, {"h1": int(h1), "rank": int(nfree), "dim_matches": bool(dim_ok), "bijective": bool(iso_ok)}
 
 
 @register("dual_fixed", "fixed points of the dual count module generators", _gen_modules)
@@ -371,12 +398,7 @@ def check_dual_fixed(inst):
     mod = _restricted(fb, carrier)
     lhs = fixed_points(dual_module(mod)).dim
     rhs = d_G(mod)
-    return CheckVerdict(
-        "dual_fixed",
-        inst,
-        PASS if lhs == rhs else COUNTEREXAMPLE,
-        {"dual_fixed_dim": int(lhs), "d_G": int(rhs)},
-    )
+    return lhs == rhs, {"dual_fixed_dim": int(lhs), "d_G": int(rhs)}
 
 
 @register("dual_gens", "generator count of the dual equals the fixed-point dim", _gen_modules)
@@ -386,12 +408,7 @@ def check_dual_gens(inst):
     mod = _restricted(fb, carrier)
     lhs = d_G(dual_module(mod))
     rhs = fixed_points(mod).dim
-    return CheckVerdict(
-        "dual_gens",
-        inst,
-        PASS if lhs == rhs else COUNTEREXAMPLE,
-        {"d_of_dual": int(lhs), "fixed_dim": int(rhs)},
-    )
+    return lhs == rhs, {"d_of_dual": int(lhs), "fixed_dim": int(rhs)}
 
 
 def _gen_duality(cat, seed, limit):
@@ -419,18 +436,13 @@ def check_l00(inst):
     inv_ok = back == q
     prod_ok = annihilator_by_products(fb, q, "left_of_right") == left
     ok = size_ok and inv_ok and prod_ok
-    return CheckVerdict(
-        "l00_duality",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {
-            "dim_Q": int(q.dim),
-            "dim_L": int(left.dim),
-            "ambient": int(fb.dim),
-            "roundtrip": bool(inv_ok),
-            "pairing_equals_products": bool(prod_ok),
-        },
-    )
+    return ok, {
+        "dim_Q": int(q.dim),
+        "dim_L": int(left.dim),
+        "ambient": int(fb.dim),
+        "roundtrip": bool(inv_ok),
+        "pairing_equals_products": bool(prod_ok),
+    }
 
 
 @register("ww_bridge", "H^1 dimension equals annihilator generator count", _gen_duality)
@@ -440,7 +452,7 @@ def check_ww(inst):
     fb, carrier = _carrier(g, n, int(inst["seed"]))
     fixed = submodule_fixed_points(fb, carrier, "right")
     if fixed.dim != n:
-        return CheckVerdict("ww_bridge", inst, SKIPPED, {"reason": "socle not full"})
+        raise Skip("socle not full")
     m = _submodule_h1(fb, carrier)
     left = annihilator(fb, carrier, "left_of_right")
     if left.dim == 0:
@@ -448,12 +460,7 @@ def check_ww(inst):
     else:
         lmod, _ = restrict_action(fb.as_gmodule("left"), left)
         d_left = d_G(lmod)
-    return CheckVerdict(
-        "ww_bridge",
-        inst,
-        PASS if m == d_left else COUNTEREXAMPLE,
-        {"h1": int(m), "d_of_annihilator": int(d_left)},
-    )
+    return m == d_left, {"h1": int(m), "d_of_annihilator": int(d_left)}
 
 
 # -- transfer / filtration checks -------------------------------------------------
@@ -501,17 +508,12 @@ def check_xo(inst):
         if got is None or not np.array_equal((got @ tp.lambda_basis) % p, y):
             recon = False
     ok = unique and unique_r and recon
-    return CheckVerdict(
-        "xo_unique",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {
-            "kernel_dim": int(kd.dim),
-            "left_basis_rank": int(rank_left),
-            "right_basis_rank": int(rank_right),
-            "reconstruction": bool(recon),
-        },
-    )
+    return ok, {
+        "kernel_dim": int(kd.dim),
+        "left_basis_rank": int(rank_left),
+        "right_basis_rank": int(rank_right),
+        "reconstruction": bool(recon),
+    }
 
 
 @register("to_iso", "the lifted free module is free with trivial kernel action", _gen_transfer)
@@ -534,12 +536,7 @@ def check_to(inst):
             equivariant = False
             break
     ok = inj and trivial_action and equivariant
-    return CheckVerdict(
-        "to_iso",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"injective": bool(inj), "kernel_acts_trivially": bool(trivial_action), "equivariant": bool(equivariant)},
-    )
+    return ok, {"injective": bool(inj), "kernel_acts_trivially": bool(trivial_action), "equivariant": bool(equivariant)}
 
 
 @register("thm2e_image", "annihilators transfer through the projection", _gen_transfer)
@@ -554,13 +551,7 @@ def check_thm2e(inst):
     lt = annihilator(tp.free_total, h_carrier, "left_of_right")
     down_img = FpSubspace.from_rows((lt.basis @ tp.down) % p, p, fbb.dim)
     lg = annihilator(fbb, q, "left_of_right")
-    ok = down_img == lg
-    return CheckVerdict(
-        "thm2e_image",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"dim_down_image": int(down_img.dim), "dim_base_annihilator": int(lg.dim)},
-    )
+    return down_img == lg, {"dim_down_image": int(down_img.dim), "dim_base_annihilator": int(lg.dim)}
 
 
 @register("tp_products", "filtration degrees multiply additively", _gen_transfer)
@@ -578,7 +569,7 @@ def check_tp(inst):
             dims[f"{m1}+{m2}"] = int(prod.dim)
             if prod != want:
                 ok = False
-    return CheckVerdict("tp_products", inst, PASS if ok else COUNTEREXAMPLE, {"dims": dims})
+    return ok, {"dims": dims}
 
 
 @register("dd_layers", "first filtration layer is free of rank n*t", _gen_transfer)
@@ -606,17 +597,12 @@ def check_dd(inst):
                 if np.any(spaces[i + 1].reduce(moved)):
                     kernel_trivial = False
     ok = layer == want and i1 == kd and kernel_trivial
-    return CheckVerdict(
-        "dd_layers",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {
-            "layer_dim": int(layer),
-            "expected": int(want),
-            "kernel_matches": bool(i1 == kd),
-            "kernel_acts_trivially_on_layers": bool(kernel_trivial),
-        },
-    )
+    return ok, {
+        "layer_dim": int(layer),
+        "expected": int(want),
+        "kernel_matches": bool(i1 == kd),
+        "kernel_acts_trivially_on_layers": bool(kernel_trivial),
+    }
 
 
 def _gen_xp(cat, seed, limit):
@@ -632,7 +618,7 @@ def check_xp(inst):
     g, ext, tp = _build_transfer(inst)
     p, n, t = g.p, tp.n, ext.t
     if t != 2:
-        return CheckVerdict("xp_layers", inst, SKIPPED, {"reason": "t != 2"})
+        raise Skip("t != 2")
     top = t * (p - 1) + 1
     dims = [filtration(tp, i).dim for i in range(top + 1)]
     ok = True
@@ -643,7 +629,7 @@ def check_xp(inst):
         layers[str(i)] = (int(layer), int(n * copies * g.order))
         if layer != n * copies * g.order:
             ok = False
-    return CheckVerdict("xp_layers", inst, PASS if ok else COUNTEREXAMPLE, {"layers": layers})
+    return ok, {"layers": layers}
 
 
 # -- cohomology growth checks (the acceptance suite) -------------------------------
@@ -718,21 +704,15 @@ def check_gg(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
-        return CheckVerdict("gg_growth", inst, SKIPPED, {"reason": f"fixed={fixed_dim}, m={m}"})
+        raise Skip(f"fixed={fixed_dim}, m={m}")
     cp = trivial_module(g, 1)
     f = _nontrivial_2cocycle(g, cp, int(inst["seed"]))
     if f is None:
-        return CheckVerdict("gg_growth", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     ext = build_extension(g, cp, f)
     qmod = _restricted(fb, carrier)
     h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
-    ok = h1_ext >= m + (n - m)
-    return CheckVerdict(
-        "gg_growth",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"n": n, "m": int(m), "h1_extension": int(h1_ext), "lower_bound": int(n)},
-    )
+    return h1_ext >= m + (n - m), {"n": n, "m": int(m), "h1_extension": int(h1_ext), "lower_bound": int(n)}
 
 
 @register("yy_upper", "H^1 grows by at most n*t under any kernel extension", _gen_growth)
@@ -740,7 +720,7 @@ def check_yy(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n or m > n:
-        return CheckVerdict("yy_upper", inst, SKIPPED, {"reason": f"fixed={fixed_dim}, m={m}"})
+        raise Skip(f"fixed={fixed_dim}, m={m}")
     t = 1 + int(inst["seed"]) % 2
     pmod = trivial_module(g, t)
     sp = cohomology(g, pmod, 2)
@@ -749,12 +729,7 @@ def check_yy(inst):
     qmod = _restricted(fb, carrier)
     h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
     ok = h1_ext <= m + n * t
-    return CheckVerdict(
-        "yy_upper",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "upper_bound": int(m + n * t)},
-    )
+    return ok, {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "upper_bound": int(m + n * t)}
 
 
 def _up_carrier(tp, carrier):
@@ -767,24 +742,18 @@ def check_jj(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
-        return CheckVerdict("jj_lower", inst, SKIPPED, {"reason": f"fixed={fixed_dim}, m={m}"})
+        raise Skip(f"fixed={fixed_dim}, m={m}")
     cp = trivial_module(g, 1)
     f = _nontrivial_2cocycle(g, cp, int(inst["seed"]))
     if f is None:
-        return CheckVerdict("jj_lower", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     ext = build_extension(g, cp, f)
     tp = transfer_maps(ext, n)
     q_up = _up_carrier(tp, carrier)
     lt = annihilator(tp.free_total, q_up, "left_of_right")
     lmod, _ = restrict_action(tp.free_total.as_gmodule("left"), lt)
     s = d_G(lmod)
-    ok = s >= n
-    return CheckVerdict(
-        "jj_lower",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"n": n, "m": int(m), "annihilator_generators": int(s)},
-    )
+    return s >= n, {"n": n, "m": int(m), "annihilator_generators": int(s)}
 
 
 @register("cor8_0", "stable H^1 under central extension forces the maximum", _gen_growth)
@@ -792,26 +761,18 @@ def check_cor8(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n or m < 0 or m > n:
-        return CheckVerdict("cor8_0", inst, SKIPPED, {"reason": f"fixed={fixed_dim}"})
+        raise Skip(f"fixed={fixed_dim}")
     cp = trivial_module(g, 1)
     sp = cohomology(g, cp, 2)
     if sp.h_dim == 0:
-        return CheckVerdict("cor8_0", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, cp, f)
     qmod = _restricted(fb, carrier)
     h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
     if h1_ext != m:
-        return CheckVerdict(
-            "cor8_0", inst, SKIPPED, {"reason": f"H1 changed ({m} -> {h1_ext})"}
-        )
-    ok = m == n
-    return CheckVerdict(
-        "cor8_0",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"n": n, "m": int(m), "h1_extension": int(h1_ext)},
-    )
+        raise Skip(f"H1 changed ({m} -> {h1_ext})")
+    return m == n, {"n": n, "m": int(m), "h1_extension": int(h1_ext)}
 
 
 @register("aa_cases", "rank-t kernel growth laws", _gen_growth_strict)
@@ -819,12 +780,12 @@ def check_aa(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
-        return CheckVerdict("aa_cases", inst, SKIPPED, {"reason": f"fixed={fixed_dim}, m={m}"})
+        raise Skip(f"fixed={fixed_dim}, m={m}")
     t = 2
     pmod = trivial_module(g, t)
     sp = cohomology(g, pmod, 2)
     if sp.h_dim == 0:
-        return CheckVerdict("aa_cases", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, pmod, f)
     tp = transfer_maps(ext, n)
@@ -837,12 +798,7 @@ def check_aa(inst):
     else:
         ok = h1_ext >= m + t * n - t * m + 1
         bound = f">= {m + t * n - t * m + 1}"
-    return CheckVerdict(
-        "aa_cases",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "bound": bound},
-    )
+    return ok, {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "bound": bound}
 
 
 @register("qq_cases", "rank-2 kernel growth laws with an intermediate quotient", _gen_growth)
@@ -850,11 +806,11 @@ def check_qq(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n:
-        return CheckVerdict("qq_cases", inst, SKIPPED, {"reason": f"fixed={fixed_dim}"})
+        raise Skip(f"fixed={fixed_dim}")
     pmod = trivial_module(g, 2)
     sp = cohomology(g, pmod, 2)
     if sp.h_dim == 0:
-        return CheckVerdict("qq_cases", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, pmod, f)
     qmod = _restricted(fb, carrier)
@@ -872,17 +828,13 @@ def check_qq(inst):
             ok = h1_ext >= m + 2 * n - 2 * m + 1
             details["branch"] = "m>=2"
         else:
-            return CheckVerdict(
-                "qq_cases", inst, SKIPPED, dict(details, reason="m=1 not covered by the claim")
-            )
+            raise Skip("m=1 not covered by the claim", **details)
     else:
         if h1_mid != m:
-            return CheckVerdict(
-                "qq_cases", inst, SKIPPED, dict(details, reason="intermediate H1 moved")
-            )
+            raise Skip("intermediate H1 moved", **details)
         ok = h1_ext == 2 * n
         details["branch"] = "m=n"
-    return CheckVerdict("qq_cases", inst, PASS if ok else COUNTEREXAMPLE, details)
+    return ok, details
 
 
 @register("ggg_exact", "exactly-n modules gain exactly n under a stable layer", _gen_growth_exact)
@@ -890,11 +842,11 @@ def check_ggg(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     n = int(inst["n"])
     if fixed_dim != n or m != n:
-        return CheckVerdict("ggg_exact", inst, SKIPPED, {"reason": f"fixed={fixed_dim}, m={m} != n"})
+        raise Skip(f"fixed={fixed_dim}, m={m} != n")
     pmod = trivial_module(g, 2)
     sp = cohomology(g, pmod, 2)
     if sp.h_dim == 0:
-        return CheckVerdict("ggg_exact", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, pmod, f)
     qmod = _restricted(fb, carrier)
@@ -903,15 +855,9 @@ def check_ggg(inst):
     ext1 = build_extension(g, qkern, fbar)
     h1_mid = _h1_of_module(ext1.total, _inflated_to_extension(ext1, qmod))
     if h1_mid != m:
-        return CheckVerdict("ggg_exact", inst, SKIPPED, {"reason": "quotient layer moved H1"})
+        raise Skip("quotient layer moved H1")
     h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
-    ok = h1_ext == h1_mid + n
-    return CheckVerdict(
-        "ggg_exact",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"n": n, "h1_mid": int(h1_mid), "h1_extension": int(h1_ext)},
-    )
+    return h1_ext == h1_mid + n, {"n": n, "h1_mid": int(h1_mid), "h1_extension": int(h1_ext)}
 
 
 def _gen_kj(cat, seed, limit):
@@ -927,27 +873,21 @@ def _gen_kj(cat, seed, limit):
 def check_kj(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     if fixed_dim != 1 or m > 1:
-        return CheckVerdict("kj_h2", inst, SKIPPED, {"reason": "not a 1-module"})
+        raise Skip("not a 1-module")
     cp = trivial_module(g, 1)
     f = _nontrivial_2cocycle(g, cp, int(inst["seed"]))
     if f is None:
-        return CheckVerdict("kj_h2", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     ext = build_extension(g, cp, f)
     qmod = _restricted(fb, carrier)
     h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
     if h1_ext != m:
-        return CheckVerdict("kj_h2", inst, SKIPPED, {"reason": "H1 moved"})
+        raise Skip("H1 moved")
     if ext.total.order > 16 or qmod.dim > 6:
-        return CheckVerdict("kj_h2", inst, UNSUPPORTED, {"reason": "H^2 instance too large"})
+        raise Unsupported("H^2 instance too large")
     h2 = cohomology(ext.total, _inflated_to_extension(ext, qmod), 2, want_reps=False).h_dim
-    cyclic = d_G(qmod) == 1
-    ok = h2 == 1 and cyclic
-    return CheckVerdict(
-        "kj_h2",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"h2_extension": int(h2), "d_G": int(d_G(qmod))},
-    )
+    d = d_G(qmod)
+    return h2 == 1 and d == 1, {"h2_extension": int(h2), "d_G": int(d)}
 
 
 def _gen_dp(cat, seed, limit):
@@ -968,20 +908,12 @@ def check_dp(inst):
     T = ext.total
     fbT, carrier, fixed_dim, m = _sampled_nG(T, 1, int(inst["seed"]))
     if fixed_dim != 1 or m > 1:
-        return CheckVerdict("dp_dim", inst, SKIPPED, {"reason": "not a 1-module over the extension"})
+        raise Skip("not a 1-module over the extension")
     # fixed points under the kernel subgroup
-    stack = []
-    for a in ext.kernel_generators():
-        stack.append((fbT.right_element_action(a) - np.eye(fbT.dim, dtype=np.int64)) % T.p)
-    rows = fl.left_kernel_array(np.hstack(stack), T.p)
-    qn = FpSubspace.from_rows(rows, T.p, fbT.dim).intersect(carrier)
+    kernel_acts = [fbT.right_element_action(a) for a in ext.kernel_generators()]
+    qn = fixed_under(kernel_acts, T.p, fbT.dim).intersect(carrier)
     ok = carrier.dim >= T.p * qn.dim
-    return CheckVerdict(
-        "dp_dim",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"dim_Q": int(carrier.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p},
-    )
+    return ok, {"dim_Q": int(carrier.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p}
 
 
 @register("rty_eq", "stable 1-modules meet the kernel bound with equality and cyclic fixed part", _gen_dp)
@@ -990,7 +922,7 @@ def check_rty(inst):
     pmod = trivial_module(g, 2)
     sp = cohomology(g, pmod, 2)
     if sp.h_dim == 0:
-        return CheckVerdict("rty_eq", inst, SKIPPED, {"reason": "H^2 trivial"})
+        raise Skip("H^2 trivial")
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, pmod, f)
     sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)
@@ -999,7 +931,7 @@ def check_rty(inst):
     T1 = ext1.total
     fb1, carrier, fixed_dim, m = _sampled_nG(T1, 1, int(inst["seed"]))
     if fixed_dim != 1 or m > 1:
-        return CheckVerdict("rty_eq", inst, SKIPPED, {"reason": "not a 1-module"})
+        raise Skip("not a 1-module")
     qmod1 = _restricted(fb1, carrier)
     # View the module over the bigger extension through the collapse map.
     collapse = _collapse_map(ext, ext1)
@@ -1007,26 +939,15 @@ def check_rty(inst):
     h1_T1 = _h1_of_module(T1, qmod1)
     h1_T = _h1_of_module(ext.total, qmod_T)
     if h1_T1 != h1_T:
-        return CheckVerdict("rty_eq", inst, SKIPPED, {"reason": "H1 differs across the collapse"})
+        raise Skip("H1 differs across the collapse")
     # fixed points of the kernel of ext acting through collapse
-    acts = []
-    for a in ext.kernel_generators():
-        h = int(collapse.image_of[a])
-        acts.append((qmod1.act[h] - np.eye(qmod1.dim, dtype=np.int64)) % g.p)
-    rows = fl.left_kernel_array(np.hstack(acts), g.p) if acts else np.eye(qmod1.dim, dtype=np.int64)
-    qn = FpSubspace.from_rows(rows, g.p, qmod1.dim)
-    eq = qmod1.dim == g.p * qn.dim
+    kernel_acts = [qmod1.act[int(collapse.image_of[a])] for a in ext.kernel_generators()]
+    qn = fixed_under(kernel_acts, g.p, qmod1.dim)
     if qn.dim == 0:
-        return CheckVerdict("rty_eq", inst, SKIPPED, {"reason": "kernel-fixed part trivial"})
-    sub_carrier = qn
-    d_fixed = d_G(qmod1, sub_carrier)
-    ok = eq and d_fixed == 1
-    return CheckVerdict(
-        "rty_eq",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"dim_Q": int(qmod1.dim), "dim_fixed": int(qn.dim), "d_of_fixed": int(d_fixed)},
-    )
+        raise Skip("kernel-fixed part trivial")
+    d_fixed = d_G(qmod1, qn)
+    ok = qmod1.dim == g.p * qn.dim and d_fixed == 1
+    return ok, {"dim_Q": int(qmod1.dim), "dim_fixed": int(qn.dim), "d_of_fixed": int(d_fixed)}
 
 
 def _collapse_map(ext: ExtensionResult, ext1: ExtensionResult) -> GroupMap:
@@ -1062,7 +983,7 @@ def check_xu(inst):
         if s.order == g.p and s.order > 1
     ]
     if not mins:
-        return CheckVerdict("xu_free", inst, SKIPPED, {"reason": "no minimal normal subgroup"})
+        raise Skip("no minimal normal subgroup")
     nsub = mins[int(inst["seed"]) % len(mins)]
     fb, carrier = _carrier(g, 1, int(inst["seed"]), socle=True, extra=2)
     mod = _restricted(fb, carrier)
@@ -1070,20 +991,13 @@ def check_xu(inst):
     mod_n = GModule(sub_table, mod.act[members], check=False)
     qn = fixed_points(mod_n)
     if (qn.dim * g.p) != mod.dim:
-        return CheckVerdict(
-            "xu_free", inst, SKIPPED, {"reason": f"|Q^N|^p != |Q| ({qn.dim} vs {mod.dim})"}
-        )
+        raise Skip(f"|Q^N|^p != |Q| ({qn.dim} vs {mod.dim})")
     nrank = qn.dim
     free_dims = mod.dim == nrank * sub_table.order
     d_over_n = d_G(mod_n)
     h1_n = _h1_of_module(sub_table, mod_n)
     ok = free_dims and d_over_n == nrank and h1_n == 0
-    return CheckVerdict(
-        "xu_free",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"rank": int(nrank), "d_over_N": int(d_over_n), "h1_over_N": int(h1_n)},
-    )
+    return ok, {"rank": int(nrank), "d_over_N": int(d_over_n), "h1_over_N": int(h1_n)}
 
 
 def _gen_io(cat, seed, limit):
@@ -1104,19 +1018,18 @@ def check_io(inst):
     el_ab = _elementary_abelian_normals(g)
     details["normal_elementary_abelian_count"] = len(el_ab)
     if g.is_abelian():
-        return CheckVerdict("io_rank", inst, SKIPPED, dict(details, reason="abelian input"))
+        raise Skip("abelian input", **details)
     if len(el_ab) != 1:
-        return CheckVerdict(
-            "io_rank", inst, SKIPPED, dict(details, reason="no unique normal elementary abelian")
-        )
+        raise Skip("no unique normal elementary abelian", **details)
     cat = builtin_catalog()
     dq = [e for e in cat if e.matches("dihedral") or e.matches("quaternion")]
     matches = any(e.order == g.order and is_isomorphic(e.group(), g) for e in dq)
     details["structure_claim_dihedral_or_quaternion"] = bool(matches)
     if not matches:
-        return CheckVerdict("io_rank", inst, COUNTEREXAMPLE, details)
+        return False, details
     # Generator-count claim on a small stable instance: a 1-module over G/N
     # whose H^1 does not move under inflation gives d(ext) = d(G) + 1.
+    d_g = _d_of_group(g)
     mins = [s for s in normal_subgroups(g) if s.order == g.p]
     rank_results = []
     candidates = []
@@ -1142,24 +1055,26 @@ def check_io(inst):
             continue
         sp = cohomology(g, qmod, 2)
         taus = (sp.h_reps[:1] if sp.h_dim else []) + [zero_two_cocycle(g, qmod)]
-        d_g = subgroup_rank(g, Subgroup(g, np.arange(g.order), check=False)) if g.is_abelian() else _d_of_group(g)
         for f in taus:
             ext = build_extension(g, qmod, f)
             rank_results.append(int(_d_of_group(ext.total)))
-        details["d_base"] = int(_d_of_group(g))
+        details["d_base"] = int(d_g)
         details["d_extensions"] = rank_results
-        if any(r != _d_of_group(g) + 1 for r in rank_results):
-            return CheckVerdict("io_rank", inst, COUNTEREXAMPLE, details)
-    return CheckVerdict("io_rank", inst, PASS, details)
+        if any(r != d_g + 1 for r in rank_results):
+            return False, details
+    return True, details
+
+
+def _ceil_log(p: int, x: int) -> int:
+    """The least k with p**k >= x."""
+    k = 0
+    while p**k < x:
+        k += 1
+    return k
 
 
 def _d_of_group(g: GroupTable) -> int:
-    phi = frattini(g)
-    quot = g.order // phi.order
-    k = 0
-    while g.p**k < quot:
-        k += 1
-    return k
+    return _ceil_log(g.p, g.order // frattini(g).order)
 
 
 def _gen_jx(cat, seed, limit):
@@ -1174,9 +1089,9 @@ def _gen_jx(cat, seed, limit):
 def check_jx(inst):
     g = _group(inst)
     if not g.is_abelian():
-        return CheckVerdict("jx_rank", inst, SKIPPED, {"reason": "non-abelian base"})
+        raise Skip("non-abelian base")
     if g.order > 16:
-        return CheckVerdict("jx_rank", inst, UNSUPPORTED, {"reason": "H^2 instance too large"})
+        raise Unsupported("H^2 instance too large")
     seed = int(inst["seed"])
     fb = FreeBimodule(g, 1)
     carriers = [
@@ -1193,49 +1108,35 @@ def check_jx(inst):
         if s.order < g.order and s.key() not in seen_keys:
             seen_keys.add(s.key())
             cyclic_subs.append(s)
-    tested = 0
-    for carrier in carriers:
-        if submodule_fixed_points(fb, carrier, "right").dim != 1:
-            continue
-        m_dim = _submodule_h1(fb, carrier)
-        if m_dim > 1:
-            continue
-        qmod = _restricted(fb, carrier)
-        if qmod.dim > 4 or g.order * (g.p**qmod.dim) > 256:
-            continue
-        for nsub in cyclic_subs:
-            qt, qm = quotient(g, nsub)
-            stack = [
-                (qmod.act[int(a)] - np.eye(qmod.dim, dtype=np.int64)) % g.p
-                for a in nsub.members[1:]
-            ]
-            rows = fl.left_kernel_array(np.hstack(stack), g.p)
-            qn_carrier = FpSubspace.from_rows(rows, g.p, qmod.dim)
-            try:
-                qn_mod, _ = restrict_action(qmod, qn_carrier)
-            except ModuleError:
+
+    def trials():
+        for carrier in carriers:
+            if submodule_fixed_points(fb, carrier, "right").dim != 1:
                 continue
-            qn_over_quot = GModule(qt, qn_mod.act[qm.section], check=False)
-            if _h1_of_module(g, qn_mod) != _h1_of_module(qt, qn_over_quot):
+            m_dim = _submodule_h1(fb, carrier)
+            if m_dim > 1:
                 continue
-            tested += 1
-            sp = cohomology(g, qmod, 2)
-            d_g = _d_of_group(g)
-            taus = (sp.h_reps[:2] if sp.h_dim else []) + [zero_two_cocycle(g, qmod)]
-            results = []
-            for f in taus:
-                ext = build_extension(g, qmod, f)
-                results.append(int(_d_of_group(ext.total)))
-            if any(r != d_g + 1 for r in results):
-                return CheckVerdict(
-                    "jx_rank",
-                    inst,
-                    COUNTEREXAMPLE,
-                    {"d_base": int(d_g), "d_extensions": results, "n_order": int(nsub.order)},
-                )
-    if tested == 0:
-        return CheckVerdict("jx_rank", inst, SKIPPED, {"reason": "gates never met"})
-    return CheckVerdict("jx_rank", inst, PASS, {"instances": tested})
+            qmod = _restricted(fb, carrier)
+            if qmod.dim > 4 or g.order * (g.p**qmod.dim) > 256:
+                continue
+            for nsub in cyclic_subs:
+                qt, qm = quotient(g, nsub)
+                qn_carrier = fixed_under([qmod.act[int(a)] for a in nsub.members[1:]], g.p, qmod.dim)
+                try:
+                    qn_mod, _ = restrict_action(qmod, qn_carrier)
+                except ModuleError:
+                    continue
+                qn_over_quot = GModule(qt, qn_mod.act[qm.section], check=False)
+                if _h1_of_module(g, qn_mod) != _h1_of_module(qt, qn_over_quot):
+                    continue
+                sp = cohomology(g, qmod, 2)
+                d_g = _d_of_group(g)
+                taus = (sp.h_reps[:2] if sp.h_dim else []) + [zero_two_cocycle(g, qmod)]
+                results = [int(_d_of_group(build_extension(g, qmod, f).total)) for f in taus]
+                ok = all(r == d_g + 1 for r in results)
+                yield ok, {"d_base": int(d_g), "d_extensions": results, "n_order": int(nsub.order)}
+
+    return _sweep(trials(), none="gates never met")
 
 
 def _gen_px(cat, seed, limit):
@@ -1251,42 +1152,32 @@ def check_px(inst):
     g = _group(inst)
     mins = [s for s in normal_subgroups(g) if s.order == g.p]
     if len(mins) < 2:
-        return CheckVerdict("px_iff", inst, SKIPPED, {"reason": "needs two minimal normals"})
+        raise Skip("needs two minimal normals")
     seed = int(inst["seed"])
     n1 = mins[seed % len(mins)]
     n2 = mins[(seed + 1) % len(mins)]
     if n1 == n2:
-        return CheckVerdict("px_iff", inst, SKIPPED, {"reason": "same subgroup"})
+        raise Skip("same subgroup")
     qt, qm = quotient(g, n1)
     fbq, carrier, fixed_dim, m = _sampled_nG(qt, 1, seed)
     if fixed_dim != 1 or m > 1:
-        return CheckVerdict("px_iff", inst, SKIPPED, {"reason": "not a 1-module"})
+        raise Skip("not a 1-module")
     qmod_quot = _restricted(fbq, carrier)
     pi = GroupMap(g, qt, qm.image_of, check=False)
     qmod = inflate_module(qmod_quot, pi)
     both = set_product(g, n1, n2)
-    stack = [
-        (qmod.act[int(a)] - np.eye(qmod.dim, dtype=np.int64)) % g.p
-        for a in both.members[1:]
-    ]
-    rows = fl.left_kernel_array(np.hstack(stack), g.p)
-    cq = FpSubspace.from_rows(rows, g.p, qmod.dim)
+    cq = fixed_under([qmod.act[int(a)] for a in both.members[1:]], g.p, qmod.dim)
     if qmod.dim != g.p * cq.dim or cq.dim == 0:
-        return CheckVerdict("px_iff", inst, SKIPPED, {"reason": "dimension gate fails"})
+        raise Skip("dimension gate fails")
     try:
         cq_mod, _ = restrict_action(qmod, cq)
     except ModuleError:
-        return CheckVerdict("px_iff", inst, SKIPPED, {"reason": "fixed part unstable"})
+        raise Skip("fixed part unstable")
     cq_over_quot_act = cq_mod.act[qm.section]
     cq_quot = GModule(qt, cq_over_quot_act, check=False)
     lhs = _h1_of_module(g, cq_mod) == _h1_of_module(qt, cq_quot)
     rhs = _h1_of_module(g, qmod) == _h1_of_module(qt, qmod_quot)
-    return CheckVerdict(
-        "px_iff",
-        inst,
-        PASS if lhs == rhs else COUNTEREXAMPLE,
-        {"fixed_part_stable": bool(lhs), "module_stable": bool(rhs)},
-    )
+    return lhs == rhs, {"fixed_part_stable": bool(lhs), "module_stable": bool(rhs)}
 
 
 @register("du_growth", "radical cohomology grows by one under module extensions", _gen_jx)
@@ -1294,7 +1185,7 @@ def check_du(inst):
     g = _group(inst)
     cyclics = [s for s in normal_subgroups(g) if s.order == g.p]
     if not cyclics:
-        return CheckVerdict("du_growth", inst, SKIPPED, {"reason": "no cyclic normal"})
+        raise Skip("no cyclic normal")
     nsub = cyclics[int(inst["seed"]) % len(cyclics)]
     qt, qm = quotient(g, nsub)
     fbq = FreeBimodule(qt, 1)
@@ -1305,54 +1196,47 @@ def check_du(inst):
     fb2, car2, fd2, m2 = _sampled_nG(qt, 1, int(inst["seed"]))
     if fd2 == 1 and m2 <= 1:
         carriers.append(car2)
-    tested = 0
-    for carrier in carriers:
-        if submodule_fixed_points(fbq, carrier, "right").dim != 1:
-            continue
-        if _submodule_h1(fbq, carrier) > 1:
-            continue
-        qmod_quot = _restricted(fbq, carrier)
-        pi = GroupMap(g, qt, qm.image_of, check=False)
-        qmod = inflate_module(qmod_quot, pi)
-        if _h1_of_module(g, qmod) != _h1_of_module(qt, qmod_quot):
-            continue
-        rad = radical(qmod)
-        if rad.dim == 0:
-            continue
-        if qmod.dim > 8 or g.order > 16:
-            continue
-        # The claim quantifies over cocycles on Q itself, pushed along the
-        # radical quotient; classes on Q/J(Q) that do not lift are out of scope.
-        sp_full = cohomology(g, qmod, 2)
-        taus = (sp_full.h_reps[:2] if sp_full.h_dim else []) + [
-            zero_two_cocycle(g, qmod)
-        ]
-        try:
-            rad_mod, _ = restrict_action(qmod, rad)
-        except ModuleError:
-            continue
-        h1_base = _h1_of_module(g, rad_mod)
-        for f_full in taus:
-            head, fbar = _quotient_mod_cocycle(g, qmod, f_full, rad)
-            if g.order * (g.p**head.dim) > 256:
+
+    def trials():
+        for carrier in carriers:
+            if submodule_fixed_points(fbq, carrier, "right").dim != 1:
                 continue
-            ext = build_extension(g, head, fbar)
-            tested += 1
-            h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, rad_mod))
-            if h1_ext != h1_base + 1:
-                return CheckVerdict(
-                    "du_growth",
-                    inst,
-                    COUNTEREXAMPLE,
-                    {
-                        "h1_base": int(h1_base),
-                        "h1_extension": int(h1_ext),
-                        "cocycle_nonzero": bool(not f_full.is_zero()),
-                    },
-                )
-    if tested == 0:
-        return CheckVerdict("du_growth", inst, SKIPPED, {"reason": "gates never met"})
-    return CheckVerdict("du_growth", inst, PASS, {"instances": tested})
+            if _submodule_h1(fbq, carrier) > 1:
+                continue
+            qmod_quot = _restricted(fbq, carrier)
+            pi = GroupMap(g, qt, qm.image_of, check=False)
+            qmod = inflate_module(qmod_quot, pi)
+            if _h1_of_module(g, qmod) != _h1_of_module(qt, qmod_quot):
+                continue
+            rad = radical(qmod)
+            if rad.dim == 0:
+                continue
+            if qmod.dim > 8 or g.order > 16:
+                continue
+            # The claim quantifies over cocycles on Q itself, pushed along the
+            # radical quotient; classes on Q/J(Q) that do not lift are out of scope.
+            sp_full = cohomology(g, qmod, 2)
+            taus = (sp_full.h_reps[:2] if sp_full.h_dim else []) + [
+                zero_two_cocycle(g, qmod)
+            ]
+            try:
+                rad_mod, _ = restrict_action(qmod, rad)
+            except ModuleError:
+                continue
+            h1_base = _h1_of_module(g, rad_mod)
+            for f_full in taus:
+                head, fbar = _quotient_mod_cocycle(g, qmod, f_full, rad)
+                if g.order * (g.p**head.dim) > 256:
+                    continue
+                ext = build_extension(g, head, fbar)
+                h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, rad_mod))
+                yield h1_ext == h1_base + 1, {
+                    "h1_base": int(h1_base),
+                    "h1_extension": int(h1_ext),
+                    "cocycle_nonzero": bool(not f_full.is_zero()),
+                }
+
+    return _sweep(trials(), none="gates never met")
 
 
 # -- derivation / automorphism checks ----------------------------------------------
@@ -1369,43 +1253,36 @@ def _gen_lp(cat, seed, limit):
 def check_lp(inst):
     g = _group(inst)
     phi = frattini(g)
-    tested = 0
-    for n in normal_subgroups(g, within=phi):
-        if n.order == 1:
-            continue
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        candidates = [
-            x for x in normal_subgroups(g)
-            if x.contains_subgroup(w) and n.contains_subgroup(x)
-        ]
-        for n1 in candidates:
-            try:
-                cm = module_from_conjugation(g, n1, w)
-            except ModuleError:
+
+    def trials():
+        for n in normal_subgroups(g, within=phi):
+            if n.order == 1:
                 continue
-            sp = cohomology(cm.module.group, cm.module, 1)
-            for rep in sp.h_reps[:2]:
-                if rep.is_zero():
-                    continue
+            w = omega1(g, subgroup_center(g, n))
+            if w.order == 1:
+                continue
+            candidates = [
+                x for x in normal_subgroups(g)
+                if x.contains_subgroup(w) and n.contains_subgroup(x)
+            ]
+            for n1 in candidates:
                 try:
-                    psi = derivation_to_automorphism(g, cm, rep)
-                except GroupError:
-                    return CheckVerdict(
-                        "lp_order", inst, COUNTEREXAMPLE, {"reason": "induced map not an automorphism"}
-                    )
-                tested += 1
-                if map_order(psi) != g.p:
-                    return CheckVerdict(
-                        "lp_order",
-                        inst,
-                        COUNTEREXAMPLE,
-                        {"order": int(map_order(psi)), "p": g.p},
-                    )
-    if tested == 0:
-        return CheckVerdict("lp_order", inst, SKIPPED, {"reason": "no usable configuration"})
-    return CheckVerdict("lp_order", inst, PASS, {"maps_tested": tested})
+                    cm = module_from_conjugation(g, n1, w)
+                except ModuleError:
+                    continue
+                sp = cohomology(cm.module.group, cm.module, 1)
+                for rep in sp.h_reps[:2]:
+                    if rep.is_zero():
+                        continue
+                    try:
+                        psi = derivation_to_automorphism(g, cm, rep)
+                    except GroupError:
+                        yield False, {"reason": "induced map not an automorphism"}
+                    else:
+                        order = map_order(psi)
+                        yield order == g.p, {"order": int(order), "p": g.p}
+
+    return _sweep(trials(), none="no usable configuration", count="maps_tested")
 
 
 def _gen_special(cat, seed, limit):
@@ -1420,111 +1297,86 @@ def check_ij(inst):
     g = _group(inst)
     z = center(g)
     n_val = subgroup_rank(g, z)
-    tested = 0
-    for n in normal_subgroups(g):
-        if n.order == 1:
-            continue
-        # gate: [N,N] <= Z(G) <= N and Omega1(N) abelian
-        if not n.contains_subgroup(z):
-            continue
-        comm_in_z = all(
-            z.contains(g.commutator(int(x), int(y)))
-            for x in n.members
-            for y in n.members
-        )
-        if not comm_in_z:
-            continue
-        w = omega1(g, n)
-        sub = g.mul[np.ix_(w.members, w.members)]
-        if not np.array_equal(sub, sub.T):
-            continue
-        isn = iset(g, n)
-        zval = set_product(g, z, w)
-        ratio = isn.size // zval.order
-        tested += 1
-        if ratio > g.p**n_val:
-            return CheckVerdict(
-                "ij_bound",
-                inst,
-                COUNTEREXAMPLE,
-                {
-                    "iset_size": int(isn.size),
-                    "base_size": int(zval.order),
-                    "bound": int(g.p**n_val),
-                    "iset_closed": bool(isn.is_subgroup),
-                    "p": g.p,
-                },
+
+    def trials():
+        for n in normal_subgroups(g):
+            if n.order == 1:
+                continue
+            # gate: [N,N] <= Z(G) <= N and Omega1(N) abelian
+            if not n.contains_subgroup(z):
+                continue
+            comm_in_z = all(
+                z.contains(g.commutator(int(x), int(y)))
+                for x in n.members
+                for y in n.members
             )
-    if tested == 0:
-        return CheckVerdict("ij_bound", inst, SKIPPED, {"reason": "no qualifying N"})
-    return CheckVerdict("ij_bound", inst, PASS, {"instances": tested, "p": g.p})
+            if not comm_in_z:
+                continue
+            w = omega1(g, n)
+            sub = g.mul[np.ix_(w.members, w.members)]
+            if not np.array_equal(sub, sub.T):
+                continue
+            isn = iset(g, n)
+            zval = set_product(g, z, w)
+            ratio = isn.size // zval.order
+            yield ratio <= g.p**n_val, {
+                "iset_size": int(isn.size),
+                "base_size": int(zval.order),
+                "bound": int(g.p**n_val),
+                "iset_closed": bool(isn.is_subgroup),
+            }
+
+    ok, details = _sweep(trials(), none="no qualifying N")
+    return ok, dict(details, p=g.p)
 
 
 @register("ddd_iso", "inner derivation classes match the p-th power set", _gen_special)
 def check_ddd(inst):
     g = _group(inst)
-    tested = 0
-    for n in normal_subgroups(g):
-        ok, reason, data = probe_hypotheses(g, n)
-        if not ok:
-            continue
-        a = Subgroup(g, data["a_members"])
-        w = Subgroup(g, data["w_members"])
-        if w.order == 1:
-            continue
-        try:
-            cm = module_from_conjugation(g, a, w)
-        except ModuleError:
-            continue
-        sp = cohomology(cm.module.group, cm.module, 1)
-        from .cohomology import derivation_span_noninner_probe
 
-        res = derivation_span_noninner_probe(g, cm, sp)
-        if res.found:
-            continue  # gate: all induced maps inner
-        tested += 1
-        c = centralizer(g, n)
-        isc = iset(g, c)
-        zw = set_product(g, center(g), omega1(g, n))
-        lhs = sp.h_dim
-        rhs_size = isc.size // zw.order
-        k = 0
-        while g.p**k < rhs_size:
-            k += 1
-        isn = iset(g, n)
-        rhs_n_size = isn.size // zw.order
-        if g.p**k != rhs_size or lhs != k:
-            return CheckVerdict(
-                "ddd_iso",
-                inst,
-                COUNTEREXAMPLE,
-                {
-                    "h1_dim": int(lhs),
-                    "iset_centralizer_ratio": int(rhs_size),
-                    "iset_n_ratio": int(rhs_n_size),
-                },
-            )
-    if tested == 0:
-        return CheckVerdict("ddd_iso", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("ddd_iso", inst, PASS, {"instances": tested})
+    def trials():
+        for n in normal_subgroups(g):
+            ok, reason, data = probe_hypotheses(g, n)
+            if not ok:
+                continue
+            a = Subgroup(g, data["a_members"])
+            w = Subgroup(g, data["w_members"])
+            if w.order == 1:
+                continue
+            gate, sp = _all_inner(g, a, w)
+            if not gate:
+                continue
+            c = centralizer(g, n)
+            isc = iset(g, c)
+            zw = set_product(g, center(g), omega1(g, n))
+            lhs = sp.h_dim
+            rhs_size = isc.size // zw.order
+            k = _ceil_log(g.p, rhs_size)
+            isn = iset(g, n)
+            rhs_n_size = isn.size // zw.order
+            yield g.p**k == rhs_size and lhs == k, {
+                "h1_dim": int(lhs),
+                "iset_centralizer_ratio": int(rhs_size),
+                "iset_n_ratio": int(rhs_n_size),
+            }
+
+    return _sweep(trials())
 
 
 @register("thm5_5", "excess H^1 forces a certified non-inner automorphism", _gen_special)
 def check_thm55(inst):
     g = _group(inst)
-    outcomes = []
-    for n in normal_subgroups(g):
-        out = excess_h1_probe(g, n)
-        if out.status == "certificate":
-            ok, _ = verify_certificate(g, out.certificate)
-            outcomes.append(("certificate", ok))
-            if not ok:
-                return CheckVerdict("thm5_5", inst, COUNTEREXAMPLE, {"reason": "certificate failed"})
-        elif out.status == "diagnostic":
-            return CheckVerdict("thm5_5", inst, COUNTEREXAMPLE, dict(out.diagnostic.details))
-    if not outcomes:
-        return CheckVerdict("thm5_5", inst, SKIPPED, {"reason": "H1 bound never met"})
-    return CheckVerdict("thm5_5", inst, PASS, {"certificates": len(outcomes)})
+
+    def trials():
+        for n in normal_subgroups(g):
+            out = excess_h1_probe(g, n)
+            if out.status == "certificate":
+                ok, _ = verify_certificate(g, out.certificate)
+                yield ok, {"reason": "certificate failed"}
+            elif out.status == "diagnostic":
+                yield False, dict(out.diagnostic.details)
+
+    return _sweep(trials(), none="H1 bound never met", count="certificates")
 
 
 # -- section-5 statements -----------------------------------------------------------
@@ -1538,111 +1390,13 @@ def _special_instances(g: GroupTable):
     return [r for r in reports if r.special]
 
 
-@register("ty", "splitting derivations across the centralizer product", _gen_special)
-def check_ty(inst):
-    g = _group(inst)
-    specials = _special_instances(g)
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        c = rep.centralizer
-        a = set_product(g, n, c)
-        if a.order == n.order:
-            continue
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        cert, evidence = _try_config(
-            g, n, w, "paper", "ty", {"n_members": [int(x) for x in n.members]},
-            complement_of=a,
-        )
-        if evidence is None or (evidence["h1_dim"] == 0):
-            continue
-        tested += 1
-        if cert is None:
-            return CheckVerdict("ty", inst, COUNTEREXAMPLE, {"evidence": evidence})
-    if tested == 0:
-        return CheckVerdict("ty", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("ty", inst, PASS, {"instances": tested})
-
-
-@register("j", "one-step extensions with stable H^1 stay inside Frattini", _gen_special)
-def check_j(inst):
-    g = _group(inst)
-    phi = frattini(g)
-    normals = normal_subgroups(g)
-    tested = 0
-    for a in normals:
-        c = centralizer(g, a)
-        isc = iset(g, c)
-        if not bool(a.bitmap[isc.members].all()):
-            continue
-        if not phi.contains_subgroup(a):
-            continue
-        for a1 in normals:
-            if a1.order != a.order * g.p or not a1.contains_subgroup(a):
-                continue
-            za1 = subgroup_center(g, a1)
-            if not za1.contains_subgroup(center(g)):
-                continue
-            w = omega1(g, za1)
-            if w.order == 1:
-                continue
-            try:
-                cm1 = module_from_conjugation(g, a1, w)
-                cm0 = module_from_conjugation(g, a, w)
-            except ModuleError:
-                continue
-            h1_a1 = cohomology(cm1.module.group, cm1.module, 1, want_reps=False).h_dim
-            h1_a = cohomology(cm0.module.group, cm0.module, 1, want_reps=False).h_dim
-            if h1_a1 != h1_a:
-                continue
-            tested += 1
-            if not phi.contains_subgroup(a1):
-                return CheckVerdict(
-                    "j",
-                    inst,
-                    COUNTEREXAMPLE,
-                    {"a_order": int(a.order), "a1_order": int(a1.order)},
-                )
-    if tested == 0:
-        return CheckVerdict("j", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("j", inst, PASS, {"instances": tested})
-
-
-@register("l3_2", "vanishing H^1 forces the socle to be proper", _gen_special)
-def check_l32(inst):
-    g = _group(inst)
-    phi = frattini(g)
-    tested = 0
-    for n in normal_subgroups(g, within=phi):
-        if n.order == 1:
-            continue
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        try:
-            cm = module_from_conjugation(g, n, w)
-        except ModuleError:
-            continue
-        h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
-        if h1 != 0:
-            continue
-        tested += 1
-        if w.order == n.order:
-            return CheckVerdict(
-                "l3_2", inst, COUNTEREXAMPLE, {"n_order": int(n.order), "w_order": int(w.order)}
-            )
-    if tested == 0:
-        return CheckVerdict("l3_2", inst, SKIPPED, {"reason": "H1 never vanishes"})
-    return CheckVerdict("l3_2", inst, PASS, {"instances": tested})
-
-
-def _all_inner_gate(g, n, w):
+def _all_inner(g: GroupTable, n: Subgroup, w: Subgroup):
+    """(gate, H^1 space): the gate holds when the conjugation module of N on W
+    exists and every derivation class induces an inner map."""
     try:
         cm = module_from_conjugation(g, n, w)
     except ModuleError:
-        return None, None
+        return False, None
     sp = cohomology(cm.module.group, cm.module, 1)
     from .cohomology import derivation_span_noninner_probe
 
@@ -1650,92 +1404,157 @@ def _all_inner_gate(g, n, w):
     return (not res.found), sp
 
 
+def _inner_special_layers(g: GroupTable):
+    """(rep, W, H^1 space) for every special N with W = Omega_1(Z(N)) != 1
+    whose induced maps are all inner."""
+    for rep in _special_instances(g):
+        w = omega1(g, subgroup_center(g, rep.subgroup))
+        if w.order == 1:
+            continue
+        gate, sp = _all_inner(g, rep.subgroup, w)
+        if gate:
+            yield rep, w, sp
+
+
+def _centralized_part(g: GroupTable, w: Subgroup, a: Subgroup) -> Subgroup:
+    """C_W(A): the members of W that commute with every member of A."""
+    c = centralizer(g, a)
+    return Subgroup(g, w.members[c.bitmap[w.members]], check=False)
+
+
+@register("ty", "splitting derivations across the centralizer product", _gen_special)
+def check_ty(inst):
+    g = _group(inst)
+
+    def trials():
+        for rep in _special_instances(g):
+            n = rep.subgroup
+            c = rep.centralizer
+            a = set_product(g, n, c)
+            if a.order == n.order:
+                continue
+            w = omega1(g, subgroup_center(g, n))
+            if w.order == 1:
+                continue
+            cert, evidence = _try_config(
+                g, n, w, "paper", "ty", {"n_members": [int(x) for x in n.members]},
+                complement_of=a,
+            )
+            if evidence is None or (evidence["h1_dim"] == 0):
+                continue
+            yield cert is not None, {"evidence": evidence}
+
+    return _sweep(trials())
+
+
+@register("j", "one-step extensions with stable H^1 stay inside Frattini", _gen_special)
+def check_j(inst):
+    g = _group(inst)
+    phi = frattini(g)
+    normals = normal_subgroups(g)
+
+    def trials():
+        for a in normals:
+            c = centralizer(g, a)
+            isc = iset(g, c)
+            if not bool(a.bitmap[isc.members].all()):
+                continue
+            if not phi.contains_subgroup(a):
+                continue
+            for a1 in normals:
+                if a1.order != a.order * g.p or not a1.contains_subgroup(a):
+                    continue
+                za1 = subgroup_center(g, a1)
+                if not za1.contains_subgroup(center(g)):
+                    continue
+                w = omega1(g, za1)
+                if w.order == 1:
+                    continue
+                try:
+                    cm1 = module_from_conjugation(g, a1, w)
+                    cm0 = module_from_conjugation(g, a, w)
+                except ModuleError:
+                    continue
+                h1_a1 = cohomology(cm1.module.group, cm1.module, 1, want_reps=False).h_dim
+                h1_a = cohomology(cm0.module.group, cm0.module, 1, want_reps=False).h_dim
+                if h1_a1 != h1_a:
+                    continue
+                yield phi.contains_subgroup(a1), {"a_order": int(a.order), "a1_order": int(a1.order)}
+
+    return _sweep(trials())
+
+
+@register("l3_2", "vanishing H^1 forces the socle to be proper", _gen_special)
+def check_l32(inst):
+    g = _group(inst)
+    phi = frattini(g)
+
+    def trials():
+        for n in normal_subgroups(g, within=phi):
+            if n.order == 1:
+                continue
+            w = omega1(g, subgroup_center(g, n))
+            if w.order == 1:
+                continue
+            try:
+                cm = module_from_conjugation(g, n, w)
+            except ModuleError:
+                continue
+            h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
+            if h1 != 0:
+                continue
+            yield w.order != n.order, {"n_order": int(n.order), "w_order": int(w.order)}
+
+    return _sweep(trials(), none="H1 never vanishes")
+
+
 @register("xi", "fixed parts over larger subgroups stay n-bounded", _gen_special)
 def check_xi(inst):
     g = _group(inst)
-    specials = _special_instances(g)
     n_val = subgroup_rank(g, center(g))
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        gate, _ = _all_inner_gate(g, n, w)
-        if not gate:
-            continue
-        for a in normal_subgroups(g):
-            if not a.contains_subgroup(n) or a.order == g.order:
-                continue
-            cw = Subgroup(
-                g, [x for x in w.members if centralizer(g, a).contains(int(x))]
-            )
-            if cw.order == 1:
-                continue
-            try:
-                cm = module_from_conjugation(g, a, cw)
-            except ModuleError:
-                continue
-            sp = cohomology(cm.module.group, cm.module, 1, want_reps=False)
-            fixed_dim = fixed_points(cm.module).dim
-            tested += 1
-            if sp.h_dim > n_val or fixed_dim != n_val:
-                return CheckVerdict(
-                    "xi",
-                    inst,
-                    COUNTEREXAMPLE,
-                    {"h1": int(sp.h_dim), "n": int(n_val), "fixed_dim": int(fixed_dim)},
-                )
-    if tested == 0:
-        return CheckVerdict("xi", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("xi", inst, PASS, {"instances": tested})
+
+    def trials():
+        for rep, w, _ in _inner_special_layers(g):
+            for a in normal_subgroups(g):
+                if not a.contains_subgroup(rep.subgroup) or a.order == g.order:
+                    continue
+                cw = _centralized_part(g, w, a)
+                if cw.order == 1:
+                    continue
+                try:
+                    cm = module_from_conjugation(g, a, cw)
+                except ModuleError:
+                    continue
+                h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
+                fixed_dim = fixed_points(cm.module).dim
+                ok = h1 <= n_val and fixed_dim == n_val
+                yield ok, {"h1": int(h1), "n": int(n_val), "fixed_dim": int(fixed_dim)}
+
+    return _sweep(trials())
 
 
 @register("yu", "excess derivations shrink the fixed part strictly", _gen_special)
 def check_yu(inst):
     g = _group(inst)
-    specials = _special_instances(g)
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        gate, sp_n = _all_inner_gate(g, n, w)
-        if not gate:
-            continue
-        h1_n = sp_n.h_dim
-        normals = [a for a in normal_subgroups(g) if a.contains_subgroup(n)]
-        for a2 in normals:
-            for a1 in normals:
-                if a1.order <= a2.order:
-                    continue
-                cw1 = Subgroup(
-                    g, [x for x in w.members if centralizer(g, a1).contains(int(x))]
-                )
-                if cw1.order == 1:
-                    continue
-                try:
-                    cm = module_from_conjugation(g, a2, cw1)
-                except ModuleError:
-                    continue
-                h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
-                if h1 < h1_n + 1:
-                    continue
-                tested += 1
-                cw2 = Subgroup(
-                    g, [x for x in w.members if centralizer(g, a2).contains(int(x))]
-                )
-                if not (cw1.order < cw2.order):
-                    return CheckVerdict(
-                        "yu",
-                        inst,
-                        COUNTEREXAMPLE,
-                        {"cw1": int(cw1.order), "cw2": int(cw2.order), "h1": int(h1)},
-                    )
-    if tested == 0:
-        return CheckVerdict("yu", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("yu", inst, PASS, {"instances": tested})
+
+    def trials():
+        for rep, w, sp_n in _inner_special_layers(g):
+            normals = [a for a in normal_subgroups(g) if a.contains_subgroup(rep.subgroup)]
+            parts = [_centralized_part(g, w, a) for a in normals]
+            for a2, cw2 in zip(normals, parts):
+                for a1, cw1 in zip(normals, parts):
+                    if a1.order <= a2.order or cw1.order == 1:
+                        continue
+                    try:
+                        cm = module_from_conjugation(g, a2, cw1)
+                    except ModuleError:
+                        continue
+                    h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
+                    if h1 < sp_n.h_dim + 1:
+                        continue
+                    yield cw1.order < cw2.order, {"cw1": int(cw1.order), "cw2": int(cw2.order), "h1": int(h1)}
+
+    return _sweep(trials())
 
 
 @register("hh", "self-centralizing layers: a certificate or a smaller layer", _gen_special)
@@ -1743,126 +1562,102 @@ def check_hh(inst):
     g = _group(inst)
     phi = frattini(g)
     n_val = subgroup_rank(g, center(g))
-    tested = 0
-    for n in normal_subgroups(g, within=phi):
-        c = centralizer(g, n)
-        if not n.contains_subgroup(c):
-            continue
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        try:
-            cm = module_from_conjugation(g, n, w)
-        except ModuleError:
-            continue
-        m = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
-        if m >= n_val:
-            continue
-        tested += 1
-        cert = engine_sweep(g)
-        smaller = any(
-            centralizer(g, n1).order <= n1.order and n1.order < n.order
-            for n1 in normal_subgroups(g)
-            if n.contains_subgroup(n1)
-        )
-        if cert is None and not smaller:
-            return CheckVerdict(
-                "hh", inst, COUNTEREXAMPLE, {"m": int(m), "n": int(n_val)}
+
+    def trials():
+        for n in normal_subgroups(g, within=phi):
+            c = centralizer(g, n)
+            if not n.contains_subgroup(c):
+                continue
+            w = omega1(g, subgroup_center(g, n))
+            if w.order == 1:
+                continue
+            try:
+                cm = module_from_conjugation(g, n, w)
+            except ModuleError:
+                continue
+            m = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
+            if m >= n_val:
+                continue
+            cert = engine_sweep(g)
+            smaller = any(
+                centralizer(g, n1).order <= n1.order and n1.order < n.order
+                for n1 in normal_subgroups(g)
+                if n.contains_subgroup(n1)
             )
-    if tested == 0:
-        return CheckVerdict("hh", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("hh", inst, PASS, {"instances": tested})
+            yield cert is not None or smaller, {"m": int(m), "n": int(n_val)}
+
+    return _sweep(trials())
 
 
 @register("ll", "layer centralizers stay cyclic modulo the layer", _gen_special)
 def check_ll(inst):
     g = _group(inst)
-    specials = _special_instances(g)
     n_val = subgroup_rank(g, center(g))
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        gate, sp = _all_inner_gate(g, n, w)
-        if not gate or sp.h_dim != n_val:
-            continue
-        wz = set_product(g, w, center(g))
-        for n1 in normal_subgroups(g):
-            if not n1.contains_subgroup(wz):
+
+    def trials():
+        for rep, w, sp in _inner_special_layers(g):
+            if sp.h_dim != n_val:
                 continue
-            tested += 1
-            cn1 = centralizer(g, n1)
-            top = set_product(g, cn1, n)
-            if not _is_cyclic_quotient(g, top, n):
-                return CheckVerdict(
-                    "ll",
-                    inst,
-                    COUNTEREXAMPLE,
-                    {"n1_order": int(n1.order), "top_order": int(top.order)},
-                )
-    if tested == 0:
-        return CheckVerdict("ll", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("ll", inst, PASS, {"instances": tested})
+            wz = set_product(g, w, center(g))
+            for n1 in normal_subgroups(g):
+                if not n1.contains_subgroup(wz):
+                    continue
+                cn1 = centralizer(g, n1)
+                top = set_product(g, cn1, rep.subgroup)
+                ok = _is_cyclic_quotient(g, top, rep.subgroup)
+                yield ok, {"n1_order": int(n1.order), "top_order": int(top.order)}
+
+    return _sweep(trials())
 
 
 @register("qp", "a centralizer escaping Frattini yields a non-inner map", _gen_special)
 def check_qp(inst):
     g = _group(inst)
     phi = frattini(g)
-    tested = 0
-    for n in normal_subgroups(g):
-        if not phi.contains_subgroup(n):
-            continue
-        c = centralizer(g, n)
-        isc = iset(g, c)
-        if not bool(n.bitmap[isc.members].all()):
-            continue
-        nc = set_product(g, n, c)
-        if phi.contains_subgroup(nc):
-            continue
-        tested += 1
-        cert = engine_sweep(g)
-        if cert is None:
-            return CheckVerdict("qp", inst, COUNTEREXAMPLE, {"n_order": int(n.order)})
-    if tested == 0:
-        return CheckVerdict("qp", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("qp", inst, PASS, {"instances": tested})
+
+    def trials():
+        for n in normal_subgroups(g):
+            if not phi.contains_subgroup(n):
+                continue
+            c = centralizer(g, n)
+            isc = iset(g, c)
+            if not bool(n.bitmap[isc.members].all()):
+                continue
+            nc = set_product(g, n, c)
+            if phi.contains_subgroup(nc):
+                continue
+            yield engine_sweep(g) is not None, {"n_order": int(n.order)}
+
+    return _sweep(trials())
 
 
 @register("kl", "a layer below the special subgroup exists", _gen_special)
 def check_kl(inst):
     g = _group(inst)
-    specials = _special_instances(g)
     n_val = subgroup_rank(g, center(g))
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        gate, sp = _all_inner_gate(g, n, w)
-        if not gate or sp.h_dim != n_val:
-            continue
-        tested += 1
-        wz = set_product(g, w, center(g))
-        layers = [
-            n1
-            for n1 in normal_subgroups(g)
-            if n1.contains_subgroup(wz)
-            and n.contains_subgroup(n1)
-            and n1.order * g.p == n.order
-        ]
-        if not layers:
-            return CheckVerdict("kl", inst, COUNTEREXAMPLE, {"n_order": int(n.order)})
-    if tested == 0:
-        return CheckVerdict("kl", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("kl", inst, PASS, {"instances": tested})
+
+    def trials():
+        for rep, w, sp in _inner_special_layers(g):
+            if sp.h_dim != n_val:
+                continue
+            n = rep.subgroup
+            wz = set_product(g, w, center(g))
+            layers = [
+                n1
+                for n1 in normal_subgroups(g)
+                if n1.contains_subgroup(wz)
+                and n.contains_subgroup(n1)
+                and n1.order * g.p == n.order
+            ]
+            yield bool(layers), {"n_order": int(n.order)}
+
+    return _sweep(trials())
 
 
-def _trichotomy(g: GroupTable, n: Subgroup, rep_iset_size: int) -> Tuple[bool, Dict[str, object]]:
+def _trichotomy(g: GroupTable, rep) -> Tuple[bool, Dict[str, object]]:
     """(1) certificate, (2) smaller special, (3) same order, larger I."""
+    n = rep.subgroup
+    rep_iset_size = iset(g, rep.centralizer).size
     cert = engine_sweep(g)
     specials = _special_instances(g)
     smaller = any(r.subgroup.order < n.order for r in specials)
@@ -1878,132 +1673,114 @@ def _trichotomy(g: GroupTable, n: Subgroup, rep_iset_size: int) -> Tuple[bool, D
     return (cert is not None) or smaller or bigger_i, details
 
 
-def _run_trichotomy_check(check_id, inst, extra_gate=None):
-    g = _group(inst)
-    specials = _special_instances(g)
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        gate, sp = _all_inner_gate(g, n, w)
-        if not gate:
-            continue
-        if extra_gate is not None and not extra_gate(g, rep, sp):
-            continue
-        tested += 1
-        ok, details = _trichotomy(g, n, iset(g, rep.centralizer).size)
-        if not ok:
-            return CheckVerdict(check_id, inst, COUNTEREXAMPLE, details)
-    if tested == 0:
-        return CheckVerdict(check_id, inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict(check_id, inst, PASS, {"instances": tested})
+def _cyclic_layer(g: GroupTable, n: Subgroup, w: Subgroup) -> bool:
+    """Is N/(W·Z(G)) cyclic?"""
+    return _is_cyclic_quotient(g, n, set_product(g, w, center(g)))
+
+
+def _self_centralizing(g: GroupTable, n: Subgroup) -> bool:
+    """The outer centralizer part of N is trivial: C_G(N) <= N."""
+    return n.contains_subgroup(centralizer(g, n))
+
+
+def _noncyclic_double_layer(g: GroupTable, n: Subgroup) -> bool:
+    """N/(W·Z(G)), W = Omega_1(Z(N)), is non-cyclic of order p^2."""
+    wz = set_product(g, omega1(g, subgroup_center(g, n)), center(g))
+    return (
+        n.contains_subgroup(wz)
+        and n.order == wz.order * g.p**2
+        and not _is_cyclic_quotient(g, n, wz)
+    )
 
 
 @register("xx", "trichotomy for non-cyclic layers", _gen_special)
 def check_xx(inst):
-    def gate(g, rep, sp):
-        n_val = subgroup_rank(g, center(g))
-        if sp.h_dim != n_val:
-            return False
-        w = omega1(g, subgroup_center(g, rep.subgroup))
-        wz = set_product(g, w, center(g))
-        return not _is_cyclic_quotient(g, rep.subgroup, wz)
-
-    return _run_trichotomy_check("xx", inst, gate)
+    g = _group(inst)
+    return _sweep(
+        _trichotomy(g, rep)
+        for rep, w, sp in _inner_special_layers(g)
+        if sp.h_dim == subgroup_rank(g, center(g)) and not _cyclic_layer(g, rep.subgroup, w)
+    )
 
 
 @register("xy", "two extra derivation classes force a non-inner map", _gen_special)
 def check_xy(inst):
     g = _group(inst)
-    specials = _special_instances(g)
-    tested = 0
-    for rep in specials:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
-        gate, sp_n = _all_inner_gate(g, n, w)
-        if not gate:
-            continue
-        wz = set_product(g, w, center(g))
-        zn = subgroup_center(g, n)
-        for n1 in normal_subgroups(g):
-            if not (
-                n.contains_subgroup(n1)
-                and n1.contains_subgroup(wz)
-                and n1.order < n.order
-            ):
-                continue
-            if set_product(g, zn, n1).order != n.order:
-                continue
-            cert, ev = _try_config(g, n1, w, "paper", "xy", None, complement_of=n)
-            if ev is None or ev["h1_dim"] < sp_n.h_dim + 2:
-                continue
-            tested += 1
-            if cert is None:
-                return CheckVerdict("xy", inst, COUNTEREXAMPLE, {"evidence": ev})
-    if tested == 0:
-        return CheckVerdict("xy", inst, SKIPPED, {"reason": "hypotheses never met"})
-    return CheckVerdict("xy", inst, PASS, {"instances": tested})
+
+    def trials():
+        for rep, w, sp_n in _inner_special_layers(g):
+            n = rep.subgroup
+            wz = set_product(g, w, center(g))
+            zn = subgroup_center(g, n)
+            for n1 in normal_subgroups(g):
+                if not (
+                    n.contains_subgroup(n1)
+                    and n1.contains_subgroup(wz)
+                    and n1.order < n.order
+                ):
+                    continue
+                if set_product(g, zn, n1).order != n.order:
+                    continue
+                cert, ev = _try_config(g, n1, w, "paper", "xy", None, complement_of=n)
+                if ev is None or ev["h1_dim"] < sp_n.h_dim + 2:
+                    continue
+                yield cert is not None, {"evidence": ev}
+
+    return _sweep(trials())
 
 
 @register("t9_2", "layer trichotomy with growing p-th power sets", _gen_special)
 def check_t92(inst):
-    def gate(g, rep, sp):
-        n_val = subgroup_rank(g, center(g))
-        if sp.h_dim != n_val:
-            return False
-        c = rep.centralizer
-        return set_product(g, rep.subgroup, c).order == rep.subgroup.order
-
-    return _run_trichotomy_check("t9_2", inst, gate)
+    g = _group(inst)
+    return _sweep(
+        _trichotomy(g, rep)
+        for rep, _, sp in _inner_special_layers(g)
+        if sp.h_dim == subgroup_rank(g, center(g))
+        and set_product(g, rep.subgroup, rep.centralizer).order == rep.subgroup.order
+    )
 
 
 @register("tt", "trichotomy with trivial outer centralizer part", _gen_special)
 def check_tt(inst):
-    return _run_trichotomy_check("tt", inst)
+    """The trichotomy on the special layers whose outer centralizer part is
+    trivial, read as C_G(N) <= N (``_self_centralizing``)."""
+    g = _group(inst)
+    return _sweep(
+        _trichotomy(g, rep)
+        for rep, _, _ in _inner_special_layers(g)
+        if _self_centralizing(g, rep.subgroup)
+    )
 
 
 @register("xpl", "trichotomy for cyclic layers", _gen_special)
 def check_xpl(inst):
-    def gate(g, rep, sp):
-        w = omega1(g, subgroup_center(g, rep.subgroup))
-        wz = set_product(g, w, center(g))
-        return _is_cyclic_quotient(g, rep.subgroup, wz)
-
-    return _run_trichotomy_check("xpl", inst, gate)
+    g = _group(inst)
+    return _sweep(
+        _trichotomy(g, rep)
+        for rep, w, _ in _inner_special_layers(g)
+        if _cyclic_layer(g, rep.subgroup, w)
+    )
 
 
 @register("qk", "non-cyclic double layers force a non-inner map", _gen_special)
 def check_qk(inst):
-    return _run_trichotomy_check("qk", inst)
+    """The trichotomy on the special layers that are non-cyclic double layers,
+    read as N/(W·Z(G)) non-cyclic of order p^2 (``_noncyclic_double_layer``)."""
+    g = _group(inst)
+    return _sweep(
+        _trichotomy(g, rep)
+        for rep, _, _ in _inner_special_layers(g)
+        if _noncyclic_double_layer(g, rep.subgroup)
+    )
 
 
 @register("ui", "the full special-subgroup trichotomy", _gen_special)
 def check_ui(inst):
     g = _group(inst)
-    specials = _special_instances(g)
-    if not specials:
-        return CheckVerdict("ui", inst, SKIPPED, {"reason": "no special subgroup"})
-    tested = 0
-    for rep in specials:
-        tested += 1
-        ok, details = _trichotomy(g, rep.subgroup, iset(g, rep.centralizer).size)
-        if not ok:
-            return CheckVerdict("ui", inst, COUNTEREXAMPLE, details)
-    return CheckVerdict("ui", inst, PASS, {"instances": tested})
+    return _sweep((_trichotomy(g, rep) for rep in _special_instances(g)), none="no special subgroup")
 
 
-def _gen_cor18(cat, seed, limit):
-    out = []
-    for e in _small_nonabelian(cat, 64):
-        out.append({"group": e.name, "seed": seed})
-    return out[:limit]
-
-
-@register("cor18", "every non-abelian p-group here has a certified non-inner map", _gen_cor18)
+@register("cor18", "every non-abelian p-group here has a certified non-inner map", _gen_special)
 def check_cor18(inst):
     g = _group(inst)
     cert = engine_sweep(g)
@@ -2012,15 +1789,13 @@ def check_cor18(inst):
         ok, _ = verify_certificate(g, cert)
         details["verified"] = ok
         if not ok:
-            return CheckVerdict("cor18", inst, COUNTEREXAMPLE, details)
+            return False, details
     bf = brute_force_order_p_noninner(g)
     if bf.supported:
         details["brute_force_found"] = bf.automorphism is not None
         if (bf.automorphism is not None) != (cert is not None):
-            return CheckVerdict("cor18", inst, COUNTEREXAMPLE, details)
-    if cert is None:
-        return CheckVerdict("cor18", inst, COUNTEREXAMPLE, details)
-    return CheckVerdict("cor18", inst, PASS, details)
+            return False, details
+    return cert is not None, details
 
 
 @register("tu_coker", "cokernel bound for the relation map of a lifted module", _gen_transfer)
@@ -2035,7 +1810,7 @@ def check_tu(inst):
     gens_rows = rng.integers(0, p, size=(m_gens, fbt.dim))
     q = free_submodule_closure(fbt, gens_rows, "left")
     if q.dim == 0:
-        return CheckVerdict("tu_coker", inst, SKIPPED, {"reason": "zero module"})
+        raise Skip("zero module")
     lmod, _ = restrict_action(fbt.as_gmodule("left"), q)
     d_t = d_G(lmod)
     down_img = FpSubspace.from_rows((q.basis @ tp.down) % p, p, tp.free_base.dim)
@@ -2043,14 +1818,9 @@ def check_tu(inst):
         bmod, _ = restrict_action(tp.free_base.as_gmodule("left"), down_img)
         d_g_img = d_G(bmod)
     except ModuleError:
-        return CheckVerdict("tu_coker", inst, SKIPPED, {"reason": "image not a base submodule"})
+        raise Skip("image not a base submodule")
     if d_t != d_g_img or d_t > n:
-        return CheckVerdict(
-            "tu_coker",
-            inst,
-            SKIPPED,
-            {"reason": f"generator gate fails (d_T={d_t}, d_img={d_g_img}, n={n})"},
-        )
+        raise Skip(f"generator gate fails (d_T={d_t}, d_img={d_g_img}, n={n})")
     gens_min = minimal_generators(lmod)
     xs = [(v @ q.basis) % p for v in gens_min]
     mlen = len(xs)
@@ -2071,10 +1841,4 @@ def check_tu(inst):
     img_plus = FpSubspace.from_rows(np.vstack([img_rows, i2.basis]), p, fbt.dim)
     coker_log = kd.dim - img_plus.dim
     bound_log = (n * t - mlen) * g.order - (t - 1) * down_img.dim
-    ok = coker_log >= bound_log
-    return CheckVerdict(
-        "tu_coker",
-        inst,
-        PASS if ok else COUNTEREXAMPLE,
-        {"coker_log": int(coker_log), "bound_log": int(bound_log), "m": mlen},
-    )
+    return coker_log >= bound_log, {"coker_log": int(coker_log), "bound_log": int(bound_log), "m": mlen}

@@ -96,22 +96,21 @@ def dual_module(m: GModule) -> GModule:
 # -- core operations ---------------------------------------------------------
 
 
+def fixed_under(acts: Sequence[np.ndarray], p: int, dim: int) -> FpSubspace:
+    """Row vectors v with v @ a = v for every matrix a in ``acts``."""
+    blocks = [(a - np.eye(dim, dtype=np.int64)) % p for a in acts]
+    if not blocks:
+        return FpSubspace.full(dim, p)
+    stacked = np.hstack(blocks)  # v @ stacked = 0 for every matrix
+    return FpSubspace.from_rows(fl.left_kernel_array(stacked, p), p, dim)
+
+
 def fixed_points(m: GModule) -> FpSubspace:
     """Vectors fixed by every group element: intersection of ker(act(g) - 1)."""
     key = "fixed"
-    if key in m._cache:
-        return m._cache[key]
-    blocks = []
-    for g in m.group.generating_sequence():
-        blocks.append((m.act[g] - np.eye(m.dim, dtype=np.int64)) % m.p)
-    if not blocks:
-        out = FpSubspace.full(m.dim, m.p)
-    else:
-        stacked = np.hstack(blocks)  # v @ stacked = 0 for all generators
-        rows = fl.left_kernel_array(stacked, m.p)
-        out = FpSubspace.from_rows(rows, m.p, m.dim)
-    m._cache[key] = out
-    return out
+    if key not in m._cache:
+        m._cache[key] = fixed_under([m.act[g] for g in m.group.generating_sequence()], m.p, m.dim)
+    return m._cache[key]
 
 
 def radical(m: GModule) -> FpSubspace:

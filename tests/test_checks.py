@@ -1,16 +1,27 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from pgv import checks
+from pgv.catalog import builtin_catalog
 from pgv.checks import (
     CHECKS,
     COUNTEREXAMPLE,
     PASS,
     SKIPPED,
+    UNSUPPORTED,
     CheckVerdict,
+    Skip,
+    Unsupported,
+    _centralized_part,
+    _noncyclic_double_layer,
+    _self_centralizing,
+    _sweep,
     run_check,
 )
+from pgv.group_core import center, centralizer, normal_subgroups, omega1, set_product, subgroup_center
 from pgv.suite import replay_counterexamples, report_to_json, resolve_check_ids, run_suite
 
 EXPECTED_IDS = {
@@ -162,3 +173,108 @@ def test_report_json_serializable():
     text = report_to_json(rep)
     parsed = json.loads(text)
     assert parsed["counts"] == rep["counts"]
+
+
+def test_golden_report_digest():
+    # The whole registry at the 5 s budget: 204 verdicts, including the
+    # ij_bound / io_rank / jx_rank counterexamples.
+    text = report_to_json(run_suite("all", "all", seed=0, budget_ms=5000))
+    assert len(json.loads(text)["verdicts"]) == 204
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "d1e9bded587e470482704b3f9e154a17d916017634a57695f9a12942bc05e59d"
+
+
+def test_sweep_skip_and_unsupported(monkeypatch):
+    drawn = []
+
+    def trials(outcomes):
+        for ok, details in outcomes:
+            drawn.append(details)
+            yield ok, details
+
+    with pytest.raises(Skip) as e:
+        _sweep(trials([]), none="gates never met")
+    assert e.value.details == {"reason": "gates never met"}
+    assert _sweep(trials([(True, {}), (True, {})]), count="maps_tested") == (True, {"maps_tested": 2})
+    drawn.clear()
+    fail = _sweep(trials([(True, {"i": 0}), (False, {"i": 1}), (False, {"i": 2})]))
+    assert fail == (False, {"i": 1})
+    assert drawn == [{"i": 0}, {"i": 1}]  # the trial after the first failure is never drawn
+
+    def gate(inst):
+        raise Skip("m=1", m=1)
+
+    def large(inst):
+        raise Unsupported("H^2 instance too large")
+
+    # A scratch registry, so the demo checks never reach the real one.
+    monkeypatch.setattr(checks, "CHECKS", {})
+    bodies = {
+        "empty": lambda inst: _sweep(iter([])),
+        "gate": gate,
+        "large": large,
+        "holds": lambda inst: (True, {"x": 1}),
+        "fails": lambda inst: (False, {"x": 2}),
+    }
+    for cid, body in bodies.items():
+        checks.register(cid, "demo")(body)
+    verdicts = {cid: checks.CHECKS[cid].run({"k": cid}).to_dict() for cid in bodies}
+    assert verdicts["empty"] == {
+        "check_id": "empty", "instance": {"k": "empty"}, "status": SKIPPED,
+        "details": {"reason": "hypotheses never met"},
+    }
+    assert verdicts["gate"]["status"] == SKIPPED
+    assert verdicts["gate"]["details"] == {"reason": "m=1", "m": 1}
+    assert verdicts["large"]["status"] == UNSUPPORTED
+    assert verdicts["large"]["details"] == {"reason": "H^2 instance too large"}
+    assert (verdicts["holds"]["status"], verdicts["holds"]["details"]) == (PASS, {"x": 1})
+    assert (verdicts["fails"]["status"], verdicts["fails"]["details"]) == (COUNTEREXAMPLE, {"x": 2})
+
+
+def _tt_oracle(g, n):
+    # C_G(N) <= N, element by element.
+    outside = [x for x in range(g.order) if not n.contains(x)]
+    return not any(np.array_equal(g.mul[x, n.members], g.mul[n.members, x]) for x in outside)
+
+
+def _qk_oracle(g, n):
+    # A group of order p^2 is non-cyclic exactly when its p-th powers vanish.
+    wz = set_product(g, omega1(g, subgroup_center(g, n)), center(g))
+    if not (n.contains_subgroup(wz) and n.order == wz.order * g.p**2):
+        return False
+    return bool(wz.bitmap[g.pow_p_table[n.members]].all())
+
+
+def test_tt_and_qk_gates_differ_on_the_catalog():
+    # tt: C_G(N) <= N.  qk: N/(Omega_1(Z(N)) Z(G)) non-cyclic of order p^2.
+    seen = {"tt": set(), "qk": set()}
+    disagree = []
+    for e in builtin_catalog():
+        if e.order > 64:
+            continue
+        g = e.group()
+        for n in normal_subgroups(g):
+            tt, qk = _self_centralizing(g, n), _noncyclic_double_layer(g, n)
+            assert (tt, qk) == (_tt_oracle(g, n), _qk_oracle(g, n)), (e.name, n.order)
+            seen["tt"].add(tt)
+            seen["qk"].add(qk)
+            if tt != qk:
+                disagree.append((e.name, n.order))
+    assert seen == {"tt": {True, False}, "qk": {True, False}}
+    assert disagree
+    d8 = next(e for e in builtin_catalog() if e.name == "D8").group()
+    whole = normal_subgroups(d8)[-1]
+    assert whole.order == 8
+    assert _self_centralizing(d8, whole) and _noncyclic_double_layer(d8, whole)
+
+
+def test_centralized_part_matches_member_loop():
+    for e in builtin_catalog():
+        if e.order > 16:
+            continue
+        g = e.group()
+        normals = normal_subgroups(g)
+        for w in normals:
+            for a in normals:
+                want = [x for x in w.members if centralizer(g, a).contains(int(x))]
+                assert _centralized_part(g, w, a).members.tolist() == [int(x) for x in want]
