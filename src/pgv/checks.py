@@ -239,10 +239,7 @@ def _quotient_mod_cocycle(
     qmod, comp = quotient_module(nmod, sub)
     basis_full = np.vstack([sub.basis, comp]) if sub.dim else comp
     q, d = g.order, nmod.dim
-    from .gmodule import _solve_coords
-
-    flat = f.table.reshape(q * q, d)
-    coords = _solve_coords(basis_full, flat % g.p, g.p)
+    coords = fl.solve_left(basis_full, f.table.reshape(q * q, d), g.p)
     tab = coords[:, sub.dim :].reshape(q, q, qmod.dim)
     return qmod, TwoCocycle(g, qmod, tab)
 
@@ -953,14 +950,9 @@ def check_rty(inst):
 def _collapse_map(ext: ExtensionResult, ext1: ExtensionResult) -> GroupMap:
     """Projection from the rank-2 extension onto the rank-1 quotient extension
     that kills the second kernel coordinate."""
-    g = ext.base
-    p = g.p
-    image = np.zeros(ext.total.order, dtype=np.int64)
-    for x in range(ext.total.order):
-        a = x % (p * p)
-        gg = x // (p * p)
-        a0 = a % p  # first coordinate survives
-        image[x] = a0 + p * gg
+    nsize = ext.total.order // ext.base.order
+    x = np.arange(ext.total.order)
+    image = fl.vector_codes(ext.t, ext.base.p)[x % nsize, 0] + ext.base.p * (x // nsize)
     return GroupMap(ext.total, ext1.total, image)
 
 

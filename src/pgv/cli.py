@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog
-from .cohomology import cohomology
+from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog, table_to_presentation
+from .cohomology import TwoCocycle, cohomology, zero_two_cocycle
 from .extensions import build_extension
 from .group_core import (
     DEFAULT_ORDER_CAP,
@@ -40,7 +40,7 @@ from .noninner import (
     find_noninner,
     verify_certificate,
 )
-from .presentations import PresentationError, parse_presentations
+from .presentations import PresentationError, parse_presentations, render_presentation
 from .suite import replay_counterexamples, report_to_json, run_suite
 
 
@@ -148,20 +148,19 @@ def cmd_h2(args) -> int:
 
 def cmd_extend(args) -> int:
     g = _resolve_group(args.group, args.order_cap)
-    t = _positive_int(args.kernel.split(",")[-1], "--kernel")
+    t = _positive_int(args.kernel, "--kernel")
+    # p^t > cap once 2^t is; the first test keeps p^t from being computed for a huge t.
+    if t >= args.order_cap.bit_length() or g.order * g.p**t > args.order_cap:
+        raise UsageError(f"a rank-{t} kernel over order {g.order} exceeds --order-cap {args.order_cap}")
     m = trivial_module(g, t)
     if args.cocycle == "random":
-        sp = cohomology(g, m, 2, h2_cap_or_default(args))
+        sp = cohomology(g, m, 2)
         if sp.h_dim == 0:
-            from .cohomology import zero_two_cocycle
-
             f = zero_two_cocycle(g, m)
             print("H^2 is trivial; using the zero cocycle (split extension)")
         else:
             f = sp.h_reps[args.seed % sp.h_dim]
     else:
-        from .cohomology import TwoCocycle
-
         try:
             table = json.loads(Path(args.cocycle).read_text(encoding="utf-8"))
             f = TwoCocycle(g, m, np.asarray(table, dtype=np.int64))
@@ -175,17 +174,10 @@ def cmd_extend(args) -> int:
     print(f"kernel rank: {t}; projection fibers of size {ext.total.order // g.order}")
     print(f"fingerprint: {ext.total.fingerprint()}")
     if args.out:
-        from .catalog import table_to_presentation
-        from .presentations import render_presentation
-
         pres = table_to_presentation(ext.total, f"ext_{g.name}")
         Path(args.out).write_text(render_presentation(pres), encoding="utf-8")
         print(f"presentation written to {args.out}")
     return 0
-
-
-def h2_cap_or_default(args):
-    return getattr(args, "h2_cap", 64)
 
 
 def cmd_find_noninner(args) -> int:

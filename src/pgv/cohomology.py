@@ -288,13 +288,8 @@ def derivation_to_automorphism(
     """
     if tau.module is not cm.module and tau.module.dim != cm.module.dim:
         raise CohomologyError("derivation not over the conjugation module")
-    image = np.empty(g.order, dtype=np.int64)
-    img_of = cm.quotient_map.image_of
-    for x in range(g.order):
-        vec = tuple(int(c) for c in tau.table[img_of[x]])
-        w = cm.element_of_vec[vec]
-        image[x] = g.mul[x, w]
-    f = GroupMap(g, g, image, check=False)
+    w = cm.element_of_code[fl.encode(tau.table[cm.quotient_map.image_of], g.p)]
+    f = GroupMap(g, g, g.mul[np.arange(g.order), w], check=False)
     if not f.is_homomorphism() or not f.is_bijective():
         raise GroupError("not an automorphism")
     return f
@@ -305,19 +300,15 @@ def conjugation_derivation(
 ) -> Derivation:
     """delta_x(c) = rep(c)^{-1} rep(c)^x, checked W-valued and constant on cosets."""
     qm = cm.quotient_map
-    q = qm.group.order
-    d = cm.module.dim
-    tab = np.zeros((q, d), dtype=np.int64)
-    for elt in range(g.order):
-        val = g.mul[g.inv[elt], g.conjugate(elt, x)]
-        vec = cm.vec_of_element.get(int(val))
-        if vec is None:
-            raise CohomologyError("not W-valued")
-        c = qm.image_of[elt]
-        if elt == qm.section[c]:
-            tab[c] = vec
-        elif not np.array_equal(tab[c], np.array(vec)) and qm.section[c] < elt:
-            raise CohomologyError("value not constant on cosets")
+    elts = np.arange(g.order)
+    codes = cm.code_of_element[g.mul[g.inv, g.mul[g.mul[g.inv[x], elts], x]]]
+    # The section holds the least element of each coset, so the first
+    # offending element is the one an ascending element-by-element scan
+    # would stop at, and it names the same failure.
+    bad = np.flatnonzero((codes < 0) | (codes != codes[qm.section][qm.image_of]))
+    if bad.size:
+        raise CohomologyError("not W-valued" if codes[bad[0]] < 0 else "value not constant on cosets")
+    tab = fl.vector_codes(cm.module.dim, g.p)[codes[qm.section]]
     der = Derivation(qm.group, cm.module, tab)
     if not der.is_cocycle():
         raise CohomologyError("conjugation derivation fails the cocycle identity")

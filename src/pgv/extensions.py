@@ -1,9 +1,13 @@
 """Group extensions from 2-cocycles and the associated transfer machinery.
 
 An extension of an elementary abelian kernel N (presented as a right module
-of dimension t) by G lives on pairs (a, g) indexed a + |N|*g with
+of dimension t) by G lives on pairs (a, g) with
 
     (a, g)(b, h) = (a.act(h) + b + f(g, h), gh).
+
+The pair (a, g) has index encode(a) + |N|*g, where encode(a) is the vector
+code of ``fp_linalg.encode``: the digits of encode(a) in base p are the
+entries of a, least significant first.
 
 The transfer pair couples the group algebras of the extension and the base:
 `down` sums coefficients over fibers of the projection, `up` lifts through
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -52,25 +56,8 @@ class ExtensionResult:
 
     def kernel_generators(self) -> List[int]:
         """Images of the standard basis vectors of the kernel module."""
-        p = self.base.p
-        gens = []
-        for i in range(self.t):
-            code = p**i
-            gens.append(int(self.kernel_embed[code]))
-        return gens
-
-
-def _vec_codes(t: int, p: int) -> Tuple[np.ndarray, Dict[Tuple[int, ...], int]]:
-    """Vector <-> integer code bridge for F_p^t (little-endian digit i -> p^i)."""
-    vecs = np.zeros((p**t, t), dtype=np.int64)
-    lookup: Dict[Tuple[int, ...], int] = {}
-    for code in range(p**t):
-        c = code
-        for i in range(t):
-            vecs[code, i] = c % p
-            c //= p
-        lookup[tuple(int(x) for x in vecs[code])] = code
-    return vecs, lookup
+        codes = fl.encode(np.eye(self.t, dtype=np.int64), self.base.p)
+        return [int(x) for x in self.kernel_embed[codes]]
 
 
 def build_extension(
@@ -93,30 +80,18 @@ def build_extension(
     if order > order_cap:
         raise ExtensionError(f"order cap: {order} > {order_cap}")
 
-    vecs, lookup = _vec_codes(t, p)
-    # Addition and action tables on kernel codes.
-    add = np.zeros((nsize, nsize), dtype=np.int64)
-    for a in range(nsize):
-        summed = (vecs[a][None, :] + vecs) % p
-        add[a] = [lookup[tuple(int(x) for x in row)] for row in summed]
-    act_code = np.zeros((g.order, nsize), dtype=np.int64)
-    for h in range(g.order):
-        imgs = (vecs @ nmod.act[h]) % p
-        act_code[h] = [lookup[tuple(int(x) for x in row)] for row in imgs]
-    f_code = np.zeros((g.order, g.order), dtype=np.int64)
-    for gg in range(g.order):
-        for hh in range(g.order):
-            f_code[gg, hh] = lookup[tuple(int(x) for x in f.table[gg, hh] % p)]
+    # Addition, action and cocycle tables on kernel codes.
+    vecs = fl.vector_codes(t, p)
+    add = fl.encode(vecs[:, None, :] + vecs[None, :, :], p)
+    act_code = fl.encode(vecs @ nmod.act, p)  # [h, a] -> a.act(h)
+    f_code = fl.encode(f.table, p)
 
-    mul = np.zeros((order, order), dtype=np.int64)
+    # Row x = (a, g), column y = (b, h).
     a_idx = np.arange(order) % nsize
     g_idx = np.arange(order) // nsize
-    for x in range(order):
-        a, gg = int(a_idx[x]), int(g_idx[x])
-        a_acted = act_code[g_idx, a]  # a.act(h) for every column's h
-        part = add[a_acted, a_idx]  # + b
-        total_a = add[part, f_code[gg, g_idx]]  # + f(g, h)
-        mul[x] = total_a + nsize * g.mul[gg, g_idx]
+    acted = act_code[g_idx[None, :], a_idx[:, None]]  # a.act(h)
+    summed = add[add[acted, a_idx[None, :]], f_code[np.ix_(g_idx, g_idx)]]  # + b + f(g, h)
+    mul = summed + nsize * g.mul[np.ix_(g_idx, g_idx)]
     try:
         total = GroupTable(p, mul, name=f"ext({g.name})", order_cap=order_cap)
     except GroupError as e:
@@ -170,13 +145,10 @@ def equivalence_map(
     sigma = np.zeros((q, d), dtype=np.int64)
     sigma[1:] = sol.reshape(q - 1, d)
     ext2 = build_extension(ext.base, m, f2)
-    vecs, lookup = _vec_codes(d, p)
     nsize = p**d
-    image = np.zeros(ext.total.order, dtype=np.int64)
-    for x in range(ext.total.order):
-        a, gg = x % nsize, x // nsize
-        shifted = tuple(int(v) for v in (vecs[a] + sigma[gg]) % p)
-        image[x] = lookup[shifted] + nsize * gg
+    x = np.arange(ext.total.order)
+    shifted = fl.vector_codes(d, p)[x % nsize] + sigma[x // nsize]
+    image = fl.encode(shifted, p) + nsize * (x // nsize)
     fmap = GroupMap(ext.total, ext2.total, image, check=False)
     if not fmap.is_homomorphism() or not fmap.is_bijective():
         return None
@@ -193,16 +165,12 @@ class TransferPair:
     down: np.ndarray  # (n*|T|, n*|G|): x -> coefficient-sum over fibers
     up: np.ndarray  # (n*|G|, n*|T|): section * norm element
     norm_vector: np.ndarray  # the kernel norm element in F_p(T)
-    e_index: Dict[Tuple[Tuple[int, ...], int], int]  # (exponent tuple, copy) -> row
-    e_vectors: np.ndarray  # rows: the e_{i_1..i_t, l} vectors
+    e_exponents: np.ndarray  # row r: the exponents (i_1..i_t) of e_vectors[r]
+    e_vectors: np.ndarray  # rows: the e_{i_1..i_t, l} vectors, l = r mod n
     free_total: FreeBimodule
     free_base: FreeBimodule
     lambda_basis: np.ndarray  # rows: section(g) * e_{i,l} spanning ker(down)
     lambda1_basis: np.ndarray  # rows: e_{i,l} * section(g)
-    lambda_meta: List[Tuple[Tuple[int, ...], int, int]]  # (exponents, copy, g)
-
-    def e_vector(self, exps: Sequence[int], copy: int) -> np.ndarray:
-        return self.e_vectors[self.e_index[(tuple(exps), copy)]]
 
 
 def _algebra_power_product(
@@ -253,27 +221,24 @@ def transfer_maps(ext: ExtensionResult, n: int) -> TransferPair:
             h = int(ext.section[gg])
             up[l * bo + gg, l * to : (l + 1) * to] = norm_R[h]  # h * norm
 
-    # e_{i_1..i_t, l} vectors and the lambda basis of ker(down).
-    e_index: Dict[Tuple[Tuple[int, ...], int], int] = {}
-    e_rows = []
-    metas: List[Tuple[Tuple[int, ...], int]] = []
-    for exps in iproduct(range(p), repeat=t):
+    # e_{i_1..i_t, l} vectors and the lambda basis of ker(down).  The
+    # exponent tuples run in lexicographic order (last exponent fastest),
+    # i.e. the vector codes with their digits reversed, and each one is
+    # repeated for the n copies.
+    e_exponents = np.repeat(fl.vector_codes(t, p)[:, ::-1], n, axis=0)
+    e_vectors = np.zeros((e_exponents.shape[0], n * to), dtype=np.int64)
+    for r in range(0, e_exponents.shape[0], n):
+        vec = _algebra_power_product(total, gens, e_exponents[r])
         for l in range(n):
-            e_index[(tuple(exps), l)] = len(e_rows)
-            vec = _algebra_power_product(total, gens, exps)
-            full = np.zeros(n * to, dtype=np.int64)
-            full[l * to : (l + 1) * to] = vec
-            e_rows.append(full)
-            metas.append((tuple(exps), l))
-    e_vectors = np.array(e_rows, dtype=np.int64)
+            e_vectors[r + l, l * to : (l + 1) * to] = vec
 
     lam_rows = []
     lam1_rows = []
-    lam_meta: List[Tuple[Tuple[int, ...], int, int]] = []
     one_block = FreeBimodule(total, 1)
-    for (exps, l), evec in zip(metas, e_vectors):
+    for r, (exps, evec) in enumerate(zip(e_exponents, e_vectors)):
         if sum(exps) < 1:
             continue
+        l = r % n
         block = evec[l * to : (l + 1) * to]
         R = one_block.right_mul_matrix(block)  # row h: h * e-part
         L = one_block.left_mul_matrix(block)  # row h: e-part * h
@@ -285,7 +250,6 @@ def transfer_maps(ext: ExtensionResult, n: int) -> TransferPair:
             row1 = np.zeros(n * to, dtype=np.int64)
             row1[l * to : (l + 1) * to] = L[h]
             lam1_rows.append(row1)
-            lam_meta.append((exps, l, gg))
     lambda_basis = (
         np.array(lam_rows, dtype=np.int64)
         if lam_rows
@@ -302,13 +266,12 @@ def transfer_maps(ext: ExtensionResult, n: int) -> TransferPair:
         down,
         up,
         norm,
-        e_index,
+        e_exponents,
         e_vectors,
         fb_total,
         fb_base,
         lambda_basis,
         lambda1_basis,
-        lam_meta,
     )
 
 
@@ -335,25 +298,8 @@ def filtration(tp: TransferPair, m: int) -> FpSubspace:
         return FpSubspace.full(tp.free_total.dim, p)
     if m > t * (p - 1):
         return FpSubspace.zero(tp.free_total.dim, p)
-    seeds = np.array(
-        [
-            vec
-            for (exps, l), vec in zip(_filtration_meta(tp), tp.e_vectors)
-            if sum(exps) >= m
-        ],
-        dtype=np.int64,
-    )
+    seeds = tp.e_vectors[tp.e_exponents.sum(axis=1) >= m]
     return free_submodule_closure(tp.free_total, seeds, "both")
-
-
-def _filtration_meta(tp: TransferPair):
-    p = tp.ext.total.p
-    t = tp.ext.t
-    metas = []
-    for exps in iproduct(range(p), repeat=t):
-        for l in range(tp.n):
-            metas.append((tuple(exps), l))
-    return metas
 
 
 def filtration_product(tp: TransferPair, a: FpSubspace, b: FpSubspace) -> FpSubspace:

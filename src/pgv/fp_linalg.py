@@ -207,25 +207,44 @@ def right_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution x of a @ x = b (column convention), free variables 0."""
+    """One solution x of a @ x = b (column convention), free variables 0.
+
+    b may hold several right-hand sides as its columns; all are solved by one
+    elimination of [a | b], and None is returned unless every one is solvable.
+    """
     a = as_residues(a, p)
-    b = as_residues(b, p).reshape(-1)
-    if a.shape[0] != b.shape[0]:
+    b = as_residues(b, p)
+    rhs = b.reshape(b.shape[0], -1)
+    if a.shape[0] != rhs.shape[0]:
         raise ValueError("dimension mismatch")
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    R, piv = rref_array(aug, p)
     n = a.shape[1]
-    if n in piv:
+    R, piv = rref_array(np.concatenate([a, rhs], axis=1), p)
+    if piv and piv[-1] >= n:
         return None
-    x = np.zeros(n, dtype=np.int64)
-    for row_idx, pc in enumerate(piv):
-        x[pc] = R[row_idx, n]
-    return x
+    x = np.zeros((n, rhs.shape[1]), dtype=np.int64)
+    x[piv] = R[: len(piv), n:]
+    return x.reshape((n,) + b.shape[1:])
 
 
 def solve_left(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution x of x @ a = b (row convention), free variables 0."""
-    return solve_array(np.ascontiguousarray(a.T), b, p)
+    """One solution x of x @ a = b (row convention), free variables 0.
+
+    b may be a stack of rows; the solutions then come back as a stack too.
+    """
+    x = solve_array(np.ascontiguousarray(np.asarray(a).T), np.asarray(b).T, p)
+    return None if x is None else x.T
+
+
+def vector_codes(t: int, p: int) -> np.ndarray:
+    """Every vector of F_p^t as a row: row c holds the base-p digits of c,
+    least significant first.  ``encode`` is its inverse."""
+    return np.arange(p**t, dtype=np.int64)[:, None] // p ** np.arange(t, dtype=np.int64) % p
+
+
+def encode(rows, p: int) -> np.ndarray:
+    """The code of each vector along the last axis (entries taken mod p)."""
+    rows = as_residues(rows, p)
+    return rows @ p ** np.arange(rows.shape[-1], dtype=np.int64)
 
 
 def is_invertible(a: np.ndarray, p: int) -> bool:

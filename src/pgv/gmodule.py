@@ -180,21 +180,12 @@ def restrict_action(m: GModule, carrier: FpSubspace) -> Tuple[GModule, np.ndarra
     if not is_stable(m, carrier):
         raise ModuleError("carrier not stable under the action")
     basis = carrier.basis
-    k = carrier.dim
-    act = np.zeros((m.group.order, k, k), dtype=np.int64)
-    for g in range(m.group.order):
-        img = (basis @ m.act[g]) % m.p
-        # Coordinates of img rows in the carrier basis: solve against RREF basis.
-        coords = _coords_in_rref_basis(img, carrier)
-        act[g] = coords
-    return GModule(m.group, act, side=m.side, check=False), basis
-
-
-def _coords_in_rref_basis(rows: np.ndarray, space: FpSubspace) -> np.ndarray:
-    """Coordinates of rows in the RREF basis of `space` (must lie inside)."""
-    if np.any(space.reduce(rows)):
+    img = (basis @ m.act) % m.p
+    if np.any(carrier.reduce(img.reshape(-1, m.dim))):
         raise ModuleError("vector outside carrier")
-    return rows[:, list(space.pivots)] % space.p
+    # Coordinates in an RREF basis are the entries at its pivot columns.
+    act = img[:, :, list(carrier.pivots)]
+    return GModule(m.group, act, side=m.side, check=False), basis
 
 
 def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
@@ -205,24 +196,12 @@ def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
     k = comp.shape[0]
     # Full basis: radical rows then complement rows; coordinates of images.
     full = np.vstack([sub.basis, comp]) if sub.dim else comp
-    act = np.zeros((m.group.order, k, k), dtype=np.int64)
-    for g in range(m.group.order):
-        img = (comp @ m.act[g]) % m.p
-        coords = _solve_coords(full, img, m.p)
-        act[g] = coords[:, sub.dim :]
+    img = (comp @ m.act) % m.p
+    coords = fl.solve_left(full, img.reshape(-1, m.dim), m.p)
+    if coords is None:
+        raise ModuleError("vector outside span")
+    act = coords.reshape(m.group.order, k, m.dim)[:, :, sub.dim :]
     return GModule(m.group, act, side=m.side, check=False), comp
-
-
-def _solve_coords(basis: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of rows in an arbitrary (independent-row) basis."""
-    sols = []
-    bt = np.ascontiguousarray(basis.T)
-    for r in rows:
-        x = fl.solve_array(bt, r, p)
-        if x is None:
-            raise ModuleError("vector outside span")
-        sols.append(x)
-    return np.array(sols, dtype=np.int64)
 
 
 # -- conjugation modules -------------------------------------------------------
@@ -230,14 +209,21 @@ def _solve_coords(basis: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass
 class ConjugationModule:
-    """W as a module over G/N via conjugation, with the element/vector bridge."""
+    """W as a module over G/N1 via conjugation, with the element/vector bridge.
+
+    The element with vector c in F_p^k is b_1^{c_1} ... b_k^{c_k} for the
+    ``basis_elements`` b_i, and the vector is stored as its integer code
+    ``fp_linalg.encode(c)``: ``element_of_code`` maps the p^k codes to
+    elements of G, and ``code_of_element`` maps the elements of G back to
+    codes, with -1 off W.
+    """
 
     module: GModule
     quotient_map: object  # QuotientMap
     w_members: np.ndarray
     basis_elements: List[int]  # independent generators of W, ascending
-    vec_of_element: dict  # element index -> tuple vector
-    element_of_vec: dict  # tuple vector -> element index
+    code_of_element: np.ndarray  # (|G|,) int64
+    element_of_code: np.ndarray  # (p^k,) int64
 
 
 def module_from_conjugation(g: GroupTable, n1: Subgroup, w: Subgroup) -> ConjugationModule:
@@ -253,51 +239,41 @@ def module_from_conjugation(g: GroupTable, n1: Subgroup, w: Subgroup) -> Conjuga
     if not w.is_normal():
         raise ModuleError("W is not normal")
     # N1 must centralize W (pointwise), so the quotient action is well defined.
-    for x in n1.members:
-        row = g.mul[g.mul[g.inv[x], w.members], x]
-        if not np.array_equal(row, w.members):
-            raise ModuleError("N1 does not centralize W")
+    x = n1.members[:, None]
+    if np.any(g.mul[g.mul[g.inv[x], w.members[None, :]], x] != w.members):
+        raise ModuleError("N1 does not centralize W")
     # Greedy least-index basis of W.
     basis_elements: List[int] = []
     span = subgroup_closure(g, [0])
-    for x in w.members:
-        if x == 0 or span.contains(int(x)):
+    for y in w.members:
+        if y == 0 or span.contains(int(y)):
             continue
-        basis_elements.append(int(x))
+        basis_elements.append(int(y))
         span = subgroup_closure(g, basis_elements)
         if span.order == w.order:
             break
     k = len(basis_elements)
-    # Element <-> vector bridge by exhaustive combination (W is small).
-    vec_of_element = {}
-    element_of_vec = {}
-    from itertools import product as iproduct
-
-    for coeffs in iproduct(range(p), repeat=k):
-        e = 0
-        for b, c in zip(basis_elements, coeffs):
-            e = g.mul[e, g.power(b, c)]
-        vec = tuple(int(c) for c in coeffs)
-        e = int(e)
-        if e in vec_of_element:
-            raise ModuleError("W basis is not independent")
-        vec_of_element[e] = vec
-        element_of_vec[vec] = e
-    if len(vec_of_element) != w.order:
+    # Element of every code: multiply in b_i^{c_i} one basis element at a time.
+    vecs = fl.vector_codes(k, p)
+    element_of_code = np.zeros(p**k, dtype=np.int64)
+    for i, b in enumerate(basis_elements):
+        powers = np.array([g.power(b, c) for c in range(p)], dtype=np.int64)
+        element_of_code = g.mul[element_of_code, powers[vecs[:, i]]]
+    if np.unique(element_of_code).size != element_of_code.size:
+        raise ModuleError("W basis is not independent")
+    if element_of_code.size != w.order:
         raise ModuleError("W basis does not span W")
+    code_of_element = np.full(g.order, -1, dtype=np.int64)
+    code_of_element[element_of_code] = np.arange(p**k)
 
     qt, qm = quotient(g, n1)
-    act = np.zeros((qt.order, k, k), dtype=np.int64)
-    for q in range(qt.order):
-        r = int(qm.section[q])
-        for i, b in enumerate(basis_elements):
-            img = g.conjugate(b, r)
-            if img not in vec_of_element:
-                raise ModuleError("conjugation leaves W")
-            act[q, i] = vec_of_element[img]
-    module = GModule(qt, act, check=False, name="conj")
+    r = qm.section[:, None]
+    images = code_of_element[g.mul[g.mul[g.inv[r], basis_elements], r]]  # b_i^r
+    if np.any(images < 0):
+        raise ModuleError("conjugation leaves W")
+    module = GModule(qt, vecs[images], check=False, name="conj")
     module._validate()
-    return ConjugationModule(module, qm, w.members.copy(), basis_elements, vec_of_element, element_of_vec)
+    return ConjugationModule(module, qm, w.members.copy(), basis_elements, code_of_element, element_of_code)
 
 
 # -- the free bimodule prod^n F_p(G) -----------------------------------------

@@ -315,17 +315,11 @@ def _try_config(
         "inner_witnesses": [],
     }
     candidates: List[Derivation] = list(reps)
-    if require_all_h and space.h_dim and g.p**space.h_dim <= 64:
-        from itertools import product as iproduct
-
-        candidates = []
-        for coeffs in iproduct(range(g.p), repeat=len(reps)):
-            if not any(coeffs):
-                continue
-            tab = np.zeros_like(reps[0].table)
-            for c, r in zip(coeffs, reps):
-                tab = (tab + c * r.table) % g.p
-            candidates.append(Derivation(cm.module.group, cm.module, tab))
+    if require_all_h and reps and g.p**space.h_dim <= 64:
+        # Every nonzero combination, coefficient tuples in lexicographic order.
+        coeffs = fl.vector_codes(len(reps), g.p)[1:, ::-1]
+        tables = np.tensordot(coeffs, np.stack([r.table for r in reps]), axes=1)
+        candidates = [Derivation(cm.module.group, cm.module, tab) for tab in tables]
     for tau in candidates:
         if tau.is_zero():
             continue

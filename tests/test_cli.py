@@ -35,6 +35,8 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["h2", "--group", "C4", "--module", "trivial:x"]) == 1
     assert main(["h2", "--group", "C4", "--module", "trivial:-1"]) == 1
     assert main(["extend", "--group", "C2", "--kernel", "x"]) == 1
+    assert main(["extend", "--group", "C2", "--kernel", "5,1"]) == 1
+    assert main(["extend", "--group", "D16", "--kernel", "9"]) == 1  # order 8192 > cap
     not_json = tmp_path / "not.json"
     not_json.write_text("this is not json")
     wrong_shape = tmp_path / "shape.json"

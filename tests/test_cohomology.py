@@ -210,6 +210,7 @@ def test_conjugation_derivation_matches_conjugation():
     g = from_pc_presentation(pres_d8())
     z = center(g)
     cm = module_from_conjugation(g, z, z)
+    tested = 0
     for x in range(8):
         try:
             der = conjugation_derivation(g, cm, x)
@@ -218,6 +219,20 @@ def test_conjugation_derivation_matches_conjugation():
         psi = derivation_to_automorphism(g, cm, der)
         conj = conjugation_map(g, x)
         assert np.array_equal(psi.image_of, conj.image_of)
+        tested += 1
+    assert tested >= 1
+
+
+def test_conjugation_derivation_by_a_reflection_is_not_center_valued():
+    # In D16 a reflection x sends the rotation r to r^-1, so r^-1 r^x = r^-2
+    # has order 4 and lies outside W = Z(D16).
+    g = from_pc_presentation(pres_d16())
+    z = center(g)
+    cm = module_from_conjugation(g, z, z)
+    orders = g.element_orders()
+    x = next(y for y in range(g.order) if orders[y] == 2 and not z.contains(y))
+    with pytest.raises(CohomologyError, match="not W-valued"):
+        conjugation_derivation(g, cm, x)
 
 
 def test_inflation_injective_and_functorial():
@@ -371,3 +386,60 @@ def test_h2_peak_memory_he27():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# -- the vector-code bridge against the tuple-keyed reference -------------------
+
+
+def reference_conjugation_bridge(g, n1, w, basis_elements):
+    """Oracle: the element <-> tuple dicts and the conjugation action read
+    through them, one group element at a time."""
+    p = g.p
+    vec_of_element, element_of_vec = {}, {}
+    for coeffs in itertools.product(range(p), repeat=len(basis_elements)):
+        e = 0
+        for b, c in zip(basis_elements, coeffs):
+            e = int(g.mul[e, g.power(b, c)])
+        vec_of_element[e] = coeffs
+        element_of_vec[coeffs] = e
+    assert sorted(vec_of_element) == sorted(int(x) for x in w.members)
+    qt, qm = quotient(g, n1)
+    act = np.array(
+        [[vec_of_element[g.conjugate(b, int(qm.section[q]))] for b in basis_elements] for q in range(qt.order)],
+        dtype=np.int64,
+    )
+    return act.reshape(qt.order, len(basis_elements), len(basis_elements)), element_of_vec
+
+
+def test_conjugation_bridge_matches_tuple_reference_on_sweep_configs():
+    from pgv.group_core import GroupError, GroupMap
+    from pgv.gmodule import ModuleError
+    from pgv.noninner import _sweep_configs
+
+    configs = images = 0
+    for e in builtin_catalog():
+        if e.order > 32:
+            continue
+        g = e.group()
+        if g.is_abelian():
+            continue
+        for n1, w, *_ in _sweep_configs(g):
+            try:
+                cm = module_from_conjugation(g, n1, w)
+            except ModuleError:
+                continue
+            act, element_of_vec = reference_conjugation_bridge(g, n1, w, cm.basis_elements)
+            assert np.array_equal(cm.module.act, act), e.name
+            configs += 1
+            for rep in cohomology(cm.module.group, cm.module, 1).h_reps:
+                img_of = cm.quotient_map.image_of
+                want = [int(g.mul[x, element_of_vec[tuple(int(c) for c in rep.table[img_of[x]])]]) for x in range(g.order)]
+                try:
+                    got = derivation_to_automorphism(g, cm, rep).image_of
+                except GroupError:
+                    ref = GroupMap(g, g, np.array(want), check=False)
+                    assert not (ref.is_homomorphism() and ref.is_bijective())
+                    continue
+                assert list(got) == want, e.name
+                images += 1
+    assert configs > 1000 and images > 1000

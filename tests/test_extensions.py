@@ -138,9 +138,9 @@ def test_transfer_identities_rank_one_kernel(p, n):
         assert np.array_equal(got, want)
 
     # down(e_{0..0,l}) is the unit in copy l; fiber sums die.
-    zero_exp = tuple([0] * ext.t)
-    for l in range(n):
-        e0 = tp.e_vector(zero_exp, l)
+    e0_rows = tp.e_vectors[~tp.e_exponents.any(axis=1)]
+    assert e0_rows.shape[0] == n
+    for l, e0 in enumerate(e0_rows):
         img = (e0 @ tp.down) % p
         want = np.zeros(n * g.order, dtype=np.int64)
         want[l * g.order + 0] = 1
@@ -232,3 +232,70 @@ def test_up_image_independent_of_section():
             alt_rows.append(norm_R[h])
         img_alt = FpSubspace.from_rows(np.array(alt_rows), p)
         assert img_alt == img_std
+
+
+# -- the vector-code bridge against the tuple-keyed reference -------------------
+
+
+def reference_extension_table(g, nmod, f):
+    """Oracle: the extension table through a tuple -> code dict, one lookup
+    per entry of the addition, action and cocycle tables."""
+    p, t = g.p, nmod.dim
+    nsize = p**t
+    vecs = np.array([v[::-1] for v in itertools.product(range(p), repeat=t)], dtype=np.int64)
+    vecs = vecs.reshape(nsize, t)
+    lookup = {tuple(int(x) for x in v): code for code, v in enumerate(vecs)}
+
+    def codes(rows):
+        return [lookup[tuple(int(x) for x in row % p)] for row in rows]
+
+    add = np.array([codes(vecs[a] + vecs) for a in range(nsize)])
+    act_code = np.array([codes(vecs @ nmod.act[h]) for h in range(g.order)])
+    f_code = np.array([codes(f.table[gg]) for gg in range(g.order)])
+    order = nsize * g.order
+    mul = np.zeros((order, order), dtype=np.int64)
+    a_idx, g_idx = np.arange(order) % nsize, np.arange(order) // nsize
+    for x in range(order):
+        a, gg = a_idx[x], g_idx[x]
+        part = add[act_code[g_idx, a], a_idx]
+        mul[x] = add[part, f_code[gg, g_idx]] + nsize * g.mul[gg, g_idx]
+    return mul
+
+
+def every_class_and_zero(g, m):
+    return cohomology(g, m, 2).h_reps + [zero_two_cocycle(g, m)]
+
+
+def test_build_extension_matches_tuple_reference_on_small_catalog():
+    from pgv.catalog import builtin_catalog
+
+    built = 0
+    for e in builtin_catalog():
+        if e.order > 16:
+            continue
+        g = e.group()
+        for dim in (1, 2):
+            m = trivial_module(g, dim)
+            for f in every_class_and_zero(g, m):
+                ext = build_extension(g, m, f)
+                assert np.array_equal(ext.total.mul, reference_extension_table(g, m, f)), e.name
+                built += 1
+    assert built > 100
+
+
+def test_build_extension_matches_tuple_reference_on_conjugation_module():
+    from pgv.gmodule import module_from_conjugation
+    from pgv.group_core import normal_subgroups
+    from tests.test_group_core import pres_heis27
+
+    # W of order 9 in He27 with N1 = W: C3 acts on F_3^2 by a Jordan block.
+    g = from_pc_presentation(pres_heis27())
+    w = next(n for n in normal_subgroups(g) if n.order == 9)
+    cm = module_from_conjugation(g, w, w)
+    q, m = cm.module.group, cm.module
+    assert np.any(m.act != np.eye(2, dtype=np.int64))
+    reps = every_class_and_zero(q, m)
+    assert len(reps) >= 2
+    for f in reps:
+        ext = build_extension(q, m, f)
+        assert np.array_equal(ext.total.mul, reference_extension_table(q, m, f))

@@ -17,6 +17,7 @@ from pgv.fp_linalg import (
     right_kernel_array,
     rref_array,
     solve_array,
+    solve_left,
 )
 from pgv.gmodule import _closure
 
@@ -129,6 +130,50 @@ def test_solve_consistent_f3_vs_enumeration():
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_array(np.eye(2, dtype=np.int64), np.array([1, 2, 3]), 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_solve_left_stack_matches_row_by_row(p, k, rows, seed):
+    """One elimination for a stack of right-hand sides gives the same rows as
+    solving each row on its own, and None as soon as one row is unsolvable."""
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, p, size=(k, 6))
+    b = (rng.integers(0, p, size=(rows, k)) @ basis) % p
+    got = solve_left(basis, b, p)
+    assert got is not None and got.shape == (rows, k)
+    for row, x in zip(b, got):
+        assert np.array_equal(solve_left(basis, row, p), x)
+        assert np.array_equal((x @ basis) % p, row)
+    outside = [v for v in all_vectors(6, p)[: p**3] if solve_left(basis, v, p) is None]
+    if outside:
+        assert solve_left(basis, np.vstack([b, outside[0]]), p) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(2, 0, 0)
+@example(7, 0, 0)
+@example(7, 4, 0)
+def test_vector_codes_encode_round_trip(p, t, seed):
+    codes = fl.vector_codes(t, p)
+    assert codes.shape == (p**t, t)
+    assert np.array_equal(fl.encode(codes, p), np.arange(p**t))
+    # Row c holds the digits of c, least significant first.
+    assert [tuple(r) for r in codes] == [v[::-1] for v in itertools.product(range(p), repeat=t)]
+    # Entries are read mod p: unreduced and negative representatives agree.
+    shift = np.random.default_rng(seed).integers(-3, 4, size=codes.shape)
+    assert np.array_equal(fl.encode(codes + p * shift, p), np.arange(p**t))
+    assert np.array_equal(fl.encode(-codes, p), fl.encode((p - codes) % p, p))
 
 
 def test_subspace_sum_with_zero():
