@@ -25,6 +25,7 @@ from .cohomology import (
     TwoCocycle,
     cohomology,
     derivation_to_automorphism,
+    h1_dim_of_submodule,
     inflate_module,
     zero_two_cocycle,
 )
@@ -73,6 +74,7 @@ from .gmodule import (
     module_from_conjugation,
     quotient_module,
     radical,
+    random_right_submodule,
     restrict_action,
     sample_nG_module,
     submodule_fixed_points,
@@ -192,16 +194,7 @@ def _group(instance: Dict[str, object]) -> GroupTable:
 
 def _carrier(g: GroupTable, n: int, seed: int, socle: bool = True, extra: int = 1):
     fb = FreeBimodule(g, n)
-    rng = np.random.default_rng(seed)
-    seeds_rows = rng.integers(0, g.p, size=(extra, fb.dim))
-    rows = np.vstack([fb.socle_basis(), seeds_rows]) if socle else seeds_rows
-    carrier = free_submodule_closure(fb, rows, "right")
-    return fb, carrier
-
-
-def _submodule_h1(fb: FreeBimodule, carrier, side="right") -> int:
-    mod, _ = restrict_action(fb.as_gmodule(side), carrier)
-    return cohomology(mod.group, mod, 1, want_reps=False).h_dim
+    return fb, random_right_submodule(fb, np.random.default_rng(seed), extra, socle)
 
 
 def _restricted(fb: FreeBimodule, carrier, side="right") -> GModule:
@@ -220,15 +213,9 @@ def _nontrivial_2cocycle(g: GroupTable, m: GModule, index: int = 0) -> Optional[
     return sp.h_reps[index % len(sp.h_reps)]
 
 
-def _inflated_to_extension(ext: ExtensionResult, m: GModule) -> GModule:
-    return inflate_module(m, ext.projection)
-
-
 def _sampled_nG(g: GroupTable, n: int, seed: int):
     """(fb, carrier, fixed_dim, h1) for a seeded socle-containing sample."""
-    from .cohomology import h1_dim_of_submodule
-
-    s = sample_nG_module(g, n, seed, h1_fn=lambda fb, c: h1_dim_of_submodule(fb, c))
+    s = sample_nG_module(g, n, seed, h1_fn=h1_dim_of_submodule)
     return s.free, s.carrier, s.fixed_dim, s.h1_dim
 
 
@@ -450,7 +437,7 @@ def check_ww(inst):
     fixed = submodule_fixed_points(fb, carrier, "right")
     if fixed.dim != n:
         raise Skip("socle not full")
-    m = _submodule_h1(fb, carrier)
+    m = h1_dim_of_submodule(fb, carrier)
     left = annihilator(fb, carrier, "left_of_right")
     if left.dim == 0:
         d_left = 0
@@ -687,7 +674,7 @@ def _growth_instance(inst):
         # The radical of the free module: an exactly-n module (H^1 = n).
         carrier = radical(fb.as_gmodule("right"))
         fixed_dim = submodule_fixed_points(fb, carrier, "right").dim
-        h1 = _submodule_h1(fb, carrier)
+        h1 = h1_dim_of_submodule(fb, carrier)
     elif seed % 4 == 0:
         carrier = FpSubspace.full(fb.dim, g.p)
         fixed_dim, h1 = n, 0
@@ -708,7 +695,7 @@ def check_gg(inst):
         raise Skip("H^2 trivial")
     ext = build_extension(g, cp, f)
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
+    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
     return h1_ext >= m + (n - m), {"n": n, "m": int(m), "h1_extension": int(h1_ext), "lower_bound": int(n)}
 
 
@@ -724,7 +711,7 @@ def check_yy(inst):
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim] if sp.h_dim else zero_two_cocycle(g, pmod)
     ext = build_extension(g, pmod, f)
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
+    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
     ok = h1_ext <= m + n * t
     return ok, {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "upper_bound": int(m + n * t)}
 
@@ -766,7 +753,7 @@ def check_cor8(inst):
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, cp, f)
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
+    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
     if h1_ext != m:
         raise Skip(f"H1 changed ({m} -> {h1_ext})")
     return m == n, {"n": n, "m": int(m), "h1_extension": int(h1_ext)}
@@ -811,11 +798,11 @@ def check_qq(inst):
     f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
     ext = build_extension(g, pmod, f)
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
+    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
     sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)  # P1 = second coordinate
     qkern, fbar = _quotient_mod_cocycle(g, pmod, f, sub)
     ext1 = build_extension(g, qkern, fbar)
-    h1_mid = _h1_of_module(ext1.total, _inflated_to_extension(ext1, qmod))
+    h1_mid = _h1_of_module(ext1.total, inflate_module(qmod, ext1.projection))
     details = {"n": n, "m": int(m), "h1_extension": int(h1_ext), "h1_mid": int(h1_mid)}
     if m < n:
         if m == 0:
@@ -850,10 +837,10 @@ def check_ggg(inst):
     sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)
     qkern, fbar = _quotient_mod_cocycle(g, pmod, f, sub)
     ext1 = build_extension(g, qkern, fbar)
-    h1_mid = _h1_of_module(ext1.total, _inflated_to_extension(ext1, qmod))
+    h1_mid = _h1_of_module(ext1.total, inflate_module(qmod, ext1.projection))
     if h1_mid != m:
         raise Skip("quotient layer moved H1")
-    h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
+    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
     return h1_ext == h1_mid + n, {"n": n, "h1_mid": int(h1_mid), "h1_extension": int(h1_ext)}
 
 
@@ -877,12 +864,12 @@ def check_kj(inst):
         raise Skip("H^2 trivial")
     ext = build_extension(g, cp, f)
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, qmod))
+    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
     if h1_ext != m:
         raise Skip("H1 moved")
     if ext.total.order > 16 or qmod.dim > 6:
         raise Unsupported("H^2 instance too large")
-    h2 = cohomology(ext.total, _inflated_to_extension(ext, qmod), 2, want_reps=False).h_dim
+    h2 = cohomology(ext.total, inflate_module(qmod, ext.projection), 2, want_reps=False).h_dim
     d = d_G(qmod)
     return h2 == 1 and d == 1, {"h2_extension": int(h2), "d_G": int(d)}
 
@@ -1035,7 +1022,7 @@ def check_io(inst):
             candidates.append((qt, qm, fb2, car2))
     for qt, qm, fbq, carrier in candidates:
         fixed_dim = submodule_fixed_points(fbq, carrier, "right").dim
-        m = _submodule_h1(fbq, carrier)
+        m = h1_dim_of_submodule(fbq, carrier)
         if fixed_dim != 1 or m > 1:
             continue
         qmod_quot = _restricted(fbq, carrier)
@@ -1105,7 +1092,7 @@ def check_jx(inst):
         for carrier in carriers:
             if submodule_fixed_points(fb, carrier, "right").dim != 1:
                 continue
-            m_dim = _submodule_h1(fb, carrier)
+            m_dim = h1_dim_of_submodule(fb, carrier)
             if m_dim > 1:
                 continue
             qmod = _restricted(fb, carrier)
@@ -1193,7 +1180,7 @@ def check_du(inst):
         for carrier in carriers:
             if submodule_fixed_points(fbq, carrier, "right").dim != 1:
                 continue
-            if _submodule_h1(fbq, carrier) > 1:
+            if h1_dim_of_submodule(fbq, carrier) > 1:
                 continue
             qmod_quot = _restricted(fbq, carrier)
             pi = GroupMap(g, qt, qm.image_of, check=False)
@@ -1221,7 +1208,7 @@ def check_du(inst):
                 if g.order * (g.p**head.dim) > 256:
                     continue
                 ext = build_extension(g, head, fbar)
-                h1_ext = _h1_of_module(ext.total, _inflated_to_extension(ext, rad_mod))
+                h1_ext = _h1_of_module(ext.total, inflate_module(rad_mod, ext.projection))
                 yield h1_ext == h1_base + 1, {
                     "h1_base": int(h1_base),
                     "h1_extension": int(h1_ext),

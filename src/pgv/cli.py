@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 usage error, 2 infrastructure error.  Counterexamples
-and diagnostics are findings; they never change the exit status.
+Exit codes: 0 ok, 1 usage error, 2 a refusal (``error:``, e.g. a cap) or an
+infrastructure error.  Counterexamples and diagnostics are findings; they
+never change the exit status.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog, table_to_presentation
-from .cohomology import TwoCocycle, cohomology, zero_two_cocycle
-from .extensions import build_extension
+from .cohomology import CohomologyError, TwoCocycle, cohomology, zero_two_cocycle
+from .extensions import ExtensionError, build_extension
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -141,7 +142,7 @@ def cmd_h2(args) -> int:
         raise UsageError("h2 supports --module trivial:<dim>")
     dim = _positive_int(param, "module dimension") if param else 1
     m = trivial_module(g, dim)
-    sp = cohomology(g, m, 2, h2_order_cap=args.h2_cap)
+    sp = cohomology(g, m, 2, h2_order_cap=_positive_int(args.h2_cap, "--h2-cap"))
     print(f"Z^2: {sp.z_dim}  B^2: {sp.b_dim}  H^2: {sp.h_dim}")
     return 0
 
@@ -255,7 +256,7 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pgv", description="finite p-group verification lab")
-    ap.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+    ap.add_argument("--order-cap", default=DEFAULT_ORDER_CAP)
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h2", help="second cohomology with a trivial module")
     p.add_argument("--group", required=True)
     p.add_argument("--module", default="trivial:1")
-    p.add_argument("--h2-cap", type=int, default=64)
+    p.add_argument("--h2-cap", default=64)
     p.set_defaults(fn=cmd_h2)
 
     p = sub.add_parser("extend", help="build an extension from a 2-cocycle")
@@ -318,11 +319,12 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
+        args.order_cap = _positive_int(args.order_cap, "--order-cap")
         return args.fn(args)
     except (UsageError, CatalogError, PresentationError, KeyError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (GroupError, ModuleError, NoninnerError) as e:
+    except (GroupError, ModuleError, NoninnerError, CohomologyError, ExtensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # unexpected -> infrastructure

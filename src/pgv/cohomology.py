@@ -1,17 +1,27 @@
 """First and second cohomology of a finite p-group with module coefficients.
 
-Degree-1 cocycles satisfy tau(gh) = tau(g).act(h) + tau(h); normalized
-degree-2 cocycles satisfy f(g,h).act(k) + f(gh,k) = f(h,k) + f(g,hk) with
-f(1,.) = f(.,1) = 0.  The solvers intersect the kernels of the linear
-system's slices (fixing the last argument h or k) one slice at a time, and
-only for the slices at a generating sequence of the group: the identity then
-holds at every element (see ``_solution_space``).  Every elimination runs in
-``fp_linalg``, whose blocked kernel and ``matmul_mod`` use exact float64 BLAS
-products.
+Cochains are those of the standard inhomogeneous complex (K. S. Brown,
+*Cohomology of Groups*, GTM 87, ch. III.1), written for right modules: an
+n-cochain is a table of shape (|G|,)*n + (dim,).  ``coboundary`` is the one
+place the differential d, and with it every cocycle identity, is written out:
+
+    (d v)(g)       = v.g - v
+    (d tau)(g, h)  = tau(g).h + tau(h) - tau(gh)
+    (d f)(g, h, k) = f(g, h).k + f(gh, k) - f(h, k) - f(g, hk)
+
+Degree-1 cocycles (derivations) keep every value tau(g) as an unknown;
+degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0, and only their
+values at non-identity arguments are unknowns (``_tables`` and ``_rows``).
+The solver intersects the kernels of d's slices (the last argument fixed)
+one slice at a time, and only for the slices at a generating sequence of the
+group: the identity then holds at every element (see ``_solution_space``).
+Every elimination runs in ``fp_linalg``, whose blocked kernel and
+``matmul_mod`` use exact float64 BLAS products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,7 +29,7 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, is_inner
-from .gmodule import ConjugationModule, GModule
+from .gmodule import ConjugationModule, GModule, restrict_action
 
 DEFAULT_H2_ORDER_CAP = 64
 SLICE_ROWS = 64  # identity rows the first slice operator is applied to at once
@@ -131,6 +141,58 @@ def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
     return R[: len(piv)]
 
 
+def coboundary(m: GModule, cochains: np.ndarray, last: Optional[int] = None) -> np.ndarray:
+    """d of a stack of n-cochains, shape (r,) + (|G|,)*n + (dim,) with n <= 2.
+
+    For n-cochains f the sum runs f(g_1..g_n).g_{n+1}, then
+    (-1)^(n-i) f(.., g_i g_{i+1}, ..) for i = 1..n, then
+    (-1)^(n+1) f(g_2..g_{n+1}).  The result has one more group axis; with
+    ``last`` given the new last argument is fixed to it instead, and the
+    result (a slice of d) has the shape of the input.
+    """
+    c = np.asarray(cochains, dtype=np.int64)
+    n, q, mul = c.ndim - 2, m.group.order, m.group.mul
+    if last is None:
+        args = list(np.indices((q,) * (n + 1)))
+        out = np.einsum("r...d,kde->r...ke", c, m.act)
+    else:
+        args = list(np.indices((q,) * n)) + [np.full((q,) * n, last)]
+        out = c @ m.act[last]
+    flat = c.reshape(len(c), q**n, m.dim)
+
+    def at(gs):  # the cochains at arguments gs (n index arrays), one gather
+        index = sum((g * q ** (n - 1 - j) for j, g in enumerate(gs)), np.zeros_like(args[0]))
+        return np.take(flat, index, axis=1)
+
+    for i in range(n):
+        out += (-1) ** (n - i) * at(args[:i] + [mul[args[i], args[i + 1]]] + args[i + 2 :])
+    out -= (-1) ** n * at(args[1:])
+    return out % m.p
+
+
+def _tables(rows: np.ndarray, q: int, dim: int, degree: int) -> np.ndarray:
+    """Cochain tables from the solver's flattened unknowns (see ``_rows``)."""
+    if degree == 1:
+        return rows.reshape(len(rows), q, dim)
+    tables = np.zeros((len(rows), q, q, dim), dtype=np.int64)
+    tables[:, 1:, 1:] = rows.reshape(len(rows), q - 1, q - 1, dim)
+    return tables
+
+
+def _rows(tables: np.ndarray, degree: int) -> np.ndarray:
+    """The solver's unknowns of cochain tables: every value in degree 1, the
+    values at non-identity arguments in degree 2 (normalized cochains)."""
+    kept = tables if degree == 1 else tables[:, 1:, 1:]
+    return kept.reshape(len(kept), math.prod(kept.shape[1:]))
+
+
+def unit_cochains(q: int, dim: int, n: int) -> np.ndarray:
+    """The unit n-cochains (n <= 1) whose coboundaries span B^(n+1):
+    every unit vector for n = 0, the normalized ones (sigma(1) = 0) for n = 1."""
+    units = np.eye(q**n * dim, dtype=np.int64).reshape((-1,) + (q,) * n + (dim,))
+    return units[n * dim :]
+
+
 def cohomology(
     g: GroupTable,
     m: GModule,
@@ -140,119 +202,31 @@ def cohomology(
 ) -> CohomologySpace:
     if m.group is not g and m.group.order != g.order:
         raise CohomologyError("module is not over this group")
-    if degree == 1:
-        return _h1(g, m, want_reps)
-    if degree == 2:
-        if g.order > h2_order_cap:
-            raise CohomologyError(f"cap exceeded: degree-2 limited to order {h2_order_cap}")
-        return _h2(g, m, want_reps)
-    raise CohomologyError("degree must be 1 or 2")
-
-
-def _h1(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
+    if degree not in (1, 2):
+        raise CohomologyError("degree must be 1 or 2")
+    if degree == 2 and g.order > h2_order_cap:
+        raise CohomologyError(f"cap exceeded: degree-2 limited to order {h2_order_cap}")
     q, d, p = g.order, m.dim, m.p
-    mul, act = g.mul, m.act
-
-    def make_slice(h):
-        def apply_slice(S):
-            r = S.shape[0]
-            S3 = S.reshape(r, q, d)
-            term1 = S3[:, mul[:, h], :]
-            term2 = np.einsum("rgd,de->rge", S3, act[h]) % p
-            term3 = S3[:, h, :][:, None, :]
-            return ((term1 - term2 - term3) % p).reshape(r, q * d)
-
-        return apply_slice
-
-    Z = _solution_space(q * d, [make_slice(h) for h in g.generating_sequence() or [0]], p)
-
-    # Coboundaries: tau_v(g) = v.act(g) - v for basis vectors v.
-    b_rows = np.zeros((d, q * d), dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)
-    for i in range(d):
-        tab = (act[:, i, :] - eye[i][None, :]) % p
-        b_rows[i] = tab.reshape(-1)
-    B, bpiv = fl.rref_array(b_rows, p)
-    B = B[: len(bpiv)]
-
-    reps_rows = fl.complement_reps(B, Z, p) if want_reps else np.zeros((0, q * d), dtype=np.int64)
-    reps = [Derivation(g, m, row.reshape(q, d)) for row in reps_rows]
-    return CohomologySpace(1, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
-
-
-def _h2(g: GroupTable, m: GModule, want_reps: bool) -> CohomologySpace:
-    q, d, p = g.order, m.dim, m.p
-    mul, act = g.mul, m.act
-    nun = (q - 1) * (q - 1) * d
 
     def make_slice(k):
-        def apply_slice(S):
-            r = S.shape[0]
-            S4 = S.reshape(r, q - 1, q - 1, d)
-            # term1: f(g,h).act(k)
-            term1 = np.einsum("rghd,de->rghe", S4, act[k]) % p
-            # term2: f(gh, k); zero when gh == 1
-            prod = mul[1:, 1:]  # gh for g,h >= 1
-            mask = prod != 0
-            term2 = np.zeros((r, q - 1, q - 1, d), dtype=np.int64)
-            gh_idx = np.where(mask, prod - 1, 0)
-            term2[:, mask] = S4[:, gh_idx[mask], k - 1, :]
-            # term3: f(h, k) independent of g
-            term3 = np.broadcast_to(S4[:, :, k - 1, :][:, None, :, :], term1.shape)
-            # term4: f(g, hk); zero when hk == 1
-            hk = mul[1:, k]
-            mask4 = hk != 0
-            term4 = np.zeros_like(term2)
-            hk_idx = np.where(mask4, hk - 1, 0)
-            term4[:, :, mask4, :] = S4[:, :, hk_idx[mask4], :]
-            return ((term1 + term2 - term3 - term4) % p).reshape(r, -1)
+        return lambda S: _rows(coboundary(m, _tables(S, q, d, degree), last=k), degree)
 
-        return apply_slice
-
-    slices = [make_slice(k) for k in g.generating_sequence()]
-    Z = _solution_space(nun, slices, p)
-
-    # Coboundaries of normalized 1-cochains: dsigma(g,h) = s(g).act(h) + s(h) - s(gh).
-    b_rows = []
-    eye = np.eye(d, dtype=np.int64)
-    for gg in range(1, q):
-        for i in range(d):
-            # sigma = e_i at position gg, zero elsewhere.
-            tab = np.zeros((q - 1, q - 1, d), dtype=np.int64)
-            tab[gg - 1] = (tab[gg - 1] + act[1:, i, :]) % p  # s(g).act(h) at g == gg
-            tab[:, gg - 1] = (tab[:, gg - 1] + eye[i]) % p  # s(h) at h == gg
-            ghmask = mul[1:, 1:] == gg
-            tab[ghmask] = (tab[ghmask] - eye[i]) % p  # -s(gh)
-            b_rows.append(tab.reshape(-1))
-    B_all = np.array(b_rows, dtype=np.int64) if b_rows else np.zeros((0, nun), dtype=np.int64)
-    B, bpiv = fl.rref_array(B_all, p)
+    unknowns = (q if degree == 1 else q - 1) ** degree * d
+    Z = _solution_space(unknowns, [make_slice(k) for k in g.generating_sequence() or [0]], p)
+    B, bpiv = fl.rref_array(_rows(coboundary(m, unit_cochains(q, d, degree - 1)), degree), p)
     B = B[: len(bpiv)]
-
-    reps_rows = fl.complement_reps(B, Z, p) if want_reps else np.zeros((0, nun), dtype=np.int64)
-    reps = []
-    for row in reps_rows:
-        tab = np.zeros((q, q, d), dtype=np.int64)
-        tab[1:, 1:] = row.reshape(q - 1, q - 1, d)
-        reps.append(TwoCocycle(g, m, tab))
-    return CohomologySpace(2, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
-
-
-def coboundary_derivation(g: GroupTable, m: GModule, v: np.ndarray) -> Derivation:
-    v = fl.as_residues(v, m.p).reshape(m.dim)
-    tab = (np.einsum("d,gde->ge", v, m.act) - v[None, :]) % m.p
-    return Derivation(g, m, tab)
+    reps_rows = fl.complement_reps(B, Z, p) if want_reps else np.zeros((0, unknowns), dtype=np.int64)
+    rep_type = Derivation if degree == 1 else TwoCocycle
+    reps = [rep_type(g, m, tab) for tab in _tables(reps_rows, q, d, degree)]
+    return CohomologySpace(degree, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
 
 
 def two_coboundary(g: GroupTable, m: GModule, sigma: np.ndarray) -> TwoCocycle:
     """Coboundary of a normalized 1-cochain sigma (shape (order, dim))."""
-    sigma = fl.as_residues(sigma, m.p).reshape(g.order, m.dim)
-    if sigma[0].any():
+    sigma = fl.as_residues(sigma, m.p).reshape(1, g.order, m.dim)
+    if sigma[0, 0].any():
         raise CohomologyError("sigma must be normalized")
-    q, d, p = g.order, m.dim, m.p
-    tab = (
-        np.einsum("gd,hde->ghe", sigma, m.act) + sigma[None, :, :] - sigma[g.mul]
-    ) % p
-    return TwoCocycle(g, m, tab)
+    return TwoCocycle(g, m, coboundary(m, sigma)[0])
 
 
 def zero_two_cocycle(g: GroupTable, m: GModule) -> TwoCocycle:
@@ -343,29 +317,16 @@ def inflated_z1_rows(
     src_space: CohomologySpace, along: GroupMap
 ) -> np.ndarray:
     """Rows of Z^1(coarse) written as flattened tables over the finer quotient."""
-    qf = along.source.order
-    d = src_space.module.dim
-    rows = np.zeros((src_space.z_basis.shape[0], qf * d), dtype=np.int64)
-    for i, flat in enumerate(src_space.z_basis):
-        tab = flat.reshape(src_space.group.order, d)
-        rows[i] = tab[along.image_of].reshape(-1)
-    return rows
+    z, d = src_space.z_basis, src_space.module.dim
+    tables = z.reshape(len(z), src_space.group.order, d)[:, along.image_of]
+    return tables.reshape(len(z), along.source.order * d)
 
 
 # -- the span probe -------------------------------------------------------------
 
 
-def restricted_module(fb, carrier, side: str = "right"):
-    """Abstract module on a free-bimodule submodule carrier."""
-    from .gmodule import restrict_action
-
-    mod = fb.as_gmodule(side)
-    sub, basis = restrict_action(mod, carrier)
-    return sub, basis
-
-
 def h1_dim_of_submodule(fb, carrier, side: str = "right") -> int:
-    sub, _ = restricted_module(fb, carrier, side)
+    sub, _ = restrict_action(fb.as_gmodule(side), carrier)
     return cohomology(sub.group, sub, 1, want_reps=False).h_dim
 
 

@@ -17,14 +17,13 @@ the canonical section times the kernel norm element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import fp_linalg as fl
 from .fp_linalg import FpSubspace
-from .cohomology import TwoCocycle
+from .cohomology import TwoCocycle, coboundary, unit_cochains
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -116,30 +115,10 @@ def equivalence_map(
 ) -> Optional[GroupMap]:
     """Isomorphism ext(f) -> ext(f2), (a, g) -> (a + sigma(g), g), when
     f - f2 is the coboundary of some normalized sigma; None otherwise."""
-    m = f.module
-    q = f.group.order
-    d = m.dim
-    p = m.p
-    diff = (f.table - f2.table) % p
-    # Solve dsigma = diff over unknowns sigma(g), g != 1:
-    # s(g)A_h + s(h) - s(gh) = diff[g,h] for every pair.
-    nun = (q - 1) * d
-    eqs = []
-    rhs_rows = []
-    for gg, hh in iproduct(range(q), range(q)):
-        block = np.zeros((d, nun), dtype=np.int64)
-        if gg != 0:
-            block[:, (gg - 1) * d : gg * d] += m.act[hh].T % p
-        if hh != 0:
-            block[:, (hh - 1) * d : hh * d] += np.eye(d, dtype=np.int64)
-        gh = int(f.group.mul[gg, hh])
-        if gh != 0:
-            block[:, (gh - 1) * d : gh * d] -= np.eye(d, dtype=np.int64)
-        eqs.append(block % p)
-        rhs_rows.append(diff[gg, hh] % p)
-    A = np.vstack(eqs)
-    b = np.concatenate(rhs_rows)
-    sol = fl.solve_array(A, b, p)
+    m, q, d, p = f.module, f.group.order, f.module.dim, f.module.p
+    units = unit_cochains(q, d, 1)  # sigma(g)_i = 1 for one g != 1 and one i
+    diff = (f.table - f2.table).reshape(-1)
+    sol = fl.solve_left(coboundary(m, units).reshape(len(units), -1), diff, p)
     if sol is None:
         return None
     sigma = np.zeros((q, d), dtype=np.int64)

@@ -37,6 +37,9 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["extend", "--group", "C2", "--kernel", "x"]) == 1
     assert main(["extend", "--group", "C2", "--kernel", "5,1"]) == 1
     assert main(["extend", "--group", "D16", "--kernel", "9"]) == 1  # order 8192 > cap
+    for cap in ("0", "-3", "x"):
+        assert main(["h2", "--group", "C4", "--h2-cap", cap]) == 1
+    assert main(["--order-cap", "-5", "group", "info", "C4"]) == 1
     not_json = tmp_path / "not.json"
     not_json.write_text("this is not json")
     wrong_shape = tmp_path / "shape.json"
@@ -133,6 +136,13 @@ def test_order_cap_refuses_catalog_groups(capsys):
     assert main(["--order-cap", "8", "group", "info", "D16"]) == 2
     assert "order cap: 16 > 8" in capsys.readouterr().err
     assert main(["--order-cap", "16", "group", "info", "D16"]) == 0
+
+
+def test_h2_cap_is_a_refusal_not_an_infrastructure_error(capsys):
+    for argv in (["h2", "--group", "C81"], ["extend", "--group", "C81", "--kernel", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cap exceeded") and "infrastructure error" not in err
 
 
 def test_paper_mode_diagnostic(tmp_path, capsys):

@@ -9,7 +9,7 @@ from pgv.cohomology import (
     Derivation,
     TwoCocycle,
     brute_force_z1,
-    coboundary_derivation,
+    coboundary,
     cohomology,
     conjugation_derivation,
     derivation_span_noninner_probe,
@@ -363,6 +363,46 @@ def test_generator_slices_give_every_slice_z2():
             assert_z_matches_all_slices(conj.group, conj, 2)
         if e.order <= 8:
             assert_z_matches_all_slices(g, regular_module(g), 2)
+
+
+# -- the coboundary operator against the elementwise oracles --------------------
+
+
+def small_modules():
+    """trivial:1, trivial:2 and the conjugation module of every catalog group
+    of order <= 16."""
+    for e in builtin_catalog():
+        if e.order <= 16:
+            g = e.group()
+            yield from (trivial_module(g, 1), trivial_module(g, 2), conjugation_module(g))
+
+
+def test_coboundary_slices_match_elementwise_oracles():
+    for m in small_modules():
+        g, q, d, p = m.group, m.group.order, m.dim, m.p
+        units1 = np.eye(q * d, dtype=np.int64).reshape(q * d, q, d)
+        n = (q - 1) ** 2 * d
+        units2 = np.zeros((n, q, q, d), dtype=np.int64)
+        units2[:, 1:, 1:] = np.eye(n, dtype=np.int64).reshape(n, q - 1, q - 1, d)
+        for k in range(q):
+            d1 = coboundary(m, units1, last=k).reshape(q * d, q * d)
+            assert np.array_equal(d1, -h1_slice(g, m, k) % p), (g.name, m.name, k)
+            if k:
+                d2 = coboundary(m, units2, last=k)
+                assert not d2[:, 0].any() and not d2[:, :, 0].any()
+                assert np.array_equal(d2[:, 1:, 1:].reshape(n, n), h2_slice(g, m, k)), (g.name, m.name, k)
+
+
+def test_coboundary_squares_to_zero():
+    rng = np.random.default_rng(0)
+    for m in small_modules():
+        q, d, p = m.group.order, m.dim, m.p
+        v = rng.integers(0, p, size=(3, d))
+        tau = rng.integers(0, p, size=(3, q, d))
+        assert coboundary(m, v).shape == (3, q, d)
+        assert not coboundary(m, coboundary(m, v)).any()
+        assert coboundary(m, tau).shape == (3, q, q, d)
+        assert not coboundary(m, coboundary(m, tau)).any()
 
 
 def test_trivial_group_h1_pins_tau_at_the_identity():

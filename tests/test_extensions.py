@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pgv.catalog import builtin_catalog
 from pgv.cohomology import TwoCocycle, cohomology, two_coboundary, zero_two_cocycle
 from pgv.extensions import (
     ExtensionError,
@@ -96,6 +97,28 @@ def test_equivalence_absent_for_distinct_classes():
     g, m, f = carry_cocycle(2)
     ext = build_extension(g, m, f)
     assert equivalence_map(ext, f, zero_two_cocycle(g, m)) is None
+
+
+def test_equivalence_map_on_small_catalog_groups():
+    # f -> f + d(sigma) has an equivalence; f -> 0 has none when [f] != 0.
+    # The trivial:2 cocycle pairs two trivial:1 classes, one per coordinate.
+    rng = np.random.default_rng(5)
+    for e in builtin_catalog():
+        if e.order > 16:
+            continue
+        g = e.group()
+        reps = [r.table for r in cohomology(g, trivial_module(g, 1), 2).h_reps]
+        assert reps, e.name
+        for dim in (1, 2):
+            m = trivial_module(g, dim)
+            f = TwoCocycle(g, m, np.concatenate([reps[0], reps[-1]][:dim], axis=2))
+            ext = build_extension(g, m, f)
+            sigma = rng.integers(0, g.p, size=(g.order, dim))
+            sigma[0] = 0
+            f2 = TwoCocycle(g, m, f.table + two_coboundary(g, m, sigma).table)
+            fmap = equivalence_map(ext, f, f2)
+            assert fmap is not None and fmap.is_homomorphism() and fmap.is_bijective(), (e.name, dim)
+            assert equivalence_map(ext, f, zero_two_cocycle(g, m)) is None, (e.name, dim)
 
 
 def nontrivial_cocycle(g, m):
