@@ -15,6 +15,7 @@ configuration into ``_sweep``.  ``register`` alone turns the outcome into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .catalog import CatalogEntry, CatalogError, builtin_catalog, find_entry
 from .cohomology import (
     TwoCocycle,
     cohomology,
+    conjugation_h1,
     derivation_to_automorphism,
     h1_dim_of_submodule,
     inflate_module,
@@ -46,7 +48,9 @@ from .group_core import (
     Subgroup,
     center,
     centralizer,
+    elementary_abelian_normals,
     frattini,
+    is_cyclic_quotient,
     is_isomorphic,
     iset,
     map_order,
@@ -71,7 +75,6 @@ from .gmodule import (
     free_submodule_closure,
     generated_submodule,
     minimal_generators,
-    module_from_conjugation,
     quotient_module,
     radical,
     random_right_submodule,
@@ -81,15 +84,16 @@ from .gmodule import (
     trivial_module,
 )
 from .noninner import (
+    Certificate,
     NoninnerError,
-    _is_cyclic_quotient,
-    _try_config,
+    SpecialReport,
     brute_force_order_p_noninner,
     engine_sweep,
     excess_h1_probe,
     find_special_subgroups,
-    probe_hypotheses,
+    probe_configuration,
     subgroup_rank,
+    try_config,
     verify_certificate,
 )
 
@@ -992,9 +996,7 @@ def check_io(inst):
     details: Dict[str, object] = {}
     # Structure claim: a 2-group with a unique normal elementary abelian
     # subgroup should be dihedral or quaternion; findings are reported.
-    from .noninner import _elementary_abelian_normals
-
-    el_ab = _elementary_abelian_normals(g)
+    el_ab = elementary_abelian_normals(g)
     details["normal_elementary_abelian_count"] = len(el_ab)
     if g.is_abelian():
         raise Skip("abelian input", **details)
@@ -1245,11 +1247,10 @@ def check_lp(inst):
                 if x.contains_subgroup(w) and n.contains_subgroup(x)
             ]
             for n1 in candidates:
-                try:
-                    cm = module_from_conjugation(g, n1, w)
-                except ModuleError:
+                got = conjugation_h1(g, n1, w)
+                if got is None:
                     continue
-                sp = cohomology(cm.module.group, cm.module, 1)
+                cm, sp = got
                 for rep in sp.h_reps[:2]:
                     if rep.is_zero():
                         continue
@@ -1309,30 +1310,81 @@ def check_ij(inst):
     return ok, dict(details, p=g.p)
 
 
+# -- section-5 statements -----------------------------------------------------------
+
+
+def _special_reports(g: GroupTable) -> List[SpecialReport]:
+    """The special-subgroup reports of every normal N inside Phi(G)."""
+    try:
+        return find_special_subgroups(g)
+    except NoninnerError:
+        return []
+
+
+def _special_instances(g: GroupTable) -> List[SpecialReport]:
+    return [r for r in _special_reports(g) if r.special]
+
+
+class _Sweep:
+    """engine_sweep(g) and the special subgroups of g for one check
+    instance, each computed on first use and at most once."""
+
+    def __init__(self, g: GroupTable):
+        self.g = g
+
+    @cached_property
+    def certificate(self) -> Optional[Certificate]:
+        return engine_sweep(self.g)
+
+    @cached_property
+    def specials(self) -> List[SpecialReport]:
+        return _special_instances(self.g)
+
+
+def _h1_dim(g: GroupTable, n1: Subgroup, w: Subgroup) -> Optional[int]:
+    """dim H^1(G/N1, W) of the conjugation module, or None without one."""
+    got = conjugation_h1(g, n1, w, want_reps=False)
+    return None if got is None else got[1].h_dim
+
+
+def _all_inner(g: GroupTable, n1: Subgroup, w: Subgroup) -> Tuple[bool, int]:
+    """(gate, dim H^1): the gate holds when W is a G/N1-module by conjugation
+    and every derivation class induces an inner map."""
+    _, evidence = try_config(g, n1, w, "paper", "all_inner")
+    if evidence is None:
+        return False, 0
+    return evidence["all_inner"], evidence["h1_dim"]
+
+
+def _inner_special_layers(g: GroupTable, specials: List[SpecialReport]):
+    """(rep, W, dim H^1(G/N, W)) for every special N with W = Omega_1(Z(N))
+    != 1 whose induced maps are all inner."""
+    for rep in specials:
+        w = omega1(g, subgroup_center(g, rep.subgroup))
+        if w.order == 1:
+            continue
+        gate, h1 = _all_inner(g, rep.subgroup, w)
+        if gate:
+            yield rep, w, h1
+
+
 @register("ddd_iso", "inner derivation classes match the p-th power set", _gen_special)
 def check_ddd(inst):
     g = _group(inst)
 
     def trials():
-        for n in normal_subgroups(g):
-            ok, reason, data = probe_hypotheses(g, n)
-            if not ok:
-                continue
-            a = Subgroup(g, data["a_members"])
-            w = Subgroup(g, data["w_members"])
+        for rep in _special_instances(g):
+            n = rep.subgroup
+            a, w = probe_configuration(g, rep)
             if w.order == 1:
                 continue
-            gate, sp = _all_inner(g, a, w)
+            gate, lhs = _all_inner(g, a, w)
             if not gate:
                 continue
-            c = centralizer(g, n)
-            isc = iset(g, c)
             zw = set_product(g, center(g), omega1(g, n))
-            lhs = sp.h_dim
-            rhs_size = isc.size // zw.order
+            rhs_size = rep.witness["iset_size"] // zw.order
             k = _ceil_log(g.p, rhs_size)
-            isn = iset(g, n)
-            rhs_n_size = isn.size // zw.order
+            rhs_n_size = iset(g, n).size // zw.order
             yield g.p**k == rhs_size and lhs == k, {
                 "h1_dim": int(lhs),
                 "iset_centralizer_ratio": int(rhs_size),
@@ -1347,8 +1399,8 @@ def check_thm55(inst):
     g = _group(inst)
 
     def trials():
-        for n in normal_subgroups(g):
-            out = excess_h1_probe(g, n)
+        for rep in _special_instances(g):
+            out = excess_h1_probe(g, rep)
             if out.status == "certificate":
                 ok, _ = verify_certificate(g, out.certificate)
                 yield ok, {"reason": "certificate failed"}
@@ -1356,43 +1408,6 @@ def check_thm55(inst):
                 yield False, dict(out.diagnostic.details)
 
     return _sweep(trials(), none="H1 bound never met", count="certificates")
-
-
-# -- section-5 statements -----------------------------------------------------------
-
-
-def _special_instances(g: GroupTable):
-    try:
-        reports = find_special_subgroups(g)
-    except NoninnerError:
-        return []
-    return [r for r in reports if r.special]
-
-
-def _all_inner(g: GroupTable, n: Subgroup, w: Subgroup):
-    """(gate, H^1 space): the gate holds when the conjugation module of N on W
-    exists and every derivation class induces an inner map."""
-    try:
-        cm = module_from_conjugation(g, n, w)
-    except ModuleError:
-        return False, None
-    sp = cohomology(cm.module.group, cm.module, 1)
-    from .cohomology import derivation_span_noninner_probe
-
-    res = derivation_span_noninner_probe(g, cm, sp)
-    return (not res.found), sp
-
-
-def _inner_special_layers(g: GroupTable):
-    """(rep, W, H^1 space) for every special N with W = Omega_1(Z(N)) != 1
-    whose induced maps are all inner."""
-    for rep in _special_instances(g):
-        w = omega1(g, subgroup_center(g, rep.subgroup))
-        if w.order == 1:
-            continue
-        gate, sp = _all_inner(g, rep.subgroup, w)
-        if gate:
-            yield rep, w, sp
 
 
 def _centralized_part(g: GroupTable, w: Subgroup, a: Subgroup) -> Subgroup:
@@ -1415,7 +1430,7 @@ def check_ty(inst):
             w = omega1(g, subgroup_center(g, n))
             if w.order == 1:
                 continue
-            cert, evidence = _try_config(
+            cert, evidence = try_config(
                 g, n, w, "paper", "ty", {"n_members": [int(x) for x in n.members]},
                 complement_of=a,
             )
@@ -1433,13 +1448,10 @@ def check_j(inst):
     normals = normal_subgroups(g)
 
     def trials():
-        for a in normals:
-            c = centralizer(g, a)
-            isc = iset(g, c)
-            if not bool(a.bitmap[isc.members].all()):
+        for rep in _special_reports(g):
+            if not rep.checks["iset_inside"]:
                 continue
-            if not phi.contains_subgroup(a):
-                continue
+            a = rep.subgroup
             for a1 in normals:
                 if a1.order != a.order * g.p or not a1.contains_subgroup(a):
                     continue
@@ -1449,14 +1461,8 @@ def check_j(inst):
                 w = omega1(g, za1)
                 if w.order == 1:
                     continue
-                try:
-                    cm1 = module_from_conjugation(g, a1, w)
-                    cm0 = module_from_conjugation(g, a, w)
-                except ModuleError:
-                    continue
-                h1_a1 = cohomology(cm1.module.group, cm1.module, 1, want_reps=False).h_dim
-                h1_a = cohomology(cm0.module.group, cm0.module, 1, want_reps=False).h_dim
-                if h1_a1 != h1_a:
+                h1_a1 = _h1_dim(g, a1, w)
+                if h1_a1 is None or h1_a1 != _h1_dim(g, a, w):
                     continue
                 yield phi.contains_subgroup(a1), {"a_order": int(a.order), "a1_order": int(a1.order)}
 
@@ -1475,12 +1481,7 @@ def check_l32(inst):
             w = omega1(g, subgroup_center(g, n))
             if w.order == 1:
                 continue
-            try:
-                cm = module_from_conjugation(g, n, w)
-            except ModuleError:
-                continue
-            h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
-            if h1 != 0:
+            if _h1_dim(g, n, w) != 0:
                 continue
             yield w.order != n.order, {"n_order": int(n.order), "w_order": int(w.order)}
 
@@ -1493,21 +1494,20 @@ def check_xi(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, _ in _inner_special_layers(g):
+        for rep, w, _ in _inner_special_layers(g, _special_instances(g)):
             for a in normal_subgroups(g):
                 if not a.contains_subgroup(rep.subgroup) or a.order == g.order:
                     continue
                 cw = _centralized_part(g, w, a)
                 if cw.order == 1:
                     continue
-                try:
-                    cm = module_from_conjugation(g, a, cw)
-                except ModuleError:
+                got = conjugation_h1(g, a, cw, want_reps=False)
+                if got is None:
                     continue
-                h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
+                cm, sp = got
                 fixed_dim = fixed_points(cm.module).dim
-                ok = h1 <= n_val and fixed_dim == n_val
-                yield ok, {"h1": int(h1), "n": int(n_val), "fixed_dim": int(fixed_dim)}
+                ok = sp.h_dim <= n_val and fixed_dim == n_val
+                yield ok, {"h1": int(sp.h_dim), "n": int(n_val), "fixed_dim": int(fixed_dim)}
 
     return _sweep(trials())
 
@@ -1517,19 +1517,15 @@ def check_yu(inst):
     g = _group(inst)
 
     def trials():
-        for rep, w, sp_n in _inner_special_layers(g):
+        for rep, w, h1_n in _inner_special_layers(g, _special_instances(g)):
             normals = [a for a in normal_subgroups(g) if a.contains_subgroup(rep.subgroup)]
             parts = [_centralized_part(g, w, a) for a in normals]
             for a2, cw2 in zip(normals, parts):
                 for a1, cw1 in zip(normals, parts):
                     if a1.order <= a2.order or cw1.order == 1:
                         continue
-                    try:
-                        cm = module_from_conjugation(g, a2, cw1)
-                    except ModuleError:
-                        continue
-                    h1 = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
-                    if h1 < sp_n.h_dim + 1:
+                    h1 = _h1_dim(g, a2, cw1)
+                    if h1 is None or h1 < h1_n + 1:
                         continue
                     yield cw1.order < cw2.order, {"cw1": int(cw1.order), "cw2": int(cw2.order), "h1": int(h1)}
 
@@ -1541,29 +1537,24 @@ def check_hh(inst):
     g = _group(inst)
     phi = frattini(g)
     n_val = subgroup_rank(g, center(g))
+    sweep = _Sweep(g)
 
     def trials():
         for n in normal_subgroups(g, within=phi):
-            c = centralizer(g, n)
-            if not n.contains_subgroup(c):
+            if not _self_centralizing(g, n):
                 continue
             w = omega1(g, subgroup_center(g, n))
             if w.order == 1:
                 continue
-            try:
-                cm = module_from_conjugation(g, n, w)
-            except ModuleError:
+            m = _h1_dim(g, n, w)
+            if m is None or m >= n_val:
                 continue
-            m = cohomology(cm.module.group, cm.module, 1, want_reps=False).h_dim
-            if m >= n_val:
-                continue
-            cert = engine_sweep(g)
             smaller = any(
                 centralizer(g, n1).order <= n1.order and n1.order < n.order
                 for n1 in normal_subgroups(g)
                 if n.contains_subgroup(n1)
             )
-            yield cert is not None or smaller, {"m": int(m), "n": int(n_val)}
+            yield sweep.certificate is not None or smaller, {"m": int(m), "n": int(n_val)}
 
     return _sweep(trials())
 
@@ -1574,8 +1565,8 @@ def check_ll(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, sp in _inner_special_layers(g):
-            if sp.h_dim != n_val:
+        for rep, w, h1 in _inner_special_layers(g, _special_instances(g)):
+            if h1 != n_val:
                 continue
             wz = set_product(g, w, center(g))
             for n1 in normal_subgroups(g):
@@ -1583,7 +1574,7 @@ def check_ll(inst):
                     continue
                 cn1 = centralizer(g, n1)
                 top = set_product(g, cn1, rep.subgroup)
-                ok = _is_cyclic_quotient(g, top, rep.subgroup)
+                ok = is_cyclic_quotient(g, top, rep.subgroup)
                 yield ok, {"n1_order": int(n1.order), "top_order": int(top.order)}
 
     return _sweep(trials())
@@ -1592,20 +1583,13 @@ def check_ll(inst):
 @register("qp", "a centralizer escaping Frattini yields a non-inner map", _gen_special)
 def check_qp(inst):
     g = _group(inst)
-    phi = frattini(g)
+    sweep = _Sweep(g)
 
     def trials():
-        for n in normal_subgroups(g):
-            if not phi.contains_subgroup(n):
+        for rep in _special_reports(g):
+            if not rep.checks["iset_inside"] or rep.checks["product_inside_frattini"]:
                 continue
-            c = centralizer(g, n)
-            isc = iset(g, c)
-            if not bool(n.bitmap[isc.members].all()):
-                continue
-            nc = set_product(g, n, c)
-            if phi.contains_subgroup(nc):
-                continue
-            yield engine_sweep(g) is not None, {"n_order": int(n.order)}
+            yield sweep.certificate is not None, {"n_order": int(rep.subgroup.order)}
 
     return _sweep(trials())
 
@@ -1616,8 +1600,8 @@ def check_kl(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, sp in _inner_special_layers(g):
-            if sp.h_dim != n_val:
+        for rep, w, h1 in _inner_special_layers(g, _special_instances(g)):
+            if h1 != n_val:
                 continue
             n = rep.subgroup
             wz = set_product(g, w, center(g))
@@ -1633,16 +1617,14 @@ def check_kl(inst):
     return _sweep(trials())
 
 
-def _trichotomy(g: GroupTable, rep) -> Tuple[bool, Dict[str, object]]:
+def _trichotomy(sweep: _Sweep, rep: SpecialReport) -> Outcome:
     """(1) certificate, (2) smaller special, (3) same order, larger I."""
     n = rep.subgroup
-    rep_iset_size = iset(g, rep.centralizer).size
-    cert = engine_sweep(g)
-    specials = _special_instances(g)
-    smaller = any(r.subgroup.order < n.order for r in specials)
+    size = rep.witness["iset_size"]
+    cert = sweep.certificate
+    smaller = any(r.subgroup.order < n.order for r in sweep.specials)
     bigger_i = any(
-        r.subgroup.order == n.order and iset(g, r.centralizer).size > rep_iset_size
-        for r in specials
+        r.subgroup.order == n.order and r.witness["iset_size"] > size for r in sweep.specials
     )
     details = {
         "certificate": cert is not None,
@@ -1652,9 +1634,20 @@ def _trichotomy(g: GroupTable, rep) -> Tuple[bool, Dict[str, object]]:
     return (cert is not None) or smaller or bigger_i, details
 
 
+def _trichotomy_sweep(g: GroupTable, keep=None) -> Outcome:
+    """The trichotomy on the special layers with inner induced maps that
+    ``keep(rep, w, h1_dim)`` selects; without ``keep``, on every special
+    subgroup.  The search sweep runs at most once, at the first layer kept."""
+    sweep = _Sweep(g)
+    if keep is None:
+        return _sweep((_trichotomy(sweep, rep) for rep in sweep.specials), none="no special subgroup")
+    layers = _inner_special_layers(g, sweep.specials)
+    return _sweep(_trichotomy(sweep, rep) for rep, w, h1 in layers if keep(rep, w, h1))
+
+
 def _cyclic_layer(g: GroupTable, n: Subgroup, w: Subgroup) -> bool:
     """Is N/(W·Z(G)) cyclic?"""
-    return _is_cyclic_quotient(g, n, set_product(g, w, center(g)))
+    return is_cyclic_quotient(g, n, set_product(g, w, center(g)))
 
 
 def _self_centralizing(g: GroupTable, n: Subgroup) -> bool:
@@ -1668,17 +1661,16 @@ def _noncyclic_double_layer(g: GroupTable, n: Subgroup) -> bool:
     return (
         n.contains_subgroup(wz)
         and n.order == wz.order * g.p**2
-        and not _is_cyclic_quotient(g, n, wz)
+        and not is_cyclic_quotient(g, n, wz)
     )
 
 
 @register("xx", "trichotomy for non-cyclic layers", _gen_special)
 def check_xx(inst):
     g = _group(inst)
-    return _sweep(
-        _trichotomy(g, rep)
-        for rep, w, sp in _inner_special_layers(g)
-        if sp.h_dim == subgroup_rank(g, center(g)) and not _cyclic_layer(g, rep.subgroup, w)
+    return _trichotomy_sweep(
+        g,
+        lambda rep, w, h1: h1 == subgroup_rank(g, center(g)) and not _cyclic_layer(g, rep.subgroup, w),
     )
 
 
@@ -1687,7 +1679,7 @@ def check_xy(inst):
     g = _group(inst)
 
     def trials():
-        for rep, w, sp_n in _inner_special_layers(g):
+        for rep, w, h1_n in _inner_special_layers(g, _special_instances(g)):
             n = rep.subgroup
             wz = set_product(g, w, center(g))
             zn = subgroup_center(g, n)
@@ -1700,8 +1692,8 @@ def check_xy(inst):
                     continue
                 if set_product(g, zn, n1).order != n.order:
                     continue
-                cert, ev = _try_config(g, n1, w, "paper", "xy", None, complement_of=n)
-                if ev is None or ev["h1_dim"] < sp_n.h_dim + 2:
+                cert, ev = try_config(g, n1, w, "paper", "xy", None, complement_of=n)
+                if ev is None or ev["h1_dim"] < h1_n + 2:
                     continue
                 yield cert is not None, {"evidence": ev}
 
@@ -1711,11 +1703,10 @@ def check_xy(inst):
 @register("t9_2", "layer trichotomy with growing p-th power sets", _gen_special)
 def check_t92(inst):
     g = _group(inst)
-    return _sweep(
-        _trichotomy(g, rep)
-        for rep, _, sp in _inner_special_layers(g)
-        if sp.h_dim == subgroup_rank(g, center(g))
-        and set_product(g, rep.subgroup, rep.centralizer).order == rep.subgroup.order
+    return _trichotomy_sweep(
+        g,
+        lambda rep, w, h1: h1 == subgroup_rank(g, center(g))
+        and rep.witness["product_order"] == rep.subgroup.order,
     )
 
 
@@ -1724,21 +1715,13 @@ def check_tt(inst):
     """The trichotomy on the special layers whose outer centralizer part is
     trivial, read as C_G(N) <= N (``_self_centralizing``)."""
     g = _group(inst)
-    return _sweep(
-        _trichotomy(g, rep)
-        for rep, _, _ in _inner_special_layers(g)
-        if _self_centralizing(g, rep.subgroup)
-    )
+    return _trichotomy_sweep(g, lambda rep, w, h1: _self_centralizing(g, rep.subgroup))
 
 
 @register("xpl", "trichotomy for cyclic layers", _gen_special)
 def check_xpl(inst):
     g = _group(inst)
-    return _sweep(
-        _trichotomy(g, rep)
-        for rep, w, _ in _inner_special_layers(g)
-        if _cyclic_layer(g, rep.subgroup, w)
-    )
+    return _trichotomy_sweep(g, lambda rep, w, h1: _cyclic_layer(g, rep.subgroup, w))
 
 
 @register("qk", "non-cyclic double layers force a non-inner map", _gen_special)
@@ -1746,17 +1729,12 @@ def check_qk(inst):
     """The trichotomy on the special layers that are non-cyclic double layers,
     read as N/(W·Z(G)) non-cyclic of order p^2 (``_noncyclic_double_layer``)."""
     g = _group(inst)
-    return _sweep(
-        _trichotomy(g, rep)
-        for rep, _, _ in _inner_special_layers(g)
-        if _noncyclic_double_layer(g, rep.subgroup)
-    )
+    return _trichotomy_sweep(g, lambda rep, w, h1: _noncyclic_double_layer(g, rep.subgroup))
 
 
 @register("ui", "the full special-subgroup trichotomy", _gen_special)
 def check_ui(inst):
-    g = _group(inst)
-    return _sweep((_trichotomy(g, rep) for rep in _special_instances(g)), none="no special subgroup")
+    return _trichotomy_sweep(_group(inst))
 
 
 @register("cor18", "every non-abelian p-group here has a certified non-inner map", _gen_special)

@@ -238,7 +238,7 @@ def cmd_check(args) -> int:
         catalog=catalog,
     )
     if args.replay:
-        mismatches = replay_counterexamples(report)
+        mismatches = replay_counterexamples(report, catalog)
         report["replay_mismatches"] = mismatches
     text = report_to_json(report)
     if args.out:

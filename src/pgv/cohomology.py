@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fp_linalg as fl
-from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, is_inner
-from .gmodule import ConjugationModule, GModule, restrict_action
+from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, Subgroup
+from .gmodule import ConjugationModule, GModule, ModuleError, module_from_conjugation, restrict_action
 
 DEFAULT_H2_ORDER_CAP = 64
 SLICE_ROWS = 64  # identity rows the first slice operator is applied to at once
@@ -322,7 +322,7 @@ def inflated_z1_rows(
     return tables.reshape(len(z), along.source.order * d)
 
 
-# -- the span probe -------------------------------------------------------------
+# -- H^1 of submodules and conjugation modules ---------------------------------
 
 
 def h1_dim_of_submodule(fb, carrier, side: str = "right") -> int:
@@ -330,28 +330,13 @@ def h1_dim_of_submodule(fb, carrier, side: str = "right") -> int:
     return cohomology(sub.group, sub, 1, want_reps=False).h_dim
 
 
-@dataclass
-class ProbeResult:
-    found: bool
-    derivation: Optional[Derivation]
-    automorphism: Optional[GroupMap]
-    witnesses: List[Tuple[int, Optional[int]]]  # (rep index, inner witness or None)
-
-
-def derivation_span_noninner_probe(
-    g: GroupTable, cm: ConjugationModule, space: CohomologySpace
-) -> ProbeResult:
-    """Test each H^1 representative's induced automorphism for innerness.
-
-    Basis-only testing is complete: tau -> psi_tau turns addition into
-    composition when values lie in the (abelian) kernel subgroup, so the
-    inner-inducing derivations form a subgroup of Z^1 containing B^1.
-    """
-    witnesses: List[Tuple[int, Optional[int]]] = []
-    for i, rep in enumerate(space.h_reps):
-        psi = derivation_to_automorphism(g, cm, rep)
-        w = is_inner(g, psi)
-        witnesses.append((i, w))
-        if w is None:
-            return ProbeResult(True, rep, psi, witnesses)
-    return ProbeResult(False, None, None, witnesses)
+def conjugation_h1(
+    g: GroupTable, n1: Subgroup, w: Subgroup, want_reps: bool = True
+) -> Optional[Tuple[ConjugationModule, CohomologySpace]]:
+    """W as a G/N1-module by conjugation with its H^1, or None when N1 and W
+    do not make a conjugation module (``module_from_conjugation`` refuses)."""
+    try:
+        cm = module_from_conjugation(g, n1, w)
+    except ModuleError:
+        return None
+    return cm, cohomology(cm.module.group, cm.module, 1, want_reps=want_reps)

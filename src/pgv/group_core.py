@@ -596,6 +596,32 @@ def maximal_subgroups(g: GroupTable) -> List[Subgroup]:
     return list(ms)
 
 
+def elementary_abelian_normals(g: GroupTable) -> List[Subgroup]:
+    """The nontrivial normal subgroups that are elementary abelian."""
+    orders = g.element_orders()
+    out = []
+    for n in normal_subgroups(g):
+        if n.order > 1 and bool((orders[n.members] <= g.p).all()):
+            sub = g.mul[np.ix_(n.members, n.members)]
+            if np.array_equal(sub, sub.T):
+                out.append(n)
+    return out
+
+
+def is_cyclic_quotient(g: GroupTable, top: Subgroup, bottom: Subgroup) -> bool:
+    """Is top/bottom cyclic?  bottom must be normal in top."""
+    m = top.order // bottom.order
+    for x in top.members:
+        k = 1
+        y = int(x)
+        while not bottom.contains(y):
+            y = int(g.mul[y, int(x)])
+            k += 1
+        if k == m:
+            return True
+    return m == 1
+
+
 # -- quotients and maps ------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from .cohomology import (
     CohomologySpace,
     CohomologyError,
     Derivation,
-    cohomology,
+    conjugation_h1,
     derivation_to_automorphism,
     inflated_z1_rows,
     quotient_refinement_map,
@@ -36,7 +36,9 @@ from .group_core import (
     Subgroup,
     center,
     centralizer,
+    elementary_abelian_normals,
     frattini,
+    is_cyclic_quotient,
     is_inner,
     iset,
     iter_isomorphisms,
@@ -84,23 +86,11 @@ class SpecialReport:
         return all(self.checks.values())
 
 
-def _is_cyclic_quotient(g: GroupTable, top: Subgroup, bottom: Subgroup) -> bool:
-    """Is top/bottom cyclic?  bottom must be normal in top."""
-    m = top.order // bottom.order
-    for x in top.members:
-        k = 1
-        y = int(x)
-        while not bottom.contains(y):
-            y = int(g.mul[y, int(x)])
-            k += 1
-        if k == m:
-            return True
-    return m == 1
-
-
 def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
     """Evaluate the special-subgroup conditions on every normal subgroup of
-    the Frattini subgroup; reports cover near-misses too."""
+    the Frattini subgroup; reports cover near-misses too.  This is the one
+    place the three conditions are evaluated; reports come in (order, key())
+    order, the order of ``normal_subgroups``."""
     if g.is_abelian():
         raise NoninnerError("abelian: outside the special-subgroup machinery")
     phi = frattini(g)
@@ -108,7 +98,7 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
     for n in normal_subgroups(g, within=phi):
         c = centralizer(g, n)
         zn = subgroup_center(g, n)
-        cyc = _is_cyclic_quotient(g, c, zn)
+        cyc = is_cyclic_quotient(g, c, zn)
         isc = iset(g, c)
         iset_in_n = bool(n.bitmap[isc.members].all())
         nc = set_product(g, n, c)
@@ -215,7 +205,7 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
     lines: List[str] = []
     if cert.fingerprint != g.fingerprint():
         raise NoninnerError("fingerprint mismatch")
-    defect = _map_defect(cert.map, g.order)
+    defect = _index_defect(cert.map, g.order, length=g.order)
     if defect is not None:
         lines.append(f"FAIL map {defect}")
         return False, lines
@@ -241,6 +231,10 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
         return False, lines
     lines.append("non-inner (all center-coset representatives excluded)")
     prov = cert.provenance
+    defect = _provenance_defect(prov, g.order)
+    if defect is not None:
+        lines.append(f"FAIL provenance {defect}")
+        return False, lines
     if "tau_table" in prov:
         try:
             n1 = Subgroup(g, prov["n1_members"])
@@ -257,21 +251,38 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
                 lines.append("FAIL provenance replay mismatch")
                 return False, lines
             lines.append("provenance derivation replayed exactly")
-        except (GroupError, ModuleError, CohomologyError, ValueError) as e:
+        except (GroupError, ModuleError, CohomologyError, TypeError, ValueError) as e:
             lines.append(f"FAIL provenance replay error: {e}")
             return False, lines
     return True, lines
 
 
-def _map_defect(image, order: int) -> Optional[str]:
-    """Why ``image`` is not a list of ``order`` element indices, or None."""
-    if not isinstance(image, list):
-        return f"is a {type(image).__name__}, not a list"
-    if len(image) != order:
-        return f"length {len(image)} != {order}"
-    for i, x in enumerate(image):
+def _index_defect(values, order: int, length: Optional[int] = None) -> Optional[str]:
+    """Why ``values`` is not a list of element indices (``length`` of them
+    when given), or None."""
+    if not isinstance(values, list):
+        return f"is a {type(values).__name__}, not a list"
+    if length is not None and len(values) != length:
+        return f"length {len(values)} != {length}"
+    for i, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < order:
             return f"entry {i} = {x!r} is not an element index in 0..{order - 1}"
+    return None
+
+
+def _provenance_defect(prov, order: int) -> Optional[str]:
+    """Why a provenance is not an object whose derivation can be replayed
+    (the subgroup members and W basis element lists), or None."""
+    if not isinstance(prov, dict):
+        return f"is a {type(prov).__name__}, not an object"
+    if "tau_table" not in prov:
+        return None
+    for key in ("n1_members", "w_members", "w_basis"):
+        if key not in prov:
+            return f"{key} missing"
+        defect = _index_defect(prov[key], order)
+        if defect is not None:
+            return f"{key} {defect}"
     return None
 
 
@@ -285,7 +296,7 @@ def _first_bad_pair(g: GroupTable, image: np.ndarray) -> Tuple[int, int]:
 # -- the engine -------------------------------------------------------------------
 
 
-def _try_config(
+def try_config(
     g: GroupTable,
     n1: Subgroup,
     w: Subgroup,
@@ -296,13 +307,21 @@ def _try_config(
     require_all_h: bool = False,
 ) -> Tuple[Optional[Certificate], Optional[Dict[str, object]]]:
     """Test the induced automorphism of every H^1 representative derivation
-    over the configuration (G/N1, W); returns (certificate, evidence)."""
-    try:
-        cm = module_from_conjugation(g, n1, w)
-    except ModuleError:
+    over the configuration (G/N1, W); returns (certificate, evidence), with
+    evidence None when W is no G/N1-module and ``evidence["all_inner"]``
+    false exactly when a certificate is returned.
+
+    Every induced automorphism of order p is tested for innerness; this is
+    the one loop that does so.  Testing the representatives alone is
+    complete: tau -> psi_tau turns addition into composition when the values
+    lie in the abelian W, so the inner-inducing derivations form a subgroup
+    of Z^1 containing B^1.
+    """
+    got = conjugation_h1(g, n1, w)
+    if got is None:
         return None, None
-    space = cohomology(cm.module.group, cm.module, 1)
-    reps: List[Derivation] = list(space.h_reps)
+    cm, space = got
+    reps = list(space.h_reps)
     if complement_of is not None:
         # Narrow to representatives outside the inflation from G/complement_of.
         reps = _reps_outside_inflation(g, cm, space, complement_of)
@@ -314,7 +333,7 @@ def _try_config(
         "all_inner": True,
         "inner_witnesses": [],
     }
-    candidates: List[Derivation] = list(reps)
+    candidates = reps
     if require_all_h and reps and g.p**space.h_dim <= 64:
         # Every nonzero combination, coefficient tuples in lexicographic order.
         coeffs = fl.vector_codes(len(reps), g.p)[1:, ::-1]
@@ -326,18 +345,16 @@ def _try_config(
         try:
             psi = derivation_to_automorphism(g, cm, tau)
         except GroupError:
-            evidence.setdefault("automorphism_failures", 0)
-            evidence["automorphism_failures"] += 1
+            evidence["automorphism_failures"] = evidence.get("automorphism_failures", 0) + 1
             continue
         if map_order(psi) != g.p:
             continue
         evidence["tested"] += 1
         witness = is_inner(g, psi)
         if witness is None:
-            cert = _certificate_from_derivation(g, cm, tau, psi, mode, tag, extra)
-            return cert, evidence
+            evidence["all_inner"] = False
+            return _certificate_from_derivation(g, cm, tau, psi, mode, tag, extra), evidence
         evidence["inner_witnesses"].append(int(witness))
-    evidence["all_inner"] = True
     return None, evidence
 
 
@@ -349,32 +366,17 @@ def _reps_outside_inflation(
 ) -> List[Derivation]:
     """H^1 representatives extended so derivations outside the inflated
     Z^1(G/coarse, W) appear; falls back to the plain representatives."""
-    try:
-        cm_coarse = module_from_conjugation(g, coarse_kernel, Subgroup(g, cm.w_members))
-    except ModuleError:
+    got = conjugation_h1(g, coarse_kernel, Subgroup(g, cm.w_members), want_reps=False)
+    if got is None:
         return list(space.h_reps)
+    cm_coarse, coarse_space = got
     pi = quotient_refinement_map(cm.quotient_map, cm_coarse.quotient_map)
-    coarse_space = cohomology(cm_coarse.module.group, cm_coarse.module, 1)
     inflated = inflated_z1_rows(coarse_space, pi)
     reps_rows = fl.complement_reps(inflated, space.z_basis, g.p)
     d = cm.module.dim
     return [
         Derivation(cm.module.group, cm.module, row.reshape(-1, d)) for row in reps_rows
     ]
-
-
-def _elementary_abelian_normals(g: GroupTable) -> List[Subgroup]:
-    orders = g.element_orders()
-    out = []
-    for n in normal_subgroups(g):
-        if n.order > 1 and bool((orders[n.members] <= g.p).all()) and _is_abelian_subset(g, n):
-            out.append(n)
-    return out
-
-
-def _is_abelian_subset(g: GroupTable, s: Subgroup) -> bool:
-    sub = g.mul[np.ix_(s.members, s.members)]
-    return bool(np.array_equal(sub, sub.T))
 
 
 def _centralizes(g: GroupTable, bitmaps: np.ndarray, w: Subgroup) -> np.ndarray:
@@ -433,7 +435,7 @@ def _sweep_configs(g: GroupTable) -> List[Config]:
 
     # Stage B: W any elementary abelian normal, N1 any normal supergroup
     # centralizing it.
-    for wsub in _elementary_abelian_normals(g):
+    for wsub in elementary_abelian_normals(g):
         w = index(wsub)
         for n1 in np.flatnonzero(holds[:, w] & _centralizes(g, bitmaps, wsub)):
             push(int(n1), w, "engine_wide")
@@ -457,29 +459,19 @@ def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     if g.is_abelian():
         return None
     for n1, w, tag, extra, all_h in _sweep_configs(g):
-        cert, _ = _try_config(g, n1, w, "search", tag, extra, require_all_h=all_h)
+        cert, _ = try_config(g, n1, w, "search", tag, extra, require_all_h=all_h)
         if cert is not None:
             return cert
 
     # Derivations valued in elementary abelian subgroups cannot reach every
     # group (the bottom extraspecial cases need cyclic value groups), so the
     # sweep closes with the exhaustive oracle where it is affordable.
-    if g.order <= BRUTE_FORCE_LIMIT:
-        bf = brute_force_order_p_noninner(g)
-        if bf.automorphism is not None:
-            f = bf.automorphism
-            return Certificate(
-                g.fingerprint(),
-                g.p,
-                g.order,
-                [int(x) for x in f.image_of],
-                {"mode": "search", "lemma_tag": "brute_force"},
-                [
-                    f"exhaustive automorphism enumeration ({bf.aut_order} maps)",
-                    "first non-inner automorphism of order p selected",
-                ],
-            )
-    return None
+    return _brute_force_certificate(
+        g,
+        "brute_force",
+        "exhaustive automorphism enumeration ({maps} maps)",
+        "first non-inner automorphism of order p selected",
+    )
 
 
 # -- brute force oracle -----------------------------------------------------------
@@ -498,6 +490,23 @@ class BruteForceResult:
 def all_automorphisms(g: GroupTable) -> List[np.ndarray]:
     """Every automorphism, in the order the isomorphism search yields them."""
     return list(iter_isomorphisms(g, g))
+
+
+def _brute_force_certificate(g: GroupTable, tag: str, *transcript: str) -> Optional[Certificate]:
+    """The exhaustive oracle's map as a search certificate, or None when the
+    oracle finds none or the group is past ``BRUTE_FORCE_LIMIT``; ``{maps}``
+    in a transcript line is the number of automorphisms enumerated."""
+    bf = brute_force_order_p_noninner(g)
+    if bf.automorphism is None:
+        return None
+    return Certificate(
+        g.fingerprint(),
+        g.p,
+        g.order,
+        [int(x) for x in bf.automorphism.image_of],
+        {"mode": "search", "lemma_tag": tag},
+        [line.format(maps=bf.aut_order) for line in transcript],
+    )
 
 
 def brute_force_order_p_noninner(g: GroupTable) -> BruteForceResult:
@@ -525,49 +534,28 @@ class ProbeOutcome:
     certificate: Optional[Certificate] = None
     diagnostic: Optional[Diagnostic] = None
     reason: str = ""
-    data: Dict[str, object] = field(default_factory=dict)
 
 
-def probe_hypotheses(g: GroupTable, n: Subgroup) -> Tuple[bool, str, Dict[str, object]]:
-    c = centralizer(g, n)
-    zn = subgroup_center(g, n)
-    if not _is_cyclic_quotient(g, c, zn):
-        return False, "centralizer mod center not cyclic", {}
-    isc = iset(g, c)
-    if not bool(n.bitmap[isc.members].all()):
-        return False, "iset escapes N", {}
-    a = set_product(g, n, c)
-    phi = frattini(g)
-    if not phi.contains_subgroup(a):
-        return False, "N*C_G(N) not inside Frattini", {}
-    w = omega1(g, subgroup_center(g, a))
-    data = {
-        "a_members": _members(a),
-        "w_members": _members(w),
-        "w_inside_n": bool(n.bitmap[w.members].all()),
-        "w_equals_socle_of_zn": w.key() == omega1(g, zn).key(),
-    }
-    return True, "", data
+def probe_configuration(g: GroupTable, rep: SpecialReport) -> Tuple[Subgroup, Subgroup]:
+    """(A, W) of the excess-H^1 probe on N: A = N C_G(N), W = Omega_1(Z(A))."""
+    a = set_product(g, rep.subgroup, rep.centralizer)
+    return a, omega1(g, subgroup_center(g, a))
 
 
-def excess_h1_probe(g: GroupTable, n: Subgroup) -> ProbeOutcome:
-    """If H^1(G/NC_G(N), W) has dimension > d(Z(G)), hunt the promised
-    non-inner automorphism; report a Diagnostic when the bound holds but
-    every induced map is inner."""
-    ok, reason, data = probe_hypotheses(g, n)
-    if not ok:
-        return ProbeOutcome("skipped", reason=reason)
-    a = Subgroup(g, data["a_members"])
-    w = Subgroup(g, data["w_members"])
+def excess_h1_probe(g: GroupTable, rep: SpecialReport) -> ProbeOutcome:
+    """For a special N with A = N C_G(N) and W = Omega_1(Z(A)): if
+    H^1(G/A, W) has dimension > d(Z(G)), hunt the promised non-inner
+    automorphism; report a Diagnostic when the bound holds but every induced
+    map is inner."""
+    if not rep.special:
+        failed = ", ".join(k for k, ok in rep.checks.items() if not ok)
+        return ProbeOutcome("skipped", reason=f"not special: fails {failed}")
+    n = rep.subgroup
+    a, w = probe_configuration(g, rep)
     n_val = subgroup_rank(g, center(g))
-    cert, evidence = _try_config(
-        g, a, w, "paper", "thm5_5", {"n_members": _members(n)}
-    )
-    data["n_val"] = n_val
-    if evidence is not None:
-        data.update(evidence)
+    cert, evidence = try_config(g, a, w, "paper", "thm5_5", {"n_members": _members(n)})
     if cert is not None:
-        return ProbeOutcome("certificate", certificate=cert, data=data)
+        return ProbeOutcome("certificate", certificate=cert)
     h1 = evidence["h1_dim"] if evidence else 0
     if h1 >= n_val + 1:
         diag = Diagnostic(
@@ -580,23 +568,20 @@ def excess_h1_probe(g: GroupTable, n: Subgroup) -> ProbeOutcome:
                 "evidence": evidence,
             },
         )
-        return ProbeOutcome("diagnostic", diagnostic=diag, data=data)
-    return ProbeOutcome("skipped", reason=f"H1 bound unmet (dim {h1} < {n_val + 1})", data=data)
+        return ProbeOutcome("diagnostic", diagnostic=diag)
+    return ProbeOutcome("skipped", reason=f"H1 bound unmet (dim {h1} < {n_val + 1})")
 
 
 # -- paper-mode descent ------------------------------------------------------------
 
 
-def _entry_route(g: GroupTable) -> Tuple[Optional[Certificate], List[Dict[str, object]]]:
+def _entry_route(g: GroupTable, outside: List[int]) -> Tuple[Optional[Certificate], int]:
     """Maximal-subgroup construction for the non-reduced case
     C_G(Phi) not inside Phi: derivations on G/M valued in the socle of Z(M)
-    or of Z(G), for maximal subgroups M avoiding a witness element."""
-    phi = frattini(g)
-    cphi = centralizer(g, phi)
-    attempts: List[Dict[str, object]] = []
-    outside = [int(x) for x in cphi.members if not phi.contains(int(x))]
-    if not outside:
-        return None, attempts
+    or of Z(G), for maximal subgroups M avoiding one of the ``outside``
+    elements, those of C_G(Phi) outside Phi.  Returns the certificate (or
+    None) and the number of configurations tried."""
+    attempts = 0
     wc = omega1(g, center(g))
     for m in maximal_subgroups(g):
         if all(m.contains(h) for h in outside):
@@ -605,13 +590,11 @@ def _entry_route(g: GroupTable) -> Tuple[Optional[Certificate], List[Dict[str, o
         for w, tag in ((omega1(g, zm), "qp_entry"), (wc, "qp_entry_central")):
             if w.order == 1:
                 continue
-            cert, evidence = _try_config(
+            cert, _ = try_config(
                 g, m, w, "paper", tag, {"maximal_members": _members(m)},
                 require_all_h=(tag == "qp_entry_central"),
             )
-            attempts.append(
-                {"maximal": _members(m), "w": _members(w), "tag": tag, "evidence": evidence}
-            )
+            attempts += 1
             if cert is not None:
                 return cert, attempts
     return None, attempts
@@ -623,82 +606,53 @@ def descent(g: GroupTable) -> "Certificate | Diagnostic":
     if g.is_abelian():
         raise NoninnerError("abelian: outside the special-subgroup machinery")
     phi = frattini(g)
-    cphi = centralizer(g, phi)
-    if not phi.contains_subgroup(cphi):
-        cert, attempts = _entry_route(g)
+    outside = [int(x) for x in centralizer(g, phi).members if not phi.contains(int(x))]
+    if outside:
+        cert, attempts = _entry_route(g, outside)
         if cert is not None:
             return cert
         return Diagnostic(
             "entry:maximal-subgroup construction exhausted",
-            {"group": g.fingerprint(), "attempts": len(attempts)},
+            {"group": g.fingerprint(), "attempts": attempts},
         )
 
     reports = [r for r in find_special_subgroups(g) if r.special]
     if not reports:
         return Diagnostic("descent stuck at entry", {"group": g.fingerprint()})
-
-    def selection_key(r: SpecialReport):
-        return (r.subgroup.order, -iset(g, r.centralizer).size, r.subgroup.key())
-
-    reports.sort(key=selection_key)
+    reports.sort(key=lambda r: (r.subgroup.order, -r.witness["iset_size"], r.subgroup.key()))
     normals = normal_subgroups(g)
-    n_val = subgroup_rank(g, center(g))
-    trail: List[Dict[str, object]] = []
     for rep in reports:
         n = rep.subgroup
-        c = rep.centralizer
         w = omega1(g, subgroup_center(g, n))
         if w.order == 1:
-            trail.append({"n": _members(n), "step": "socle trivial"})
             continue
         # (a) excess-H1 probe on the composite subgroup.
-        outcome = excess_h1_probe(g, n)
+        outcome = excess_h1_probe(g, rep)
         if outcome.status == "certificate":
             return outcome.certificate
         if outcome.status == "diagnostic":
             return outcome.diagnostic
         # (b)/(c)/(d): compare H^1 over G/N with the layers below.
-        cert, evidence = _try_config(g, n, w, "paper", "ty", {"n_members": _members(n)})
+        extra = {"n_members": _members(n)}
+        cert, _ = try_config(g, n, w, "paper", "ty", extra)
         if cert is not None:
             return cert
-        m_dim = evidence["h1_dim"] if evidence else 0
-        step_note = {
-            "n": _members(n),
-            "h1_over_n": int(m_dim),
-            "d_center": int(n_val),
-            "layers": [],
-        }
         # Layer descent: normal N1 < N with W Z(G) <= N1 and |N/N1| = p, then
-        # one layer deeper (|N/N2| = p^2).
+        # one layer deeper: W <= N2 and |N/N2| = p^2.
         wz = set_product(g, w, center(g))
-        for target_index in (g.p, g.p * g.p):
+        for index, floor, tag in ((g.p, wz, "xx"), (g.p * g.p, w, "qk")):
             for n1 in normals:
-                if n1.order * target_index != n.order:
+                if n1.order * index != n.order or not n.contains_subgroup(n1):
                     continue
-                if not n.contains_subgroup(n1):
+                if not n1.contains_subgroup(floor):
                     continue
-                if target_index == g.p and not n1.contains_subgroup(wz):
-                    continue
-                if target_index != g.p and not n1.contains_subgroup(w):
-                    continue
-                cert, ev = _try_config(
-                    g,
-                    n1,
-                    w,
-                    "paper",
-                    "xx" if target_index == g.p else "qk",
-                    {"n_members": _members(n)},
-                    complement_of=n,
-                )
-                step_note["layers"].append(
-                    {"n1": _members(n1), "evidence": ev}
-                )
+                cert, _ = try_config(g, n1, w, "paper", tag, extra, complement_of=n)
                 if cert is not None:
                     return cert
-        trail.append(step_note)
+    # Every special subgroup was tried, so the trail is the whole list.
     return Diagnostic(
         "descent:all special subgroups exhausted",
-        {"group": g.fingerprint(), "trail_length": len(trail)},
+        {"group": g.fingerprint(), "trail_length": len(reports)},
     )
 
 
@@ -706,18 +660,9 @@ def find_noninner(g: GroupTable, mode: str = "search") -> "Certificate | Diagnos
     """Front door used by the CLI: 'search' or 'paper' mode."""
     if mode == "search":
         if g.is_abelian():
-            bf = brute_force_order_p_noninner(g)
-            if bf.supported and bf.automorphism is not None:
-                f = bf.automorphism
-                return Certificate(
-                    g.fingerprint(),
-                    g.p,
-                    g.order,
-                    [int(x) for x in f.image_of],
-                    {"mode": "search", "lemma_tag": "brute_force_abelian"},
-                    ["found by exhaustive automorphism enumeration"],
-                )
-            return None
+            return _brute_force_certificate(
+                g, "brute_force_abelian", "found by exhaustive automorphism enumeration"
+            )
         return engine_sweep(g)
     if mode == "paper":
         return descent(g)

@@ -7,11 +7,12 @@ budget); no wall-clock measurement feeds back into the sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence
 
 from .catalog import CatalogEntry, builtin_catalog
-from .checks import ALIASES, CHECKS, COUNTEREXAMPLE, PASS, SKIPPED, UNSUPPORTED, CheckVerdict, run_check
+from .checks import ALIASES, CHECKS, COUNTEREXAMPLE, PASS, SKIPPED, UNSUPPORTED, CheckVerdict
 
 
 def _instance_limit(budget_ms: Optional[int]) -> int:
@@ -24,6 +25,14 @@ def _instance_limit(budget_ms: Optional[int]) -> int:
     if budget_ms < 60_000:
         return 12
     return 18
+
+
+def _run(check_id: str, inst: Dict[str, object], entries: Dict[str, CatalogEntry]) -> CheckVerdict:
+    """Run one check with its named group taken from ``entries``, the catalog
+    the suite runs over, not the built-in one; the verdict keeps ``inst``."""
+    name = inst.get("group")
+    run_inst = dict(inst, group_table=entries[name].group()) if name in entries else inst
+    return dataclasses.replace(CHECKS[check_id].run(run_inst), instance=inst)
 
 
 def resolve_check_ids(expr: str) -> List[str]:
@@ -50,6 +59,7 @@ def run_suite(
 ) -> Dict[str, object]:
     cat = list(catalog) if catalog is not None else list(builtin_catalog())
     cat = [e for e in cat if e.matches(catalog_expr)]
+    entries = {e.name: e for e in cat}
     limit = _instance_limit(budget_ms)
     check_ids = resolve_check_ids(check_expr)
 
@@ -59,12 +69,11 @@ def run_suite(
     for cid in check_ids:
         cdef = CHECKS[cid]
         instances = cdef.generate(cat, seed, limit)
-        allowed = {e.name for e in cat}
         for inst in instances:
-            if "group" in inst and inst["group"] not in allowed:
+            if "group" in inst and inst["group"] not in entries:
                 continue
             try:
-                v = cdef.run(inst)
+                v = _run(cid, inst, entries)
             except Exception as e:  # infrastructure failure, not a finding
                 infra_errors.append(
                     {"check_id": cid, "instance": json.dumps(inst, sort_keys=True), "error": repr(e)}
@@ -93,13 +102,17 @@ def report_to_json(report: Dict[str, object]) -> str:
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
-def replay_counterexamples(report: Dict[str, object]) -> List[Dict[str, object]]:
-    """Re-run every COUNTEREXAMPLE from its stored instance; returns mismatches."""
+def replay_counterexamples(
+    report: Dict[str, object], catalog: Optional[Sequence[CatalogEntry]] = None
+) -> List[Dict[str, object]]:
+    """Re-run every COUNTEREXAMPLE from its stored instance, with groups named
+    in ``catalog`` (the built-in one by default); returns mismatches."""
+    entries = {e.name: e for e in (catalog if catalog is not None else builtin_catalog())}
     mismatches = []
     for v in report["verdicts"]:
         if v["status"] != COUNTEREXAMPLE:
             continue
-        again = run_check(v["check_id"], v["instance"])
+        again = _run(v["check_id"], v["instance"], entries)
         if again.status != COUNTEREXAMPLE:
             mismatches.append({"original": v, "replay_status": again.status})
     return mismatches

@@ -96,40 +96,71 @@ def test_verify_wrong_group_is_infra_error(tmp_path, capsys):
     assert rc == 2
 
 
-def _tampered_map_cert(tmp_path, edit):
+def _tampered_cert(tmp_path, edit):
     cert = tmp_path / "cert.json"
     assert main(["find-noninner", "--group", "M16", "--out", str(cert)]) == 0
     payload = json.loads(cert.read_text())
-    edit(payload["map"])
+    assert "tau_table" in payload["provenance"]
+    edit(payload)
     cert.write_text(json.dumps(payload))
     return cert
 
 
-def _verify_says_invalid_map(cert, capsys):
+def _tampered_map_cert(tmp_path, edit):
+    return _tampered_cert(tmp_path, lambda payload: edit(payload["map"]))
+
+
+def _verify_says_invalid(cert, capsys, what="map"):
+    """The line before INVALID, which names the failed part of the certificate."""
     capsys.readouterr()
     rc = main(["verify", "--group", "M16", "--cert", str(cert)])
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert rc == 0  # the INVALID exit code is unchanged
     assert lines[-1] == "INVALID"
-    assert lines[0].startswith("FAIL map ")
+    assert lines[-2].startswith(f"FAIL {what} ")
     assert "error" not in captured.err
-    return lines[0]
+    return lines[-2]
 
 
 def test_verify_map_of_wrong_length_is_invalid(tmp_path, capsys):
     cert = _tampered_map_cert(tmp_path, lambda m: m.pop())
-    assert _verify_says_invalid_map(cert, capsys) == "FAIL map length 15 != 16"
+    assert _verify_says_invalid(cert, capsys) == "FAIL map length 15 != 16"
 
 
 def test_verify_map_entry_past_the_order_is_invalid(tmp_path, capsys):
     cert = _tampered_map_cert(tmp_path, lambda m: m.__setitem__(4, 16))
-    assert "entry 4 = 16" in _verify_says_invalid_map(cert, capsys)
+    assert "entry 4 = 16" in _verify_says_invalid(cert, capsys)
 
 
 def test_verify_negative_map_entry_is_invalid(tmp_path, capsys):
     cert = _tampered_map_cert(tmp_path, lambda m: m.__setitem__(0, -1))
-    assert "entry 0 = -1" in _verify_says_invalid_map(cert, capsys)
+    assert "entry 0 = -1" in _verify_says_invalid(cert, capsys)
+
+
+def _provenance_says_invalid(tmp_path, capsys, edit):
+    cert = _tampered_cert(tmp_path, lambda payload: edit(payload["provenance"]))
+    return _verify_says_invalid(cert, capsys, "provenance")
+
+
+def test_verify_provenance_member_past_the_order_is_invalid(tmp_path, capsys):
+    line = _provenance_says_invalid(tmp_path, capsys, lambda p: p.__setitem__("n1_members", [99]))
+    assert line == "FAIL provenance n1_members entry 0 = 99 is not an element index in 0..15"
+
+
+def test_verify_null_provenance_basis_is_invalid(tmp_path, capsys):
+    line = _provenance_says_invalid(tmp_path, capsys, lambda p: p.__setitem__("w_basis", None))
+    assert line == "FAIL provenance w_basis is a NoneType, not a list"
+
+
+def test_verify_provenance_without_members_is_invalid(tmp_path, capsys):
+    line = _provenance_says_invalid(tmp_path, capsys, lambda p: p.pop("n1_members"))
+    assert line == "FAIL provenance n1_members missing"
+
+
+def test_verify_provenance_that_is_no_object_is_invalid(tmp_path, capsys):
+    cert = _tampered_cert(tmp_path, lambda payload: payload.__setitem__("provenance", [1]))
+    assert _verify_says_invalid(cert, capsys, "provenance") == "FAIL provenance is a list, not an object"
 
 
 def test_order_cap_refuses_catalog_groups(capsys):
@@ -171,3 +202,39 @@ def test_check_counterexample_exit_zero(tmp_path):
     assert rc == 0  # counterexamples are findings, not failures
     rep = json.loads(out.read_text())
     assert rep["counts"]["COUNTEREXAMPLE"] >= 1
+
+
+def test_check_resolves_groups_in_the_catalog_file(tmp_path, capsys):
+    # A file group named like the built-in D8 but with Q8's presentation must
+    # get Q8's verdicts, in the run and in the replay.
+    from pgv.catalog import find_entry
+    from pgv.checks import run_check
+    from pgv.presentations import render_presentation
+
+    q8 = find_entry("Q8").presentation
+    f = tmp_path / "q8.pres"
+    f.write_text(render_presentation(q8).replace(f"group {q8.name}", "group D8"))
+    out = tmp_path / "report.json"
+    ids = "ij_bound,cor18,ui"
+    assert main(["check", "--id", ids, "--catalog-file", str(f), "--replay", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["infra_errors"] == [] and rep["replay_mismatches"] == []
+    got = {v["check_id"]: (v["status"], v["details"]) for v in rep["verdicts"]}
+    want = {}
+    for cid in ids.split(","):
+        v = run_check(cid, {"group": "Q8", "seed": 0})
+        want[cid] = (v.status, v.details)
+    assert got == want
+    assert got["ij_bound"][0] == "COUNTEREXAMPLE"  # D8 itself passes ij_bound
+
+
+def test_check_on_the_special_fixture_has_no_infrastructure_error(tmp_path):
+    from pathlib import Path
+
+    fixture = Path(__file__).resolve().parent / "data" / "special32.pres"
+    out = tmp_path / "report.json"
+    rc = main(["check", "--id", "all", "--catalog-file", str(fixture), "--replay", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert rep["infra_errors"] == [] and rep["replay_mismatches"] == []
+    assert rep["counts"]["PASS"] > 0 and rep["counts"]["COUNTEREXAMPLE"] > 0

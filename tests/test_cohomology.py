@@ -12,7 +12,6 @@ from pgv.cohomology import (
     coboundary,
     cohomology,
     conjugation_derivation,
-    derivation_span_noninner_probe,
     derivation_to_automorphism,
     h1_dim_of_submodule,
     inflate,
@@ -262,15 +261,15 @@ def test_inflation_injective_and_functorial():
 
 
 def test_probe_zero_h1_absent():
+    from pgv.noninner import try_config
+
     g = cyclic_group(2, 4)
     z = center(g)
-    # abelian: conjugation module trivial, H^1 of C2 with trivial F2 is 1-dim;
-    # instead use the regular-like configuration with zero H^1: quotient by G.
+    # G/G is trivial, so H^1 vanishes: no induced map is tested and none is non-inner.
     full = Subgroup(g, np.arange(4), check=False)
-    cm = module_from_conjugation(g, full, omega1(g, z))
-    sp = cohomology(cm.module.group, cm.module, 1)
-    res = derivation_span_noninner_probe(g, cm, sp)
-    assert not res.found
+    cert, evidence = try_config(g, full, omega1(g, z), "paper", "probe")
+    assert cert is None
+    assert (evidence["h1_dim"], evidence["tested"], evidence["all_inner"]) == (0, 0, True)
 
 
 def test_h1_dim_of_submodule_free_is_zero():

@@ -10,6 +10,7 @@ from pgv.group_core import (
     center,
     conjugation_map,
     cyclic_group,
+    elementary_abelian_normals,
     frattini,
     from_pc_presentation,
     is_inner,
@@ -23,7 +24,6 @@ from pgv.noninner import (
     Certificate,
     Diagnostic,
     NoninnerError,
-    _elementary_abelian_normals,
     _sweep_configs,
     all_automorphisms,
     brute_force_order_p_noninner,
@@ -63,8 +63,7 @@ def test_special_subgroups_d8_none(catalog):
 def test_special_scan_small_catalog(catalog):
     # Exhaustive scan at order <= 64: each reported special subgroup must
     # satisfy all three conditions when re-verified from scratch.
-    from pgv.group_core import centralizer, frattini, iset, set_product, subgroup_center
-    from pgv.noninner import _is_cyclic_quotient
+    from pgv.group_core import centralizer, frattini, is_cyclic_quotient, iset, set_product, subgroup_center
 
     seen_special = 0
     for e in catalog:
@@ -77,7 +76,7 @@ def test_special_scan_small_catalog(catalog):
             seen_special += 1
             n = r.subgroup
             c = centralizer(g, n)
-            assert _is_cyclic_quotient(g, c, subgroup_center(g, n))
+            assert is_cyclic_quotient(g, c, subgroup_center(g, n))
             assert bool(n.bitmap[iset(g, c).members].all())
             assert frattini(g).contains_subgroup(set_product(g, n, c))
 
@@ -152,7 +151,7 @@ def _reference_sweep_configs(g):
             if n1.order < n.order and n.contains_subgroup(n1) and n1.contains_subgroup(w):
                 push(n1, w, "lp", {"n_members": [int(x) for x in n.members]})
         push(n, w, "lp", {"n_members": [int(x) for x in n.members]})
-    for w in _elementary_abelian_normals(g):
+    for w in elementary_abelian_normals(g):
         for n1 in normals:
             if n1.contains_subgroup(w) and centralizes(n1, w):
                 push(n1, w, "engine_wide")
@@ -211,9 +210,11 @@ def test_verify_fingerprint_mismatch(catalog):
 def test_probe_skips_when_hypotheses_unmet(catalog):
     g = find_entry("D8", catalog).group()
     z = center(g)
-    out = excess_h1_probe(g, z)
+    rep = next(r for r in find_special_subgroups(g) if r.subgroup == z)
+    out = excess_h1_probe(g, rep)
     assert out.status == "skipped"
-    assert out.reason
+    assert out.reason.startswith("not special: fails ")
+    assert "product_inside_frattini" in out.reason
 
 
 def test_descent_examples(catalog):
