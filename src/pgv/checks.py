@@ -15,7 +15,6 @@ configuration into ``_sweep``.  ``register`` alone turns the outcome into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .cohomology import (
     derivation_to_automorphism,
     h1_dim_of_submodule,
     inflate_module,
+    sample_nG_module,
     zero_two_cocycle,
 )
 from .extensions import (
@@ -45,6 +45,7 @@ from .group_core import (
     GroupError,
     GroupMap,
     GroupTable,
+    QuotientMap,
     Subgroup,
     center,
     centralizer,
@@ -79,13 +80,11 @@ from .gmodule import (
     radical,
     random_right_submodule,
     restrict_action,
-    sample_nG_module,
     submodule_fixed_points,
     trivial_module,
+    tuple_product_matrix,
 )
 from .noninner import (
-    Certificate,
-    NoninnerError,
     SpecialReport,
     brute_force_order_p_noninner,
     engine_sweep,
@@ -210,17 +209,47 @@ def _h1_of_module(g: GroupTable, m: GModule) -> int:
     return cohomology(g, m, 1, want_reps=False).h_dim
 
 
-def _nontrivial_2cocycle(g: GroupTable, m: GModule, index: int = 0) -> Optional[TwoCocycle]:
+def _class_extension(g: GroupTable, t: int, seed: int, split: bool = False) -> ExtensionResult:
+    """G extended by the trivial module F_p^t along the seed-th H^2 class.
+    When H^2 vanishes: the split extension if ``split``, else a skip."""
+    m = trivial_module(g, t)
     sp = cohomology(g, m, 2)
-    if sp.h_dim == 0:
-        return None
-    return sp.h_reps[index % len(sp.h_reps)]
+    if sp.h_dim:
+        f = sp.h_reps[seed % sp.h_dim]
+    elif split:
+        f = zero_two_cocycle(g, m)
+    else:
+        raise Skip("H^2 trivial")
+    return build_extension(g, m, f)
 
 
-def _sampled_nG(g: GroupTable, n: int, seed: int):
-    """(fb, carrier, fixed_dim, h1) for a seeded socle-containing sample."""
-    s = sample_nG_module(g, n, seed, h1_fn=h1_dim_of_submodule)
-    return s.free, s.carrier, s.fixed_dim, s.h1_dim
+def _classes_and_split(g: GroupTable, m: GModule, k: int) -> List[TwoCocycle]:
+    """The first k H^2 class representatives of m, then the zero cocycle."""
+    return cohomology(g, m, 2).h_reps[:k] + [zero_two_cocycle(g, m)]
+
+
+def _h1_inflated(ext: ExtensionResult, m: GModule) -> int:
+    """dim H^1 of a base-group module inflated to the extension group."""
+    return _h1_of_module(ext.total, inflate_module(m, ext.projection))
+
+
+def _inflated(qm: QuotientMap, m: GModule) -> Tuple[GModule, bool]:
+    """A G/N-module inflated to G, and whether inflation keeps dim H^1."""
+    infl = inflate_module(m, GroupMap(qm.source, qm.group, qm.image_of, check=False))
+    return infl, _h1_of_module(qm.source, infl) == _h1_of_module(qm.group, m)
+
+
+def _one_modules(fb: FreeBimodule, carriers: List[FpSubspace], seed: int) -> List[GModule]:
+    """The 1-modules (fixed-point dimension 1, dim H^1 <= 1) among the given
+    right submodules of fb = F_p(G) and the seeded sample, in that order."""
+    kept = [
+        c for c in carriers
+        if submodule_fixed_points(fb, c, "right").dim == 1 and h1_dim_of_submodule(fb, c) <= 1
+    ]
+    s = sample_nG_module(fb.group, 1, seed)
+    if s.fixed_dim == 1 and s.h1_dim <= 1:
+        kept.append(s.carrier)
+    return [_restricted(fb, c) for c in kept]
 
 
 def _quotient_mod_cocycle(
@@ -467,14 +496,7 @@ def _gen_transfer(cat, seed, limit):
 
 def _build_transfer(inst):
     g = _group(inst)
-    t = int(inst["t"])
-    m = trivial_module(g, t)
-    sp = cohomology(g, m, 2)
-    if sp.h_dim:
-        f = sp.h_reps[int(inst["seed"]) % len(sp.h_reps)]
-    else:
-        f = zero_two_cocycle(g, m)
-    ext = build_extension(g, m, f)
+    ext = _class_extension(g, int(inst["t"]), int(inst["seed"]), split=True)
     return g, ext, transfer_maps(ext, int(inst["n"]))
 
 
@@ -683,7 +705,8 @@ def _growth_instance(inst):
         carrier = FpSubspace.full(fb.dim, g.p)
         fixed_dim, h1 = n, 0
     else:
-        fb, carrier, fixed_dim, h1 = _sampled_nG(g, n, seed)
+        s = sample_nG_module(g, n, seed)
+        fb, carrier, fixed_dim, h1 = s.free, s.carrier, s.fixed_dim, s.h1_dim
     return g, fb, carrier, fixed_dim, h1
 
 
@@ -693,13 +716,8 @@ def check_gg(inst):
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
         raise Skip(f"fixed={fixed_dim}, m={m}")
-    cp = trivial_module(g, 1)
-    f = _nontrivial_2cocycle(g, cp, int(inst["seed"]))
-    if f is None:
-        raise Skip("H^2 trivial")
-    ext = build_extension(g, cp, f)
-    qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
+    ext = _class_extension(g, 1, int(inst["seed"]))
+    h1_ext = _h1_inflated(ext, _restricted(fb, carrier))
     return h1_ext >= m + (n - m), {"n": n, "m": int(m), "h1_extension": int(h1_ext), "lower_bound": int(n)}
 
 
@@ -710,12 +728,8 @@ def check_yy(inst):
     if fixed_dim != n or m > n:
         raise Skip(f"fixed={fixed_dim}, m={m}")
     t = 1 + int(inst["seed"]) % 2
-    pmod = trivial_module(g, t)
-    sp = cohomology(g, pmod, 2)
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim] if sp.h_dim else zero_two_cocycle(g, pmod)
-    ext = build_extension(g, pmod, f)
-    qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
+    ext = _class_extension(g, t, int(inst["seed"]), split=True)
+    h1_ext = _h1_inflated(ext, _restricted(fb, carrier))
     ok = h1_ext <= m + n * t
     return ok, {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "upper_bound": int(m + n * t)}
 
@@ -731,11 +745,7 @@ def check_jj(inst):
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
         raise Skip(f"fixed={fixed_dim}, m={m}")
-    cp = trivial_module(g, 1)
-    f = _nontrivial_2cocycle(g, cp, int(inst["seed"]))
-    if f is None:
-        raise Skip("H^2 trivial")
-    ext = build_extension(g, cp, f)
+    ext = _class_extension(g, 1, int(inst["seed"]))
     tp = transfer_maps(ext, n)
     q_up = _up_carrier(tp, carrier)
     lt = annihilator(tp.free_total, q_up, "left_of_right")
@@ -750,14 +760,8 @@ def check_cor8(inst):
     n = int(inst["n"])
     if fixed_dim != n or m < 0 or m > n:
         raise Skip(f"fixed={fixed_dim}")
-    cp = trivial_module(g, 1)
-    sp = cohomology(g, cp, 2)
-    if sp.h_dim == 0:
-        raise Skip("H^2 trivial")
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
-    ext = build_extension(g, cp, f)
-    qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
+    ext = _class_extension(g, 1, int(inst["seed"]))
+    h1_ext = _h1_inflated(ext, _restricted(fb, carrier))
     if h1_ext != m:
         raise Skip(f"H1 changed ({m} -> {h1_ext})")
     return m == n, {"n": n, "m": int(m), "h1_extension": int(h1_ext)}
@@ -770,12 +774,7 @@ def check_aa(inst):
     if fixed_dim != n or not (0 <= m < n):
         raise Skip(f"fixed={fixed_dim}, m={m}")
     t = 2
-    pmod = trivial_module(g, t)
-    sp = cohomology(g, pmod, 2)
-    if sp.h_dim == 0:
-        raise Skip("H^2 trivial")
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
-    ext = build_extension(g, pmod, f)
+    ext = _class_extension(g, t, int(inst["seed"]))
     tp = transfer_maps(ext, n)
     q_up = _up_carrier(tp, carrier)
     qmod_t, _ = restrict_action(tp.free_total.as_gmodule("right"), q_up)
@@ -795,18 +794,10 @@ def check_qq(inst):
     n = int(inst["n"])
     if fixed_dim != n:
         raise Skip(f"fixed={fixed_dim}")
-    pmod = trivial_module(g, 2)
-    sp = cohomology(g, pmod, 2)
-    if sp.h_dim == 0:
-        raise Skip("H^2 trivial")
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
-    ext = build_extension(g, pmod, f)
+    ext = _class_extension(g, 2, int(inst["seed"]))
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
-    sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)  # P1 = second coordinate
-    qkern, fbar = _quotient_mod_cocycle(g, pmod, f, sub)
-    ext1 = build_extension(g, qkern, fbar)
-    h1_mid = _h1_of_module(ext1.total, inflate_module(qmod, ext1.projection))
+    h1_ext = _h1_inflated(ext, qmod)
+    h1_mid = _h1_inflated(_collapsed_extension(ext), qmod)
     details = {"n": n, "m": int(m), "h1_extension": int(h1_ext), "h1_mid": int(h1_mid)}
     if m < n:
         if m == 0:
@@ -831,20 +822,12 @@ def check_ggg(inst):
     n = int(inst["n"])
     if fixed_dim != n or m != n:
         raise Skip(f"fixed={fixed_dim}, m={m} != n")
-    pmod = trivial_module(g, 2)
-    sp = cohomology(g, pmod, 2)
-    if sp.h_dim == 0:
-        raise Skip("H^2 trivial")
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
-    ext = build_extension(g, pmod, f)
+    ext = _class_extension(g, 2, int(inst["seed"]))
     qmod = _restricted(fb, carrier)
-    sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)
-    qkern, fbar = _quotient_mod_cocycle(g, pmod, f, sub)
-    ext1 = build_extension(g, qkern, fbar)
-    h1_mid = _h1_of_module(ext1.total, inflate_module(qmod, ext1.projection))
+    h1_mid = _h1_inflated(_collapsed_extension(ext), qmod)
     if h1_mid != m:
         raise Skip("quotient layer moved H1")
-    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
+    h1_ext = _h1_inflated(ext, qmod)
     return h1_ext == h1_mid + n, {"n": n, "h1_mid": int(h1_mid), "h1_extension": int(h1_ext)}
 
 
@@ -862,13 +845,9 @@ def check_kj(inst):
     g, fb, carrier, fixed_dim, m = _growth_instance(inst)
     if fixed_dim != 1 or m > 1:
         raise Skip("not a 1-module")
-    cp = trivial_module(g, 1)
-    f = _nontrivial_2cocycle(g, cp, int(inst["seed"]))
-    if f is None:
-        raise Skip("H^2 trivial")
-    ext = build_extension(g, cp, f)
+    ext = _class_extension(g, 1, int(inst["seed"]))
     qmod = _restricted(fb, carrier)
-    h1_ext = _h1_of_module(ext.total, inflate_module(qmod, ext.projection))
+    h1_ext = _h1_inflated(ext, qmod)
     if h1_ext != m:
         raise Skip("H1 moved")
     if ext.total.order > 16 or qmod.dim > 6:
@@ -888,39 +867,28 @@ def _gen_dp(cat, seed, limit):
 
 @register("dp_dim", "1-modules of a rank-2 extension are p times their kernel fixed part", _gen_dp)
 def check_dp(inst):
-    g = _group(inst)
-    pmod = trivial_module(g, 2)
-    sp = cohomology(g, pmod, 2)
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim] if sp.h_dim else zero_two_cocycle(g, pmod)
-    ext = build_extension(g, pmod, f)
+    ext = _class_extension(_group(inst), 2, int(inst["seed"]), split=True)
     T = ext.total
-    fbT, carrier, fixed_dim, m = _sampled_nG(T, 1, int(inst["seed"]))
-    if fixed_dim != 1 or m > 1:
+    s = sample_nG_module(T, 1, int(inst["seed"]))
+    if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module over the extension")
     # fixed points under the kernel subgroup
-    kernel_acts = [fbT.right_element_action(a) for a in ext.kernel_generators()]
-    qn = fixed_under(kernel_acts, T.p, fbT.dim).intersect(carrier)
-    ok = carrier.dim >= T.p * qn.dim
-    return ok, {"dim_Q": int(carrier.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p}
+    kernel_acts = [s.free.right_element_action(a) for a in ext.kernel_generators()]
+    qn = fixed_under(kernel_acts, T.p, s.free.dim).intersect(s.carrier)
+    ok = s.carrier.dim >= T.p * qn.dim
+    return ok, {"dim_Q": int(s.carrier.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p}
 
 
 @register("rty_eq", "stable 1-modules meet the kernel bound with equality and cyclic fixed part", _gen_dp)
 def check_rty(inst):
     g = _group(inst)
-    pmod = trivial_module(g, 2)
-    sp = cohomology(g, pmod, 2)
-    if sp.h_dim == 0:
-        raise Skip("H^2 trivial")
-    f = sp.h_reps[int(inst["seed"]) % sp.h_dim]
-    ext = build_extension(g, pmod, f)
-    sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)
-    qkern, fbar = _quotient_mod_cocycle(g, pmod, f, sub)
-    ext1 = build_extension(g, qkern, fbar)
+    ext = _class_extension(g, 2, int(inst["seed"]))
+    ext1 = _collapsed_extension(ext)
     T1 = ext1.total
-    fb1, carrier, fixed_dim, m = _sampled_nG(T1, 1, int(inst["seed"]))
-    if fixed_dim != 1 or m > 1:
+    s = sample_nG_module(T1, 1, int(inst["seed"]))
+    if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module")
-    qmod1 = _restricted(fb1, carrier)
+    qmod1 = _restricted(s.free, s.carrier)
     # View the module over the bigger extension through the collapse map.
     collapse = _collapse_map(ext, ext1)
     qmod_T = inflate_module(qmod1, collapse)
@@ -936,6 +904,15 @@ def check_rty(inst):
     d_fixed = d_G(qmod1, qn)
     ok = qmod1.dim == g.p * qn.dim and d_fixed == 1
     return ok, {"dim_Q": int(qmod1.dim), "dim_fixed": int(qn.dim), "d_of_fixed": int(d_fixed)}
+
+
+def _collapsed_extension(ext: ExtensionResult) -> ExtensionResult:
+    """The rank-1 extension below a rank-2 one: the kernel P and the cocycle
+    pushed onto P/P1, P1 the second coordinate."""
+    g = ext.base
+    sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)
+    qkern, fbar = _quotient_mod_cocycle(g, ext.module, ext.cocycle, sub)
+    return build_extension(g, qkern, fbar)
 
 
 def _collapse_map(ext: ExtensionResult, ext1: ExtensionResult) -> GroupMap:
@@ -1010,35 +987,20 @@ def check_io(inst):
         return False, details
     # Generator-count claim on a small stable instance: a 1-module over G/N
     # whose H^1 does not move under inflation gives d(ext) = d(G) + 1.
+    # A non-trivial p-group has a normal subgroup of order p.
     d_g = _d_of_group(g)
-    mins = [s for s in normal_subgroups(g) if s.order == g.p]
+    nsub = next(s for s in normal_subgroups(g) if s.order == g.p)
+    _, qm = quotient(g, nsub)
+    fbq = FreeBimodule(qm.group, 1)
     rank_results = []
-    candidates = []
-    for nsub in mins[:1]:
-        qt, qm = quotient(g, nsub)
-        fbq = FreeBimodule(qt, 1)
-        rad = radical(fbq.as_gmodule("right"))
-        candidates.append((qt, qm, fbq, rad))
-        fb2, car2, fd2, m2 = _sampled_nG(qt, 1, int(inst["seed"]))
-        if fd2 == 1 and m2 <= 1:
-            candidates.append((qt, qm, fb2, car2))
-    for qt, qm, fbq, carrier in candidates:
-        fixed_dim = submodule_fixed_points(fbq, carrier, "right").dim
-        m = h1_dim_of_submodule(fbq, carrier)
-        if fixed_dim != 1 or m > 1:
-            continue
-        qmod_quot = _restricted(fbq, carrier)
-        pi = GroupMap(g, qt, qm.image_of, check=False)
-        qmod = inflate_module(qmod_quot, pi)
-        if _h1_of_module(g, qmod) != _h1_of_module(qt, qmod_quot):
+    for qmod_quot in _one_modules(fbq, [radical(fbq.as_gmodule("right"))], int(inst["seed"])):
+        qmod, stable = _inflated(qm, qmod_quot)
+        if not stable:
             continue
         if g.order * (g.p**qmod.dim) > 256 or g.order > 16:
             continue
-        sp = cohomology(g, qmod, 2)
-        taus = (sp.h_reps[:1] if sp.h_dim else []) + [zero_two_cocycle(g, qmod)]
-        for f in taus:
-            ext = build_extension(g, qmod, f)
-            rank_results.append(int(_d_of_group(ext.total)))
+        for f in _classes_and_split(g, qmod, 1):
+            rank_results.append(int(_d_of_group(build_extension(g, qmod, f).total)))
         details["d_base"] = int(d_g)
         details["d_extensions"] = rank_results
         if any(r != d_g + 1 for r in rank_results):
@@ -1073,15 +1035,12 @@ def check_jx(inst):
         raise Skip("non-abelian base")
     if g.order > 16:
         raise Unsupported("H^2 instance too large")
-    seed = int(inst["seed"])
     fb = FreeBimodule(g, 1)
     carriers = [
         FpSubspace.from_rows(fb.socle_basis(), g.p, fb.dim),  # trivial 1-module
         radical(fb.as_gmodule("right")),
     ]
-    fb2, car2, fd2, m2 = _sampled_nG(g, 1, seed)
-    if fd2 == 1 and m2 <= 1:
-        carriers.append(car2)
+    modules = _one_modules(fb, carriers, int(inst["seed"]))
     cyclic_subs = []
     seen_keys = set()
     for x in range(1, g.order):
@@ -1091,13 +1050,7 @@ def check_jx(inst):
             cyclic_subs.append(s)
 
     def trials():
-        for carrier in carriers:
-            if submodule_fixed_points(fb, carrier, "right").dim != 1:
-                continue
-            m_dim = h1_dim_of_submodule(fb, carrier)
-            if m_dim > 1:
-                continue
-            qmod = _restricted(fb, carrier)
+        for qmod in modules:
             if qmod.dim > 4 or g.order * (g.p**qmod.dim) > 256:
                 continue
             for nsub in cyclic_subs:
@@ -1110,10 +1063,9 @@ def check_jx(inst):
                 qn_over_quot = GModule(qt, qn_mod.act[qm.section], check=False)
                 if _h1_of_module(g, qn_mod) != _h1_of_module(qt, qn_over_quot):
                     continue
-                sp = cohomology(g, qmod, 2)
                 d_g = _d_of_group(g)
-                taus = (sp.h_reps[:2] if sp.h_dim else []) + [zero_two_cocycle(g, qmod)]
-                results = [int(_d_of_group(build_extension(g, qmod, f).total)) for f in taus]
+                exts = [build_extension(g, qmod, f) for f in _classes_and_split(g, qmod, 2)]
+                results = [int(_d_of_group(ext.total)) for ext in exts]
                 ok = all(r == d_g + 1 for r in results)
                 yield ok, {"d_base": int(d_g), "d_extensions": results, "n_order": int(nsub.order)}
 
@@ -1140,12 +1092,10 @@ def check_px(inst):
     if n1 == n2:
         raise Skip("same subgroup")
     qt, qm = quotient(g, n1)
-    fbq, carrier, fixed_dim, m = _sampled_nG(qt, 1, seed)
-    if fixed_dim != 1 or m > 1:
+    s = sample_nG_module(qt, 1, seed)
+    if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module")
-    qmod_quot = _restricted(fbq, carrier)
-    pi = GroupMap(g, qt, qm.image_of, check=False)
-    qmod = inflate_module(qmod_quot, pi)
+    qmod, rhs = _inflated(qm, _restricted(s.free, s.carrier))
     both = set_product(g, n1, n2)
     cq = fixed_under([qmod.act[int(a)] for a in both.members[1:]], g.p, qmod.dim)
     if qmod.dim != g.p * cq.dim or cq.dim == 0:
@@ -1157,7 +1107,6 @@ def check_px(inst):
     cq_over_quot_act = cq_mod.act[qm.section]
     cq_quot = GModule(qt, cq_over_quot_act, check=False)
     lhs = _h1_of_module(g, cq_mod) == _h1_of_module(qt, cq_quot)
-    rhs = _h1_of_module(g, qmod) == _h1_of_module(qt, qmod_quot)
     return lhs == rhs, {"fixed_part_stable": bool(lhs), "module_stable": bool(rhs)}
 
 
@@ -1170,24 +1119,13 @@ def check_du(inst):
     nsub = cyclics[int(inst["seed"]) % len(cyclics)]
     qt, qm = quotient(g, nsub)
     fbq = FreeBimodule(qt, 1)
-    carriers = [
-        FpSubspace.full(fbq.dim, g.p),
-        radical(fbq.as_gmodule("right")),
-    ]
-    fb2, car2, fd2, m2 = _sampled_nG(qt, 1, int(inst["seed"]))
-    if fd2 == 1 and m2 <= 1:
-        carriers.append(car2)
+    carriers = [FpSubspace.full(fbq.dim, g.p), radical(fbq.as_gmodule("right"))]
+    modules = _one_modules(fbq, carriers, int(inst["seed"]))
 
     def trials():
-        for carrier in carriers:
-            if submodule_fixed_points(fbq, carrier, "right").dim != 1:
-                continue
-            if h1_dim_of_submodule(fbq, carrier) > 1:
-                continue
-            qmod_quot = _restricted(fbq, carrier)
-            pi = GroupMap(g, qt, qm.image_of, check=False)
-            qmod = inflate_module(qmod_quot, pi)
-            if _h1_of_module(g, qmod) != _h1_of_module(qt, qmod_quot):
+        for qmod_quot in modules:
+            qmod, stable = _inflated(qm, qmod_quot)
+            if not stable:
                 continue
             rad = radical(qmod)
             if rad.dim == 0:
@@ -1196,10 +1134,7 @@ def check_du(inst):
                 continue
             # The claim quantifies over cocycles on Q itself, pushed along the
             # radical quotient; classes on Q/J(Q) that do not lift are out of scope.
-            sp_full = cohomology(g, qmod, 2)
-            taus = (sp_full.h_reps[:2] if sp_full.h_dim else []) + [
-                zero_two_cocycle(g, qmod)
-            ]
+            taus = _classes_and_split(g, qmod, 2)
             try:
                 rad_mod, _ = restrict_action(qmod, rad)
             except ModuleError:
@@ -1209,8 +1144,7 @@ def check_du(inst):
                 head, fbar = _quotient_mod_cocycle(g, qmod, f_full, rad)
                 if g.order * (g.p**head.dim) > 256:
                     continue
-                ext = build_extension(g, head, fbar)
-                h1_ext = _h1_of_module(ext.total, inflate_module(rad_mod, ext.projection))
+                h1_ext = _h1_inflated(build_extension(g, head, fbar), rad_mod)
                 yield h1_ext == h1_base + 1, {
                     "h1_base": int(h1_base),
                     "h1_extension": int(h1_ext),
@@ -1223,14 +1157,19 @@ def check_du(inst):
 # -- derivation / automorphism checks ----------------------------------------------
 
 
-def _gen_lp(cat, seed, limit):
-    out = []
-    for e in _small_nonabelian(cat, 32):
-        out.append({"group": e.name, "seed": seed})
-    return out[:limit]
+def _gen_nonabelian(max_order: int):
+    """Instances on the non-abelian catalog groups of order <= max_order."""
+
+    def gen(cat, seed, limit):
+        return [{"group": e.name, "seed": seed} for e in _small_nonabelian(cat, max_order)][:limit]
+
+    return gen
 
 
-@register("lp_order", "derivation-induced maps have order p", _gen_lp)
+_gen_special = _gen_nonabelian(64)
+
+
+@register("lp_order", "derivation-induced maps have order p", _gen_nonabelian(32))
 def check_lp(inst):
     g = _group(inst)
     phi = frattini(g)
@@ -1263,13 +1202,6 @@ def check_lp(inst):
                         yield order == g.p, {"order": int(order), "p": g.p}
 
     return _sweep(trials(), none="no usable configuration", count="maps_tested")
-
-
-def _gen_special(cat, seed, limit):
-    out = []
-    for e in _small_nonabelian(cat, 64):
-        out.append({"group": e.name, "seed": seed})
-    return out[:limit]
 
 
 @register("ij_bound", "p-th power index bound inside normal subgroups", _gen_special)
@@ -1313,32 +1245,14 @@ def check_ij(inst):
 # -- section-5 statements -----------------------------------------------------------
 
 
-def _special_reports(g: GroupTable) -> List[SpecialReport]:
-    """The special-subgroup reports of every normal N inside Phi(G)."""
-    try:
-        return find_special_subgroups(g)
-    except NoninnerError:
-        return []
-
-
-def _special_instances(g: GroupTable) -> List[SpecialReport]:
-    return [r for r in _special_reports(g) if r.special]
-
-
-class _Sweep:
-    """engine_sweep(g) and the special subgroups of g for one check
-    instance, each computed on first use and at most once."""
-
-    def __init__(self, g: GroupTable):
-        self.g = g
-
-    @cached_property
-    def certificate(self) -> Optional[Certificate]:
-        return engine_sweep(self.g)
-
-    @cached_property
-    def specials(self) -> List[SpecialReport]:
-        return _special_instances(self.g)
+def _nonabelian_group(inst: Dict[str, object]) -> GroupTable:
+    """The instance group of a check that reads the special-subgroup reports
+    (``find_special_subgroups``, cached on the table): abelian groups are
+    outside that machinery."""
+    g = _group(inst)
+    if g.is_abelian():
+        raise Skip("abelian input")
+    return g
 
 
 def _h1_dim(g: GroupTable, n1: Subgroup, w: Subgroup) -> Optional[int]:
@@ -1356,10 +1270,12 @@ def _all_inner(g: GroupTable, n1: Subgroup, w: Subgroup) -> Tuple[bool, int]:
     return evidence["all_inner"], evidence["h1_dim"]
 
 
-def _inner_special_layers(g: GroupTable, specials: List[SpecialReport]):
+def _inner_special_layers(g: GroupTable):
     """(rep, W, dim H^1(G/N, W)) for every special N with W = Omega_1(Z(N))
     != 1 whose induced maps are all inner."""
-    for rep in specials:
+    for rep in find_special_subgroups(g):
+        if not rep.special:
+            continue
         w = omega1(g, subgroup_center(g, rep.subgroup))
         if w.order == 1:
             continue
@@ -1370,10 +1286,12 @@ def _inner_special_layers(g: GroupTable, specials: List[SpecialReport]):
 
 @register("ddd_iso", "inner derivation classes match the p-th power set", _gen_special)
 def check_ddd(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
 
     def trials():
-        for rep in _special_instances(g):
+        for rep in find_special_subgroups(g):
+            if not rep.special:
+                continue
             n = rep.subgroup
             a, w = probe_configuration(g, rep)
             if w.order == 1:
@@ -1396,10 +1314,12 @@ def check_ddd(inst):
 
 @register("thm5_5", "excess H^1 forces a certified non-inner automorphism", _gen_special)
 def check_thm55(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
 
     def trials():
-        for rep in _special_instances(g):
+        for rep in find_special_subgroups(g):
+            if not rep.special:
+                continue
             out = excess_h1_probe(g, rep)
             if out.status == "certificate":
                 ok, _ = verify_certificate(g, out.certificate)
@@ -1418,10 +1338,12 @@ def _centralized_part(g: GroupTable, w: Subgroup, a: Subgroup) -> Subgroup:
 
 @register("ty", "splitting derivations across the centralizer product", _gen_special)
 def check_ty(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
 
     def trials():
-        for rep in _special_instances(g):
+        for rep in find_special_subgroups(g):
+            if not rep.special:
+                continue
             n = rep.subgroup
             c = rep.centralizer
             a = set_product(g, n, c)
@@ -1443,12 +1365,12 @@ def check_ty(inst):
 
 @register("j", "one-step extensions with stable H^1 stay inside Frattini", _gen_special)
 def check_j(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     phi = frattini(g)
     normals = normal_subgroups(g)
 
     def trials():
-        for rep in _special_reports(g):
+        for rep in find_special_subgroups(g):
             if not rep.checks["iset_inside"]:
                 continue
             a = rep.subgroup
@@ -1490,11 +1412,11 @@ def check_l32(inst):
 
 @register("xi", "fixed parts over larger subgroups stay n-bounded", _gen_special)
 def check_xi(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, _ in _inner_special_layers(g, _special_instances(g)):
+        for rep, w, _ in _inner_special_layers(g):
             for a in normal_subgroups(g):
                 if not a.contains_subgroup(rep.subgroup) or a.order == g.order:
                     continue
@@ -1514,10 +1436,10 @@ def check_xi(inst):
 
 @register("yu", "excess derivations shrink the fixed part strictly", _gen_special)
 def check_yu(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
 
     def trials():
-        for rep, w, h1_n in _inner_special_layers(g, _special_instances(g)):
+        for rep, w, h1_n in _inner_special_layers(g):
             normals = [a for a in normal_subgroups(g) if a.contains_subgroup(rep.subgroup)]
             parts = [_centralized_part(g, w, a) for a in normals]
             for a2, cw2 in zip(normals, parts):
@@ -1537,7 +1459,6 @@ def check_hh(inst):
     g = _group(inst)
     phi = frattini(g)
     n_val = subgroup_rank(g, center(g))
-    sweep = _Sweep(g)
 
     def trials():
         for n in normal_subgroups(g, within=phi):
@@ -1554,18 +1475,18 @@ def check_hh(inst):
                 for n1 in normal_subgroups(g)
                 if n.contains_subgroup(n1)
             )
-            yield sweep.certificate is not None or smaller, {"m": int(m), "n": int(n_val)}
+            yield engine_sweep(g) is not None or smaller, {"m": int(m), "n": int(n_val)}
 
     return _sweep(trials())
 
 
 @register("ll", "layer centralizers stay cyclic modulo the layer", _gen_special)
 def check_ll(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, h1 in _inner_special_layers(g, _special_instances(g)):
+        for rep, w, h1 in _inner_special_layers(g):
             if h1 != n_val:
                 continue
             wz = set_product(g, w, center(g))
@@ -1582,25 +1503,24 @@ def check_ll(inst):
 
 @register("qp", "a centralizer escaping Frattini yields a non-inner map", _gen_special)
 def check_qp(inst):
-    g = _group(inst)
-    sweep = _Sweep(g)
+    g = _nonabelian_group(inst)
 
     def trials():
-        for rep in _special_reports(g):
+        for rep in find_special_subgroups(g):
             if not rep.checks["iset_inside"] or rep.checks["product_inside_frattini"]:
                 continue
-            yield sweep.certificate is not None, {"n_order": int(rep.subgroup.order)}
+            yield engine_sweep(g) is not None, {"n_order": int(rep.subgroup.order)}
 
     return _sweep(trials())
 
 
 @register("kl", "a layer below the special subgroup exists", _gen_special)
 def check_kl(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, h1 in _inner_special_layers(g, _special_instances(g)):
+        for rep, w, h1 in _inner_special_layers(g):
             if h1 != n_val:
                 continue
             n = rep.subgroup
@@ -1617,14 +1537,14 @@ def check_kl(inst):
     return _sweep(trials())
 
 
-def _trichotomy(sweep: _Sweep, rep: SpecialReport) -> Outcome:
+def _trichotomy(g: GroupTable, rep: SpecialReport, specials: List[SpecialReport]) -> Outcome:
     """(1) certificate, (2) smaller special, (3) same order, larger I."""
     n = rep.subgroup
     size = rep.witness["iset_size"]
-    cert = sweep.certificate
-    smaller = any(r.subgroup.order < n.order for r in sweep.specials)
+    cert = engine_sweep(g)
+    smaller = any(r.subgroup.order < n.order for r in specials)
     bigger_i = any(
-        r.subgroup.order == n.order and r.witness["iset_size"] > size for r in sweep.specials
+        r.subgroup.order == n.order and r.witness["iset_size"] > size for r in specials
     )
     details = {
         "certificate": cert is not None,
@@ -1637,12 +1557,12 @@ def _trichotomy(sweep: _Sweep, rep: SpecialReport) -> Outcome:
 def _trichotomy_sweep(g: GroupTable, keep=None) -> Outcome:
     """The trichotomy on the special layers with inner induced maps that
     ``keep(rep, w, h1_dim)`` selects; without ``keep``, on every special
-    subgroup.  The search sweep runs at most once, at the first layer kept."""
-    sweep = _Sweep(g)
+    subgroup.  The search sweep runs at the first layer kept, once per table."""
+    specials = [r for r in find_special_subgroups(g) if r.special]
     if keep is None:
-        return _sweep((_trichotomy(sweep, rep) for rep in sweep.specials), none="no special subgroup")
-    layers = _inner_special_layers(g, sweep.specials)
-    return _sweep(_trichotomy(sweep, rep) for rep, w, h1 in layers if keep(rep, w, h1))
+        return _sweep((_trichotomy(g, rep, specials) for rep in specials), none="no special subgroup")
+    layers = _inner_special_layers(g)
+    return _sweep(_trichotomy(g, rep, specials) for rep, w, h1 in layers if keep(rep, w, h1))
 
 
 def _cyclic_layer(g: GroupTable, n: Subgroup, w: Subgroup) -> bool:
@@ -1667,7 +1587,7 @@ def _noncyclic_double_layer(g: GroupTable, n: Subgroup) -> bool:
 
 @register("xx", "trichotomy for non-cyclic layers", _gen_special)
 def check_xx(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     return _trichotomy_sweep(
         g,
         lambda rep, w, h1: h1 == subgroup_rank(g, center(g)) and not _cyclic_layer(g, rep.subgroup, w),
@@ -1676,10 +1596,10 @@ def check_xx(inst):
 
 @register("xy", "two extra derivation classes force a non-inner map", _gen_special)
 def check_xy(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
 
     def trials():
-        for rep, w, h1_n in _inner_special_layers(g, _special_instances(g)):
+        for rep, w, h1_n in _inner_special_layers(g):
             n = rep.subgroup
             wz = set_product(g, w, center(g))
             zn = subgroup_center(g, n)
@@ -1702,7 +1622,7 @@ def check_xy(inst):
 
 @register("t9_2", "layer trichotomy with growing p-th power sets", _gen_special)
 def check_t92(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     return _trichotomy_sweep(
         g,
         lambda rep, w, h1: h1 == subgroup_rank(g, center(g))
@@ -1714,13 +1634,13 @@ def check_t92(inst):
 def check_tt(inst):
     """The trichotomy on the special layers whose outer centralizer part is
     trivial, read as C_G(N) <= N (``_self_centralizing``)."""
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     return _trichotomy_sweep(g, lambda rep, w, h1: _self_centralizing(g, rep.subgroup))
 
 
 @register("xpl", "trichotomy for cyclic layers", _gen_special)
 def check_xpl(inst):
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     return _trichotomy_sweep(g, lambda rep, w, h1: _cyclic_layer(g, rep.subgroup, w))
 
 
@@ -1728,13 +1648,13 @@ def check_xpl(inst):
 def check_qk(inst):
     """The trichotomy on the special layers that are non-cyclic double layers,
     read as N/(W·Z(G)) non-cyclic of order p^2 (``_noncyclic_double_layer``)."""
-    g = _group(inst)
+    g = _nonabelian_group(inst)
     return _trichotomy_sweep(g, lambda rep, w, h1: _noncyclic_double_layer(g, rep.subgroup))
 
 
 @register("ui", "the full special-subgroup trichotomy", _gen_special)
 def check_ui(inst):
-    return _trichotomy_sweep(_group(inst))
+    return _trichotomy_sweep(_nonabelian_group(inst))
 
 
 @register("cor18", "every non-abelian p-group here has a certified non-inner map", _gen_special)
@@ -1782,13 +1702,7 @@ def check_tu(inst):
     xs = [(v @ q.basis) % p for v in gens_min]
     mlen = len(xs)
     # phi: prod^m F_p(T) -> prod^n F_p(T): (b_i) -> sum_i (b_i,..,b_i) x_i
-    phi_matrix = np.zeros((mlen * fbt.block, fbt.dim), dtype=np.int64)
-    for i, x in enumerate(xs):
-        xb = x.reshape(n, fbt.block)
-        for l in range(n):
-            phi_matrix[
-                i * fbt.block : (i + 1) * fbt.block, l * fbt.block : (l + 1) * fbt.block
-            ] = xb[l][ext.total.mul[ext.total.inv][:, :]]
+    phi_matrix = tuple_product_matrix(fbt, xs, "left")
     kd = kernel_of_down(tp)
     i2 = filtration(tp, 2)
     # D = preimage of ker(down); the image of xi is (D @ phi) + I2 in ker(down)

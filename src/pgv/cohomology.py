@@ -29,7 +29,17 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, Subgroup
-from .gmodule import ConjugationModule, GModule, ModuleError, module_from_conjugation, restrict_action
+from .gmodule import (
+    ConjugationModule,
+    FreeBimodule,
+    GModule,
+    ModuleError,
+    free_submodule_closure,
+    module_from_conjugation,
+    random_right_submodule,
+    restrict_action,
+    submodule_fixed_points,
+)
 
 DEFAULT_H2_ORDER_CAP = 64
 SLICE_ROWS = 64  # identity rows the first slice operator is applied to at once
@@ -328,6 +338,36 @@ def inflated_z1_rows(
 def h1_dim_of_submodule(fb, carrier, side: str = "right") -> int:
     sub, _ = restrict_action(fb.as_gmodule(side), carrier)
     return cohomology(sub.group, sub, 1, want_reps=False).h_dim
+
+
+@dataclass
+class SampledModule:
+    free: FreeBimodule
+    carrier: fl.FpSubspace
+    fixed_dim: int
+    h1_dim: int
+
+
+def sample_nG_module(group: GroupTable, n: int, seed: int) -> SampledModule:
+    """Seeded right submodule of prod^n F_p(G) containing the socle with
+    fixed-point dimension exactly n and dim H^1 <= n, by rejection sampling
+    up to 64 draws.  When no draw meets the H^1 bound, the last draw of
+    fixed-point dimension n is returned; without one, the socle's closure."""
+    fb = FreeBimodule(group, n)
+    rng = np.random.default_rng(seed)
+    best = None
+    for attempt in range(1, 65):
+        carrier = random_right_submodule(fb, rng, extra_vectors=1 + attempt % 3)
+        if submodule_fixed_points(fb, carrier, "right").dim != n:
+            continue
+        best = SampledModule(fb, carrier, n, h1_dim_of_submodule(fb, carrier))
+        if best.h1_dim <= n:
+            return best
+    if best is None:
+        carrier = free_submodule_closure(fb, fb.socle_basis(), "right")
+        fixed = submodule_fixed_points(fb, carrier, "right")
+        best = SampledModule(fb, carrier, fixed.dim, h1_dim_of_submodule(fb, carrier))
+    return best
 
 
 def conjugation_h1(

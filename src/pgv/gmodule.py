@@ -437,18 +437,15 @@ def annihilator_by_products(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSub
     return FpSubspace.from_rows(rows, fb.p, fb.dim)
 
 
-def ann_tuple(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) -> FpSubspace:
-    """Tuples (y_1..y_s) with sum_i (y_i,..,y_i) x_i = 0 in prod^n F_p(G).
+def tuple_product_matrix(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) -> np.ndarray:
+    """The matrix of (y_1..y_s) -> sum_i (y_i,..,y_i) x_i, prod^s F_p(G) ->
+    prod^n F_p(G), acting on row vectors.
 
-    The product is the componentwise algebra product, so the condition is one
-    equation per copy: sum_i y_i x_{i,l} = 0 for every l (side 'left'), or
-    sum_i x_{i,l} y_i = 0 (side 'right').  Lives in prod^s F_p(G).
+    The product is the componentwise algebra product: copy l of the image is
+    sum_i y_i x_{i,l} (side 'left') or sum_i x_{i,l} y_i (side 'right').
     """
-    s = len(xs)
-    if s < 1:
-        raise ModuleError("s >= 1 required")
     g = fb.group
-    m = np.zeros((s * fb.block, fb.n * fb.block), dtype=np.int64)
+    m = np.zeros((len(xs) * fb.block, fb.n * fb.block), dtype=np.int64)
     for i, x in enumerate(xs):
         xb = fl.as_residues(x, fb.p).reshape(fb.n, fb.block)
         for l in range(fb.n):
@@ -457,7 +454,16 @@ def ann_tuple(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) -> FpSubspa
             else:
                 blk = xb[l][g.mul[:, g.inv].T]  # y -> x_{i,l} * y
             m[i * fb.block : (i + 1) * fb.block, l * fb.block : (l + 1) * fb.block] = blk
-    rows = fl.left_kernel_array(m, fb.p)
+    return m
+
+
+def ann_tuple(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) -> FpSubspace:
+    """Tuples (y_1..y_s) with sum_i (y_i,..,y_i) x_i = 0 in prod^n F_p(G):
+    the left kernel of ``tuple_product_matrix``.  Lives in prod^s F_p(G)."""
+    s = len(xs)
+    if s < 1:
+        raise ModuleError("s >= 1 required")
+    rows = fl.left_kernel_array(tuple_product_matrix(fb, xs, side), fb.p)
     return FpSubspace.from_rows(rows, fb.p, s * fb.block)
 
 
@@ -535,16 +541,6 @@ def embed_into_free(m: GModule) -> FreeEmbedding:
 # -- sampling ------------------------------------------------------------------
 
 
-@dataclass
-class SampledModule:
-    free: FreeBimodule
-    carrier: FpSubspace
-    fixed_dim: int
-    h1_dim: int
-    is_nG: bool
-    attempts: int
-
-
 def random_right_submodule(
     fb: FreeBimodule, rng: np.random.Generator, extra_vectors: int = 2, with_socle: bool = True
 ) -> FpSubspace:
@@ -552,40 +548,6 @@ def random_right_submodule(
     if with_socle:
         seeds = np.vstack([fb.socle_basis(), seeds])
     return free_submodule_closure(fb, seeds, "right")
-
-
-def sample_nG_module(
-    group: GroupTable,
-    n: int,
-    seed: int,
-    max_retries: int = 64,
-    h1_fn=None,
-) -> SampledModule:
-    """Seeded right submodule of prod^n F_p(G) containing the socle with
-    fixed-point dimension exactly n; the cohomology bound is measured, with
-    rejection sampling up to the retry cap.
-    """
-    fb = FreeBimodule(group, n)
-    rng = np.random.default_rng(seed)
-    best = None
-    for attempt in range(1, max_retries + 1):
-        carrier = random_right_submodule(fb, rng, extra_vectors=1 + attempt % 3)
-        fixed = submodule_fixed_points(fb, carrier, "right")
-        if fixed.dim != n:
-            continue
-        h1 = -1
-        if h1_fn is not None:
-            h1 = h1_fn(fb, carrier)
-        ok = h1_fn is None or (0 <= h1 <= n)
-        best = SampledModule(fb, carrier, fixed.dim, h1, ok, attempt)
-        if ok:
-            return best
-    if best is None:
-        carrier = free_submodule_closure(fb, fb.socle_basis(), "right")
-        fixed = submodule_fixed_points(fb, carrier, "right")
-        h1 = h1_fn(fb, carrier) if h1_fn is not None else -1
-        best = SampledModule(fb, carrier, fixed.dim, h1, fixed.dim == n, max_retries)
-    return best
 
 
 def submodule_fixed_points(fb: FreeBimodule, carrier: FpSubspace, side: str) -> FpSubspace:

@@ -90,9 +90,12 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
     """Evaluate the special-subgroup conditions on every normal subgroup of
     the Frattini subgroup; reports cover near-misses too.  This is the one
     place the three conditions are evaluated; reports come in (order, key())
-    order, the order of ``normal_subgroups``."""
+    order, the order of ``normal_subgroups``, and are cached on the table."""
     if g.is_abelian():
         raise NoninnerError("abelian: outside the special-subgroup machinery")
+    cached = g._cache.get("special_reports")
+    if cached is not None:
+        return list(cached)
     phi = frattini(g)
     reports = []
     for n in normal_subgroups(g, within=phi):
@@ -122,7 +125,8 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
             )
         )
     reports.sort(key=lambda r: (r.subgroup.order, r.subgroup.key()))
-    return reports
+    g._cache["special_reports"] = reports
+    return list(reports)
 
 
 # -- certificates ----------------------------------------------------------------
@@ -454,10 +458,17 @@ def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     """Derivation sweep; returns the first certificate in a fixed config order.
 
     The configurations come from ``_sweep_configs``; the widening stages B
-    and C are what make the sweep complete on the small-order catalog.
+    and C are what make the sweep complete on the small-order catalog.  The
+    result, a certificate or None, is cached on the table.
     """
     if g.is_abelian():
         return None
+    if "engine_sweep" not in g._cache:
+        g._cache["engine_sweep"] = _first_certificate(g)
+    return g._cache["engine_sweep"]
+
+
+def _first_certificate(g: GroupTable) -> Optional[Certificate]:
     for n1, w, tag, extra, all_h in _sweep_configs(g):
         cert, _ = try_config(g, n1, w, "search", tag, extra, require_all_h=all_h)
         if cert is not None:

@@ -128,6 +128,13 @@ def test_io_rank_dihedral_structure():
     assert v.details["structure_claim_dihedral_or_quaternion"]
 
 
+def test_special_subgroup_checks_skip_abelian_input():
+    # find_special_subgroups refuses abelian groups; the checks reading it skip.
+    for cid in ("ddd_iso", "thm5_5", "j", "qp", "ui"):
+        v = run_check(cid, {"group": "C2xC2", "seed": 0})
+        assert v.status == SKIPPED and v.details == {"reason": "abelian input"}, cid
+
+
 def test_cor18_on_catalog_member():
     v = run_check("cor18", {"group": "D8", "seed": 0})
     assert v.status == PASS

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pgv.cohomology import h1_dim_of_submodule, sample_nG_module
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import (
     GroupTable,
@@ -33,7 +34,6 @@ from pgv.gmodule import (
     radical,
     regular_module,
     restrict_action,
-    sample_nG_module,
     submodule_fixed_points,
     trivial_module,
 )
@@ -329,6 +329,7 @@ def test_sample_deterministic_and_fixed_dim():
     assert s1.fixed_dim == 2
     f = submodule_fixed_points(s1.free, s1.carrier, "right")
     assert f.dim == 2
+    assert s1.h1_dim == h1_dim_of_submodule(s1.free, s1.carrier) <= 2
 
 
 def test_quotient_module_trivial_action_on_head():

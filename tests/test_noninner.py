@@ -260,7 +260,21 @@ def test_subgroup_rank(catalog):
 
 
 def test_certificates_deterministic(catalog):
-    g = find_entry("D16", catalog).group()
-    c1 = engine_sweep(g)
-    c2 = engine_sweep(g)
+    # Two tables from one presentation: the sweep result is cached per
+    # table, so each certificate here is computed afresh.
+    pres = find_entry("D16", catalog).presentation
+    c1 = engine_sweep(from_pc_presentation(pres))
+    c2 = engine_sweep(from_pc_presentation(pres))
     assert c1.to_json() == c2.to_json()
+
+
+def test_special_reports_and_sweep_cached_on_the_table(catalog):
+    g = find_entry("D16", catalog).group()
+    fresh = from_pc_presentation(find_entry("D16", catalog).presentation)
+    assert engine_sweep(g) is engine_sweep(g)
+    assert engine_sweep(g).to_json() == engine_sweep(fresh).to_json()
+    reports = find_special_subgroups(g)
+    reports.clear()  # a caller's copy: the cached list is untouched
+    again = find_special_subgroups(g)
+    assert [r.subgroup.key() for r in again] == [r.subgroup.key() for r in find_special_subgroups(fresh)]
+    assert again and again[0] is find_special_subgroups(g)[0]
