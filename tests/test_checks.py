@@ -123,9 +123,14 @@ def test_du_growth_uses_pushed_cocycles():
 
 
 def test_io_rank_dihedral_structure():
+    # D16 meets the structure claim, but inflation moves H^1 of every
+    # candidate 1-module over D16/N, so the generator count is never tested:
+    # a skip that keeps the structure-claim details, not a PASS.
     v = run_check("io_rank", {"group": "D16", "seed": 0})
-    assert v.status == PASS
+    assert v.status == SKIPPED
     assert v.details["structure_claim_dihedral_or_quaternion"]
+    assert v.details["reason"] == "no 1-module reaches the generator-count test"
+    assert "d_base" not in v.details
 
 
 def test_special_subgroup_checks_skip_abelian_input():
@@ -189,7 +194,7 @@ def test_golden_report_digest():
     text = report_to_json(run_suite("all", "all", seed=0))
     assert len(json.loads(text)["verdicts"]) == 572
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "6008959aab7ab73c63eaa9335d85ddc2a9162a625c95c49acf9613ef6f999fce"
+    assert digest == "0285d099c7da18661e4aeefa8cee739aed4afeab651a446d6b532e2ce4e4bc8d"
 
 
 def test_sweep_skip_and_unsupported(monkeypatch):
