@@ -987,8 +987,8 @@ def check_io(inst):
         return False, details
     # Generator-count claim on a small stable instance: a 1-module over G/N
     # whose H^1 does not move under inflation gives d(ext) = d(G) + 1.
-    # A non-trivial p-group has a normal subgroup of order p.
     d_g = _d_of_group(g)
+    # A non-trivial p-group has a normal subgroup of order p.
     nsub = next(s for s in normal_subgroups(g) if s.order == g.p)
     _, qm = quotient(g, nsub)
     fbq = FreeBimodule(qm.group, 1)
