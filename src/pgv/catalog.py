@@ -62,35 +62,31 @@ class CatalogEntry:
         return self._table
 
     def matches(self, expr: str) -> bool:
+        """Does any comma-separated needle match: 'all' or '*', 'order<=N',
+        'order=N', 'p=N', or a glob on the name or a tag?  Every needle is
+        parsed, and a malformed number is a CatalogError."""
         import fnmatch
 
-        needles = [s.strip() for s in expr.split(",") if s.strip()]
-        for needle in needles:
-            if needle in ("all", "*"):
-                return True
+        hits = []
+        for needle in filter(None, (s.strip() for s in expr.split(","))):
             if needle.startswith("order<="):
-                try:
-                    if self.order <= int(needle[len("order<=") :]):
-                        return True
-                except ValueError:
-                    continue
+                hits.append(self.order <= _filter_int(needle, "order<="))
             elif needle.startswith("order="):
-                try:
-                    if self.order == int(needle[len("order=") :]):
-                        return True
-                except ValueError:
-                    continue
+                hits.append(self.order == _filter_int(needle, "order="))
             elif needle.startswith("p="):
-                try:
-                    if self.p == int(needle[2:]):
-                        return True
-                except ValueError:
-                    continue
-            elif fnmatch.fnmatch(self.name, needle) or any(
-                fnmatch.fnmatch(t, needle) for t in self.tags
-            ):
-                return True
-        return False
+                hits.append(self.p == _filter_int(needle, "p="))
+            else:
+                names = (self.name, *self.tags)
+                hits.append(needle in ("all", "*") or any(fnmatch.fnmatch(x, needle) for x in names))
+        return any(hits)
+
+
+def _filter_int(needle: str, prefix: str) -> int:
+    text = needle[len(prefix) :]
+    try:
+        return int(text)
+    except ValueError:
+        raise CatalogError(f"catalog filter {needle!r}: {text!r} is not an integer") from None
 
 
 # -- family presentations -------------------------------------------------------
@@ -329,11 +325,7 @@ def _base_entries(order_cap: int) -> List[CatalogEntry]:
 
     # Data files first (priority 0 so their names win deduplication).
     for fname, tagbase in (("order16.pres", "order16"), ("order81.pres", "order81")):
-        try:
-            text = _data_text(fname)
-        except FileNotFoundError:
-            continue
-        for i, pres in enumerate(parse_presentations(text), start=1):
+        for i, pres in enumerate(parse_presentations(_data_text(fname)), start=1):
             tags = [tagbase, f"{tagbase}#{i}"]
             add(pres, tags, priority=0)
 

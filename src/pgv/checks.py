@@ -374,7 +374,7 @@ def check_ut_embed(inst):
     equiv_ok = True
     for h in g.generating_sequence():
         lhs = (mod.act[h] @ emb.matrix) % g.p
-        rhs = (emb.matrix @ emb.free.right_element_action(h)) % g.p
+        rhs = (emb.matrix @ emb.free.element_action(h, "right")) % g.p
         if not np.array_equal(lhs, rhs):
             equiv_ok = False
     ok = emb.injective and socle_ok and equiv_ok
@@ -534,14 +534,14 @@ def check_to(inst):
     img = FpSubspace.from_rows(tp.up, p)
     trivial_action = True
     for a in ext.kernel_generators():
-        R = tp.free_total.right_element_action(a)
+        R = tp.free_total.element_action(a, "right")
         if not np.array_equal((tp.up @ R) % p, tp.up % p):
             trivial_action = False
     equivariant = True
     for h in range(ext.total.order):
         hg = ext.projection(h)
-        lhs = (tp.free_base.right_element_action(hg) @ tp.up) % p
-        rhs = (tp.up @ tp.free_total.right_element_action(h)) % p
+        lhs = (tp.free_base.element_action(hg, "right") @ tp.up) % p
+        rhs = (tp.up @ tp.free_total.element_action(h, "right")) % p
         if not np.array_equal(lhs, rhs):
             equivariant = False
             break
@@ -600,8 +600,8 @@ def check_dd(inst):
     for i in range(1, top + 1):
         for a in ext.kernel_generators():
             for mtx in (
-                tp.free_total.right_element_action(a),
-                tp.free_total.left_element_action(a),
+                tp.free_total.element_action(a, "right"),
+                tp.free_total.element_action(a, "left"),
             ):
                 moved = spaces[i].basis @ mtx - spaces[i].basis
                 if np.any(spaces[i + 1].reduce(moved)):
@@ -873,7 +873,7 @@ def check_dp(inst):
     if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module over the extension")
     # fixed points under the kernel subgroup
-    kernel_acts = [s.free.right_element_action(a) for a in ext.kernel_generators()]
+    kernel_acts = [s.free.element_action(a, "right") for a in ext.kernel_generators()]
     qn = fixed_under(kernel_acts, T.p, s.free.dim).intersect(s.carrier)
     ok = s.carrier.dim >= T.p * qn.dim
     return ok, {"dim_Q": int(s.carrier.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p}
@@ -1273,9 +1273,13 @@ def _all_inner(g: GroupTable, n1: Subgroup, w: Subgroup) -> Tuple[bool, int]:
     return evidence["all_inner"], evidence["h1_dim"]
 
 
-def _inner_special_layers(g: GroupTable):
+def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, Subgroup, int]]:
     """(rep, W, dim H^1(G/N, W)) for every special N with W = Omega_1(Z(N))
-    != 1 whose induced maps are all inner."""
+    != 1 whose induced maps are all inner; cached on the table."""
+    cached = g._cache.get("inner_special_layers")
+    if cached is not None:
+        return list(cached)
+    layers = []
     for rep in find_special_subgroups(g):
         if not rep.special:
             continue
@@ -1284,7 +1288,9 @@ def _inner_special_layers(g: GroupTable):
             continue
         gate, h1 = _all_inner(g, rep.subgroup, w)
         if gate:
-            yield rep, w, h1
+            layers.append((rep, w, h1))
+    g._cache["inner_special_layers"] = layers
+    return list(layers)
 
 
 @register("ddd_iso", "inner derivation classes match the p-th power set", _gen_special)

@@ -53,8 +53,8 @@ def _resolve_group(spec: str, order_cap: int) -> GroupTable:
     path = Path(spec)
     if path.exists():
         groups = parse_presentations(path.read_text(encoding="utf-8"))
-        if not groups:
-            raise UsageError(f"no group in {spec}")
+        if len(groups) != 1:
+            raise UsageError(f"{spec} holds {len(groups)} groups; --group FILE needs exactly one")
         g = from_pc_presentation(groups[0], order_cap=order_cap)
         g.name = groups[0].name
         return g

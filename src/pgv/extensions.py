@@ -156,18 +156,12 @@ def _algebra_power_product(
     total: GroupTable, gens: Sequence[int], exps: Sequence[int]
 ) -> np.ndarray:
     """(a_1 - 1)^{i_1} ... (a_t - 1)^{i_t} in F_p(total)."""
-    p = total.p
     vec = np.zeros(total.order, dtype=np.int64)
     vec[0] = 1
     for a, e in zip(gens, exps):
         for _ in range(e):
-            # multiply vec by (a - 1) on the right
-            out = np.zeros(total.order, dtype=np.int64)
-            nz = np.nonzero(vec)[0]
-            for x in nz:
-                out[total.mul[x, a]] = (out[total.mul[x, a]] + vec[x]) % p
-                out[x] = (out[x] - vec[x]) % p
-            vec = out
+            # vec * (a - 1): the coefficient of k in vec * a is vec[k a^-1].
+            vec = (vec[total.mul[:, total.inv[a]]] - vec) % total.p
     return vec
 
 
@@ -178,67 +172,39 @@ def transfer_maps(ext: ExtensionResult, n: int) -> TransferPair:
     fb_total = FreeBimodule(total, n)
     fb_base = FreeBimodule(base, n)
     to, bo = total.order, base.order
+    section = ext.section
 
-    proj = ext.projection.image_of
-    down = np.zeros((n * to, n * bo), dtype=np.int64)
-    for l in range(n):
-        for x in range(to):
-            down[l * to + x, l * bo + proj[x]] = 1
+    # down: x in copy l goes to its image under the projection in copy l.
+    down = fb_total.copies(np.eye(bo, dtype=np.int64)[ext.projection.image_of])
 
+    # The exponent tuples run in lexicographic order (last exponent fastest),
+    # i.e. the vector codes with their digits reversed; the last one is
+    # (p-1, .., p-1), whose power product is the kernel norm element.
+    exps = fl.vector_codes(t, p)[:, ::-1]
     gens = ext.kernel_generators()
-    norm = _algebra_power_product(total, gens, [p - 1] * t)
+    powers = np.array([_algebra_power_product(total, gens, e) for e in exps])
+    norm = powers[-1]
     # The norm element is the sum over the kernel.
     expected = np.zeros(to, dtype=np.int64)
     expected[ext.kernel.members] = 1
     if not np.array_equal(norm, expected):
         raise ExtensionError("kernel norm element mismatch")
 
-    up = np.zeros((n * bo, n * to), dtype=np.int64)
-    norm_R = FreeBimodule(total, 1).right_mul_matrix(norm)
-    for l in range(n):
-        for gg in range(bo):
-            h = int(ext.section[gg])
-            up[l * bo + gg, l * to : (l + 1) * to] = norm_R[h]  # h * norm
+    # up: row g of copy l is section(g) * norm in copy l.
+    up = fb_total.copies(fb_total.mul_block(norm, "right")[section])
 
-    # e_{i_1..i_t, l} vectors and the lambda basis of ker(down).  The
-    # exponent tuples run in lexicographic order (last exponent fastest),
-    # i.e. the vector codes with their digits reversed, and each one is
-    # repeated for the n copies.
-    e_exponents = np.repeat(fl.vector_codes(t, p)[:, ::-1], n, axis=0)
-    e_vectors = np.zeros((e_exponents.shape[0], n * to), dtype=np.int64)
-    for r in range(0, e_exponents.shape[0], n):
-        vec = _algebra_power_product(total, gens, e_exponents[r])
-        for l in range(n):
-            e_vectors[r + l, l * to : (l + 1) * to] = vec
+    # e_{i_1..i_t, l}: each power product once per copy l, row r = k*n + l.
+    e_exponents = np.repeat(exps, n, axis=0)
+    e_vectors = fb_total.copies(powers[:, None]).reshape(-1, n * to)
 
-    lam_rows = []
-    lam1_rows = []
-    one_block = FreeBimodule(total, 1)
-    for r, (exps, evec) in enumerate(zip(e_exponents, e_vectors)):
-        if sum(exps) < 1:
-            continue
-        l = r % n
-        block = evec[l * to : (l + 1) * to]
-        R = one_block.right_mul_matrix(block)  # row h: h * e-part
-        L = one_block.left_mul_matrix(block)  # row h: e-part * h
-        for gg in range(bo):
-            h = int(ext.section[gg])
-            row = np.zeros(n * to, dtype=np.int64)
-            row[l * to : (l + 1) * to] = R[h]
-            lam_rows.append(row)
-            row1 = np.zeros(n * to, dtype=np.int64)
-            row1[l * to : (l + 1) * to] = L[h]
-            lam1_rows.append(row1)
-    lambda_basis = (
-        np.array(lam_rows, dtype=np.int64)
-        if lam_rows
-        else np.zeros((0, n * to), dtype=np.int64)
-    )
-    lambda1_basis = (
-        np.array(lam1_rows, dtype=np.int64)
-        if lam1_rows
-        else np.zeros((0, n * to), dtype=np.int64)
-    )
+    # Rows section(g) * e_{i,l} and e_{i,l} * section(g) for exponent sum
+    # >= 1 (every tuple but the first), ordered by (i, l, g).
+    lambda_basis = fb_total.copies(
+        fb_total.mul_block(powers[1:], "right")[:, section]
+    ).reshape(-1, n * to)
+    lambda1_basis = fb_total.copies(
+        fb_total.mul_block(powers[1:], "left")[:, section]
+    ).reshape(-1, n * to)
     return TransferPair(
         ext,
         n,

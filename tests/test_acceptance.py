@@ -214,7 +214,7 @@ def test_criterion_7_transfer_suite(p):
     for n in (1, 2):
         tp = transfer_maps(ext, n)
         assert not np.any((tp.up @ tp.down) % p)
-        Rnorm = tp.free_total.right_mul_matrix(tp.norm_vector)
+        Rnorm = tp.free_total.mul_matrix(tp.norm_vector, "right")
         rng = np.random.default_rng(7)
         for _ in range(4):
             x = rng.integers(0, p, size=tp.down.shape[0])

@@ -108,6 +108,22 @@ def test_tag_filtering(catalog):
     small = [e for e in catalog if e.matches("order<=16")]
     assert all(e.order <= 16 for e in small)
     assert [e for e in catalog if e.matches("all")] == list(catalog)
+    d8 = find_entry("D8", catalog)
+    assert d8.matches("p=3,order=8") and not d8.matches("p=3,order<=4")
+    for bad in ("order<=abc", "order=", "p=x", "all,p=x"):
+        with pytest.raises(CatalogError):
+            d8.matches(bad)
+
+
+def test_missing_data_file_is_an_error(monkeypatch):
+    from pgv import catalog as catalog_module
+
+    def missing(fname):
+        raise FileNotFoundError(fname)
+
+    monkeypatch.setattr(catalog_module, "_data_text", missing)
+    with pytest.raises(FileNotFoundError):
+        catalog_module._base_entries(64)
 
 
 def test_products_present_and_deduped(catalog):

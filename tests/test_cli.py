@@ -28,6 +28,15 @@ def test_group_info_from_file(tmp_path, capsys):
     assert "order: 9 = 3^2" in capsys.readouterr().out
 
 
+def test_group_file_with_several_groups_is_a_usage_error(capsys):
+    from pathlib import Path
+
+    fixture = Path(__file__).resolve().parent / "data" / "special32.pres"
+    assert main(["group", "info", str(fixture)]) == 1
+    captured = capsys.readouterr()
+    assert "holds 3 groups" in captured.err and captured.out == ""
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["group", "info", "NoSuchGroup"]) == 1
     assert main(["h1", "--group", "D8", "--normal", "bogus-name"]) == 1
@@ -40,6 +49,8 @@ def test_usage_errors(tmp_path, capsys):
     for cap in ("0", "-3", "x"):
         assert main(["h2", "--group", "C4", "--h2-cap", cap]) == 1
     assert main(["--order-cap", "-5", "group", "info", "C4"]) == 1
+    assert main(["check", "--id", "gen_count", "--catalog", "order<=abc"]) == 1
+    assert main(["catalog", "list", "--filter", "p=x"]) == 1
     not_json = tmp_path / "not.json"
     not_json.write_text("this is not json")
     wrong_shape = tmp_path / "shape.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgv.catalog import builtin_catalog
+from pgv.checks import _build_transfer, _gen_transfer
 from pgv.cohomology import TwoCocycle, cohomology, two_coboundary, zero_two_cocycle
 from pgv.extensions import (
     ExtensionError,
@@ -18,7 +19,7 @@ from pgv.extensions import (
 )
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import cyclic_group, direct_product_tables, from_pc_presentation, is_isomorphic
-from pgv.gmodule import FreeBimodule, trivial_module
+from pgv.gmodule import FreeBimodule, regular_module, trivial_module
 from tests.test_group_core import pres_d8
 
 
@@ -153,7 +154,7 @@ def test_transfer_identities_rank_one_kernel(p, n):
     assert rank_array(tp.up, p) == tp.up.shape[0]
 
     # up(down(x)) = x * (norm, ..., norm).
-    Rnorm_blocks = tp.free_total.right_mul_matrix(tp.norm_vector)
+    Rnorm_blocks = tp.free_total.mul_matrix(tp.norm_vector, "right")
     for _ in range(4):
         x = rng.integers(0, p, size=n * to)
         got = (x @ tp.down @ tp.up) % p
@@ -246,7 +247,7 @@ def test_up_image_independent_of_section():
     # Recompute up with every other fiber representative; image must agree.
     from pgv.gmodule import FreeBimodule as FB
 
-    norm_R = FB(ext.total, 1).right_mul_matrix(tp.norm_vector)
+    norm_R = FB(ext.total, 1).mul_matrix(tp.norm_vector, "right")
     img_std = FpSubspace.from_rows(tp.up, p)
     for a in ext.kernel.members:
         alt_rows = []
@@ -322,3 +323,85 @@ def test_build_extension_matches_tuple_reference_on_conjugation_module():
     for f in reps:
         ext = build_extension(q, m, f)
         assert np.array_equal(ext.total.mul, reference_extension_table(q, m, f))
+
+
+def power_product_oracle(total, gens, exps):
+    """(a_1 - 1)^{i_1} ... (a_t - 1)^{i_t}, one coefficient at a time."""
+    vec = np.zeros(total.order, dtype=np.int64)
+    vec[0] = 1
+    for a, e in zip(gens, exps):
+        for _ in range(e):
+            out = np.zeros(total.order, dtype=np.int64)
+            for x in np.nonzero(vec)[0]:
+                out[total.mul[x, a]] = (out[total.mul[x, a]] + vec[x]) % total.p
+                out[x] = (out[x] - vec[x]) % total.p
+            vec = out
+    return vec
+
+
+def product_oracle(total, x, y):
+    """x * y in F_p(total) for group algebra vectors."""
+    out = np.zeros(total.order, dtype=np.int64)
+    for a in range(total.order):
+        for b in range(total.order):
+            out[total.mul[a, b]] = (out[total.mul[a, b]] + x[a] * y[b]) % total.p
+    return out
+
+
+def transfer_cases():
+    """Every transfer instance of the check registry (central kernels), and
+    C2 wr C2 = D8 over the regular C2-module, whose kernel is not central,
+    so left and right products with it differ."""
+    for inst in _gen_transfer(None, 0, None):
+        _, ext, tp = _build_transfer(inst)
+        yield inst, ext, tp
+    g = cyclic_group(2, 2)
+    m = regular_module(g)
+    ext = build_extension(g, m, zero_two_cocycle(g, m))
+    for n in (1, 2):
+        yield {"wreath": "C2 wr C2", "n": n}, ext, transfer_maps(ext, n)
+
+
+def test_transfer_maps_match_elementwise_oracle():
+    for inst, ext, tp in transfer_cases():
+        total, g, n, t = ext.total, ext.base, tp.n, ext.t
+        p, to, bo = g.p, total.order, g.order
+        proj = ext.projection.image_of
+
+        def in_copy(l, vec):
+            row = np.zeros(n * to, dtype=np.int64)
+            row[l * to : (l + 1) * to] = vec
+            return row
+
+        def unit(x):
+            return np.eye(to, dtype=np.int64)[x]
+
+        down = np.zeros((n * to, n * bo), dtype=np.int64)
+        for l in range(n):
+            for x in range(to):
+                down[l * to + x, l * bo + proj[x]] = 1
+        assert np.array_equal(tp.down, down), inst
+
+        norm = np.zeros(to, dtype=np.int64)
+        norm[ext.kernel.members] = 1
+        assert np.array_equal(tp.norm_vector, norm), inst
+        up = [in_copy(l, product_oracle(total, unit(ext.section[h]), norm)) for l in range(n) for h in range(bo)]
+        assert np.array_equal(tp.up, np.array(up)), inst
+
+        exps = [e for e in itertools.product(range(p), repeat=t) for _ in range(n)]
+        assert np.array_equal(tp.e_exponents, np.array(exps)), inst
+        gens = ext.kernel_generators()
+        evecs = [in_copy(r % n, power_product_oracle(total, gens, e)) for r, e in enumerate(exps)]
+        assert np.array_equal(tp.e_vectors, np.array(evecs)), inst
+
+        lam, lam1 = [], []
+        for r, e in enumerate(exps):
+            if sum(e) == 0:
+                continue
+            ev = power_product_oracle(total, gens, e)
+            for h in range(bo):
+                s = unit(ext.section[h])
+                lam.append(in_copy(r % n, product_oracle(total, s, ev)))
+                lam1.append(in_copy(r % n, product_oracle(total, ev, s)))
+        assert np.array_equal(tp.lambda_basis, np.array(lam)), inst
+        assert np.array_equal(tp.lambda1_basis, np.array(lam1)), inst

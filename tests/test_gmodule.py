@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pgv.catalog import find_entry
 from pgv.cohomology import h1_dim_of_submodule, sample_nG_module
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import (
@@ -36,6 +37,7 @@ from pgv.gmodule import (
     restrict_action,
     submodule_fixed_points,
     trivial_module,
+    tuple_product_matrix,
 )
 from tests.test_group_core import pres_d8, pres_d16, pres_heis27
 
@@ -237,7 +239,7 @@ def test_embed_sampled_module_klein():
         P = emb.matrix
         for gidx in range(4):
             lhs = (sub.act[gidx] @ P) % 2
-            rhs = (P @ emb.free.right_element_action(gidx)) % 2
+            rhs = (P @ emb.free.element_action(gidx, "right")) % 2
             assert np.array_equal(lhs, rhs)
 
 
@@ -347,8 +349,8 @@ def test_free_bimodule_left_right_commute():
     rng = np.random.default_rng(17)
     a = rng.integers(0, 2, size=8)
     b = rng.integers(0, 2, size=8)
-    L = fb.left_mul_matrix(a)
-    R = fb.right_mul_matrix(b)
+    L = fb.mul_matrix(a, "left")
+    R = fb.mul_matrix(b, "right")
     assert np.array_equal((L @ R) % 2, (R @ L) % 2)
 
 
@@ -379,3 +381,64 @@ def test_annihilator_duality_property(params, n, seed):
     assert left.dim + q.dim == fb.dim
     assert annihilator(fb, left, "right_of_left") == q
     assert annihilator_by_products(fb, q, "left_of_right") == left
+
+
+# -- element-wise oracle for the layout of prod^n F_p(G) -----------------------
+
+
+def times_oracle(g, y, side):
+    """Row a is e_a * y (side 'right') or y * e_a (side 'left'), one element
+    product at a time."""
+    out = np.zeros((g.order, g.order), dtype=np.int64)
+    for a in range(g.order):
+        for b in range(g.order):
+            k = g.mul[a, b] if side == "right" else g.mul[b, a]
+            out[a, k] = (out[a, k] + y[b]) % g.p
+    return out
+
+
+def place_oracle(blocks, n):
+    """blocks[i][l] written at rows of slot i and columns of copy l."""
+    r, c = blocks[0][0].shape
+    out = np.zeros((len(blocks) * r, n * c), dtype=np.int64)
+    for i, row in enumerate(blocks):
+        for l, blk in enumerate(row):
+            out[i * r : (i + 1) * r, l * c : (l + 1) * c] = blk
+    return out
+
+
+def diag_oracle(block, n):
+    return place_oracle([[block if l == i else 0 * block for l in range(n)] for i in range(n)], n)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "D8", "Q8"])
+def test_free_bimodule_layout_matches_elementwise_oracle(name):
+    g = find_entry(name).group()
+    p, q = g.p, g.order
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 3):
+        fb = FreeBimodule(g, n)
+        stack = rng.integers(0, p, size=(2, 3, q))
+        assert np.array_equal(fb.copies(stack[0]), np.kron(np.eye(n, dtype=np.int64), stack[0]))
+        assert np.array_equal(fb.copies(stack), np.kron(np.eye(n, dtype=np.int64), stack))
+        y = rng.integers(0, p, size=q)
+        for side in ("right", "left"):
+            assert np.array_equal(fb.mul_matrix(y, side), diag_oracle(times_oracle(g, y, side), n))
+            for h in range(q):
+                assert np.array_equal(
+                    fb.element_action(h, side), diag_oracle(times_oracle(g, np.eye(q, dtype=np.int64)[h], side), n)
+                )
+        socle = np.zeros((n, fb.dim), dtype=np.int64)
+        for l in range(n):
+            socle[l, l * q : (l + 1) * q] = 1
+        assert np.array_equal(fb.socle_basis(), socle)
+        gram = np.zeros((fb.dim, fb.dim), dtype=np.int64)
+        for l in range(n):
+            for a in range(q):
+                gram[l * q + a, l * q + g.inv[a]] = 1
+        assert np.array_equal(fb.delta_pairing_matrix(), gram)
+        xs = [rng.integers(0, p, size=fb.dim) for _ in range(2)]
+        for side, acting in (("left", "right"), ("right", "left")):
+            # side 'left': y_i * x_{i,l}, so x_{i,l} multiplies from the right.
+            want = place_oracle([[times_oracle(g, x[l * q : (l + 1) * q], acting) for l in range(n)] for x in xs], n)
+            assert np.array_equal(tuple_product_matrix(fb, xs, side), want)
