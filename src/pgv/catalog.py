@@ -11,6 +11,7 @@ deduplicated up to isomorphism at load time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -18,16 +19,19 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import fp_linalg as fl
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupError,
     GroupTable,
-    Subgroup,
+    _adjoin,
+    _commutators_with_generators,
     _group_invariants,
+    direct_product_tables,
     find_isomorphism,
     from_pc_presentation,
 )
-from .presentations import PcPresentation, direct_product, parse_presentations
+from .presentations import PcPresentation, parse_presentations
 
 DEFAULT_PRODUCT_CAP = 64
 
@@ -38,25 +42,34 @@ class CatalogError(ValueError):
 
 @dataclass
 class CatalogEntry:
+    """A named group: collected from its presentation, or, for a direct
+    product (presentation None), built from its two factors' tables."""
+
     name: str
-    presentation: PcPresentation
+    presentation: Optional[PcPresentation]
     tags: Tuple[str, ...] = ()
     priority: int = 1  # lower wins when deduplicating isomorphic entries
+    factors: Tuple["CatalogEntry", ...] = ()
     _table: Optional[GroupTable] = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
+        if self.presentation is None:
+            return math.prod(f.order for f in self.factors)
         return self.presentation.order()
 
     @property
     def p(self) -> int:
-        return self.presentation.p
+        return (self.presentation or self.factors[0]).p
 
     def group(self, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         if self.order > order_cap:
             raise GroupError(f"order cap: {self.order} > {order_cap}")
         if self._table is None:
-            tbl = from_pc_presentation(self.presentation, order_cap=order_cap)
+            if self.presentation is None:
+                tbl = direct_product_tables(*(f.group(order_cap) for f in self.factors))
+            else:
+                tbl = from_pc_presentation(self.presentation, order_cap=order_cap)
             tbl.name = self.name
             self._table = tbl
         return self._table
@@ -218,73 +231,46 @@ def order8_list() -> List[PcPresentation]:
     ]
 
 
-# -- presentation export (chief series digits) ----------------------------------
+# -- presentation export (central series normal forms) -------------------------
 
 
 def table_to_presentation(g: GroupTable, name: str) -> PcPresentation:
-    """Power-commutator presentation along a chief series with central factors."""
-    p = g.p
-    n = g.k
-    # Build 1 = K_0 < K_1 < ... < K_n = G with [K_{i+1}, G] <= K_i, |K_i| = p^i.
-    pivots: List[int] = []
-    cur = Subgroup(g, [0], check=False)
-    gens_of_g = g.generating_sequence()
-    comm_tables = [
-        np.array([g.commutator(x, gen) for x in range(g.order)], dtype=np.int64)
-        for gen in gens_of_g
-    ]
-    pw = g.pow_p_table
-    while cur.order < g.order:
-        mask = ~cur.bitmap & cur.bitmap[pw]
-        for tbl in comm_tables:
-            mask &= cur.bitmap[tbl]
-        cands = np.nonzero(mask)[0]
-        if cands.size == 0:
-            raise GroupError("no central extension step available")
-        x = int(cands[0])
-        pivots.append(x)
-        members = [cur.members]
-        y = x
-        for _ in range(p - 1):
-            members.append(g.mul[cur.members, y])
-            y = g.mul[y, x]
-        cur = Subgroup(g, np.concatenate(members), check=False)
-    # Generator i (1-based) is the pivot added last minus i.
-    gens = [pivots[n - i] for i in range(1, n + 1)]  # g_1 from the top layer
+    """Power-commutator presentation along a central series with factors of order p.
 
-    def digits(y: int, level: int) -> List[int]:
-        """Exponents (e_level..e_n) of y in <g_level..g_n>."""
-        if level > n:
-            if y != 0:
-                raise GroupError("digit extraction failed")
-            return []
-        gen = gens[level - 1]
-        for e in range(p):
-            # Normal form is g_1^e1 ... g_n^en, so peel from the left.
-            rest = g.mul[g.inv[g.power(gen, e)], y]
-            try:
-                tail = digits(int(rest), level + 1)
-            except GroupError:
-                continue
-            return [e] + tail
-        raise GroupError("digit extraction failed")
+    The series 1 = K_0 < K_1 < ... < K_n = G adjoins at each step the least
+    x outside K_i with x^p in K_i and [x, G] <= K_i, the central step of
+    `normal_subgroups`; g_1 is the last element adjoined and g_n the first.
+    Every relation word is read off one inverse table of the normal words
+    g_1^c_1 ... g_n^c_n.
+    """
+    p, n = g.p, g.k
+    pw, comm = g.pow_p_table, _commutators_with_generators(g)
+    bits = np.zeros(g.order, dtype=bool)
+    bits[0] = True
+    gens: List[int] = []
+    for _ in range(n):
+        x = int(np.argmax(~bits & bits[pw] & bits[comm].all(axis=0)))
+        gens.insert(0, x)
+        bits = _adjoin(g, np.flatnonzero(bits), x)
+    # Were some step empty, argmax would adjoin 0 and the bijection check fails.
+    vecs = fl.vector_codes(n, p)  # row c: the exponents (c_1, ..., c_n) of code c
+    words = np.zeros(len(vecs), dtype=np.int64)
+    for i, x in enumerate(gens):
+        powers = np.array([g.power(x, e) for e in range(p)], dtype=np.int64)
+        words = g.mul[words, powers[vecs[:, i]]]
+    code = np.full(g.order, -1, dtype=np.int64)
+    code[words] = np.arange(len(words))
+    if np.any(code < 0):
+        raise GroupError("the series gives no normal form for every element")
 
-    def to_word(y: int, min_gen: int) -> List[int]:
-        exps = digits(y, 1)
-        letters: List[int] = []
-        for i, e in enumerate(exps, start=1):
-            if e and i <= min_gen:
-                raise GroupError("relation word references a low generator")
-            letters.extend([i] * e)
-        return letters
+    def word(y: int) -> List[int]:
+        return [i for i, e in enumerate(vecs[code[y]], start=1) for _ in range(e)]
 
-    pow_words: Dict[int, List[int]] = {}
-    comm_words: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(1, n + 1):
-        pow_words[i] = to_word(g.power(gens[i - 1], p), i)
+    pow_words = {i: word(pw[x]) for i, x in enumerate(gens, start=1)}
+    comm_words = {}
     for i in range(2, n + 1):
         for j in range(1, i):
-            w = to_word(g.commutator(gens[i - 1], gens[j - 1]), i)
+            w = word(g.commutator(gens[i - 1], gens[j - 1]))
             if w:
                 comm_words[(i, j)] = w
     return PcPresentation(p, n, name, pow_words, comm_words)
@@ -368,8 +354,7 @@ def _product_entries(bases: List[CatalogEntry], product_cap: int) -> List[Catalo
                 continue
             if a.order * b.order > product_cap:
                 continue
-            pres = direct_product(a.presentation, b.presentation, f"{a.name}x{b.name}")
-            out.append(CatalogEntry(pres.name, pres, ("product",), priority=2))
+            out.append(CatalogEntry(f"{a.name}x{b.name}", None, ("product",), 2, (a, b)))
     return out
 
 
@@ -420,7 +405,10 @@ def load_catalog(path: Optional[str] = None, order_cap: int = DEFAULT_ORDER_CAP)
     """Catalog from a presentation file, or the built-in set."""
     if path is None:
         return list(builtin_catalog(order_cap))
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise CatalogError(f"cannot read catalog file {path!r}: {e}") from None
     presentations = parse_presentations(text)
     names = [p.name for p in presentations]
     dupes = {n for n in names if names.count(n) > 1}

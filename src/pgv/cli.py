@@ -52,7 +52,11 @@ class UsageError(ValueError):
 def _resolve_group(spec: str, order_cap: int) -> GroupTable:
     path = Path(spec)
     if path.exists():
-        groups = parse_presentations(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise UsageError(f"cannot read group file {spec!r}: {e}") from None
+        groups = parse_presentations(text)
         if len(groups) != 1:
             raise UsageError(f"{spec} holds {len(groups)} groups; --group FILE needs exactly one")
         g = from_pc_presentation(groups[0], order_cap=order_cap)

@@ -532,6 +532,19 @@ def maximal_subgroups_bruteforce(g: GroupTable, max_order: int = 128) -> List[Su
     return maximal
 
 
+def _adjoin(g: GroupTable, members: np.ndarray, x: int) -> np.ndarray:
+    """Bitmap of <N, x> = N u Nx u ... u Nx^(p-1), for N normal with x^p in N
+    and [x, G] <= N (a central step of order p)."""
+    cosets = [members]
+    y = x
+    for _ in range(g.p - 1):
+        cosets.append(g.mul[members, y])
+        y = int(g.mul[y, x])
+    bits = np.zeros(g.order, dtype=bool)
+    bits[np.concatenate(cosets)] = True
+    return bits
+
+
 def normal_subgroups(
     g: GroupTable, within: Optional[Subgroup] = None, order_cap: int = DEFAULT_ORDER_CAP
 ) -> List[Subgroup]:
@@ -568,13 +581,7 @@ def normal_subgroups(
         for x in np.flatnonzero(mask):
             if not mask[x]:
                 continue
-            cosets = [nmem]
-            y = int(x)
-            for _ in range(g.p - 1):
-                cosets.append(g.mul[nmem, y])
-                y = int(g.mul[y, x])
-            bits = np.zeros(g.order, dtype=bool)
-            bits[np.concatenate(cosets)] = True
+            bits = _adjoin(g, nmem, int(x))
             mask &= ~bits
             key = bits.tobytes()
             if key not in found:

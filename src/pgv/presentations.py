@@ -79,34 +79,6 @@ class PcPresentation:
     def order(self) -> int:
         return self.p**self.ngens
 
-    def shifted(self, offset: int, ngens_total: int) -> "PcPresentation":
-        """Same presentation with generator indices shifted by offset."""
-        return PcPresentation(
-            self.p,
-            ngens_total,
-            self.name,
-            {i + offset: [k + offset for k in w] for i, w in self.pow_words.items()},
-            {
-                (i + offset, j + offset): [k + offset for k in w]
-                for (i, j), w in self.comm_words.items()
-            },
-        )
-
-
-def direct_product(a: PcPresentation, b: PcPresentation, name: str = "") -> PcPresentation:
-    """Direct product presentation: b's generators renumbered above a's."""
-    if a.p != b.p:
-        raise PresentationError("direct product requires matching primes")
-    n = a.ngens + b.ngens
-    out = PcPresentation(a.p, n, name or f"{a.name}x{b.name}")
-    out.pow_words.update({i: list(w) for i, w in a.pow_words.items()})
-    shifted = b.shifted(a.ngens, n)
-    out.pow_words.update(shifted.pow_words)
-    out.comm_words.update({k: list(w) for k, w in a.comm_words.items()})
-    out.comm_words.update(shifted.comm_words)
-    # Cross commutators are trivial and may stay implicit.
-    return PcPresentation(out.p, out.ngens, out.name, out.pow_words, out.comm_words)
-
 
 _TERM_RE = re.compile(r"^g(\d+)(?:\^(\d+))?$")
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,9 @@ from pgv.group_core import (
     is_isomorphic,
 )
 from pgv.gmodule import trivial_module
-from pgv.presentations import PresentationError, parse_presentations
+from pgv.presentations import PresentationError, render_presentation
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "special32.pres"
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +170,26 @@ def test_load_catalog_file_and_errors(tmp_path):
         load_catalog(str(dup))
 
 
-def test_table_to_presentation_roundtrip():
-    for name in ("D16", "Q16", "He27"):
-        g = find_entry(name).group()
-        pres = table_to_presentation(g, f"re_{name}")
-        g2 = from_pc_presentation(pres)
-        assert find_isomorphism(g, g2) is not None
+def test_catalog_digest(catalog):
+    """Names, orders, primes, tags and table fingerprints of every entry."""
+    text = "".join(
+        f"{e.name}|{e.order}|{e.p}|{','.join(e.tags)}|{e.group().fingerprint()}\n" for e in catalog
+    )
+    assert len(catalog) == 119
+    assert hashlib.sha256(text.encode()).hexdigest() == "fc4e0fa254538b9bd90377b4684068d396281ff52ac18b3653d07b4339f1cee1"
+
+
+def test_table_to_presentation_roundtrip(catalog):
+    entries = list(catalog) + load_catalog(str(FIXTURE))
+    rendered = []
+    for e in entries:
+        g = e.group()
+        pres = table_to_presentation(g, e.name)
+        assert find_isomorphism(g, from_pc_presentation(pres)) is not None, e.name
+        rendered.append(render_presentation(pres))
+    text = "".join(rendered)
+    assert len(entries) == 122
+    assert hashlib.sha256(text.encode()).hexdigest() == "a339006003ec02c8a33810713a88b2211cbe0c5a2a752b99bae5c09630374d78"
 
 
 def test_frattini_formula_vs_maximal_oracle_catalog(catalog):

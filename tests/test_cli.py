@@ -51,6 +51,11 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["--order-cap", "-5", "group", "info", "C4"]) == 1
     assert main(["check", "--id", "gen_count", "--catalog", "order<=abc"]) == 1
     assert main(["catalog", "list", "--filter", "p=x"]) == 1
+    not_utf8 = tmp_path / "binary.pres"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for unreadable in (tmp_path, not_utf8):
+        assert main(["group", "info", str(unreadable)]) == 1
+        assert main(["check", "--id", "gen_count", "--catalog-file", str(unreadable)]) == 1
     not_json = tmp_path / "not.json"
     not_json.write_text("this is not json")
     wrong_shape = tmp_path / "shape.json"

@@ -32,7 +32,7 @@ def fixture_groups():
 
 
 def test_fixture_groups_are_the_special_extensions_of_k4sc4(fixture_groups):
-    gen = runpy.run_path(str(ROOT / "scripts" / "generate_special32.py"))
+    gen = runpy.run_path(str(ROOT / "scripts" / "generate_data.py"))
     assert [name for name, _ in fixture_groups] == [gen["name"](c) for c in gen["COEFFS"]]
     for (name, g), coeffs in zip(fixture_groups, gen["COEFFS"]):
         assert find_isomorphism(gen["extension"](coeffs), g) is not None, name
