@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from pgv.catalog import abelian_presentation, find_entry, order27_list, table_to_presentation
-from pgv.cohomology import TwoCocycle, cohomology
+from pgv.cohomology import Cochain, cohomology
 from pgv.extensions import build_extension
 from pgv.group_core import _group_invariants, abelian_cyclic_basis, find_isomorphism, from_pc_presentation
 from pgv.gmodule import trivial_module
@@ -37,7 +37,7 @@ def extend(q, m, reps, coeffs):
     """The extension of q by m whose cocycle has these coefficients on the
     H^2 representatives reps."""
     table = sum(c * rep.table for c, rep in zip(coeffs, reps)) % q.p
-    return build_extension(q, m, TwoCocycle(q, m, table)).total
+    return build_extension(q, m, Cochain(m, table)).total
 
 
 def extension(coeffs):

@@ -33,7 +33,7 @@ from .group_core import (
 )
 from .presentations import PcPresentation, parse_presentations
 
-DEFAULT_PRODUCT_CAP = 64
+PRODUCT_CAP = 64  # direct products of catalog groups are listed up to this order
 
 
 class CatalogError(ValueError):
@@ -391,11 +391,9 @@ def _dedupe(entries: List[CatalogEntry], order_cap: int) -> List[CatalogEntry]:
 
 
 @functools.lru_cache(maxsize=4)
-def builtin_catalog(
-    order_cap: int = DEFAULT_ORDER_CAP, product_cap: int = DEFAULT_PRODUCT_CAP
-) -> Tuple[CatalogEntry, ...]:
+def builtin_catalog(order_cap: int = DEFAULT_ORDER_CAP) -> Tuple[CatalogEntry, ...]:
     bases = _dedupe(_base_entries(order_cap), order_cap)
-    products = _product_entries(bases, min(product_cap, order_cap))
+    products = _product_entries(bases, min(PRODUCT_CAP, order_cap))
     entries = _dedupe(bases + products, order_cap)
     entries.sort(key=lambda e: (e.order, e.priority, e.name))
     return tuple(entries)

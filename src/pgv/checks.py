@@ -22,7 +22,7 @@ import numpy as np
 from . import fp_linalg as fl
 from .catalog import CatalogEntry, CatalogError, builtin_catalog, find_entry
 from .cohomology import (
-    TwoCocycle,
+    Cochain,
     cohomology,
     conjugation_h1,
     derivation_to_automorphism,
@@ -195,13 +195,13 @@ def _group(instance: Dict[str, object]) -> GroupTable:
     return find_entry(str(instance["group"])).group()
 
 
-def _carrier(g: GroupTable, n: int, seed: int, socle: bool = True, extra: int = 1):
+def _carrier(g: GroupTable, n: int, seed: int, extra: int = 1):
     fb = FreeBimodule(g, n)
-    return fb, random_right_submodule(fb, np.random.default_rng(seed), extra, socle)
+    return fb, random_right_submodule(fb, np.random.default_rng(seed), extra)
 
 
-def _restricted(fb: FreeBimodule, carrier, side="right") -> GModule:
-    mod, _ = restrict_action(fb.as_gmodule(side), carrier)
+def _restricted(fb: FreeBimodule, carrier) -> GModule:
+    mod, _ = restrict_action(fb.as_gmodule("right"), carrier)
     return mod
 
 
@@ -223,7 +223,7 @@ def _class_extension(g: GroupTable, t: int, seed: int, split: bool = False) -> E
     return build_extension(g, m, f)
 
 
-def _classes_and_split(g: GroupTable, m: GModule, k: int) -> List[TwoCocycle]:
+def _classes_and_split(g: GroupTable, m: GModule, k: int) -> List[Cochain]:
     """The first k H^2 class representatives of m, then the zero cocycle."""
     return cohomology(g, m, 2).h_reps[:k] + [zero_two_cocycle(g, m)]
 
@@ -253,15 +253,15 @@ def _one_modules(fb: FreeBimodule, carriers: List[FpSubspace], seed: int) -> Lis
 
 
 def _quotient_mod_cocycle(
-    g: GroupTable, nmod: GModule, f: TwoCocycle, sub: FpSubspace
-) -> Tuple[GModule, TwoCocycle]:
+    g: GroupTable, nmod: GModule, f: Cochain, sub: FpSubspace
+) -> Tuple[GModule, Cochain]:
     """Push a cocycle along nmod -> nmod/sub."""
     qmod, comp = quotient_module(nmod, sub)
     basis_full = np.vstack([sub.basis, comp]) if sub.dim else comp
     q, d = g.order, nmod.dim
     coords = fl.solve_left(basis_full, f.table.reshape(q * q, d), g.p)
     tab = coords[:, sub.dim :].reshape(q, q, qmod.dim)
-    return qmod, TwoCocycle(g, qmod, tab)
+    return qmod, Cochain(qmod, tab)
 
 
 def _subgroup_table(g: GroupTable, s: Subgroup) -> Tuple[GroupTable, np.ndarray]:
@@ -277,9 +277,9 @@ def _small_nonabelian(cat, max_order):
     return [e for e in cat if e.order <= max_order and not e.group().is_abelian()]
 
 
-def _tiny_groups(cat, names=("C2", "C3", "C4", "C2xC2")):
+def _tiny_groups(cat):
     out = []
-    for nm in names:
+    for nm in ("C2", "C3", "C4", "C2xC2"):
         try:
             out.append(find_entry(nm, cat))
         except CatalogError:
@@ -945,7 +945,7 @@ def check_xu(inst):
     if not mins:
         raise Skip("no minimal normal subgroup")
     nsub = mins[int(inst["seed"]) % len(mins)]
-    fb, carrier = _carrier(g, 1, int(inst["seed"]), socle=True, extra=2)
+    fb, carrier = _carrier(g, 1, int(inst["seed"]), extra=2)
     mod = _restricted(fb, carrier)
     sub_table, members = _subgroup_table(g, nsub)
     mod_n = GModule(sub_table, mod.act[members], check=False)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog, table_to_presentation
-from .cohomology import CohomologyError, TwoCocycle, cohomology, zero_two_cocycle
+from .cohomology import Cochain, CohomologyError, cohomology, zero_two_cocycle
 from .extensions import ExtensionError, build_extension
 from .group_core import (
     DEFAULT_ORDER_CAP,
@@ -63,6 +63,14 @@ def _resolve_group(spec: str, order_cap: int) -> GroupTable:
         g.name = groups[0].name
         return g
     return find_entry(spec).group(order_cap=order_cap)
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write an --out file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot write --out {path!r}: {e}") from None
 
 
 def _positive_int(text: str, what: str) -> int:
@@ -167,8 +175,10 @@ def cmd_extend(args) -> int:
             f = sp.h_reps[args.seed % sp.h_dim]
     else:
         try:
-            table = json.loads(Path(args.cocycle).read_text(encoding="utf-8"))
-            f = TwoCocycle(g, m, np.asarray(table, dtype=np.int64))
+            table = np.asarray(json.loads(Path(args.cocycle).read_text(encoding="utf-8")), dtype=np.int64)
+            if table.ndim != 3:
+                raise CohomologyError("2-cochain table has wrong shape")
+            f = Cochain(m, table)
         except (OSError, TypeError, ValueError) as e:  # CohomologyError is a ValueError
             raise UsageError(f"--cocycle must be a JSON {g.order}x{g.order}x{t} integer table: {e}")
         if not f.is_cocycle():
@@ -180,7 +190,7 @@ def cmd_extend(args) -> int:
     print(f"fingerprint: {ext.total.fingerprint()}")
     if args.out:
         pres = table_to_presentation(ext.total, f"ext_{g.name}")
-        Path(args.out).write_text(render_presentation(pres), encoding="utf-8")
+        _write_out(args.out, render_presentation(pres))
         print(f"presentation written to {args.out}")
     return 0
 
@@ -191,7 +201,7 @@ def cmd_find_noninner(args) -> int:
     if isinstance(result, Certificate):
         text = result.to_json()
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            _write_out(args.out, text)
             print(f"certificate written to {args.out}")
         else:
             sys.stdout.write(text)
@@ -201,7 +211,7 @@ def cmd_find_noninner(args) -> int:
     if isinstance(result, Diagnostic):
         text = result.to_json()
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            _write_out(args.out, text)
             print(f"diagnostic written to {args.out}")
         else:
             sys.stdout.write(text)
@@ -246,7 +256,7 @@ def cmd_check(args) -> int:
         report["replay_mismatches"] = mismatches
     text = report_to_json(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     counts = report["counts"]

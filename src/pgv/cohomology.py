@@ -2,12 +2,17 @@
 
 Cochains are those of the standard inhomogeneous complex (K. S. Brown,
 *Cohomology of Groups*, GTM 87, ch. III.1), written for right modules: an
-n-cochain is a table of shape (|G|,)*n + (dim,).  ``coboundary`` is the one
-place the differential d, and with it every cocycle identity, is written out:
+n-cochain is a ``Cochain``, a table of shape (|G|,)*n + (dim,).
+``coboundary`` is the one place the differential d, and with it every
+cocycle identity, is written out; ``Cochain.is_cocycle`` asks whether d of
+the cochain vanishes:
 
     (d v)(g)       = v.g - v
     (d tau)(g, h)  = tau(g).h + tau(h) - tau(gh)
     (d f)(g, h, k) = f(g, h).k + f(gh, k) - f(h, k) - f(g, hk)
+
+The one exception is the test oracle ``brute_force_z1``, which writes the
+degree-1 identity out on its own so that it does not share d with the solver.
 
 Degree-1 cocycles (derivations) keep every value tau(g) as an unknown;
 degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0, and only their
@@ -50,54 +55,31 @@ class CohomologyError(ValueError):
 
 
 @dataclass
-class Derivation:
-    group: GroupTable
+class Cochain:
+    """An n-cochain, n = ``table.ndim - 1``: a table of shape (|G|,)*n + (dim,)
+    over G = ``module.group``.  Degree-1 cocycles are the derivations."""
+
     module: GModule
-    table: np.ndarray  # (order, dim)
+    table: np.ndarray
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.int64) % self.module.p
-        if self.table.shape != (self.group.order, self.module.dim):
-            raise CohomologyError("derivation table has wrong shape")
+        self.table = fl.as_residues(self.table, self.module.p)
+        n = self.degree
+        if self.table.shape != (self.module.group.order,) * n + (self.module.dim,):
+            raise CohomologyError(f"{'derivation' if n == 1 else f'{n}-cochain'} table has wrong shape")
+
+    @property
+    def degree(self) -> int:
+        return self.table.ndim - 1
 
     def is_cocycle(self) -> bool:
-        t, act, mul, p = self.table, self.module.act, self.group.mul, self.module.p
-        lhs = t[mul]  # [g, h] -> tau(gh)
-        rhs = (np.einsum("gd,hde->ghe", t, act) + t[None, :, :]) % p
-        return bool(np.array_equal(lhs, rhs % p)) and not self.table[0].any()
-
-    def is_zero(self) -> bool:
-        return not self.table.any()
-
-    def add(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.group, self.module, (self.table + other.table) % self.module.p)
-
-
-@dataclass
-class TwoCocycle:
-    group: GroupTable
-    module: GModule
-    table: np.ndarray  # (order, order, dim), normalized
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.int64) % self.module.p
-        q = self.group.order
-        if self.table.shape != (q, q, self.module.dim):
-            raise CohomologyError("2-cochain table has wrong shape")
-
-    def is_normalized(self) -> bool:
-        return not self.table[0].any() and not self.table[:, 0].any()
-
-    def is_cocycle(self) -> bool:
-        t, act, mul, p = self.table, self.module.act, self.group.mul, self.module.p
-        q = self.group.order
-        for k in range(q):
-            lhs = (t @ act[k] + t[mul, k]) % p
-            # rhs[g,h] = f(h,k) + f(g, hk)
-            rhs = (np.broadcast_to(t[:, k, :], (q, q, t.shape[2])) + t[:, mul[:, k]]) % p
-            if not np.array_equal(lhs, rhs):
-                return False
-        return self.is_normalized()
+        """d of the cochain vanishes and the cochain is normalized: it is zero
+        wherever an argument is the identity.  In degree 1, d tau = 0 already
+        forces tau(1) = 0; in degree 2 it asks f(1, .) = f(., 1) = 0."""
+        t = self.table
+        if any(np.take(t, 0, axis=i).any() for i in range(self.degree)):
+            return False
+        return not coboundary(self.module, t[None]).any()
 
     def is_zero(self) -> bool:
         return not self.table.any()
@@ -113,7 +95,7 @@ class CohomologySpace:
     h_dim: int
     z_basis: np.ndarray  # flattened rows
     b_basis: np.ndarray
-    h_reps: list  # Derivation or TwoCocycle representatives (echelon complement)
+    h_reps: List[Cochain]  # representatives of an echelon complement of B in Z
 
 
 def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
@@ -161,17 +143,21 @@ def coboundary(m: GModule, cochains: np.ndarray, last: Optional[int] = None) -> 
     result (a slice of d) has the shape of the input.
     """
     c = np.asarray(cochains, dtype=np.int64)
-    n, q, mul = c.ndim - 2, m.group.order, m.group.mul
+    n, q, d, mul = c.ndim - 2, m.group.order, m.dim, m.group.mul
+    # The arguments are an open grid: each term gathers only over the axes
+    # its arguments depend on and broadcasts along the others.
     if last is None:
-        args = list(np.indices((q,) * (n + 1)))
-        out = np.einsum("r...d,kde->r...ke", c, m.act)
+        args = list(np.indices((q,) * (n + 1), sparse=True))
+        # f(..).k for every k at once: one (r q^n, d) x (d, q d) integer product
+        every_k = m.act.transpose(1, 0, 2).reshape(d, q * d)
+        out = (c.reshape(-1, d) @ every_k).reshape(c.shape[:-1] + (q, d))
     else:
-        args = list(np.indices((q,) * n)) + [np.full((q,) * n, last)]
+        args = list(np.indices((q,) * n, sparse=True)) + [np.full((1,) * n, last)]
         out = c @ m.act[last]
-    flat = c.reshape(len(c), q**n, m.dim)
+    flat = c.reshape(len(c), q**n, d)
 
     def at(gs):  # the cochains at arguments gs (n index arrays), one gather
-        index = sum((g * q ** (n - 1 - j) for j, g in enumerate(gs)), np.zeros_like(args[0]))
+        index = sum((g * q ** (n - 1 - j) for j, g in enumerate(gs)), np.zeros_like(args[-1]))
         return np.take(flat, index, axis=1)
 
     for i in range(n):
@@ -226,25 +212,27 @@ def cohomology(
     B, bpiv = fl.rref_array(_rows(coboundary(m, unit_cochains(q, d, degree - 1)), degree), p)
     B = B[: len(bpiv)]
     reps_rows = fl.complement_reps(B, Z, p) if want_reps else np.zeros((0, unknowns), dtype=np.int64)
-    rep_type = Derivation if degree == 1 else TwoCocycle
-    reps = [rep_type(g, m, tab) for tab in _tables(reps_rows, q, d, degree)]
+    reps = [Cochain(m, tab) for tab in _tables(reps_rows, q, d, degree)]
     return CohomologySpace(degree, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
 
 
-def two_coboundary(g: GroupTable, m: GModule, sigma: np.ndarray) -> TwoCocycle:
+def two_coboundary(g: GroupTable, m: GModule, sigma: np.ndarray) -> Cochain:
     """Coboundary of a normalized 1-cochain sigma (shape (order, dim))."""
     sigma = fl.as_residues(sigma, m.p).reshape(1, g.order, m.dim)
     if sigma[0, 0].any():
         raise CohomologyError("sigma must be normalized")
-    return TwoCocycle(g, m, coboundary(m, sigma)[0])
+    return Cochain(m, coboundary(m, sigma)[0])
 
 
-def zero_two_cocycle(g: GroupTable, m: GModule) -> TwoCocycle:
-    return TwoCocycle(g, m, np.zeros((g.order, g.order, m.dim), dtype=np.int64))
+def zero_two_cocycle(g: GroupTable, m: GModule) -> Cochain:
+    return Cochain(m, np.zeros((g.order, g.order, m.dim), dtype=np.int64))
 
 
 def brute_force_z1(g: GroupTable, m: GModule, limit: int = 1 << 20) -> List[np.ndarray]:
-    """All derivations by explicit function enumeration (oracle for tests)."""
+    """All derivations by explicit function enumeration (oracle for tests).
+
+    The identity tau(gh) = tau(g).h + tau(h) is written out here on its own,
+    so that the oracle does not share ``coboundary`` with the solver."""
     from itertools import product as iproduct
 
     q, d, p = g.order, m.dim, m.p
@@ -254,8 +242,8 @@ def brute_force_z1(g: GroupTable, m: GModule, limit: int = 1 << 20) -> List[np.n
     out = []
     for flat in iproduct(range(p), repeat=q * d):
         tab = np.array(flat, dtype=np.int64).reshape(q, d)
-        der = Derivation(g, m, tab)
-        if der.is_cocycle():
+        acted = np.swapaxes(tab @ m.act, 0, 1)  # [g, h] -> tau(g).h
+        if np.array_equal(tab[g.mul], (acted + tab[None]) % p):
             out.append(tab)
     return out
 
@@ -264,13 +252,13 @@ def brute_force_z1(g: GroupTable, m: GModule, limit: int = 1 << 20) -> List[np.n
 
 
 def derivation_to_automorphism(
-    g: GroupTable, cm: ConjugationModule, tau: Derivation
+    g: GroupTable, cm: ConjugationModule, tau: Cochain
 ) -> GroupMap:
     """The map x -> x * w(tau(x N1)) with w() the module/element bridge.
 
     Verified to be an automorphism; the caller decides what a failure means.
     """
-    if tau.module is not cm.module and tau.module.dim != cm.module.dim:
+    if tau.degree != 1 or (tau.module is not cm.module and tau.module.dim != cm.module.dim):
         raise CohomologyError("derivation not over the conjugation module")
     w = cm.element_of_code[fl.encode(tau.table[cm.quotient_map.image_of], g.p)]
     f = GroupMap(g, g, g.mul[np.arange(g.order), w], check=False)
@@ -281,7 +269,7 @@ def derivation_to_automorphism(
 
 def conjugation_derivation(
     g: GroupTable, cm: ConjugationModule, x: int
-) -> Derivation:
+) -> Cochain:
     """delta_x(c) = rep(c)^{-1} rep(c)^x, checked W-valued and constant on cosets."""
     qm = cm.quotient_map
     elts = np.arange(g.order)
@@ -293,7 +281,7 @@ def conjugation_derivation(
     if bad.size:
         raise CohomologyError("not W-valued" if codes[bad[0]] < 0 else "value not constant on cosets")
     tab = fl.vector_codes(cm.module.dim, g.p)[codes[qm.section]]
-    der = Derivation(qm.group, cm.module, tab)
+    der = Cochain(cm.module, tab)
     if not der.is_cocycle():
         raise CohomologyError("conjugation derivation fails the cocycle identity")
     return der
@@ -312,15 +300,13 @@ def quotient_refinement_map(fine: QuotientMap, coarse: QuotientMap) -> GroupMap:
 def inflate_module(m: GModule, along: GroupMap) -> GModule:
     """Module over `along.source` acting through the projection."""
     act = m.act[along.image_of]
-    return GModule(along.source, act, side=m.side, check=False, name=f"infl({m.name})")
+    return GModule(along.source, act, check=False, name=f"infl({m.name})")
 
 
-def inflate(src: Derivation, along: GroupMap, target_module: Optional[GModule] = None) -> Derivation:
+def inflate(src: Cochain, along: GroupMap, target_module: Optional[GModule] = None) -> Cochain:
     """delta(c) = tau(pi(c)) on the finer quotient."""
     mod = target_module if target_module is not None else inflate_module(src.module, along)
-    tab = src.table[along.image_of]
-    out = Derivation(along.source, mod, tab)
-    return out
+    return Cochain(mod, src.table[along.image_of])
 
 
 def inflated_z1_rows(
@@ -335,8 +321,8 @@ def inflated_z1_rows(
 # -- H^1 of submodules and conjugation modules ---------------------------------
 
 
-def h1_dim_of_submodule(fb, carrier, side: str = "right") -> int:
-    sub, _ = restrict_action(fb.as_gmodule(side), carrier)
+def h1_dim_of_submodule(fb, carrier) -> int:
+    sub, _ = restrict_action(fb.as_gmodule("right"), carrier)
     return cohomology(sub.group, sub, 1, want_reps=False).h_dim
 
 

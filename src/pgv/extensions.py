@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .fp_linalg import FpSubspace
-from .cohomology import TwoCocycle, coboundary, unit_cochains
+from .cohomology import Cochain, coboundary, unit_cochains
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -43,7 +43,7 @@ class ExtensionResult:
     total: GroupTable
     base: GroupTable
     module: GModule  # the kernel as a right module over the base
-    cocycle: TwoCocycle
+    cocycle: Cochain
     projection: GroupMap  # total -> base
     kernel_embed: np.ndarray  # kernel element index (vector code) -> total index
     kernel: Subgroup
@@ -62,15 +62,15 @@ class ExtensionResult:
 def build_extension(
     g: GroupTable,
     nmod: GModule,
-    f: TwoCocycle,
+    f: Cochain,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> ExtensionResult:
     """Construct the extension group of the module kernel by g along f."""
-    if f.group is not g and f.group.order != g.order:
+    if f.module.group is not g and f.module.group.order != g.order:
         raise ExtensionError("cocycle not over this group")
     if f.module is not nmod and (f.module.dim != nmod.dim):
         raise ExtensionError("cocycle not over this module")
-    if not f.is_normalized() or not f.is_cocycle():
+    if not f.is_cocycle():
         raise ExtensionError("not a cocycle")
     p = g.p
     t = nmod.dim
@@ -111,11 +111,11 @@ def section_is_homomorphism(ext: ExtensionResult) -> bool:
 
 
 def equivalence_map(
-    ext: ExtensionResult, f: TwoCocycle, f2: TwoCocycle
+    ext: ExtensionResult, f: Cochain, f2: Cochain
 ) -> Optional[GroupMap]:
     """Isomorphism ext(f) -> ext(f2), (a, g) -> (a + sigma(g), g), when
     f - f2 is the coboundary of some normalized sigma; None otherwise."""
-    m, q, d, p = f.module, f.group.order, f.module.dim, f.module.p
+    m, q, d, p = f.module, f.module.group.order, f.module.dim, f.module.p
     units = unit_cochains(q, d, 1)  # sigma(g)_i = 1 for one g != 1 and one i
     diff = (f.table - f2.table).reshape(-1)
     sol = fl.solve_left(coboundary(m, units).reshape(len(units), -1), diff, p)

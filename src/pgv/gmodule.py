@@ -30,7 +30,6 @@ class GModule:
         self,
         group: GroupTable,
         act: np.ndarray,
-        side: str = "right",
         check: bool = True,
         name: str = "",
     ):
@@ -44,9 +43,6 @@ class GModule:
         self.act = act
         self.act.setflags(write=False)
         self.dim = act.shape[1]
-        if side not in ("right", "left"):
-            raise ModuleError("side must be 'right' or 'left'")
-        self.side = side
         self.name = name
         self._cache: dict = {}
         if check:
@@ -67,7 +63,7 @@ class GModule:
         return (np.asarray(v, dtype=np.int64) @ self.act[g]) % self.p
 
     def __repr__(self):
-        return f"<{self.side} module dim {self.dim} over {self.group.name or 'G'}>"
+        return f"<module dim {self.dim} over {self.group.name or 'G'}>"
 
 
 def trivial_module(group: GroupTable, dim: int = 1) -> GModule:
@@ -86,11 +82,10 @@ def regular_module(group: GroupTable) -> GModule:
 
 
 def dual_module(m: GModule) -> GModule:
-    """Contragredient module; lives over the opposite table with side flipped."""
+    """Contragredient module; lives over the opposite table."""
     opp = opposite(m.group)
     act = np.ascontiguousarray(np.transpose(m.act, (0, 2, 1)))
-    side = "left" if m.side == "right" else "right"
-    return GModule(opp, act, side=side, check=False, name=f"dual({m.name})")
+    return GModule(opp, act, check=False, name=f"dual({m.name})")
 
 
 # -- core operations ---------------------------------------------------------
@@ -158,12 +153,9 @@ def d_G(m: GModule, carrier: Optional[FpSubspace] = None) -> int:
     return carrier.dim - rad.dim
 
 
-def minimal_generators(m: GModule, carrier: Optional[FpSubspace] = None) -> np.ndarray:
+def minimal_generators(m: GModule) -> np.ndarray:
     """Lexicographically-first echelon lift of a basis of m / J_G(m)."""
-    if carrier is None:
-        carrier = FpSubspace.full(m.dim, m.p)
-    rad = radical_of_carrier(m, carrier)
-    return fl.complement_reps(rad.basis, carrier.basis, m.p)
+    return fl.complement_reps(radical(m).basis, np.eye(m.dim, dtype=np.int64), m.p)
 
 
 def generated_submodule(m: GModule, vectors: np.ndarray) -> FpSubspace:
@@ -185,7 +177,7 @@ def restrict_action(m: GModule, carrier: FpSubspace) -> Tuple[GModule, np.ndarra
         raise ModuleError("vector outside carrier")
     # Coordinates in an RREF basis are the entries at its pivot columns.
     act = img[:, :, list(carrier.pivots)]
-    return GModule(m.group, act, side=m.side, check=False), basis
+    return GModule(m.group, act, check=False), basis
 
 
 def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
@@ -201,7 +193,7 @@ def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
     if coords is None:
         raise ModuleError("vector outside span")
     act = coords.reshape(m.group.order, k, m.dim)[:, :, sub.dim :]
-    return GModule(m.group, act, side=m.side, check=False), comp
+    return GModule(m.group, act, check=False), comp
 
 
 # -- conjugation modules -------------------------------------------------------
@@ -333,7 +325,7 @@ class FreeBimodule:
             return self._cache[key]
         act = self.mul_matrix(np.eye(self.block, dtype=np.int64), side)
         grp = self.group if side == "right" else opposite(self.group)
-        mod = GModule(grp, act, side=side, check=False, name=f"free^{self.n}")
+        mod = GModule(grp, act, check=False, name=f"free^{self.n}")
         self._cache[key] = mod
         return mod
 
@@ -519,12 +511,10 @@ def embed_into_free(m: GModule) -> FreeEmbedding:
 
 
 def random_right_submodule(
-    fb: FreeBimodule, rng: np.random.Generator, extra_vectors: int = 2, with_socle: bool = True
+    fb: FreeBimodule, rng: np.random.Generator, extra_vectors: int = 2
 ) -> FpSubspace:
     seeds = rng.integers(0, fb.p, size=(extra_vectors, fb.dim))
-    if with_socle:
-        seeds = np.vstack([fb.socle_basis(), seeds])
-    return free_submodule_closure(fb, seeds, "right")
+    return free_submodule_closure(fb, np.vstack([fb.socle_basis(), seeds]), "right")
 
 
 def submodule_fixed_points(fb: FreeBimodule, carrier: FpSubspace, side: str) -> FpSubspace:

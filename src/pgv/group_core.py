@@ -47,7 +47,6 @@ class GroupTable:
         self,
         p: int,
         mul: np.ndarray,
-        element_names: Optional[Sequence[str]] = None,
         name: str = "",
         check: bool = True,
         order_cap: int = DEFAULT_ORDER_CAP,
@@ -64,7 +63,6 @@ class GroupTable:
         self.mul = mul
         self.mul.setflags(write=False)
         self.name = name
-        self.element_names = list(element_names) if element_names else None
         self._cache: Dict[str, object] = {}
         if check:
             self._validate()
@@ -95,7 +93,7 @@ class GroupTable:
             raise GroupError("table rows/columns are not permutations")
         self.verify_associativity(full=n <= FULL_ASSOC_LIMIT)
 
-    def verify_associativity(self, full: bool = True, rng_seed: int = 0) -> None:
+    def verify_associativity(self, full: bool = True) -> None:
         n = self.order
         mul = self.mul
         if full:
@@ -105,7 +103,7 @@ class GroupTable:
                 if not np.array_equal(lhs, rhs):
                     raise GroupError(f"associativity fails at a={a}")
         else:
-            rng = np.random.default_rng(rng_seed)
+            rng = np.random.default_rng(0)
             m = 10 * n * n
             a = rng.integers(0, n, size=m)
             b = rng.integers(0, n, size=m)
@@ -218,14 +216,14 @@ def cyclic_group(p: int, order: int) -> GroupTable:
     return GroupTable(p, mul, name=f"C{n}")
 
 
-def direct_product_tables(a: GroupTable, b: GroupTable, name: str = "") -> GroupTable:
+def direct_product_tables(a: GroupTable, b: GroupTable) -> GroupTable:
     if a.p != b.p:
         raise GroupError("direct product requires matching p")
     na, nb = a.order, b.order
     ia = np.repeat(np.arange(na), nb)
     ib = np.tile(np.arange(nb), na)
     mul = (a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]).astype(np.int64)
-    return GroupTable(a.p, mul, name=name or f"{a.name}x{b.name}", check=False)
+    return GroupTable(a.p, mul, name=f"{a.name}x{b.name}", check=False)
 
 
 # -- construction from presentations ---------------------------------------

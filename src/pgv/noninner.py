@@ -21,9 +21,9 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .cohomology import (
+    Cochain,
     CohomologySpace,
     CohomologyError,
-    Derivation,
     conjugation_h1,
     derivation_to_automorphism,
     inflated_z1_rows,
@@ -178,7 +178,7 @@ def _members(sub: Subgroup) -> List[int]:
 def _certificate_from_derivation(
     g: GroupTable,
     cm: ConjugationModule,
-    tau: Derivation,
+    tau: Cochain,
     psi: GroupMap,
     mode: str,
     tag: str,
@@ -247,9 +247,7 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
             if cm.basis_elements != list(prov["w_basis"]):
                 lines.append("FAIL basis correspondence drifted")
                 return False, lines
-            tau = Derivation(
-                cm.module.group, cm.module, np.asarray(prov["tau_table"], dtype=np.int64)
-            )
+            tau = Cochain(cm.module, np.asarray(prov["tau_table"], dtype=np.int64))
             psi = derivation_to_automorphism(g, cm, tau)
             if not np.array_equal(psi.image_of, image):
                 lines.append("FAIL provenance replay mismatch")
@@ -342,7 +340,7 @@ def try_config(
         # Every nonzero combination, coefficient tuples in lexicographic order.
         coeffs = fl.vector_codes(len(reps), g.p)[1:, ::-1]
         tables = np.tensordot(coeffs, np.stack([r.table for r in reps]), axes=1)
-        candidates = [Derivation(cm.module.group, cm.module, tab) for tab in tables]
+        candidates = [Cochain(cm.module, tab) for tab in tables]
     for tau in candidates:
         if tau.is_zero():
             continue
@@ -367,7 +365,7 @@ def _reps_outside_inflation(
     cm: ConjugationModule,
     space: CohomologySpace,
     coarse_kernel: Subgroup,
-) -> List[Derivation]:
+) -> List[Cochain]:
     """H^1 representatives extended so derivations outside the inflated
     Z^1(G/coarse, W) appear; falls back to the plain representatives."""
     got = conjugation_h1(g, coarse_kernel, Subgroup(g, cm.w_members), want_reps=False)
@@ -378,9 +376,7 @@ def _reps_outside_inflation(
     inflated = inflated_z1_rows(coarse_space, pi)
     reps_rows = fl.complement_reps(inflated, space.z_basis, g.p)
     d = cm.module.dim
-    return [
-        Derivation(cm.module.group, cm.module, row.reshape(-1, d)) for row in reps_rows
-    ]
+    return [Cochain(cm.module, row.reshape(-1, d)) for row in reps_rows]
 
 
 def _centralizes(g: GroupTable, bitmaps: np.ndarray, w: Subgroup) -> np.ndarray:

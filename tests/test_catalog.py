@@ -18,7 +18,7 @@ from pgv.catalog import (
     semidihedral,
     table_to_presentation,
 )
-from pgv.cohomology import TwoCocycle, cohomology
+from pgv.cohomology import Cochain, cohomology
 from pgv.extensions import build_extension
 from pgv.group_core import (
     _group_invariants,
@@ -67,7 +67,7 @@ def test_order16_matches_central_extension_enumeration(catalog):
             tab = np.zeros((8, 8, 1), dtype=np.int64)
             for c, rep in zip(coeffs, tabs):
                 tab = (tab + c * rep) % 2
-            ext = build_extension(q, m, TwoCocycle(q, m, tab))
+            ext = build_extension(q, m, Cochain(m, tab))
             g = ext.total
             inv = _group_invariants(g)
             if not any(

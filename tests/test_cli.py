@@ -63,7 +63,31 @@ def test_usage_errors(tmp_path, capsys):
     for bad in (not_json, wrong_shape):
         assert main(["extend", "--group", "C2", "--kernel", "1", "--cocycle", str(bad)]) == 1
         assert main(["verify", "--group", "M16", "--cert", str(bad)]) == 1
+    out_is_a_directory = ["--out", str(tmp_path)]
+    assert main(["extend", "--group", "C2", "--kernel", "1", *out_is_a_directory]) == 1
+    assert main(["find-noninner", "--group", "D8", *out_is_a_directory]) == 1
+    assert main(["check", "--id", "gen_count", "--catalog", "C2", *out_is_a_directory]) == 1
     assert "infrastructure error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, rc",
+    [
+        ([[[0], [0], [0], [0]], [[0], [0], [1], [0]], [[0], [0], [0], [0]], [[0], [0], [0], [0]]], 1),
+        ([[[1], [1]], [[1], [1]]], 1),  # d sigma with sigma(1) = 1: a cocycle, not normalized
+        ([[[0], [0]], [[0], [1]]], 0),
+    ],
+)
+def test_extend_with_cocycle_file(tmp_path, capsys, table, rc):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(table))
+    group = "C4" if len(table) == 4 else "C2"
+    assert main(["extend", "--group", group, "--kernel", "1", "--cocycle", str(f)]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.err == "not a cocycle\n" and captured.out == ""
+    else:
+        assert "extension order: 4" in captured.out
 
 
 def test_h1_command(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from pgv.catalog import builtin_catalog
 from pgv.checks import _build_transfer, _gen_transfer
-from pgv.cohomology import TwoCocycle, cohomology, two_coboundary, zero_two_cocycle
+from pgv.cohomology import Cochain, cohomology, two_coboundary, zero_two_cocycle
 from pgv.extensions import (
     ExtensionError,
     build_extension,
@@ -31,7 +31,7 @@ def carry_cocycle(p):
     for i in range(p):
         for j in range(p):
             tab[i, j, 0] = (i + j) // p
-    return g, m, TwoCocycle(g, m, tab)
+    return g, m, Cochain(m, tab)
 
 
 def test_split_extension_has_homomorphic_section():
@@ -63,7 +63,7 @@ def test_bad_cocycle_rejected():
     tab = np.zeros((2, 2, 1), dtype=np.int64)
     tab[1, 0, 0] = 1  # breaks normalization
     with pytest.raises(ExtensionError):
-        build_extension(g, m, TwoCocycle(g, m, tab))
+        build_extension(g, m, Cochain(m, tab))
 
 
 def test_projection_and_kernel_shape():
@@ -87,7 +87,7 @@ def test_equivalence_identity_and_coboundary_shift():
     rng = np.random.default_rng(3)
     sigma = np.zeros((2, 1), dtype=np.int64)
     sigma[1] = rng.integers(0, 2)
-    f2 = TwoCocycle(g, m, (f.table + two_coboundary(g, m, sigma).table) % 2)
+    f2 = Cochain(m, (f.table + two_coboundary(g, m, sigma).table) % 2)
     fmap2 = equivalence_map(ext, f, f2)
     assert fmap2 is not None
     assert fmap2.is_homomorphism() and fmap2.is_bijective()
@@ -112,11 +112,11 @@ def test_equivalence_map_on_small_catalog_groups():
         assert reps, e.name
         for dim in (1, 2):
             m = trivial_module(g, dim)
-            f = TwoCocycle(g, m, np.concatenate([reps[0], reps[-1]][:dim], axis=2))
+            f = Cochain(m, np.concatenate([reps[0], reps[-1]][:dim], axis=2))
             ext = build_extension(g, m, f)
             sigma = rng.integers(0, g.p, size=(g.order, dim))
             sigma[0] = 0
-            f2 = TwoCocycle(g, m, f.table + two_coboundary(g, m, sigma).table)
+            f2 = Cochain(m, f.table + two_coboundary(g, m, sigma).table)
             fmap = equivalence_map(ext, f, f2)
             assert fmap is not None and fmap.is_homomorphism() and fmap.is_bijective(), (e.name, dim)
             assert equivalence_map(ext, f, zero_two_cocycle(g, m)) is None, (e.name, dim)

@@ -151,7 +151,7 @@ def test_dual_of_trivial_and_double_dual():
     m = regular_module(g)
     dd = dual_module(dual_module(m))
     assert np.array_equal(dd.act, m.act)
-    assert dd.side == m.side
+    assert np.array_equal(dd.group.mul, m.group.mul)
 
 
 def test_dual_fixed_points_equal_d_G():
