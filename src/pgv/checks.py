@@ -1716,7 +1716,7 @@ def check_tu(inst):
     i2 = filtration(tp, 2)
     # D = preimage of ker(down); the image of xi is (D @ phi) + I2 in ker(down)
     kd_perp_rows = (phi_matrix @ tp.down) % p  # images under down
-    d_space = fl.left_kernel_array(kd_perp_rows, p)
+    d_space = fl.left_kernel_basis(kd_perp_rows, p)
     img_rows = (d_space @ phi_matrix) % p
     img_plus = FpSubspace.from_rows(np.vstack([img_rows, i2.basis]), p, fbt.dim)
     coker_log = kd.dim - img_plus.dim

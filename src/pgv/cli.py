@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog, table_to_presentation
-from .cohomology import Cochain, CohomologyError, cohomology, zero_two_cocycle
+from .cohomology import Cochain, CohomologyError, cohomology, solve_size, zero_two_cocycle
 from .extensions import ExtensionError, build_extension
 from .group_core import (
     DEFAULT_ORDER_CAP,
@@ -45,6 +45,11 @@ from .presentations import PresentationError, parse_presentations, render_presen
 from .suite import replay_counterexamples, report_to_json, run_suite
 
 
+# `pgv h2` says on stderr how large its solve is once the dense first slice
+# reaches this size (D64 with trivial:1 needs 120 MiB).
+H2_ANNOUNCE_BYTES = 64 << 20
+
+
 class UsageError(ValueError):
     pass
 
@@ -63,6 +68,15 @@ def _resolve_group(spec: str, order_cap: int) -> GroupTable:
         g.name = groups[0].name
         return g
     return find_entry(spec).group(order_cap=order_cap)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that can never be written before any work starts."""
+    target = Path(path)
+    if target.is_dir():
+        raise UsageError(f"cannot write --out {path!r}: it is a directory")
+    if not target.parent.is_dir():
+        raise UsageError(f"cannot write --out {path!r}: no directory {str(target.parent)!r}")
 
 
 def _write_out(path: str, text: str) -> None:
@@ -154,7 +168,12 @@ def cmd_h2(args) -> int:
         raise UsageError("h2 supports --module trivial:<dim>")
     dim = _positive_int(param, "module dimension") if param else 1
     m = trivial_module(g, dim)
-    sp = cohomology(g, m, 2, h2_order_cap=_positive_int(args.h2_cap, "--h2-cap"))
+    h2_cap = _positive_int(args.h2_cap, "--h2-cap")
+    unknowns, slice_bytes = solve_size(g.order, dim, 2)
+    if g.order <= h2_cap and slice_bytes >= H2_ANNOUNCE_BYTES:
+        mib = slice_bytes / 2**20
+        print(f"h2: {unknowns} unknowns; the dense first slice takes {mib:.0f} MiB", file=sys.stderr)
+    sp = cohomology(g, m, 2, h2_order_cap=h2_cap)
     print(f"Z^2: {sp.z_dim}  B^2: {sp.b_dim}  H^2: {sp.h_dim}")
     return 0
 
@@ -334,6 +353,8 @@ def main(argv: Optional[list] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         args.order_cap = _positive_int(args.order_cap, "--order-cap")
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.fn(args)
     except (UsageError, CatalogError, PresentationError, KeyError) as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -114,6 +114,8 @@ def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
 
     The first slice is applied to the identity a chunk of rows at a time and
     its kernel K is the first solution basis (K times the identity is K).
+    The kernels between slices are plain bases (``left_kernel_basis``): only
+    the last solution basis is brought to RREF.
     """
     if init_dim == 0 or not slices:
         return np.eye(init_dim, dtype=np.int64)
@@ -122,12 +124,12 @@ def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
     for a in range(0, init_dim, SLICE_ROWS):
         rows = min(SLICE_ROWS, init_dim - a)
         D[a : a + rows] = first(np.eye(rows, init_dim, k=a, dtype=np.int64))
-    S = fl.left_kernel_array(D, p)
+    S = fl.left_kernel_basis(D, p)
     del D
     for apply_slice in rest:
         if S.shape[0] == 0:
             break
-        K = fl.left_kernel_array(apply_slice(S), p)
+        K = fl.left_kernel_basis(apply_slice(S), p)
         S = fl.matmul_mod(K, S, p)
     R, piv = fl.rref_array(S, p)
     return R[: len(piv)]
@@ -189,6 +191,13 @@ def unit_cochains(q: int, dim: int, n: int) -> np.ndarray:
     return units[n * dim :]
 
 
+def solve_size(q: int, dim: int, degree: int) -> Tuple[int, int]:
+    """The unknowns of the cocycle solve over a group of order q, and the
+    bytes of its dense first slice (an unknowns x unknowns int64 matrix)."""
+    unknowns = (q if degree == 1 else q - 1) ** degree * dim
+    return unknowns, unknowns * unknowns * np.dtype(np.int64).itemsize
+
+
 def cohomology(
     g: GroupTable,
     m: GModule,
@@ -207,7 +216,7 @@ def cohomology(
     def make_slice(k):
         return lambda S: _rows(coboundary(m, _tables(S, q, d, degree), last=k), degree)
 
-    unknowns = (q if degree == 1 else q - 1) ** degree * d
+    unknowns, _ = solve_size(q, d, degree)
     Z = _solution_space(unknowns, [make_slice(k) for k in g.generating_sequence() or [0]], p)
     B, bpiv = fl.rref_array(_rows(coboundary(m, unit_cochains(q, d, degree - 1)), degree), p)
     B = B[: len(bpiv)]

@@ -231,7 +231,7 @@ def lambda_expansion(tp: TransferPair, y: np.ndarray) -> Optional[np.ndarray]:
 
 
 def kernel_of_down(tp: TransferPair) -> FpSubspace:
-    rows = fl.left_kernel_array(tp.down, tp.ext.total.p)
+    rows = fl.left_kernel_basis(tp.down, tp.ext.total.p)
     return FpSubspace.from_rows(rows, tp.ext.total.p, tp.down.shape[0])
 
 

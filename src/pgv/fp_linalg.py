@@ -89,18 +89,24 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
-def _eliminate(A: np.ndarray, p: int, swaps: Optional[List[Tuple[int, int]]] = None) -> List[int]:
-    """The per-pivot loop: bring residues A to RREF in place; returns the pivots.
+def _eliminate(
+    A: np.ndarray, p: int, n: Optional[int] = None, swaps: Optional[List[Tuple[int, int]]] = None
+) -> List[int]:
+    """The per-pivot loop: bring the first n columns of residues A (all by
+    default) to RREF in place; returns the pivots.
 
+    The columns from n on are tag columns, which the row operations carry
+    along: the row that becomes pivot j gets a 1 in tag column n + j first.
     Each row exchange is appended to ``swaps`` when it is given.
     """
-    m, n = A.shape
+    m, width = A.shape
+    n = width if n is None else n
     r = 0
     piv: List[int] = []
     for c in range(n):
         if r == m:
             break
-        hits = np.nonzero(A[r:, c])[0]
+        hits = A[r:, c].nonzero()[0]
         if hits.size == 0:
             continue
         i = r + int(hits[0])
@@ -108,11 +114,18 @@ def _eliminate(A: np.ndarray, p: int, swaps: Optional[List[Tuple[int, int]]] = N
             A[[r, i]] = A[[i, r]]
             if swaps is not None:
                 swaps.append((r, i))
-        A[r] = (A[r] * inv_scalar(A[r, c], p)) % p
-        others = np.nonzero(A[:, c])[0]
+        # Row r is zero left of c, and its tags are zero from n + r + 1 on.
+        end = min(width, n + r + 1)
+        if end > n:
+            A[r, n + r] = 1
+        row = A[r, c:end]
+        if row[0] != 1:
+            row = A[r, c:end] = (row * inv_scalar(row[0], p)) % p
+        col = A[:, c]
+        others = col.nonzero()[0]
         others = others[others != r]
         if others.size:
-            A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+            A[others, c:end] = (A[others, c:end] - col[others, None] * row) % p
         piv.append(c)
         r += 1
     return piv
@@ -121,30 +134,36 @@ def _eliminate(A: np.ndarray, p: int, swaps: Optional[List[Tuple[int, int]]] = N
 def _eliminate_blocked(A: np.ndarray, p: int) -> List[int]:
     """RREF of residues A in place, one column panel at a time.
 
-    The per-pivot loop finds the pivots of each panel below the rows already
-    holding pivots; those rows are swapped into place and multiplied by the
-    inverse of their k x k pivot block, and every other row with a nonzero
-    entry in a pivot column is cleared by float64 tile products.
+    The per-pivot loop runs once per panel, on the rows below those already
+    holding pivots, with one zero tag column per panel column.  Since the
+    row that becomes pivot j is tagged in column j, the k pivot rows end with
+    the inverse of their k x k pivot block (as it was before the panel) in
+    their tags.  Those rows are swapped into place and multiplied by that
+    inverse, and every other row with a nonzero entry in a pivot column is
+    cleared by float64 tile products.
     """
     m, n = A.shape
-    W = A.astype(np.float64)
+    W = A.view(np.float64)  # the float64 working copy lives in A's own buffer
+    _recast(A, W)
     r = 0
     piv: List[int] = []
     for c0 in range(0, n, PANEL):
         if r == m:
             break
+        panel = W[r:, c0 : c0 + PANEL]
+        w = panel.shape[1]
+        local = np.zeros((m - r, 2 * w), dtype=np.int64)
+        local[:, :w] = panel
         swaps: List[Tuple[int, int]] = []
-        local = _eliminate(W[r:, c0 : c0 + PANEL].astype(np.int64), p, swaps)
-        if not local:
+        found = _eliminate(local, p, w, swaps)
+        if not found:
             continue
-        k = len(local)
+        k = len(found)
         for i, j in swaps:
             W[[r + i, r + j]] = W[[r + j, r + i]]
-        cols = [c0 + c for c in local]
+        cols = [c0 + c for c in found]
         pivot_rows = W[r : r + k]
-        aug = np.hstack([pivot_rows[:, cols].astype(np.int64), np.eye(k, dtype=np.int64)])
-        _eliminate(aug, p)
-        inverse = aug[:, k:].astype(np.float64)
+        inverse = local[:k, w : w + k].astype(np.float64)
         for a in range(c0, n, PANEL):
             block = pivot_rows[:, a : a + PANEL]
             _mod_float(inverse @ block, p, out=block)
@@ -160,8 +179,18 @@ def _eliminate_blocked(A: np.ndarray, p: int) -> List[int]:
                 W[rows, a : a + PANEL] = _mod_float(update, p, out=update)
         piv.extend(cols)
         r += k
-    np.copyto(A, W, casting="unsafe")
+    _recast(W, A)
     return piv
+
+
+def _recast(src: np.ndarray, dst: np.ndarray) -> None:
+    """dst[:] = src where dst views src's buffer as the other 8-byte dtype.
+
+    A PANEL of rows at a time, so numpy's copy of the overlapping source is
+    one panel, not a second matrix.
+    """
+    for i in range(0, src.shape[0], PANEL):
+        dst[i : i + PANEL] = src[i : i + PANEL]
 
 
 def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
@@ -183,25 +212,41 @@ def rank_array(a: np.ndarray, p: int) -> int:
     return len(piv)
 
 
-def left_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (rows, in RREF) of {x : x @ a = 0}."""
-    return right_kernel_array(np.asarray(a).T, p)
+def left_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """A basis of {x : x @ a = 0}: ``right_kernel_basis`` of a^T."""
+    return right_kernel_basis(np.asarray(a).T, p)
 
 
-def right_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis (rows, in RREF) of {x : a @ x^T = 0}."""
+def right_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """A basis of {x : a @ x^T = 0}, one row per free column of the RREF of a.
+
+    The row of free column f has a 1 at f, zeros at the other free columns
+    and minus column f of the RREF at the pivot columns, so the rows are
+    independent residues but not in RREF; ``right_kernel_array`` gives the
+    canonical basis.
+    """
     A, piv = rref_array(a, p)
     n = A.shape[1]
     is_free = np.ones(n, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, n), dtype=np.int64)
-    if not free.size:
-        return basis
     basis[np.arange(free.size), free] = 1
-    basis[:, piv] = -A[: len(piv), free].T
-    # Free columns each carry a lone 1, so the rows are independent; put them
-    # into canonical form for deterministic output.
+    basis[:, piv] = -A[: len(piv), free].T % p
+    return basis
+
+
+def left_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis (rows, in RREF) of {x : x @ a = 0}."""
+    return right_kernel_array(np.asarray(a).T, p)
+
+
+def right_kernel_array(a: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis (rows, in RREF) of {x : a @ x^T = 0}: the RREF of
+    ``right_kernel_basis``."""
+    basis = right_kernel_basis(a, p)
+    if not basis.shape[0]:
+        return basis
     out, _ = rref_array(basis, p)
     return out
 
@@ -367,7 +412,7 @@ class FpSubspace:
         if self.dim == 0 or other.dim == 0:
             return FpSubspace.zero(self.ambient_dim, self.p)
         stacked = np.vstack([self.basis, other.basis])
-        coeffs = left_kernel_array(np.ascontiguousarray(stacked), self.p)
+        coeffs = left_kernel_basis(np.ascontiguousarray(stacked), self.p)
         if coeffs.shape[0] == 0:
             return FpSubspace.zero(self.ambient_dim, self.p)
         vecs = (coeffs[:, : self.dim] @ self.basis) % self.p

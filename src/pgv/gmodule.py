@@ -97,7 +97,7 @@ def fixed_under(acts: Sequence[np.ndarray], p: int, dim: int) -> FpSubspace:
     if not blocks:
         return FpSubspace.full(dim, p)
     stacked = np.hstack(blocks)  # v @ stacked = 0 for every matrix
-    return FpSubspace.from_rows(fl.left_kernel_array(stacked, p), p, dim)
+    return FpSubspace.from_rows(fl.left_kernel_basis(stacked, p), p, dim)
 
 
 def fixed_points(m: GModule) -> FpSubspace:
@@ -390,7 +390,7 @@ def annihilator(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSubspace:
     else:
         # x with y B x^T = 0: kernel of (Q B)
         m = np.ascontiguousarray(((q.basis @ B) % fb.p).T)
-    rows = fl.left_kernel_array(m, fb.p)
+    rows = fl.left_kernel_basis(m, fb.p)
     return FpSubspace.from_rows(rows, fb.p, fb.dim)
 
 
@@ -409,7 +409,7 @@ def annihilator_by_products(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSub
     if not blocks:
         return FpSubspace.full(fb.dim, fb.p)
     m = np.hstack(blocks)
-    rows = fl.left_kernel_array(m, fb.p)
+    rows = fl.left_kernel_basis(m, fb.p)
     return FpSubspace.from_rows(rows, fb.p, fb.dim)
 
 
@@ -432,7 +432,7 @@ def ann_tuple(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) -> FpSubspa
     s = len(xs)
     if s < 1:
         raise ModuleError("s >= 1 required")
-    rows = fl.left_kernel_array(tuple_product_matrix(fb, xs, side), fb.p)
+    rows = fl.left_kernel_basis(tuple_product_matrix(fb, xs, side), fb.p)
     return FpSubspace.from_rows(rows, fb.p, s * fb.block)
 
 

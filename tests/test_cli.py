@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+import pgv.cli as cli
+import pgv.fp_linalg as fl
+from pgv.catalog import find_entry
 from pgv.cli import main
+from pgv.cohomology import cohomology, solve_size
+from pgv.gmodule import trivial_module
 
 
 def test_catalog_list(capsys):
@@ -70,6 +75,23 @@ def test_usage_errors(tmp_path, capsys):
     assert "infrastructure error" not in capsys.readouterr().err
 
 
+def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "find_noninner", no_work)
+    monkeypatch.setattr(cli, "build_extension", no_work)
+    missing_parent = str(tmp_path / "missing" / "out.json")
+    for out in (str(tmp_path), missing_parent):
+        assert main(["check", "--id", "all", "--out", out]) == 1
+        assert main(["find-noninner", "--group", "D8", "--out", out]) == 1
+        assert main(["extend", "--group", "C2", "--kernel", "1", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"usage error: cannot write --out {out!r}") == 3
+
+
 @pytest.mark.parametrize(
     "table, rc",
     [
@@ -100,6 +122,38 @@ def test_h2_command(capsys):
     rc = main(["h2", "--group", "C3", "--module", "trivial:1"])
     assert rc == 0
     assert "H^2: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, dim", [("C3", 1), ("D8", 2), ("C3xC3", 1), ("Q16", 1)])
+def test_h2_size_estimate_is_the_first_slice(monkeypatch, name, dim):
+    # The first array the solver takes a kernel of is the dense first slice.
+    g = find_entry(name).group()
+    shapes = []
+    real = fl.left_kernel_basis
+
+    def recording(a, p):
+        shapes.append((a.shape, a.nbytes))
+        return real(a, p)
+
+    monkeypatch.setattr(fl, "left_kernel_basis", recording)
+    cohomology(g, trivial_module(g, dim), 2, want_reps=False)
+    unknowns, slice_bytes = solve_size(g.order, dim, 2)
+    assert shapes[0] == ((unknowns, unknowns), slice_bytes)
+
+
+def test_h2_announces_a_large_solve_on_stderr_only(monkeypatch, capsys):
+    assert main(["h2", "--group", "D8"]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 49 * 49 * 8)
+    assert main(["h2", "--group", "D8"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert loud.err == "h2: 49 unknowns; the dense first slice takes 0 MiB\n"
+    assert main(["h2", "--group", "C3xC3"]) == 0  # 64 unknowns
+    assert "h2: 64 unknowns" in capsys.readouterr().err
+    assert main(["h2", "--group", "C3xC3", "--h2-cap", "8"]) == 2  # refused, not announced
+    assert "unknowns" not in capsys.readouterr().err
 
 
 def test_extend_command(tmp_path, capsys):

@@ -12,14 +12,18 @@ from pgv.fp_linalg import (
     check_prime,
     complement_reps,
     left_kernel_array,
+    left_kernel_basis,
     matmul_mod,
     rank_array,
     right_kernel_array,
+    right_kernel_basis,
     rref_array,
     solve_array,
     solve_left,
 )
+from pgv.cohomology import cohomology
 from pgv.gmodule import _closure
+from tests.test_cohomology import small_modules
 
 
 def all_vectors(n, p):
@@ -423,6 +427,18 @@ def loop_right_kernel(a, p):
 PANEL = fl.PANEL
 
 
+def random_matrix(p, shape, rank, rng):
+    """Residues with some zero rows and columns, of rank at most ``rank`` when given."""
+    if rank is None:
+        a = rng.integers(0, p, size=shape)
+    else:
+        left = rng.integers(0, p, size=(shape[0], rank))
+        a = (left @ rng.integers(0, p, size=(rank, shape[1]))) % p
+    a[:, rng.random(shape[1]) < 0.2] = 0
+    a[rng.random(shape[0]) < 0.1] = 0
+    return a
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 7, 32749]),
@@ -440,13 +456,7 @@ PANEL = fl.PANEL
 def test_blocked_kernel_matches_row_loop(p, m, n, rank, transposed, raw, seed):
     rng = np.random.default_rng(seed)
     shape = (n, m) if transposed else (m, n)
-    if rank is None:
-        a = rng.integers(0, p, size=shape)
-    else:  # rank at most `rank`
-        left = rng.integers(0, p, size=(shape[0], rank))
-        a = (left @ rng.integers(0, p, size=(rank, shape[1]))) % p
-    a[:, rng.random(shape[1]) < 0.2] = 0
-    a[rng.random(shape[0]) < 0.1] = 0
+    a = random_matrix(p, shape, rank, rng)
     if raw:  # unreduced and negative entries
         a = a + p * rng.integers(-3, 4, size=shape)
     if transposed:  # a non-contiguous view
@@ -474,12 +484,109 @@ def test_blocked_kernel_runs_past_one_panel(monkeypatch):
         calls.append(A.shape)
         return real(A, p)
 
+    loops = []
+    real_loop = fl._eliminate
+
+    def counting_loop(A, p, n=None, swaps=None):
+        loops.append((A.shape, n))
+        return real_loop(A, p, n, swaps)
+
     monkeypatch.setattr(fl, "_eliminate_blocked", counting)
+    monkeypatch.setattr(fl, "_eliminate", counting_loop)
     R, piv = rref_array(a, 5)
+    assert calls == [a.shape]
+    # One pass of the loop per panel, on the panel and its tag columns; the
+    # last panel is never reached, since the first two hold every pivot.
+    assert loops == [((PANEL + 30, 2 * PANEL), PANEL), ((30, 2 * PANEL), PANEL)]
     rref_array(a[:PANEL], 5)
     assert calls == [a.shape]
     assert len(piv) == PANEL + 30 and piv[-1] >= PANEL
     assert np.array_equal(R, loop_rref(a, 5)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 32749]),
+    st.integers(min_value=1, max_value=2 * PANEL + 10),
+    st.integers(min_value=1, max_value=PANEL),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=PANEL)),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(p=2, rows=2 * PANEL + 10, width=PANEL, rank=None, seed=0)  # tall
+@example(p=3, rows=7, width=PANEL, rank=None, seed=1)  # wide
+@example(p=32749, rows=PANEL, width=PANEL, rank=PANEL // 2, seed=2)  # rank-deficient
+@example(p=7, rows=PANEL + 5, width=40, rank=0, seed=3)  # no pivot at all
+def test_panel_tags_hold_the_inverse_pivot_block(p, rows, width, rank, seed):
+    # The blocked path runs the loop on a panel plus one zero tag column per
+    # panel column.  The tags of the k pivot rows must end as B^-1, where B
+    # is those rows (in the order the swaps bring them) at the pivot columns.
+    rng = np.random.default_rng(seed)
+    panel = random_matrix(p, (rows, width), rank, rng)
+    panel[: rows // 3] = 0  # the first pivot rows arrive by swaps
+    local = np.zeros((rows, 2 * width), dtype=np.int64)
+    local[:, :width] = panel
+    swaps = []
+    found = fl._eliminate(local, p, width, swaps)
+
+    R, piv = loop_rref(panel, p)
+    assert found == piv and np.array_equal(local[:, :width], R)
+    k = len(found)
+    assert swaps or not (k and rows // 3)
+    arrived = panel.copy()
+    for i, j in swaps:
+        arrived[[i, j]] = arrived[[j, i]]
+    B = arrived[:k][:, found]
+    aug, aug_piv = loop_rref(np.hstack([B, np.eye(k, dtype=np.int64)]), p)
+    assert aug_piv == list(range(k))  # B is invertible
+    assert np.array_equal(local[:k, width : width + k], aug[:, k:])
+    assert not local[:k, width + k :].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 32749]),
+    st.integers(min_value=1, max_value=3 * PANEL + 10),
+    st.integers(min_value=1, max_value=3 * PANEL + 10),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3 * PANEL)),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(p=2, m=PANEL + 1, n=2 * PANEL + 7, rank=None, seed=1)
+@example(p=3, m=2 * PANEL + 7, n=PANEL + 1, rank=PANEL - 3, seed=2)
+@example(p=32749, m=3, n=5, rank=0, seed=3)  # everything is free
+def test_plain_kernel_basis_matches_row_loop(p, m, n, rank, seed):
+    a = random_matrix(p, (m, n), rank, np.random.default_rng(seed))
+    basis = right_kernel_basis(a, p)
+    piv = loop_rref(a, p)[1]
+    free = [j for j in range(n) if j not in piv]
+    assert basis.dtype == np.int64 and basis.shape == (len(free), n)
+    assert basis.min(initial=0) >= 0 and basis.max(initial=0) < p
+    assert not ((a @ basis.T) % p).any()
+    # An identity at the free columns: the rows are independent, so a basis.
+    assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
+    assert len(loop_rref(basis, p)[1]) == len(free)
+    # The same space as the canonical kernel: their RREFs agree.
+    assert np.array_equal(loop_rref(basis, p)[0], loop_right_kernel(a, p))
+    assert np.array_equal(left_kernel_basis(a.T, p), basis)
+
+
+def test_solution_space_is_the_same_with_canonical_intermediate_kernels(monkeypatch):
+    # The cocycle solver eliminates its intermediate kernels again, so the
+    # plain basis must give the same canonical Z as canonical kernels do.
+    cases = [(m, degree) for m in small_modules() for degree in (1, 2)]
+    plain_z = [cohomology(m.group, m, degree, want_reps=False).z_basis for m, degree in cases]
+    plain = fl.left_kernel_basis
+    differs = []
+
+    def canonical(a, p):
+        basis = plain(a, p)
+        R, piv = rref_array(basis, p)
+        differs.append(not np.array_equal(R[: len(piv)], basis))
+        return R[: len(piv)]
+
+    monkeypatch.setattr(fl, "left_kernel_basis", canonical)
+    for (m, degree), z in zip(cases, plain_z):
+        assert np.array_equal(cohomology(m.group, m, degree, want_reps=False).z_basis, z), (m.group.name, m.name, degree)
+    assert any(differs)  # some intermediate kernel really is not canonical
 
 
 @settings(max_examples=40, deadline=None)
