@@ -45,8 +45,8 @@ from .presentations import PresentationError, parse_presentations, render_presen
 from .suite import replay_counterexamples, report_to_json, run_suite
 
 
-# `pgv h2` says on stderr how large its solve is once the dense first slice
-# reaches this size (D64 with trivial:1 needs 120 MiB).
+# `pgv h2` says on stderr how large its solve is once its seed (see
+# `cohomology.solve_size`) reaches this size (D16 with trivial:40 needs 82 MiB).
 H2_ANNOUNCE_BYTES = 64 << 20
 
 
@@ -169,11 +169,11 @@ def cmd_h2(args) -> int:
     dim = _positive_int(param, "module dimension") if param else 1
     m = trivial_module(g, dim)
     h2_cap = _positive_int(args.h2_cap, "--h2-cap")
-    unknowns, slice_bytes = solve_size(g.order, dim, 2)
-    if g.order <= h2_cap and slice_bytes >= H2_ANNOUNCE_BYTES:
-        mib = slice_bytes / 2**20
-        print(f"h2: {unknowns} unknowns; the dense first slice takes {mib:.0f} MiB", file=sys.stderr)
-    sp = cohomology(g, m, 2, h2_order_cap=h2_cap)
+    unknowns, seed_bytes = solve_size(g, dim, 2)
+    if g.order <= h2_cap and seed_bytes >= H2_ANNOUNCE_BYTES:
+        mib = seed_bytes / 2**20
+        print(f"h2: {unknowns} unknowns; the seed and each slice image take {mib:.0f} MiB", file=sys.stderr)
+    sp = cohomology(g, m, 2, h2_order_cap=h2_cap, want_reps=False)
     print(f"Z^2: {sp.z_dim}  B^2: {sp.b_dim}  H^2: {sp.h_dim}")
     return 0
 

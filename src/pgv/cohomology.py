@@ -14,14 +14,20 @@ the cochain vanishes:
 The one exception is the test oracle ``brute_force_z1``, which writes the
 degree-1 identity out on its own so that it does not share d with the solver.
 
-Degree-1 cocycles (derivations) keep every value tau(g) as an unknown;
-degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0, and only their
-values at non-identity arguments are unknowns (``_tables`` and ``_rows``).
-The solver intersects the kernels of d's slices (the last argument fixed)
-one slice at a time, and only for the slices at a generating sequence of the
-group: the identity then holds at every element (see ``_solution_space``).
-Every elimination runs in ``fp_linalg``, whose blocked kernel and
-``matmul_mod`` use exact float64 BLAS products.
+Degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0.  A solution row
+holds every value tau(g) of a derivation, and the values of a 2-cochain at
+non-identity arguments (``_tables`` and ``_rows``).  A cocycle is fixed by
+its values at (..., s) for s in a generating sequence (Holt, Eick &
+O'Brien, *Handbook of Computational Group Theory*, ch. 7), so the solver's
+unknowns are only those values, for s in a Burnside basis
+(``GroupTable.burnside_basis``, d(G) elements): (|G| - 1) d(G) dim unknowns
+in degree 2 and d(G) dim in degree 1.  ``cocycle_seed`` builds, by a walk
+of the Cayley graph, the cochain each unit unknown fixes.  The solver then
+intersects, one at a time, the kernels of d's slices (the last argument
+fixed) at the same generators on the span of that seed: the identity then
+holds at every element (see ``_solution_space``).  Every elimination runs in
+``fp_linalg``, whose blocked kernel and ``matmul_mod`` use exact float64
+BLAS products.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .gmodule import (
 )
 
 DEFAULT_H2_ORDER_CAP = 64
-SLICE_ROWS = 64  # identity rows the first slice operator is applied to at once
 
 
 class CohomologyError(ValueError):
@@ -98,10 +103,67 @@ class CohomologySpace:
     h_reps: List[Cochain]  # representatives of an echelon complement of B in Z
 
 
-def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
-    """RREF basis of the common kernel of the slice operators.
+def cayley_tree(g: GroupTable, gens: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """The edges (h, s, hs) of a breadth-first walk of the Cayley graph over
+    ``gens`` from 1, one edge for each element hs the walk reaches first, in
+    the order the walk reaches them.  Distinct non-identity generators are
+    reached first from 1, so the walk begins with the edges (1, s, s)."""
+    seen = np.zeros(g.order, dtype=bool)
+    seen[0] = True
+    queue, edges = [0], []
+    for h in queue:
+        for s in gens:
+            hs = int(g.mul[h, s])
+            if not seen[hs]:
+                seen[hs] = True
+                queue.append(hs)
+                edges.append((h, int(s), hs))
+    return edges
 
-    Slices are taken only at a generating sequence.  That is enough: the
+
+def cocycle_seed(m: GModule, gens: Sequence[int], degree: int) -> np.ndarray:
+    """The cochain tables that the values at (..., s), s in ``gens``, fix.
+
+    An n-cocycle (n = 1, 2; normalized for n = 2) satisfies, for every s,
+        tau(hs)   = tau(h).s + tau(s)
+        f(g, hs)  = f(g, h).s + f(gh, s) - f(h, s),
+    which is (d tau)(h, s) = 0 and (d f)(g, h, s) = 0 solved for the value at
+    hs.  When ``gens`` generate the finite group G, every element is a
+    product of them, so ``cayley_tree`` reaches it, and the values at
+    (..., s) fix the cocycle at every last argument.  Row u of the seed is
+    the table this walk builds from the u-th unit value, unknowns ordered
+    (s, c) in degree 1 and (x, s, c) in degree 2 for the values tau(s)_c
+    and f(x, s)_c, x != 1 (f(1, s) = 0).  The seed is linear in the unknowns
+    and normalized, so Z^n is the set of its combinations that are cocycles.
+    Shape (r d, |G|, d) in degree 1 and ((|G| - 1) r d, |G|, |G|, d) in
+    degree 2, for r = len(gens).
+    """
+    g, q, d, p, act = m.group, m.group.order, m.dim, m.p, m.act
+    r, gens = len(gens), np.asarray(gens, dtype=np.int64)
+    c = np.arange(d)
+    if degree == 1:
+        T = np.zeros((r, d, q, d), dtype=np.int64)
+        T[np.arange(r)[:, None], c, gens[:, None], c] = 1
+        T = T.reshape(r * d, q, d)
+    else:
+        T = np.zeros((q - 1, r, d, q, q, d), dtype=np.int64)
+        x = np.arange(1, q)[:, None, None]
+        T[x - 1, np.arange(r)[:, None], c, x, gens[:, None], c] = 1
+        T = T.reshape((q - 1) * r * d, q, q, d)
+    for h, s, hs in cayley_tree(g, gens):
+        if degree == 1:
+            T[:, hs] = (T[:, h] @ act[s] + T[:, s]) % p
+        else:
+            T[:, :, hs] = (T[:, :, h] @ act[s] + T[:, g.mul[:, h], s] - T[:, h, s, None]) % p
+    return T
+
+
+def _solution_space(seed: np.ndarray, slices: Sequence, p: int) -> np.ndarray:
+    """RREF basis of the common kernel of the slice operators on the row
+    space of ``seed``.
+
+    The seed spans every cocycle (``cocycle_seed``), and the slices at the
+    generators it was built from cut the cocycles out of its span: the
     2-cocycle identity f(g,h).k + f(gh,k) = f(h,k) + f(g,hk) at (g,h,k) says
     that the product (m,g)(n,h) = (m.h + n + f(g,h), gh) on M x G is
     associative whenever its third argument lies over k.  If that holds over
@@ -110,23 +172,15 @@ def _solution_space(init_dim: int, slices: Sequence, p: int) -> np.ndarray:
     over every element above k1k2, so the set of good k is closed under
     products.  In the same way tau(gh) = tau(g).h + tau(h) at h1 and h2 gives
     it at h1h2.  In a finite group products of the generators reach every
-    element, the identity included.
+    element, the identity included.  Seed combinations are normalized, so one
+    that passes every slice is a cocycle.
 
-    The first slice is applied to the identity a chunk of rows at a time and
-    its kernel K is the first solution basis (K times the identity is K).
-    The kernels between slices are plain bases (``left_kernel_basis``): only
-    the last solution basis is brought to RREF.
+    Each slice is applied to the current solution basis S, and the kernel K
+    of its image gives the next basis K S.  The kernels are plain bases
+    (``left_kernel_basis``): only the last solution basis is brought to RREF.
     """
-    if init_dim == 0 or not slices:
-        return np.eye(init_dim, dtype=np.int64)
-    first, *rest = slices
-    D = np.empty((init_dim, init_dim), dtype=np.int64)
-    for a in range(0, init_dim, SLICE_ROWS):
-        rows = min(SLICE_ROWS, init_dim - a)
-        D[a : a + rows] = first(np.eye(rows, init_dim, k=a, dtype=np.int64))
-    S = fl.left_kernel_basis(D, p)
-    del D
-    for apply_slice in rest:
+    S = seed
+    for apply_slice in slices:
         if S.shape[0] == 0:
             break
         K = fl.left_kernel_basis(apply_slice(S), p)
@@ -139,7 +193,7 @@ def coboundary(m: GModule, cochains: np.ndarray, last: Optional[int] = None) -> 
     """d of a stack of n-cochains, shape (r,) + (|G|,)*n + (dim,) with n <= 2.
 
     For n-cochains f the sum runs f(g_1..g_n).g_{n+1}, then
-    (-1)^(n-i) f(.., g_i g_{i+1}, ..) for i = 1..n, then
+    (-1)^(n-i+1) f(.., g_i g_{i+1}, ..) for i = 1..n, then
     (-1)^(n+1) f(g_2..g_{n+1}).  The result has one more group axis; with
     ``last`` given the new last argument is fixed to it instead, and the
     result (a slice of d) has the shape of the input.
@@ -191,11 +245,14 @@ def unit_cochains(q: int, dim: int, n: int) -> np.ndarray:
     return units[n * dim :]
 
 
-def solve_size(q: int, dim: int, degree: int) -> Tuple[int, int]:
-    """The unknowns of the cocycle solve over a group of order q, and the
-    bytes of its dense first slice (an unknowns x unknowns int64 matrix)."""
-    unknowns = (q if degree == 1 else q - 1) ** degree * dim
-    return unknowns, unknowns * unknowns * np.dtype(np.int64).itemsize
+def solve_size(g: GroupTable, dim: int, degree: int) -> Tuple[int, int]:
+    """The unknowns of the cocycle solve over g, and the bytes of its largest
+    array: the seed, or a slice image, is an int64 matrix with a row per
+    unknown and a column per solver value of a cochain (``_rows``)."""
+    q = g.order
+    unknowns = (1 if degree == 1 else q - 1) * len(g.burnside_basis()) * dim
+    values = (q if degree == 1 else q - 1) ** degree * dim
+    return unknowns, unknowns * values * np.dtype(np.int64).itemsize
 
 
 def cohomology(
@@ -216,11 +273,12 @@ def cohomology(
     def make_slice(k):
         return lambda S: _rows(coboundary(m, _tables(S, q, d, degree), last=k), degree)
 
-    unknowns, _ = solve_size(q, d, degree)
-    Z = _solution_space(unknowns, [make_slice(k) for k in g.generating_sequence() or [0]], p)
+    gens = m.group.burnside_basis()
+    seed = _rows(cocycle_seed(m, gens, degree), degree)
+    Z = _solution_space(seed, [make_slice(k) for k in gens], p)
     B, bpiv = fl.rref_array(_rows(coboundary(m, unit_cochains(q, d, degree - 1)), degree), p)
     B = B[: len(bpiv)]
-    reps_rows = fl.complement_reps(B, Z, p) if want_reps else np.zeros((0, unknowns), dtype=np.int64)
+    reps_rows = fl.complement_reps(B, Z, p) if want_reps else Z[:0]
     reps = [Cochain(m, tab) for tab in _tables(reps_rows, q, d, degree)]
     return CohomologySpace(degree, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
 

@@ -170,7 +170,10 @@ class GroupTable:
         return val
 
     def generating_sequence(self) -> List[int]:
-        """Greedy minimal generating sequence (deterministic)."""
+        """Greedy generating sequence (deterministic): each element is the
+        least one outside the subgroup the ones before it generate.  On a
+        table built from a pc-presentation these are the pc generators, more
+        than d(G) of them; ``burnside_basis`` gives a minimal one."""
         gens = self._cache.get("gens")
         if gens is None:
             gens = []
@@ -180,6 +183,22 @@ class GroupTable:
                 gens.append(nxt)
                 cur = subgroup_closure(self, gens)
             self._cache["gens"] = gens
+        return list(gens)
+
+    def burnside_basis(self) -> List[int]:
+        """A minimal generating sequence (deterministic): each element is the
+        least one outside the subgroup that Phi(G) and the ones before it
+        generate.  By Burnside's basis theorem it generates G and has
+        d(G) = log_p |G : Phi(G)| elements."""
+        gens = self._cache.get("burnside")
+        if gens is None:
+            gens = []
+            # G/Phi(G) is elementary abelian, so each step is central of order p
+            bits = frattini(self).bitmap
+            while not bits.all():
+                gens.append(int(np.argmin(bits)))
+                bits = _adjoin(self, np.flatnonzero(bits), gens[-1])
+            self._cache["burnside"] = gens
         return list(gens)
 
     def fingerprint(self) -> str:

@@ -126,7 +126,9 @@ def test_h2_command(capsys):
 
 @pytest.mark.parametrize("name, dim", [("C3", 1), ("D8", 2), ("C3xC3", 1), ("Q16", 1)])
 def test_h2_size_estimate_is_the_first_slice(monkeypatch, name, dim):
-    # The first array the solver takes a kernel of is the dense first slice.
+    # The first array the solver takes a kernel of is the image of the seed
+    # under the first slice: a row per unknown f(x, s)_c, x != 1 and s in a
+    # minimal generating sequence, and a column per value f(x, y)_c, x, y != 1.
     g = find_entry(name).group()
     shapes = []
     real = fl.left_kernel_basis
@@ -137,21 +139,23 @@ def test_h2_size_estimate_is_the_first_slice(monkeypatch, name, dim):
 
     monkeypatch.setattr(fl, "left_kernel_basis", recording)
     cohomology(g, trivial_module(g, dim), 2, want_reps=False)
-    unknowns, slice_bytes = solve_size(g.order, dim, 2)
-    assert shapes[0] == ((unknowns, unknowns), slice_bytes)
+    unknowns, seed_bytes = solve_size(g, dim, 2)
+    q, rank = g.order, len(g.burnside_basis())
+    assert unknowns == (q - 1) * rank * dim
+    assert shapes[0] == ((unknowns, (q - 1) ** 2 * dim), seed_bytes)
 
 
 def test_h2_announces_a_large_solve_on_stderr_only(monkeypatch, capsys):
     assert main(["h2", "--group", "D8"]) == 0
     quiet = capsys.readouterr()
     assert quiet.err == ""
-    monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 49 * 49 * 8)
+    monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 14 * 49 * 8)
     assert main(["h2", "--group", "D8"]) == 0
     loud = capsys.readouterr()
     assert loud.out == quiet.out
-    assert loud.err == "h2: 49 unknowns; the dense first slice takes 0 MiB\n"
-    assert main(["h2", "--group", "C3xC3"]) == 0  # 64 unknowns
-    assert "h2: 64 unknowns" in capsys.readouterr().err
+    assert loud.err == "h2: 14 unknowns; the seed and each slice image take 0 MiB\n"
+    assert main(["h2", "--group", "C3xC3"]) == 0  # 16 unknowns, 64 values each
+    assert "h2: 16 unknowns" in capsys.readouterr().err
     assert main(["h2", "--group", "C3xC3", "--h2-cap", "8"]) == 2  # refused, not announced
     assert "unknowns" not in capsys.readouterr().err
 

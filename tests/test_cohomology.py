@@ -8,7 +8,9 @@ from pgv.cohomology import (
     Cochain,
     CohomologyError,
     brute_force_z1,
+    cayley_tree,
     coboundary,
+    cocycle_seed,
     cohomology,
     conjugation_derivation,
     derivation_to_automorphism,
@@ -441,6 +443,33 @@ def test_is_cocycle_matches_elementwise_identity():
     assert verdicts == {1: {True, False}, 2: {True, False}}
 
 
+def test_cocycle_seed_is_its_unit_values_and_closed_on_the_tree():
+    # Row u of the seed takes the u-th unit value at (..., s), s in the
+    # Burnside basis, and the walk over the Cayley tree solves d = 0 for the
+    # value at each new element, so d of every row vanishes on the tree edges.
+    # Over a cyclic group a recursion with the action on the wrong side
+    # builds the same seed; the regular modules act through non-cyclic groups.
+    regular = [regular_module(e.group()) for e in builtin_catalog() if e.order <= 8]
+    for m in itertools.chain(small_modules(), regular):
+        g, q, d = m.group, m.group.order, m.dim
+        gens = g.burnside_basis()
+        edges = cayley_tree(g, gens)
+        assert edges[: len(gens)] == [(0, s, s) for s in gens]
+        assert sorted(hs for _, _, hs in edges) == list(range(1, q))
+        for degree in (1, 2):
+            seed = cocycle_seed(m, gens, degree)
+            n = len(seed)
+            assert n == (1 if degree == 1 else q - 1) * len(gens) * d
+            at_gens = np.take(seed, gens, axis=degree)
+            if degree == 2:
+                assert not seed[:, 0].any() and not seed[:, :, 0].any()
+                at_gens = at_gens[:, 1:]
+            assert np.array_equal(at_gens.reshape(n, n), np.eye(n, dtype=np.int64)), (g.name, m.name)
+            for h, s, _ in edges:
+                on_edge = np.take(coboundary(m, seed, last=s), h, axis=degree)
+                assert not on_edge.any(), (g.name, m.name, degree, h, s)
+
+
 def test_coboundary_squares_to_zero():
     rng = np.random.default_rng(0)
     for m in small_modules():
@@ -454,8 +483,8 @@ def test_coboundary_squares_to_zero():
 
 
 def test_trivial_group_h1_pins_tau_at_the_identity():
-    # The trivial group has an empty generating sequence; its one slice, at
-    # the identity, forces tau(1) = 0.
+    # The trivial group has an empty Burnside basis, so the seed has no rows
+    # and tau(1) = 0 is the only derivation.
     g = cyclic_group(2, 2)
     cm = module_from_conjugation(g, Subgroup(g, [0, 1]), center(g))
     assert cm.module.group.order == 1

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from pgv.group_core import (
     trivial_group,
     _element_signature,
 )
-from pgv.catalog import builtin_catalog, find_entry
+from pgv.catalog import builtin_catalog, find_entry, load_catalog
 from pgv.presentations import PcPresentation, PresentationError, parse_presentations
 
 
@@ -134,6 +135,25 @@ def test_frattini_klein_four_trivial():
     assert frattini(g).order == 1
     g8 = from_pc_presentation(pres_d8())
     assert frattini(g8) == center(g8)
+
+
+def test_burnside_basis_is_a_minimal_generating_sequence():
+    # Burnside's basis theorem: a minimal generating sequence has
+    # log_p |G : Phi(G)| elements.  Each is the least element outside the
+    # subgroup that Phi(G) and the ones before it generate.
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    entries = list(builtin_catalog()) + list(fixture)
+    assert len(fixture) == 3
+    for e in entries:
+        g = e.group()
+        basis, phi = g.burnside_basis(), frattini(g)
+        assert g.p ** len(basis) * phi.order == g.order, e.name
+        assert subgroup_closure(g, basis).order == g.order, e.name
+        for i, x in enumerate(basis):
+            below = subgroup_closure(g, list(phi.members) + basis[:i])
+            assert x == int(np.argmin(below.bitmap)), e.name
+    d16 = find_entry("D16").group()
+    assert len(d16.generating_sequence()) == 4 and len(d16.burnside_basis()) == 2
 
 
 def test_iset_d8_everything():
