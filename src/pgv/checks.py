@@ -206,7 +206,7 @@ def _restricted(fb: FreeBimodule, carrier) -> GModule:
 
 
 def _h1_of_module(g: GroupTable, m: GModule) -> int:
-    return cohomology(g, m, 1, want_reps=False).h_dim
+    return cohomology(g, m, 1).h_dim
 
 
 def _class_extension(g: GroupTable, t: int, seed: int, split: bool = False) -> ExtensionResult:
@@ -257,7 +257,7 @@ def _quotient_mod_cocycle(
 ) -> Tuple[GModule, Cochain]:
     """Push a cocycle along nmod -> nmod/sub."""
     qmod, comp = quotient_module(nmod, sub)
-    basis_full = np.vstack([sub.basis, comp]) if sub.dim else comp
+    basis_full = np.vstack([sub.basis, comp])
     q, d = g.order, nmod.dim
     coords = fl.solve_left(basis_full, f.table.reshape(q * q, d), g.p)
     tab = coords[:, sub.dim :].reshape(q, q, qmod.dim)
@@ -852,7 +852,7 @@ def check_kj(inst):
         raise Skip("H1 moved")
     if ext.total.order > 16 or qmod.dim > 6:
         raise Unsupported("H^2 instance too large")
-    h2 = cohomology(ext.total, inflate_module(qmod, ext.projection), 2, want_reps=False).h_dim
+    h2 = cohomology(ext.total, inflate_module(qmod, ext.projection), 2).h_dim
     d = d_G(qmod)
     return h2 == 1 and d == 1, {"h2_extension": int(h2), "d_G": int(d)}
 
@@ -1260,7 +1260,7 @@ def _nonabelian_group(inst: Dict[str, object]) -> GroupTable:
 
 def _h1_dim(g: GroupTable, n1: Subgroup, w: Subgroup) -> Optional[int]:
     """dim H^1(G/N1, W) of the conjugation module, or None without one."""
-    got = conjugation_h1(g, n1, w, want_reps=False)
+    got = conjugation_h1(g, n1, w)
     return None if got is None else got[1].h_dim
 
 
@@ -1432,7 +1432,7 @@ def check_xi(inst):
                 cw = _centralized_part(g, w, a)
                 if cw.order == 1:
                     continue
-                got = conjugation_h1(g, a, cw, want_reps=False)
+                got = conjugation_h1(g, a, cw)
                 if got is None:
                     continue
                 cm, sp = got

@@ -173,7 +173,7 @@ def cmd_h2(args) -> int:
     if g.order <= h2_cap and seed_bytes >= H2_ANNOUNCE_BYTES:
         mib = seed_bytes / 2**20
         print(f"h2: {unknowns} unknowns; the seed and each slice image take {mib:.0f} MiB", file=sys.stderr)
-    sp = cohomology(g, m, 2, h2_order_cap=h2_cap, want_reps=False)
+    sp = cohomology(g, m, 2, h2_order_cap=h2_cap)
     print(f"Z^2: {sp.z_dim}  B^2: {sp.b_dim}  H^2: {sp.h_dim}")
     return 0
 

@@ -32,6 +32,7 @@ BLAS products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -92,15 +93,33 @@ class Cochain:
 
 @dataclass
 class CohomologySpace:
+    """Z^n and B^n as RREF bases of the solver's unknowns (``_rows``)."""
+
     degree: int
     group: GroupTable
     module: GModule
-    z_dim: int
-    b_dim: int
-    h_dim: int
-    z_basis: np.ndarray  # flattened rows
+    z_basis: np.ndarray
     b_basis: np.ndarray
-    h_reps: List[Cochain]  # representatives of an echelon complement of B in Z
+
+    @property
+    def z_dim(self) -> int:
+        return self.z_basis.shape[0]
+
+    @property
+    def b_dim(self) -> int:
+        return self.b_basis.shape[0]
+
+    @property
+    def h_dim(self) -> int:
+        return self.z_dim - self.b_dim
+
+    @functools.cached_property
+    def h_reps(self) -> List[Cochain]:
+        """Representatives of an echelon complement of B^n in Z^n
+        (``fp_linalg.complement_reps``), built on first use."""
+        rows = fl.complement_reps(self.b_basis, self.z_basis, self.module.p)
+        tables = _tables(rows, self.group.order, self.module.dim, self.degree)
+        return [Cochain(self.module, tab) for tab in tables]
 
 
 def cayley_tree(g: GroupTable, gens: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -260,7 +279,6 @@ def cohomology(
     m: GModule,
     degree: int = 1,
     h2_order_cap: int = DEFAULT_H2_ORDER_CAP,
-    want_reps: bool = True,
 ) -> CohomologySpace:
     if m.group is not g and m.group.order != g.order:
         raise CohomologyError("module is not over this group")
@@ -277,10 +295,7 @@ def cohomology(
     seed = _rows(cocycle_seed(m, gens, degree), degree)
     Z = _solution_space(seed, [make_slice(k) for k in gens], p)
     B, bpiv = fl.rref_array(_rows(coboundary(m, unit_cochains(q, d, degree - 1)), degree), p)
-    B = B[: len(bpiv)]
-    reps_rows = fl.complement_reps(B, Z, p) if want_reps else Z[:0]
-    reps = [Cochain(m, tab) for tab in _tables(reps_rows, q, d, degree)]
-    return CohomologySpace(degree, g, m, Z.shape[0], B.shape[0], Z.shape[0] - B.shape[0], Z, B, reps)
+    return CohomologySpace(degree, g, m, Z, B[: len(bpiv)])
 
 
 def two_coboundary(g: GroupTable, m: GModule, sigma: np.ndarray) -> Cochain:
@@ -390,7 +405,7 @@ def inflated_z1_rows(
 
 def h1_dim_of_submodule(fb, carrier) -> int:
     sub, _ = restrict_action(fb.as_gmodule("right"), carrier)
-    return cohomology(sub.group, sub, 1, want_reps=False).h_dim
+    return cohomology(sub.group, sub, 1).h_dim
 
 
 @dataclass
@@ -424,7 +439,7 @@ def sample_nG_module(group: GroupTable, n: int, seed: int) -> SampledModule:
 
 
 def conjugation_h1(
-    g: GroupTable, n1: Subgroup, w: Subgroup, want_reps: bool = True
+    g: GroupTable, n1: Subgroup, w: Subgroup
 ) -> Optional[Tuple[ConjugationModule, CohomologySpace]]:
     """W as a G/N1-module by conjugation with its H^1, or None when N1 and W
     do not make a conjugation module (``module_from_conjugation`` refuses)."""
@@ -432,4 +447,4 @@ def conjugation_h1(
         cm = module_from_conjugation(g, n1, w)
     except ModuleError:
         return None
-    return cm, cohomology(cm.module.group, cm.module, 1, want_reps=want_reps)
+    return cm, cohomology(cm.module.group, cm.module, 1)

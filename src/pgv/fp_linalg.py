@@ -438,7 +438,7 @@ class RowSpace:
     """Mutable builder of a row space, kept in the echelon representation.
 
     Used where a span really grows batch by batch (orbit closures, large
-    equation systems, complements); ``subspace()`` freezes it into an
+    equation systems); ``subspace()`` freezes it into an
     ``FpSubspace`` without another elimination.
     """
 
@@ -466,21 +466,16 @@ class RowSpace:
 
 
 def complement_reps(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
-    """Rows of `space` (reduced) extending row-space `sub` to span `space`.
+    """Rows of RREF(`space`) that extend row-space `sub` to span `space`.
 
-    Deterministic: processes the RREF basis of `space` in order and keeps rows
-    that grow the rank; the kept rows are reduced against `sub`.
+    Deterministic and greedy: row i of the RREF basis R of `space` is kept
+    when it lies outside the span of `sub` and of the rows of R before it,
+    that is when column len(sub) + i of [sub; R]^T is a pivot column, so one
+    elimination decides every row.  The kept rows are those of R as they
+    are, not reduced against `sub`.
     """
-    acc = RowSpace(p, space.shape[1] if space.size else sub.shape[1])
-    acc.add(sub)
-    base_dim = acc.dim
-    space_rref, piv = rref_array(np.atleast_2d(space), p)
-    reps = []
-    for row in space_rref[: len(piv)]:
-        if acc.add(row.reshape(1, -1)):
-            reps.append(row)
-    out = np.array(reps, dtype=np.int64) if reps else np.zeros(
-        (0, acc.ncols), dtype=np.int64
-    )
-    assert acc.dim - base_dim == out.shape[0]
-    return out
+    R, piv = rref_array(space, p)
+    R = R[: len(piv)]
+    k = len(sub)
+    _, cols = rref_array(np.vstack([sub, R]).T, p)
+    return R[[c - k for c in cols if c >= k]]

@@ -187,7 +187,7 @@ def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
     comp = fl.complement_reps(sub.basis, np.eye(m.dim, dtype=np.int64), m.p)
     k = comp.shape[0]
     # Full basis: radical rows then complement rows; coordinates of images.
-    full = np.vstack([sub.basis, comp]) if sub.dim else comp
+    full = np.vstack([sub.basis, comp])
     img = (comp @ m.act) % m.p
     coords = fl.solve_left(full, img.reshape(-1, m.dim), m.p)
     if coords is None:

@@ -323,8 +323,9 @@ def try_config(
     if got is None:
         return None, None
     cm, space = got
-    reps = list(space.h_reps)
-    if complement_of is not None:
+    if complement_of is None:
+        reps = list(space.h_reps)
+    else:
         # Narrow to representatives outside the inflation from G/complement_of.
         reps = _reps_outside_inflation(g, cm, space, complement_of)
     evidence: Dict[str, object] = {
@@ -368,7 +369,7 @@ def _reps_outside_inflation(
 ) -> List[Cochain]:
     """H^1 representatives extended so derivations outside the inflated
     Z^1(G/coarse, W) appear; falls back to the plain representatives."""
-    got = conjugation_h1(g, coarse_kernel, Subgroup(g, cm.w_members), want_reps=False)
+    got = conjugation_h1(g, coarse_kernel, Subgroup(g, cm.w_members))
     if got is None:
         return list(space.h_reps)
     cm_coarse, coarse_space = got

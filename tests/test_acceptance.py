@@ -98,7 +98,7 @@ def test_criterion_3_worked_example(p):
     fb = FreeBimodule(g, 1)
     rad = radical(fb.as_gmodule("right"))
     mod, _ = restrict_action(fb.as_gmodule("right"), rad)
-    assert cohomology(g, mod, 1, want_reps=False).h_dim == 1
+    assert cohomology(g, mod, 1).h_dim == 1
     cp = trivial_module(g, 1)
     sp2 = cohomology(g, cp, 2)
     assert sp2.h_dim >= 1
@@ -106,7 +106,7 @@ def test_criterion_3_worked_example(p):
     assert ext.total.order == p * p
     assert max(ext.total.element_orders()) == p * p  # cyclic of order p^2
     infl = inflate_module(mod, ext.projection)
-    assert cohomology(ext.total, infl, 1, want_reps=False).h_dim == 1
+    assert cohomology(ext.total, infl, 1).h_dim == 1
     print(f"\nACCEPT 3 PASS (p={p}): radical module H1=1, extension cyclic p^2, H1 stable")
 
 
@@ -188,7 +188,7 @@ def test_criterion_6_freeness(catalog):
                 if carrier.dim == 0:
                     continue
                 mod, _ = restrict_action(fb.as_gmodule("right"), carrier)
-                h1 = cohomology(g, mod, 1, want_reps=False).h_dim
+                h1 = cohomology(g, mod, 1).h_dim
                 if h1 != 0:
                     continue
                 tested += 1

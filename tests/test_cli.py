@@ -138,11 +138,31 @@ def test_h2_size_estimate_is_the_first_slice(monkeypatch, name, dim):
         return real(a, p)
 
     monkeypatch.setattr(fl, "left_kernel_basis", recording)
-    cohomology(g, trivial_module(g, dim), 2, want_reps=False)
+    cohomology(g, trivial_module(g, dim), 2)
     unknowns, seed_bytes = solve_size(g, dim, 2)
     q, rank = g.order, len(g.burnside_basis())
     assert unknowns == (q - 1) * rank * dim
     assert shapes[0] == ((unknowns, (q - 1) ** 2 * dim), seed_bytes)
+
+
+def test_h_reps_are_built_on_first_use_only(monkeypatch, capsys):
+    calls = []
+    real = fl.complement_reps
+
+    def counting(sub, space, p):
+        calls.append(space.shape)
+        return real(sub, space, p)
+
+    monkeypatch.setattr(fl, "complement_reps", counting)
+    g = find_entry("D8").group()
+    sp = cohomology(g, trivial_module(g, 2), 2)
+    assert calls == []
+    reps = sp.h_reps
+    assert len(calls) == 1 and len(reps) == sp.h_dim
+    assert sp.h_reps is reps and len(calls) == 1
+    assert main(["h2", "--group", "D8", "--module", "trivial:2"]) == 0
+    assert "H^2: " in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_h2_announces_a_large_solve_on_stderr_only(monkeypatch, capsys):

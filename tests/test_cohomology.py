@@ -337,7 +337,7 @@ def conjugation_module(g):
 
 
 def assert_z_matches_all_slices(g, m, degree):
-    sp = cohomology(g, m, degree, want_reps=False)
+    sp = cohomology(g, m, degree)
     assert np.array_equal(sp.z_basis, z_over_all_slices(g, m, degree)), (g, m.name, degree)
 
 

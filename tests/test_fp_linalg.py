@@ -221,6 +221,33 @@ def test_complement_reps_extends_basis():
     assert reps.shape[0] == 3
 
 
+def reference_complement_reps(sub, space, p):
+    """Oracle: add the RREF rows of `space` one at a time to a RowSpace
+    holding `sub`, keeping each row that grows the rank."""
+    n = space.shape[1]
+    acc = RowSpace(p, n)
+    acc.add(sub)
+    R, piv = rref_array(space, p)
+    kept = [row for row in R[: len(piv)] if acc.add(row.reshape(1, -1))]
+    return np.array(kept, dtype=np.int64).reshape(len(kept), n)
+
+
+def test_complement_reps_matches_row_at_a_time_reference():
+    rng = np.random.default_rng(41)
+    for p in (2, 3, 5):
+        for n in range(7):  # n = 0 is H^2 of the trivial group
+            for _ in range(10):
+                # Random rows: in general neither in RREF nor independent.
+                space = rng.integers(0, p, size=(int(rng.integers(0, 6)), n))
+                sub = rng.integers(0, p, size=(int(rng.integers(0, 4)), n))
+                combination = (sub[:1] * (p - 1) + sub[-1:]) % p
+                dependent = np.vstack([sub, combination, np.zeros((1, n), dtype=np.int64)])
+                for s in (sub, dependent, sub[:0], np.vstack([space, sub]), space[::-1]):
+                    got = complement_reps(s, space, p)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, reference_complement_reps(s, space, p)), (p, n, s, space)
+
+
 def test_check_prime_rejects():
     for bad in (1, 4, 9, (1 << 15) + 1):
         with pytest.raises(ValueError):
@@ -573,7 +600,7 @@ def test_solution_space_is_the_same_with_canonical_intermediate_kernels(monkeypa
     # The cocycle solver eliminates its intermediate kernels again, so the
     # plain basis must give the same canonical Z as canonical kernels do.
     cases = [(m, degree) for m in small_modules() for degree in (1, 2)]
-    plain_z = [cohomology(m.group, m, degree, want_reps=False).z_basis for m, degree in cases]
+    plain_z = [cohomology(m.group, m, degree).z_basis for m, degree in cases]
     plain = fl.left_kernel_basis
     differs = []
 
@@ -585,7 +612,7 @@ def test_solution_space_is_the_same_with_canonical_intermediate_kernels(monkeypa
 
     monkeypatch.setattr(fl, "left_kernel_basis", canonical)
     for (m, degree), z in zip(cases, plain_z):
-        assert np.array_equal(cohomology(m.group, m, degree, want_reps=False).z_basis, z), (m.group.name, m.name, degree)
+        assert np.array_equal(cohomology(m.group, m, degree).z_basis, z), (m.group.name, m.name, degree)
     assert any(differs)  # some intermediate kernel really is not canonical
 
 
