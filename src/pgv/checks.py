@@ -372,7 +372,7 @@ def check_ut_embed(inst):
     socle_img = (fixed.basis @ emb.matrix) % g.p
     socle_ok = np.array_equal(socle_img, emb.free.socle_basis())
     equiv_ok = True
-    for h in g.generating_sequence():
+    for h in g.burnside_basis():
         lhs = (mod.act[h] @ emb.matrix) % g.p
         rhs = (emb.matrix @ emb.free.element_action(h, "right")) % g.p
         if not np.array_equal(lhs, rhs):

@@ -148,8 +148,6 @@ def cmd_group_info(args) -> int:
 def cmd_h1(args) -> int:
     g = _resolve_group(args.group, args.order_cap)
     n = _resolve_normal(g, args.normal)
-    if args.module != "omega1-center":
-        raise UsageError("only the omega1-center module is wired to h1")
     w = omega1(g, subgroup_center(g, n))
     if w.order == 1:
         print("W = Omega1(Z(N)) is trivial; H^1 = 0")
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h1", help="first cohomology of the conjugation module")
     p.add_argument("--group", required=True)
     p.add_argument("--normal", required=True)
-    p.add_argument("--module", default="omega1-center")
     p.set_defaults(fn=cmd_h1)
 
     p = sub.add_parser("h2", help="second cohomology with a trivial module")

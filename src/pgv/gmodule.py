@@ -51,8 +51,7 @@ class GModule:
     def _validate(self):
         if not np.array_equal(self.act[0], np.eye(self.dim, dtype=np.int64)):
             raise ModuleError("act(identity) != identity")
-        gens = self.group.generating_sequence()
-        for g in gens:
+        for g in self.group.burnside_basis():
             if not fl.is_invertible(self.act[g], self.p):
                 raise ModuleError("action matrix not invertible")
             prod = (self.act[g][None] @ self.act) % self.p
@@ -104,7 +103,7 @@ def fixed_points(m: GModule) -> FpSubspace:
     """Vectors fixed by every group element: intersection of ker(act(g) - 1)."""
     key = "fixed"
     if key not in m._cache:
-        m._cache[key] = fixed_under([m.act[g] for g in m.group.generating_sequence()], m.p, m.dim)
+        m._cache[key] = fixed_under(_actions(m), m.p, m.dim)
     return m._cache[key]
 
 
@@ -133,7 +132,7 @@ def _is_stable_under(carrier: FpSubspace, mats: Sequence[np.ndarray]) -> bool:
 
 
 def _actions(m: GModule) -> List[np.ndarray]:
-    return [m.act[g] for g in m.group.generating_sequence()]
+    return [m.act[g] for g in m.group.burnside_basis()]
 
 
 def radical_of_carrier(m: GModule, carrier: FpSubspace) -> FpSubspace:
@@ -276,7 +275,8 @@ class FreeBimodule:
 
     ``mul_block`` and ``copies`` are the only code that knows this layout and
     the product formula; every other matrix on the free module is written
-    through them.
+    through them, except the embedding matrix of ``embed_into_free``, whose
+    columns follow the coordinate rule above.
     """
 
     def __init__(self, group: GroupTable, n: int):
@@ -351,7 +351,7 @@ class FreeBimodule:
 
 
 def _free_actions(fb: FreeBimodule, side: str) -> List[np.ndarray]:
-    gens = fb.group.generating_sequence()
+    gens = fb.group.burnside_basis()
     mats = []
     if side in ("right", "both"):
         mats += [fb.element_action(g, "right") for g in gens]
@@ -449,62 +449,24 @@ class FreeEmbedding:
 def embed_into_free(m: GModule) -> FreeEmbedding:
     """Equivariant injection of m into prod^n F_p(G) carrying m^G onto the socle.
 
-    Solves the linear system 'equivariance + prescribed socle values'; a
-    missing solution or a kernel is reported, never ignored.
+    Frobenius reciprocity: a map v -> sum_h f(v h^-1) e_h into F_p(G) is
+    equivariant for every linear form f, and it sends a fixed vector w to
+    f(w) times the all-ones vector.  So forms with w_i . f_l = delta_il on
+    the fixed basis w_i give copy l of the embedding.  Its kernel is a
+    submodule meeting m^G trivially, hence zero for a p-group; the rank
+    check reports it all the same.
     """
     fixed = fixed_points(m)
     n = fixed.dim
     if n < 1:
         raise ModuleError("module has no fixed points")
     fb = FreeBimodule(m.group, n)
-    d, D = m.dim, fb.dim
     p = m.p
-    # Unknown P is d x D, vectorized row-major: u[(i, j)] = P[i, j].
-    nun = d * D
-    eqs = RowSpace(p, nun + 1)  # last column holds the inhomogeneous part
-
-    def eq_rows(coeff_rows, rhs_rows):
-        block = np.zeros((coeff_rows.shape[0], nun + 1), dtype=np.int64)
-        block[:, :nun] = coeff_rows
-        block[:, nun] = rhs_rows
-        eqs.add(block)
-
-    # Equivariance: act_m(g) P - P R_free(g) = 0 for generators g, assembled
-    # one i-block (equations (i, j) for all j) at a time to bound memory.
-    idx = np.arange(D)
-    for g in m.group.generating_sequence():
-        A = m.act[g]
-        R = fb.element_action(g, "right")
-        # Row (i,j): sum_k A[i,k] P[k,j] - sum_l P[i,l] R[l,j] = 0.
-        for i in range(d):
-            block = np.zeros((D, nun), dtype=np.int64)
-            for k in range(d):
-                if A[i, k]:
-                    block[idx, k * D + idx] = (block[idx, k * D + idx] + A[i, k]) % p
-            block[:, i * D : (i + 1) * D] = (block[:, i * D : (i + 1) * D] - R.T) % p
-            eq_rows(block, np.zeros(D, dtype=np.int64))
-
-    # Prescribed socle values: w_i P = socle_i.
-    socle = fb.socle_basis()
-    for i, w in enumerate(fixed.basis):
-        coeff = np.zeros((D, nun), dtype=np.int64)
-        for k in range(d):
-            if w[k]:
-                coeff[np.arange(D), k * D + np.arange(D)] = w[k]
-        eq_rows(coeff, socle[i])
-
-    # Solve: write the system as u @ M^T = rhs; use the accumulated reduced rows.
-    A_rows = eqs.basis
-    if A_rows.size == 0:
-        raise ModuleError("empty system")
-    M = A_rows[:, :nun]
-    rhs = A_rows[:, nun]
-    sol = fl.solve_array(M, rhs, p)
-    if sol is None:
-        return FreeEmbedding(fb, np.zeros((d, D), dtype=np.int64), injective=False)
-    P = sol.reshape(d, D)
-    injective = fl.rank_array(P, p) == d
-    return FreeEmbedding(fb, P, injective)
+    forms = fl.solve_array(fixed.basis, np.eye(n, dtype=np.int64), p)  # d x n
+    # cols[h, i, l] = (act[h^-1] @ forms)[i, l] is coordinate l*|G| + h of row i.
+    cols = (m.act[m.group.inv] @ forms) % p
+    P = cols.transpose(1, 2, 0).reshape(m.dim, fb.dim)
+    return FreeEmbedding(fb, P, injective=fl.rank_array(P, p) == m.dim)
 
 
 # -- sampling ------------------------------------------------------------------

@@ -169,22 +169,6 @@ class GroupTable:
             self._cache["abelian"] = val
         return val
 
-    def generating_sequence(self) -> List[int]:
-        """Greedy generating sequence (deterministic): each element is the
-        least one outside the subgroup the ones before it generate.  On a
-        table built from a pc-presentation these are the pc generators, more
-        than d(G) of them; ``burnside_basis`` gives a minimal one."""
-        gens = self._cache.get("gens")
-        if gens is None:
-            gens = []
-            cur = subgroup_closure(self, [0])
-            while cur.order < self.order:
-                nxt = int(np.argmin(cur.bitmap))  # least element outside
-                gens.append(nxt)
-                cur = subgroup_closure(self, gens)
-            self._cache["gens"] = gens
-        return list(gens)
-
     def burnside_basis(self) -> List[int]:
         """A minimal generating sequence (deterministic): each element is the
         least one outside the subgroup that Phi(G) and the ones before it
@@ -377,7 +361,7 @@ class Subgroup:
         if self._normal is None:
             g = self.parent
             ok = True
-            for gen in g.generating_sequence():
+            for gen in g.burnside_basis():
                 conj = g.mul[g.mul[g.inv[gen], self.members], gen]
                 if not self.bitmap[conj].all():
                     ok = False
@@ -448,20 +432,22 @@ def subgroup_center(g: GroupTable, n: Subgroup) -> Subgroup:
 
 
 def _commutators_with_generators(g: GroupTable) -> np.ndarray:
-    """Row i holds [x, s_i] for every x, s_i the i-th generator of the
-    generating sequence; shape (d, |G|).
+    """Row i holds [x, s_i] for every x, s_i the i-th element of the
+    Burnside basis; shape (d(G), |G|).  For N normal, {y : [x, y] in N} is
+    a subgroup, so [x, G] <= N exactly when every row has [x, s_i] in N.
 
     Not cached: building it costs a few fancy-index passes, while keeping
     it on every catalog table held ~0.4 MiB for the life of the process.
     """
     mul, inv = g.mul, g.inv
     idx = np.arange(g.order)
-    rows = [mul[mul[mul[inv, inv[s]], idx], s] for s in g.generating_sequence()]
+    rows = [mul[mul[mul[inv, inv[s]], idx], s] for s in g.burnside_basis()]
     return np.stack(rows) if rows else np.zeros((0, g.order), dtype=np.int64)
 
 
 def commutator_subgroup(g: GroupTable) -> Subgroup:
-    """G' as the subgroup generated by the [x, s] for x in G and s a generator.
+    """G' as the subgroup generated by the [x, s] for x in G and s in the
+    Burnside basis.
 
     That subgroup is normal, because [x, s]^y = [xy, s][y, s]^-1, and every
     generator is central modulo it, so it contains every commutator.
@@ -479,16 +465,15 @@ def omega1(g: GroupTable, n: Subgroup) -> Subgroup:
     return subgroup_closure(g, elems)
 
 
-def agemo1(g: GroupTable, n: Subgroup) -> Subgroup:
-    pw = g.pow_p_table
-    return subgroup_closure(g, pw[n.members])
-
-
 def frattini(g: GroupTable) -> Subgroup:
+    """Phi(G) = G' G^p for a p-group: the subgroup generated by every
+    commutator x^-1 y^-1 x y and every p-th power."""
     f = g._cache.get("frattini")
     if f is None:
-        full = Subgroup(g, np.arange(g.order), check=False)
-        f = set_product(g, commutator_subgroup(g), agemo1(g, full))
+        seeds = np.zeros(g.order, dtype=bool)
+        seeds[g.mul[g.inv[g.mul.T], g.mul]] = True  # (yx)^-1 xy = x^-1 y^-1 x y
+        seeds[g.pow_p_table] = True
+        f = subgroup_closure(g, np.flatnonzero(seeds))
         g._cache["frattini"] = f
     return f
 
@@ -880,16 +865,39 @@ def _abelian_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]
     return phi
 
 
+def _greedy_generators(g: GroupTable) -> List[int]:
+    """Each element is the least one outside the subgroup the ones before it
+    generate; on a table built from a pc-presentation these are the pc
+    generators, more than d(G) of them.
+
+    Only the isomorphism search takes this sequence rather than the Burnside
+    basis: the candidate order fixes which isomorphism or automorphism the
+    brute-force search meets first, and the extra early generators prune
+    the search (with the Burnside basis, ``scripts/generate_data.py`` made
+    about twice as many ``_partial_hom_image`` calls).
+    """
+    gens = g._cache.get("greedy_gens")
+    if gens is None:
+        gens = []
+        cur = subgroup_closure(g, [0])
+        while cur.order < g.order:
+            gens.append(int(np.argmin(cur.bitmap)))  # least element outside
+            cur = subgroup_closure(g, gens)
+        g._cache["greedy_gens"] = gens
+    return list(gens)
+
+
 def iter_isomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[np.ndarray]:
     """Every isomorphism g1 -> g2, by backtracking on generator images.
 
-    Candidate images of each generator are the g2 elements with its element
-    signature, in ascending index order; a prefix of images is pruned as soon
-    as the map it induces on the generated subgroup fails.  Groups whose
-    signature multisets differ yield nothing without a search.
+    The generators are ``_greedy_generators(g1)``, in that order.  Candidate
+    images of each are the g2 elements with its element signature, in
+    ascending index order; a prefix of images is pruned as soon as the map
+    it induces on the generated subgroup fails.  Groups whose signature
+    multisets differ yield nothing without a search.
     """
     n = g1.order
-    gens = g1.generating_sequence()
+    gens = _greedy_generators(g1)
     sig1 = _element_signature(g1)
     sig2 = _element_signature(g2)
     if sorted(map(tuple, sig1.tolist())) != sorted(map(tuple, sig2.tolist())):

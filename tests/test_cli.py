@@ -116,6 +116,8 @@ def test_h1_command(capsys):
     rc = main(["h1", "--group", "D16", "--normal", "derived"])
     assert rc == 0
     assert "H^1:" in capsys.readouterr().out
+    # h1 has one module, so it takes no --module option.
+    assert main(["h1", "--group", "D16", "--normal", "derived", "--module", "omega1-center"]) == 1
 
 
 def test_h2_command(capsys):

@@ -12,12 +12,14 @@ from pgv.group_core import (
     center,
     cyclic_group,
     direct_product_tables,
+    frattini,
     from_pc_presentation,
     omega1,
     subgroup_closure,
 )
 from pgv.gmodule import (
     FreeBimodule,
+    GModule,
     ModuleError,
     ann_tuple,
     annihilator,
@@ -241,6 +243,43 @@ def test_embed_sampled_module_klein():
             lhs = (sub.act[gidx] @ P) % 2
             rhs = (P @ emb.free.element_action(gidx, "right")) % 2
             assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", ["C9", "C3xC3", "D8", "Q8", "D16"])
+def test_embed_sampled_module(name, n, seed):
+    # Submodules of prod^n F_p(G) that contain its socle, so m^G has
+    # dimension n; p = 3 and non-abelian groups included.
+    g = find_entry(name).group()
+    fb = FreeBimodule(g, n)
+    rng = np.random.default_rng(seed)
+    seeds = np.vstack([fb.socle_basis(), rng.integers(0, g.p, size=(1, fb.dim))])
+    sub, _ = restrict_action(fb.as_gmodule("right"), free_submodule_closure(fb, seeds, "right"))
+    fixed = fixed_points(sub)
+    assert fixed.dim == n
+    emb = embed_into_free(sub)
+    P = emb.matrix
+    assert emb.free.n == n
+    assert np.array_equal((fixed.basis @ P) % g.p, emb.free.socle_basis())
+    for x in range(g.order):
+        lhs = (sub.act[x] @ P) % g.p
+        rhs = (P @ emb.free.element_action(x, "right")) % g.p
+        assert np.array_equal(lhs, rhs), x
+    assert emb.injective and rank_array(P, g.p) == sub.dim
+
+
+def test_validation_on_burnside_basis_catches_a_bad_action():
+    # The homomorphism identity is checked at the Burnside basis only; a
+    # wrong matrix at an element of Phi(G) outside it must still fail it.
+    g = find_entry("D16").group()
+    x = int(frattini(g).members[-1])
+    assert x not in g.burnside_basis()
+    act = regular_module(g).act.copy()
+    act[x] = act[x][::-1]
+    assert not np.array_equal(act[x], regular_module(g).act[x])
+    with pytest.raises(ModuleError, match="^action is not a homomorphism$"):
+        GModule(g, act)
 
 
 def test_annihilator_extremes():
