@@ -55,6 +55,7 @@ from .group_core import (
     is_isomorphic,
     iset,
     map_order,
+    memo,
     normal_subgroups,
     omega1,
     quotient,
@@ -987,7 +988,7 @@ def check_io(inst):
         return False, details
     # Generator-count claim on a small stable instance: a 1-module over G/N
     # whose H^1 does not move under inflation gives d(ext) = d(G) + 1.
-    d_g = _d_of_group(g)
+    d_g = len(g.burnside_basis())
     # A non-trivial p-group has a normal subgroup of order p.
     nsub = next(s for s in normal_subgroups(g) if s.order == g.p)
     _, qm = quotient(g, nsub)
@@ -1000,7 +1001,7 @@ def check_io(inst):
         if g.order * (g.p**qmod.dim) > 256 or g.order > 16:
             continue
         for f in _classes_and_split(g, qmod, 1):
-            rank_results.append(int(_d_of_group(build_extension(g, qmod, f).total)))
+            rank_results.append(len(build_extension(g, qmod, f).total.burnside_basis()))
         details["d_base"] = int(d_g)
         details["d_extensions"] = rank_results
         if any(r != d_g + 1 for r in rank_results):
@@ -1017,10 +1018,6 @@ def _ceil_log(p: int, x: int) -> int:
     while p**k < x:
         k += 1
     return k
-
-
-def _d_of_group(g: GroupTable) -> int:
-    return _ceil_log(g.p, g.order // frattini(g).order)
 
 
 def _gen_jx(cat, seed, limit):
@@ -1066,9 +1063,9 @@ def check_jx(inst):
                 qn_over_quot = GModule(qt, qn_mod.act[qm.section], check=False)
                 if _h1_of_module(g, qn_mod) != _h1_of_module(qt, qn_over_quot):
                     continue
-                d_g = _d_of_group(g)
+                d_g = len(g.burnside_basis())
                 exts = [build_extension(g, qmod, f) for f in _classes_and_split(g, qmod, 2)]
-                results = [int(_d_of_group(ext.total)) for ext in exts]
+                results = [len(ext.total.burnside_basis()) for ext in exts]
                 ok = all(r == d_g + 1 for r in results)
                 yield ok, {"d_base": int(d_g), "d_extensions": results, "n_order": int(nsub.order)}
 
@@ -1273,12 +1270,10 @@ def _all_inner(g: GroupTable, n1: Subgroup, w: Subgroup) -> Tuple[bool, int]:
     return evidence["all_inner"], evidence["h1_dim"]
 
 
+@memo
 def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, Subgroup, int]]:
     """(rep, W, dim H^1(G/N, W)) for every special N with W = Omega_1(Z(N))
     != 1 whose induced maps are all inner; cached on the table."""
-    cached = g._cache.get("inner_special_layers")
-    if cached is not None:
-        return list(cached)
     layers = []
     for rep in find_special_subgroups(g):
         if not rep.special:
@@ -1289,8 +1284,7 @@ def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, Subgroup, 
         gate, h1 = _all_inner(g, rep.subgroup, w)
         if gate:
             layers.append((rep, w, h1))
-    g._cache["inner_special_layers"] = layers
-    return list(layers)
+    return layers
 
 
 @register("ddd_iso", "inner derivation classes match the p-th power set", _gen_special)

@@ -16,7 +16,14 @@ from typing import Optional
 import numpy as np
 
 from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog, table_to_presentation
-from .cohomology import Cochain, CohomologyError, cohomology, solve_size, zero_two_cocycle
+from .cohomology import (
+    DEFAULT_H2_ORDER_CAP,
+    Cochain,
+    CohomologyError,
+    cohomology,
+    solve_size,
+    zero_two_cocycle,
+)
 from .extensions import ExtensionError, build_extension
 from .group_core import (
     DEFAULT_ORDER_CAP,
@@ -112,6 +119,8 @@ def _resolve_normal(g: GroupTable, spec: str) -> Subgroup:
             seeds = [int(s) for s in spec.split(",")]
         except ValueError:
             raise UsageError(f"--normal must be a named subgroup or element indices, got {spec!r}")
+        if any(not 0 <= s < g.order for s in seeds):
+            raise UsageError(f"--normal element indices must lie in 0..{g.order - 1}, got {spec!r}")
         sub = subgroup_closure(g, seeds)
     if not sub.is_normal():
         raise UsageError("requested subgroup is not normal")
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h2", help="second cohomology with a trivial module")
     p.add_argument("--group", required=True)
     p.add_argument("--module", default="trivial:1")
-    p.add_argument("--h2-cap", default=64)
+    p.add_argument("--h2-cap", default=DEFAULT_H2_ORDER_CAP)
     p.set_defaults(fn=cmd_h2)
 
     p = sub.add_parser("extend", help="build an extension from a 2-cocycle")

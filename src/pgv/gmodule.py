@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .fp_linalg import FpSubspace, RowSpace
-from .group_core import GroupTable, Subgroup, opposite, quotient, subgroup_closure
+from .group_core import GroupTable, Subgroup, memo, opposite, quotient, subgroup_closure
 
 DEFAULT_DIM_CAP = 8192
 
@@ -44,7 +44,7 @@ class GModule:
         self.act.setflags(write=False)
         self.dim = act.shape[1]
         self.name = name
-        self._cache: dict = {}
+        self._cache: dict = {}  # filled by @memo
         if check:
             self._validate()
 
@@ -99,22 +99,16 @@ def fixed_under(acts: Sequence[np.ndarray], p: int, dim: int) -> FpSubspace:
     return FpSubspace.from_rows(fl.left_kernel_basis(stacked, p), p, dim)
 
 
+@memo
 def fixed_points(m: GModule) -> FpSubspace:
     """Vectors fixed by every group element: intersection of ker(act(g) - 1)."""
-    key = "fixed"
-    if key not in m._cache:
-        m._cache[key] = fixed_under(_actions(m), m.p, m.dim)
-    return m._cache[key]
+    return fixed_under(_actions(m), m.p, m.dim)
 
 
+@memo
 def radical(m: GModule) -> FpSubspace:
     """J_G(m): the span of all v(g - 1); the augmentation ideal acting on m."""
-    key = "radical"
-    if key in m._cache:
-        return m._cache[key]
-    out = radical_of_carrier(m, FpSubspace.full(m.dim, m.p))
-    m._cache[key] = out
-    return out
+    return radical_of_carrier(m, FpSubspace.full(m.dim, m.p))
 
 
 def _closure(p: int, seeds: np.ndarray, mats: Sequence[np.ndarray]) -> FpSubspace:
@@ -287,7 +281,7 @@ class FreeBimodule:
         self.n = n
         self.block = group.order
         self.dim = n * group.order
-        self._cache: dict = {}
+        self._cache: dict = {}  # filled by @memo
 
     def mul_block(self, y: np.ndarray, side: str = "right") -> np.ndarray:
         """The |G| x |G| matrix of x -> x*y (side 'right') or x -> y*x
@@ -319,15 +313,11 @@ class FreeBimodule:
         """Permutation action of the group element h on one side."""
         return self.mul_matrix(np.eye(self.block, dtype=np.int64)[h], side)
 
+    @memo
     def as_gmodule(self, side: str = "right") -> GModule:
-        key = ("gmodule", side)
-        if key in self._cache:
-            return self._cache[key]
         act = self.mul_matrix(np.eye(self.block, dtype=np.int64), side)
         grp = self.group if side == "right" else opposite(self.group)
-        mod = GModule(grp, act, check=False, name=f"free^{self.n}")
-        self._cache[key] = mod
-        return mod
+        return GModule(grp, act, check=False, name=f"free^{self.n}")
 
     def socle_basis(self) -> np.ndarray:
         """One all-ones vector per copy: the fixed points of either action."""
@@ -341,13 +331,11 @@ class FreeBimodule:
         out = np.stack([xs[:, l] @ ys[l] for l in range(self.n)], axis=1)
         return (out % self.p).reshape(x.shape)
 
+    @memo
     def delta_pairing_matrix(self) -> np.ndarray:
         """Gram matrix of <x,y> = Delta(sum_l x_l y_l); a permutation matrix."""
-        key = "gram"
-        if key not in self._cache:
-            # <e_a, e_b> = 1 exactly when b = a^-1.
-            self._cache[key] = self.copies(np.eye(self.block, dtype=np.int64)[self.group.inv])
-        return self._cache[key]
+        # <e_a, e_b> = 1 exactly when b = a^-1.
+        return self.copies(np.eye(self.block, dtype=np.int64)[self.group.inv])
 
 
 def _free_actions(fb: FreeBimodule, side: str) -> List[np.ndarray]:

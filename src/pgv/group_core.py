@@ -8,9 +8,11 @@ base-p integer with e1 the most significant digit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +29,37 @@ class GroupError(ValueError):
 
 class InconsistentPresentation(GroupError):
     pass
+
+
+_MISS = object()
+
+
+def memo(fn: Callable) -> Callable:
+    """Cache ``fn(obj, *args)`` in ``obj._cache`` under ``(fn.__name__, *args)``.
+
+    The one cache policy for data derived from an immutable table or module.
+    Keyword arguments and omitted defaults are bound to their positions
+    first, so every spelling of one call shares one entry.  A cached None is
+    a hit like any other value.  A list result is handed out as a fresh copy
+    that the caller may change; any other value is returned as is and is
+    read-only by convention.
+    """
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters)
+
+    @functools.wraps(fn)
+    def cached(obj, *args, **kwargs):
+        if kwargs or len(args) + 1 < arity:
+            bound = sig.bind(obj, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn.__name__, *args)
+        val = obj._cache.get(key, _MISS)
+        if val is _MISS:
+            val = obj._cache[key] = fn(obj, *args)
+        return list(val) if isinstance(val, list) else val
+
+    return cached
 
 
 def _p_power_exponent(order: int, p: int) -> int:
@@ -63,7 +96,7 @@ class GroupTable:
         self.mul = mul
         self.mul.setflags(write=False)
         self.name = name
-        self._cache: Dict[str, object] = {}
+        self._cache: Dict[tuple, object] = {}  # filled by @memo
         if check:
             self._validate()
         inv = np.empty(n, dtype=np.int64)
@@ -144,68 +177,51 @@ class GroupTable:
         return o
 
     @property
+    @memo
     def pow_p_table(self) -> np.ndarray:
-        tbl = self._cache.get("pow_p")
-        if tbl is None:
-            idx = np.arange(self.order)
-            cur = idx.copy()
-            for _ in range(self.p - 1):
-                cur = self.mul[cur, idx]
-            tbl = cur
-            self._cache["pow_p"] = tbl
-        return tbl
+        idx = np.arange(self.order)
+        cur = idx.copy()
+        for _ in range(self.p - 1):
+            cur = self.mul[cur, idx]
+        return cur
 
+    @memo
     def element_orders(self) -> np.ndarray:
-        tbl = self._cache.get("orders")
-        if tbl is None:
-            tbl = np.array([self.element_order(x) for x in range(self.order)], dtype=np.int64)
-            self._cache["orders"] = tbl
-        return tbl
+        return np.array([self.element_order(x) for x in range(self.order)], dtype=np.int64)
 
+    @memo
     def is_abelian(self) -> bool:
-        val = self._cache.get("abelian")
-        if val is None:
-            val = bool(np.array_equal(self.mul, self.mul.T))
-            self._cache["abelian"] = val
-        return val
+        return bool(np.array_equal(self.mul, self.mul.T))
 
+    @memo
     def burnside_basis(self) -> List[int]:
         """A minimal generating sequence (deterministic): each element is the
         least one outside the subgroup that Phi(G) and the ones before it
         generate.  By Burnside's basis theorem it generates G and has
         d(G) = log_p |G : Phi(G)| elements."""
-        gens = self._cache.get("burnside")
-        if gens is None:
-            gens = []
-            # G/Phi(G) is elementary abelian, so each step is central of order p
-            bits = frattini(self).bitmap
-            while not bits.all():
-                gens.append(int(np.argmin(bits)))
-                bits = _adjoin(self, np.flatnonzero(bits), gens[-1])
-            self._cache["burnside"] = gens
-        return list(gens)
+        gens = []
+        # G/Phi(G) is elementary abelian, so each step is central of order p
+        bits = frattini(self).bitmap
+        while not bits.all():
+            gens.append(int(np.argmin(bits)))
+            bits = _adjoin(self, np.flatnonzero(bits), gens[-1])
+        return gens
 
+    @memo
     def fingerprint(self) -> str:
-        h = self._cache.get("fingerprint")
-        if h is None:
-            digest = hashlib.sha256()
-            digest.update(f"{self.p}:{self.order}:".encode())
-            digest.update(np.ascontiguousarray(self.mul, dtype=np.int64).tobytes())
-            h = digest.hexdigest()
-            self._cache["fingerprint"] = h
-        return h
+        digest = hashlib.sha256()
+        digest.update(f"{self.p}:{self.order}:".encode())
+        digest.update(np.ascontiguousarray(self.mul, dtype=np.int64).tobytes())
+        return digest.hexdigest()
 
     def __repr__(self):
         nm = self.name or "group"
         return f"<{nm}: order {self.order}, p={self.p}>"
 
 
+@memo
 def opposite(g: GroupTable) -> GroupTable:
-    opp = g._cache.get("opposite")
-    if opp is None:
-        opp = GroupTable(g.p, np.ascontiguousarray(g.mul.T), name=f"{g.name}^op", check=False)
-        g._cache["opposite"] = opp
-    return opp
+    return GroupTable(g.p, np.ascontiguousarray(g.mul.T), name=f"{g.name}^op", check=False)
 
 
 def trivial_group(p: int) -> GroupTable:
@@ -410,13 +426,10 @@ def set_product(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
     return Subgroup(g, prods)
 
 
+@memo
 def center(g: GroupTable) -> Subgroup:
-    z = g._cache.get("center")
-    if z is None:
-        mask = (g.mul == g.mul.T).all(axis=1)
-        z = Subgroup(g, np.nonzero(mask)[0], check=False)
-        g._cache["center"] = z
-    return z
+    mask = (g.mul == g.mul.T).all(axis=1)
+    return Subgroup(g, np.nonzero(mask)[0], check=False)
 
 
 def centralizer(g: GroupTable, s: Subgroup | Sequence[int]) -> Subgroup:
@@ -445,6 +458,7 @@ def _commutators_with_generators(g: GroupTable) -> np.ndarray:
     return np.stack(rows) if rows else np.zeros((0, g.order), dtype=np.int64)
 
 
+@memo
 def commutator_subgroup(g: GroupTable) -> Subgroup:
     """G' as the subgroup generated by the [x, s] for x in G and s in the
     Burnside basis.
@@ -452,11 +466,7 @@ def commutator_subgroup(g: GroupTable) -> Subgroup:
     That subgroup is normal, because [x, s]^y = [xy, s][y, s]^-1, and every
     generator is central modulo it, so it contains every commutator.
     """
-    d = g._cache.get("derived")
-    if d is None:
-        d = subgroup_closure(g, np.unique(_commutators_with_generators(g)))
-        g._cache["derived"] = d
-    return d
+    return subgroup_closure(g, np.unique(_commutators_with_generators(g)))
 
 
 def omega1(g: GroupTable, n: Subgroup) -> Subgroup:
@@ -465,17 +475,21 @@ def omega1(g: GroupTable, n: Subgroup) -> Subgroup:
     return subgroup_closure(g, elems)
 
 
+@memo
 def frattini(g: GroupTable) -> Subgroup:
     """Phi(G) = G' G^p for a p-group: the subgroup generated by every
-    commutator x^-1 y^-1 x y and every p-th power."""
-    f = g._cache.get("frattini")
-    if f is None:
-        seeds = np.zeros(g.order, dtype=bool)
-        seeds[g.mul[g.inv[g.mul.T], g.mul]] = True  # (yx)^-1 xy = x^-1 y^-1 x y
-        seeds[g.pow_p_table] = True
-        f = subgroup_closure(g, np.flatnonzero(seeds))
-        g._cache["frattini"] = f
-    return f
+    commutator x^-1 y^-1 x y and every p-th power.
+
+    The commutators are marked a block of rows x at a time, so the gathers
+    hold about 2^16 entries rather than |G|^2."""
+    n = g.order
+    seeds = np.zeros(n, dtype=bool)
+    step = max(1, (1 << 16) // n)
+    for lo in range(0, n, step):
+        xs = slice(lo, lo + step)
+        seeds[g.mul[g.inv[g.mul[:, xs].T], g.mul[xs]]] = True  # (yx)^-1 xy = x^-1 y^-1 x y
+    seeds[g.pow_p_table] = True
+    return subgroup_closure(g, np.flatnonzero(seeds))
 
 
 @dataclass
@@ -562,13 +576,13 @@ def normal_subgroups(
     """
     if g.order > order_cap:
         raise GroupError(f"order cap: {g.order} > {order_cap}")
-    if within is None:
-        within = Subgroup(g, np.arange(g.order), check=False)
-    cache_key = ("normals", within.key())
-    cached = g._cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
+    return _normal_subgroups(g, within)
 
+
+@memo
+def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> List[Subgroup]:
+    """``normal_subgroups`` below its order cap, cached per ``within``."""
+    allowed = np.ones(g.order, dtype=bool) if within is None else within.bitmap
     comm_with_gens = _commutators_with_generators(g)
     pw = g.pow_p_table
 
@@ -579,7 +593,7 @@ def normal_subgroups(
     while queue:
         nsub = queue.pop()
         nmem, nbits = nsub.members, nsub.bitmap
-        mask = within.bitmap & ~nbits & nbits[pw] & nbits[comm_with_gens].all(axis=0)
+        mask = allowed & ~nbits & nbits[pw] & nbits[comm_with_gens].all(axis=0)
         for x in np.flatnonzero(mask):
             if not mask[x]:
                 continue
@@ -591,18 +605,13 @@ def normal_subgroups(
                 new._normal = True
                 found[key] = new
                 queue.append(new)
-    out = sorted(found.values(), key=lambda s: (s.order, s.key()))
-    g._cache[cache_key] = out
-    return list(out)
+    return sorted(found.values(), key=lambda s: (s.order, s.key()))
 
 
+@memo
 def maximal_subgroups(g: GroupTable) -> List[Subgroup]:
     """Index-p (maximal) subgroups; normal because the group is a p-group."""
-    ms = g._cache.get("maximals")
-    if ms is None:
-        ms = [n for n in normal_subgroups(g) if n.order * g.p == g.order]
-        g._cache["maximals"] = ms
-    return list(ms)
+    return [n for n in normal_subgroups(g) if n.order * g.p == g.order]
 
 
 def elementary_abelian_normals(g: GroupTable) -> List[Subgroup]:
@@ -865,6 +874,7 @@ def _abelian_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]
     return phi
 
 
+@memo
 def _greedy_generators(g: GroupTable) -> List[int]:
     """Each element is the least one outside the subgroup the ones before it
     generate; on a table built from a pc-presentation these are the pc
@@ -876,15 +886,12 @@ def _greedy_generators(g: GroupTable) -> List[int]:
     the search (with the Burnside basis, ``scripts/generate_data.py`` made
     about twice as many ``_partial_hom_image`` calls).
     """
-    gens = g._cache.get("greedy_gens")
-    if gens is None:
-        gens = []
-        cur = subgroup_closure(g, [0])
-        while cur.order < g.order:
-            gens.append(int(np.argmin(cur.bitmap)))  # least element outside
-            cur = subgroup_closure(g, gens)
-        g._cache["greedy_gens"] = gens
-    return list(gens)
+    gens = []
+    cur = subgroup_closure(g, [0])
+    while cur.order < g.order:
+        gens.append(int(np.argmin(cur.bitmap)))  # least element outside
+        cur = subgroup_closure(g, gens)
+    return gens
 
 
 def iter_isomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[np.ndarray]:

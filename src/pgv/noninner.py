@@ -34,6 +34,7 @@ from .group_core import (
     GroupMap,
     GroupTable,
     Subgroup,
+    _p_power_exponent,
     center,
     centralizer,
     elementary_abelian_normals,
@@ -41,6 +42,7 @@ from .group_core import (
     is_cyclic_quotient,
     is_inner,
     iset,
+    memo,
     iter_isomorphisms,
     map_order,
     maximal_subgroups,
@@ -62,13 +64,7 @@ def subgroup_rank(g: GroupTable, a: Subgroup) -> int:
     pw = g.pow_p_table
     powers = np.unique(pw[a.members])
     sub = subgroup_closure(g, powers)
-    quot = a.order // sub.order
-    k = 0
-    while g.p**k < quot:
-        k += 1
-    if g.p**k != quot:
-        raise NoninnerError("rank computation on a non-p-subgroup")
-    return k
+    return _p_power_exponent(a.order // sub.order, g.p)
 
 
 # -- special subgroups ----------------------------------------------------------
@@ -86,6 +82,7 @@ class SpecialReport:
         return all(self.checks.values())
 
 
+@memo
 def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
     """Evaluate the special-subgroup conditions on every normal subgroup of
     the Frattini subgroup; reports cover near-misses too.  This is the one
@@ -93,9 +90,6 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
     order, the order of ``normal_subgroups``, and are cached on the table."""
     if g.is_abelian():
         raise NoninnerError("abelian: outside the special-subgroup machinery")
-    cached = g._cache.get("special_reports")
-    if cached is not None:
-        return list(cached)
     phi = frattini(g)
     reports = []
     for n in normal_subgroups(g, within=phi):
@@ -125,8 +119,7 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
             )
         )
     reports.sort(key=lambda r: (r.subgroup.order, r.subgroup.key()))
-    g._cache["special_reports"] = reports
-    return list(reports)
+    return reports
 
 
 # -- certificates ----------------------------------------------------------------
@@ -451,6 +444,7 @@ def _sweep_configs(g: GroupTable) -> List[Config]:
     return configs
 
 
+@memo
 def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     """Derivation sweep; returns the first certificate in a fixed config order.
 
@@ -460,12 +454,6 @@ def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     """
     if g.is_abelian():
         return None
-    if "engine_sweep" not in g._cache:
-        g._cache["engine_sweep"] = _first_certificate(g)
-    return g._cache["engine_sweep"]
-
-
-def _first_certificate(g: GroupTable) -> Optional[Certificate]:
     for n1, w, tag, extra, all_h in _sweep_configs(g):
         cert, _ = try_config(g, n1, w, "search", tag, extra, require_all_h=all_h)
         if cert is not None:

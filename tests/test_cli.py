@@ -120,6 +120,13 @@ def test_h1_command(capsys):
     assert main(["h1", "--group", "D16", "--normal", "derived", "--module", "omega1-center"]) == 1
 
 
+@pytest.mark.parametrize("index", ["99", "8", "-1"])
+def test_h1_normal_index_outside_the_group_is_a_usage_error(capsys, index):
+    # -1 would otherwise be element 7 of D8 by numpy's negative indexing.
+    assert main(["h1", "--group", "D8", "--normal", index]) == 1
+    assert f"usage error: --normal element indices must lie in 0..7, got '{index}'" in capsys.readouterr().err
+
+
 def test_h2_command(capsys):
     rc = main(["h2", "--group", "C3", "--module", "trivial:1"])
     assert rc == 0

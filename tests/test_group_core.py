@@ -26,6 +26,7 @@ from pgv.group_core import (
     map_order,
     maximal_subgroups,
     maximal_subgroups_bruteforce,
+    memo,
     normal_subgroups,
     omega1,
     opposite,
@@ -260,6 +261,67 @@ def test_normal_subgroups_order_cap_message():
     g = from_pc_presentation(pres_d8())
     with pytest.raises(GroupError, match=r"^order cap: 8 > 4$"):
         normal_subgroups(g, order_cap=4)
+
+
+def test_normal_subgroups_order_cap_refuses_after_a_cached_call():
+    g = from_pc_presentation(pres_d8())
+    assert len(normal_subgroups(g)) == 6
+    with pytest.raises(GroupError, match=r"^order cap: 8 > 4$"):
+        normal_subgroups(g, order_cap=4)
+
+
+def test_normal_subgroups_keyword_and_positional_within_share_an_entry():
+    g = from_pc_presentation(pres_d8())
+    phi = frattini(g)
+    first = normal_subgroups(g, phi)
+    entries = len(g._cache)
+    again = normal_subgroups(g, within=phi)
+    assert len(g._cache) == entries
+    assert [s.key() for s in again] == [s.key() for s in first] and again[0] is first[0]
+    again.clear()  # a caller's copy: the cached list is untouched
+    assert len(normal_subgroups(g, within=phi)) == len(first) == 2
+
+
+class _Derived:
+    """A stand-in for a table or module: memo needs only ``_cache``."""
+
+    def __init__(self):
+        self._cache = {}
+        self.calls = []
+
+    @memo
+    def listed(self, side="right"):
+        self.calls.append(side)
+        return [side]
+
+    @memo
+    def nothing(self):
+        self.calls.append(None)
+        return None
+
+
+def test_memo_shares_entries_caches_none_and_copies_lists():
+    obj = _Derived()
+    out = obj.listed()
+    assert obj.listed("right") == obj.listed(side="right") == ["right"]
+    assert obj.calls == ["right"]
+    out.clear()  # a caller's copy: the cached list is untouched
+    assert obj.listed() == ["right"] and obj.listed() is not obj.listed()
+    assert obj.listed("left") == ["left"] and obj.calls == ["right", "left"]
+    assert obj.nothing() is None and obj.nothing() is None
+    assert obj.calls == ["right", "left", None]
+    assert set(obj._cache) == {("listed", "right"), ("listed", "left"), ("nothing",)}
+
+
+@pytest.mark.parametrize("name", ["D32", "He27"])
+def test_frattini_of_a_direct_square_is_the_square(name):
+    # Phi(A x B) = Phi(A) x Phi(B); on fresh tables of order 1024 and 729,
+    # where the commutators are marked a block of rows at a time.
+    a = from_pc_presentation(find_entry(name).presentation)
+    b = from_pc_presentation(find_entry(name).presentation)
+    fa, fb = frattini(a), frattini(b)
+    expected = sorted(int(x) * b.order + int(y) for x in fa.members for y in fb.members)
+    assert frattini(direct_product_tables(a, b)).key() == tuple(expected)
 
 
 def test_centralizer_and_derived_subgroup_match_definitions():

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pgv.catalog import builtin_catalog, find_entry
+import pgv.noninner as noninner
+from pgv.catalog import builtin_catalog, find_entry, load_catalog
 from pgv.group_core import (
     GroupMap,
     Subgroup,
@@ -285,7 +287,7 @@ def test_certificates_deterministic(catalog):
     assert c1.to_json() == c2.to_json()
 
 
-def test_special_reports_and_sweep_cached_on_the_table(catalog):
+def test_special_reports_and_sweep_cached_on_the_table(catalog, monkeypatch):
     g = find_entry("D16", catalog).group()
     fresh = from_pc_presentation(find_entry("D16", catalog).presentation)
     assert engine_sweep(g) is engine_sweep(g)
@@ -295,3 +297,118 @@ def test_special_reports_and_sweep_cached_on_the_table(catalog):
     again = find_special_subgroups(g)
     assert [r.subgroup.key() for r in again] == [r.subgroup.key() for r in find_special_subgroups(fresh)]
     assert again and again[0] is find_special_subgroups(g)[0]
+    # A sweep that finds nothing caches its None: the configurations are
+    # built once however often the sweep is asked.
+    calls = []
+    real = noninner._sweep_configs
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(noninner, "_sweep_configs", counting)
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    stuck = from_pc_presentation(next(e for e in fixture if e.name == "K4sC4_e1101").presentation)
+    assert engine_sweep(stuck) is None and engine_sweep(stuck) is None
+    assert calls == [stuck]
+
+
+# The route every shipped non-abelian group takes: the search-mode lemma
+# tag (None where the sweep finds nothing) and the paper-mode lemma tag or
+# Diagnostic step.  A route change shows up here as a one-line diff.
+ENTRY_EXHAUSTED = "entry:maximal-subgroup construction exhausted"
+DESCENT_EXHAUSTED = "descent:all special subgroups exhausted"
+ROUTES = {
+    "D8":            ("brute_force", ENTRY_EXHAUSTED),
+    "Q8":            ("brute_force", ENTRY_EXHAUSTED),
+    "C4sC4":         ("lp", "qp_entry"),
+    "D16":           ("lp", "qp_entry"),
+    "D8xC2":         ("lp", "qp_entry"),
+    "K4sC4":         ("lp", "qp_entry"),
+    "M16":           ("engine_wide", ENTRY_EXHAUSTED),
+    "Pauli16":       ("lp", "qp_entry"),
+    "Q16":           ("lp", "qp_entry"),
+    "Q8xC2":         ("lp", "qp_entry"),
+    "SD16":          ("lp", "qp_entry"),
+    "He27":          ("engine_wide", "qp_entry"),
+    "M27":           ("engine_wide", "qp_entry"),
+    "D32":           ("lp", "qp_entry"),
+    "M32":           ("engine_wide", ENTRY_EXHAUSTED),
+    "Q32":           ("lp", "qp_entry"),
+    "SD32":          ("lp", "qp_entry"),
+    "C2xC2xD8":      ("lp", "qp_entry"),
+    "C2xC2xQ8":      ("lp", "qp_entry"),
+    "C2xC4sC4":      ("lp", "qp_entry"),
+    "C2xD16":        ("lp", "qp_entry"),
+    "C2xK4sC4":      ("lp", "qp_entry"),
+    "C2xM16":        ("lp", "qp_entry"),
+    "C2xPauli16":    ("lp", "qp_entry"),
+    "C2xQ16":        ("lp", "qp_entry"),
+    "C2xSD16":       ("lp", "qp_entry"),
+    "C4xD8":         ("lp", "qp_entry"),
+    "C4xQ8":         ("lp", "qp_entry"),
+    "D64":           ("lp", "qp_entry"),
+    "M64":           ("engine_wide", ENTRY_EXHAUSTED),
+    "Q64":           ("lp", "qp_entry"),
+    "SD64":          ("lp", "qp_entry"),
+    "C2xC2xC2xD8":   ("lp", "qp_entry"),
+    "C2xC2xC2xQ8":   ("lp", "qp_entry"),
+    "C2xC2xC4sC4":   ("lp", "qp_entry"),
+    "C2xC2xD16":     ("lp", "qp_entry"),
+    "C2xC2xK4sC4":   ("lp", "qp_entry"),
+    "C2xC2xM16":     ("lp", "qp_entry"),
+    "C2xC2xPauli16": ("lp", "qp_entry"),
+    "C2xC2xQ16":     ("lp", "qp_entry"),
+    "C2xC2xSD16":    ("lp", "qp_entry"),
+    "C2xD32":        ("lp", "qp_entry"),
+    "C2xM32":        ("lp", "qp_entry"),
+    "C2xQ32":        ("lp", "qp_entry"),
+    "C2xSD32":       ("lp", "qp_entry"),
+    "C4xC2xD8":      ("lp", "qp_entry"),
+    "C4xC2xQ8":      ("lp", "qp_entry"),
+    "C4xC4sC4":      ("lp", "qp_entry"),
+    "C4xD16":        ("lp", "qp_entry"),
+    "C4xK4sC4":      ("lp", "qp_entry"),
+    "C4xM16":        ("lp", "qp_entry"),
+    "C4xPauli16":    ("lp", "qp_entry"),
+    "C4xQ16":        ("lp", "qp_entry"),
+    "C4xSD16":       ("lp", "qp_entry"),
+    "C8xD8":         ("lp", "qp_entry"),
+    "C8xQ8":         ("lp", "qp_entry"),
+    "D8xD8":         ("lp", "qp_entry"),
+    "D8xQ8":         ("lp", "qp_entry"),
+    "Q8xQ8":         ("lp", "qp_entry"),
+    "G81n1":         ("lp", "qp_entry"),
+    "G81n10":        ("lp", "qp_entry"),
+    "G81n2":         ("engine_wide", "qp_entry"),
+    "G81n3":         ("lp", "qp_entry"),
+    "G81n4":         ("lp", "qp_entry"),
+    "G81n5":         ("lp", "qp_entry"),
+    "G81n6":         ("lp", "qp_entry"),
+    "G81n7":         ("lp", "qp_entry"),
+    "G81n8":         ("lp", "qp_entry"),
+    "G81n9":         ("lp", "qp_entry"),
+    "He125":         ("engine_wide", "qp_entry"),
+    "M125":          ("engine_wide", "qp_entry"),
+    "He343":         ("engine_wide", "qp_entry"),
+    "M343":          ("engine_wide", "qp_entry"),
+    "K4sC4_e0100":   ("lp", "thm5_5"),
+    "K4sC4_e1100":   ("engine_wide", DESCENT_EXHAUSTED),
+    "K4sC4_e1101":   (None, DESCENT_EXHAUSTED),
+}
+
+
+def _route(g):
+    cert = engine_sweep(g)
+    paper = descent(g)
+    return (
+        None if cert is None else cert.provenance["lemma_tag"],
+        paper.step if isinstance(paper, Diagnostic) else paper.provenance["lemma_tag"],
+    )
+
+
+def test_route_ledger_of_every_shipped_nonabelian_group(catalog):
+    entries = [e for e in catalog if not e.group().is_abelian()]
+    entries += load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    assert len(entries) == 76
+    assert {e.name: _route(e.group()) for e in entries} == ROUTES
