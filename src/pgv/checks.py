@@ -26,9 +26,9 @@ from .cohomology import (
     cohomology,
     conjugation_h1,
     derivation_to_automorphism,
-    h1_dim_of_submodule,
     inflate_module,
     sample_nG_module,
+    SampledModule,
     zero_two_cocycle,
 )
 from .extensions import (
@@ -81,17 +81,16 @@ from .gmodule import (
     radical,
     random_right_submodule,
     restrict_action,
-    submodule_fixed_points,
     trivial_module,
     tuple_product_matrix,
 )
 from .noninner import (
+    Certificate,
     SpecialReport,
     brute_force_order_p_noninner,
     engine_sweep,
     excess_h1_probe,
     find_special_subgroups,
-    probe_configuration,
     subgroup_rank,
     try_config,
     verify_certificate,
@@ -196,14 +195,9 @@ def _group(instance: Dict[str, object]) -> GroupTable:
     return find_entry(str(instance["group"])).group()
 
 
-def _carrier(g: GroupTable, n: int, seed: int, extra: int = 1):
+def _carrier(g: GroupTable, n: int, seed: int, extra: int = 1) -> SampledModule:
     fb = FreeBimodule(g, n)
-    return fb, random_right_submodule(fb, np.random.default_rng(seed), extra)
-
-
-def _restricted(fb: FreeBimodule, carrier) -> GModule:
-    mod, _ = restrict_action(fb.as_gmodule("right"), carrier)
-    return mod
+    return SampledModule(fb, random_right_submodule(fb, np.random.default_rng(seed), extra))
 
 
 def _h1_of_module(g: GroupTable, m: GModule) -> int:
@@ -243,14 +237,8 @@ def _inflated(qm: QuotientMap, m: GModule) -> Tuple[GModule, bool]:
 def _one_modules(fb: FreeBimodule, carriers: List[FpSubspace], seed: int) -> List[GModule]:
     """The 1-modules (fixed-point dimension 1, dim H^1 <= 1) among the given
     right submodules of fb = F_p(G) and the seeded sample, in that order."""
-    kept = [
-        c for c in carriers
-        if submodule_fixed_points(fb, c, "right").dim == 1 and h1_dim_of_submodule(fb, c) <= 1
-    ]
-    s = sample_nG_module(fb.group, 1, seed)
-    if s.fixed_dim == 1 and s.h1_dim <= 1:
-        kept.append(s.carrier)
-    return [_restricted(fb, c) for c in kept]
+    samples = [SampledModule(fb, c) for c in carriers] + [sample_nG_module(fb.group, 1, seed)]
+    return [s.module for s in samples if s.fixed_dim == 1 and s.h1_dim <= 1]
 
 
 def _quotient_mod_cocycle(
@@ -303,8 +291,7 @@ def _gen_modules(cat, seed, limit):
 @register("gen_count", "every minimal generator set has size d_G", _gen_modules)
 def check_gen_count(inst):
     g = _group(inst)
-    fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
-    mod = _restricted(fb, carrier)
+    mod = _carrier(g, int(inst["n"]), int(inst["seed"])).module
     d = d_G(mod)
     gens = minimal_generators(mod)
     span_ok = generated_submodule(mod, gens).dim == mod.dim
@@ -336,10 +323,9 @@ def check_gen_count(inst):
 @register("cc_bound", "generator count of a submodule vs the chain bound", _gen_modules)
 def check_cc_bound(inst):
     g = _group(inst)
-    fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
-    if carrier.dim == 0:
+    mod = _carrier(g, int(inst["n"]), int(inst["seed"])).module
+    if mod.dim == 0:
         raise Skip("zero module")
-    mod = _restricted(fb, carrier)
     rng = np.random.default_rng(int(inst["seed"]) + 5)
     seed_vec = rng.integers(0, g.p, size=(1, mod.dim))
     a1 = generated_submodule(mod, (seed_vec @ np.eye(mod.dim, dtype=np.int64)) % g.p)
@@ -364,8 +350,7 @@ def check_cc_bound(inst):
 @register("ut_embed", "socle-prescribed embedding into the free module", _gen_modules)
 def check_ut_embed(inst):
     g = _group(inst)
-    fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
-    mod = _restricted(fb, carrier)
+    mod = _carrier(g, int(inst["n"]), int(inst["seed"])).module
     if fixed_points(mod).dim < 1:
         raise Skip("no fixed points")
     emb = embed_into_free(mod)
@@ -385,11 +370,10 @@ def check_ut_embed(inst):
 @register("free_iff_h1zero", "vanishing H^1 forces an explicit free decomposition", _gen_modules)
 def check_free_iff_h1zero(inst):
     g = _group(inst)
-    fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
-    if carrier.dim == 0:
+    s = _carrier(g, int(inst["n"]), int(inst["seed"]))
+    if s.module.dim == 0:
         raise Skip("zero module")
-    mod = _restricted(fb, carrier)
-    h1 = _h1_of_module(g, mod)
+    mod, h1 = s.module, s.h1_dim
     if h1 != 0:
         raise Skip(f"H1 = {h1}")
     nfree = d_G(mod)
@@ -412,8 +396,7 @@ def check_free_iff_h1zero(inst):
 @register("dual_fixed", "fixed points of the dual count module generators", _gen_modules)
 def check_dual_fixed(inst):
     g = _group(inst)
-    fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
-    mod = _restricted(fb, carrier)
+    mod = _carrier(g, int(inst["n"]), int(inst["seed"])).module
     lhs = fixed_points(dual_module(mod)).dim
     rhs = d_G(mod)
     return lhs == rhs, {"dual_fixed_dim": int(lhs), "d_G": int(rhs)}
@@ -422,8 +405,7 @@ def check_dual_fixed(inst):
 @register("dual_gens", "generator count of the dual equals the fixed-point dim", _gen_modules)
 def check_dual_gens(inst):
     g = _group(inst)
-    fb, carrier = _carrier(g, int(inst["n"]), int(inst["seed"]))
-    mod = _restricted(fb, carrier)
+    mod = _carrier(g, int(inst["n"]), int(inst["seed"])).module
     lhs = d_G(dual_module(mod))
     rhs = fixed_points(mod).dim
     return lhs == rhs, {"d_of_dual": int(lhs), "fixed_dim": int(rhs)}
@@ -467,17 +449,12 @@ def check_l00(inst):
 def check_ww(inst):
     g = _group(inst)
     n = int(inst["n"])
-    fb, carrier = _carrier(g, n, int(inst["seed"]))
-    fixed = submodule_fixed_points(fb, carrier, "right")
-    if fixed.dim != n:
+    s = _carrier(g, n, int(inst["seed"]))
+    if s.fixed_dim != n:
         raise Skip("socle not full")
-    m = h1_dim_of_submodule(fb, carrier)
-    left = annihilator(fb, carrier, "left_of_right")
-    if left.dim == 0:
-        d_left = 0
-    else:
-        lmod, _ = restrict_action(fb.as_gmodule("left"), left)
-        d_left = d_G(lmod)
+    m = s.h1_dim
+    left = annihilator(s.free, s.carrier, "left_of_right")
+    d_left = d_G(restrict_action(s.free.as_gmodule("left"), left)) if left.dim else 0
     return m == d_left, {"h1": int(m), "d_of_annihilator": int(d_left)}
 
 
@@ -692,45 +669,41 @@ def _gen_growth(cat, seed, limit):
     return rounds[:limit]
 
 
-def _growth_instance(inst):
+def _growth_instance(inst) -> SampledModule:
     g = _group(inst)
     n = int(inst["n"])
     seed = int(inst["seed"])
     fb = FreeBimodule(g, n)
     if inst.get("kind") == "radical":
         # The radical of the free module: an exactly-n module (H^1 = n).
-        carrier = radical(fb.as_gmodule("right"))
-        fixed_dim = submodule_fixed_points(fb, carrier, "right").dim
-        h1 = h1_dim_of_submodule(fb, carrier)
-    elif seed % 4 == 0:
-        carrier = FpSubspace.full(fb.dim, g.p)
-        fixed_dim, h1 = n, 0
-    else:
-        s = sample_nG_module(g, n, seed)
-        fb, carrier, fixed_dim, h1 = s.free, s.carrier, s.fixed_dim, s.h1_dim
-    return g, fb, carrier, fixed_dim, h1
+        return SampledModule(fb, radical(fb.as_gmodule("right")))
+    if seed % 4 == 0:
+        return SampledModule(fb, FpSubspace.full(fb.dim, g.p))
+    return sample_nG_module(g, n, seed)
 
 
 @register("gg_growth", "H^1 grows by at least n-m under a nonsplit C_p extension", _gen_growth_strict)
 def check_gg(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
         raise Skip(f"fixed={fixed_dim}, m={m}")
     ext = _class_extension(g, 1, int(inst["seed"]))
-    h1_ext = _h1_inflated(ext, _restricted(fb, carrier))
+    h1_ext = _h1_inflated(ext, s.module)
     return h1_ext >= m + (n - m), {"n": n, "m": int(m), "h1_extension": int(h1_ext), "lower_bound": int(n)}
 
 
 @register("yy_upper", "H^1 grows by at most n*t under any kernel extension", _gen_growth)
 def check_yy(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n or m > n:
         raise Skip(f"fixed={fixed_dim}, m={m}")
     t = 1 + int(inst["seed"]) % 2
     ext = _class_extension(g, t, int(inst["seed"]), split=True)
-    h1_ext = _h1_inflated(ext, _restricted(fb, carrier))
+    h1_ext = _h1_inflated(ext, s.module)
     ok = h1_ext <= m + n * t
     return ok, {"n": n, "m": int(m), "t": t, "h1_extension": int(h1_ext), "upper_bound": int(m + n * t)}
 
@@ -742,27 +715,29 @@ def _up_carrier(tp, carrier):
 
 @register("jj_lower", "annihilator of a lifted module needs at least n generators", _gen_growth_strict)
 def check_jj(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
         raise Skip(f"fixed={fixed_dim}, m={m}")
     ext = _class_extension(g, 1, int(inst["seed"]))
     tp = transfer_maps(ext, n)
-    q_up = _up_carrier(tp, carrier)
+    q_up = _up_carrier(tp, s.carrier)
     lt = annihilator(tp.free_total, q_up, "left_of_right")
-    lmod, _ = restrict_action(tp.free_total.as_gmodule("left"), lt)
-    s = d_G(lmod)
-    return s >= n, {"n": n, "m": int(m), "annihilator_generators": int(s)}
+    lmod = restrict_action(tp.free_total.as_gmodule("left"), lt)
+    gens = d_G(lmod)
+    return gens >= n, {"n": n, "m": int(m), "annihilator_generators": int(gens)}
 
 
 @register("cor8_0", "stable H^1 under central extension forces the maximum", _gen_growth)
 def check_cor8(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n or m < 0 or m > n:
         raise Skip(f"fixed={fixed_dim}")
     ext = _class_extension(g, 1, int(inst["seed"]))
-    h1_ext = _h1_inflated(ext, _restricted(fb, carrier))
+    h1_ext = _h1_inflated(ext, s.module)
     if h1_ext != m:
         raise Skip(f"H1 changed ({m} -> {h1_ext})")
     return m == n, {"n": n, "m": int(m), "h1_extension": int(h1_ext)}
@@ -770,15 +745,16 @@ def check_cor8(inst):
 
 @register("aa_cases", "rank-t kernel growth laws", _gen_growth_strict)
 def check_aa(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n or not (0 <= m < n):
         raise Skip(f"fixed={fixed_dim}, m={m}")
     t = 2
     ext = _class_extension(g, t, int(inst["seed"]))
     tp = transfer_maps(ext, n)
-    q_up = _up_carrier(tp, carrier)
-    qmod_t, _ = restrict_action(tp.free_total.as_gmodule("right"), q_up)
+    q_up = _up_carrier(tp, s.carrier)
+    qmod_t = restrict_action(tp.free_total.as_gmodule("right"), q_up)
     h1_ext = _h1_of_module(ext.total, qmod_t)
     if m == 0:
         ok = h1_ext == t * n
@@ -791,12 +767,13 @@ def check_aa(inst):
 
 @register("qq_cases", "rank-2 kernel growth laws with an intermediate quotient", _gen_growth)
 def check_qq(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n:
         raise Skip(f"fixed={fixed_dim}")
     ext = _class_extension(g, 2, int(inst["seed"]))
-    qmod = _restricted(fb, carrier)
+    qmod = s.module
     h1_ext = _h1_inflated(ext, qmod)
     h1_mid = _h1_inflated(_collapsed_extension(ext), qmod)
     details = {"n": n, "m": int(m), "h1_extension": int(h1_ext), "h1_mid": int(h1_mid)}
@@ -819,12 +796,13 @@ def check_qq(inst):
 
 @register("ggg_exact", "exactly-n modules gain exactly n under a stable layer", _gen_growth_exact)
 def check_ggg(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     n = int(inst["n"])
     if fixed_dim != n or m != n:
         raise Skip(f"fixed={fixed_dim}, m={m} != n")
     ext = _class_extension(g, 2, int(inst["seed"]))
-    qmod = _restricted(fb, carrier)
+    qmod = s.module
     h1_mid = _h1_inflated(_collapsed_extension(ext), qmod)
     if h1_mid != m:
         raise Skip("quotient layer moved H1")
@@ -843,11 +821,12 @@ def _gen_kj(cat, seed, limit):
 
 @register("kj_h2", "stable 1-modules have one-dimensional H^2 and are cyclic", _gen_kj)
 def check_kj(inst):
-    g, fb, carrier, fixed_dim, m = _growth_instance(inst)
+    s = _growth_instance(inst)
+    g, fixed_dim, m = s.free.group, s.fixed_dim, s.h1_dim
     if fixed_dim != 1 or m > 1:
         raise Skip("not a 1-module")
     ext = _class_extension(g, 1, int(inst["seed"]))
-    qmod = _restricted(fb, carrier)
+    qmod = s.module
     h1_ext = _h1_inflated(ext, qmod)
     if h1_ext != m:
         raise Skip("H1 moved")
@@ -873,11 +852,10 @@ def check_dp(inst):
     s = sample_nG_module(T, 1, int(inst["seed"]))
     if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module over the extension")
-    # fixed points under the kernel subgroup
-    kernel_acts = [s.free.element_action(a, "right") for a in ext.kernel_generators()]
-    qn = fixed_under(kernel_acts, T.p, s.free.dim).intersect(s.carrier)
-    ok = s.carrier.dim >= T.p * qn.dim
-    return ok, {"dim_Q": int(s.carrier.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p}
+    q = s.module
+    qn = fixed_under([q.act[a] for a in ext.kernel_generators()], T.p, q.dim)  # fixed by the kernel
+    ok = q.dim >= T.p * qn.dim
+    return ok, {"dim_Q": int(q.dim), "dim_Q_fixed_by_kernel": int(qn.dim), "p": T.p}
 
 
 @register("rty_eq", "stable 1-modules meet the kernel bound with equality and cyclic fixed part", _gen_dp)
@@ -889,11 +867,11 @@ def check_rty(inst):
     s = sample_nG_module(T1, 1, int(inst["seed"]))
     if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module")
-    qmod1 = _restricted(s.free, s.carrier)
+    qmod1 = s.module
     # View the module over the bigger extension through the collapse map.
     collapse = _collapse_map(ext, ext1)
     qmod_T = inflate_module(qmod1, collapse)
-    h1_T1 = _h1_of_module(T1, qmod1)
+    h1_T1 = s.h1_dim
     h1_T = _h1_of_module(ext.total, qmod_T)
     if h1_T1 != h1_T:
         raise Skip("H1 differs across the collapse")
@@ -946,8 +924,7 @@ def check_xu(inst):
     if not mins:
         raise Skip("no minimal normal subgroup")
     nsub = mins[int(inst["seed"]) % len(mins)]
-    fb, carrier = _carrier(g, 1, int(inst["seed"]), extra=2)
-    mod = _restricted(fb, carrier)
+    mod = _carrier(g, 1, int(inst["seed"]), extra=2).module
     sub_table, members = _subgroup_table(g, nsub)
     mod_n = GModule(sub_table, mod.act[members], check=False)
     qn = fixed_points(mod_n)
@@ -1057,7 +1034,7 @@ def check_jx(inst):
                 qt, qm = quotient(g, nsub)
                 qn_carrier = fixed_under([qmod.act[int(a)] for a in nsub.members[1:]], g.p, qmod.dim)
                 try:
-                    qn_mod, _ = restrict_action(qmod, qn_carrier)
+                    qn_mod = restrict_action(qmod, qn_carrier)
                 except ModuleError:
                     continue
                 qn_over_quot = GModule(qt, qn_mod.act[qm.section], check=False)
@@ -1095,13 +1072,13 @@ def check_px(inst):
     s = sample_nG_module(qt, 1, seed)
     if s.fixed_dim != 1 or s.h1_dim > 1:
         raise Skip("not a 1-module")
-    qmod, rhs = _inflated(qm, _restricted(s.free, s.carrier))
+    qmod, rhs = _inflated(qm, s.module)
     both = set_product(g, n1, n2)
     cq = fixed_under([qmod.act[int(a)] for a in both.members[1:]], g.p, qmod.dim)
     if qmod.dim != g.p * cq.dim or cq.dim == 0:
         raise Skip("dimension gate fails")
     try:
-        cq_mod, _ = restrict_action(qmod, cq)
+        cq_mod = restrict_action(qmod, cq)
     except ModuleError:
         raise Skip("fixed part unstable")
     cq_over_quot_act = cq_mod.act[qm.section]
@@ -1136,7 +1113,7 @@ def check_du(inst):
             # radical quotient; classes on Q/J(Q) that do not lift are out of scope.
             taus = _classes_and_split(g, qmod, 2)
             try:
-                rad_mod, _ = restrict_action(qmod, rad)
+                rad_mod = restrict_action(qmod, rad)
             except ModuleError:
                 continue
             h1_base = _h1_of_module(g, rad_mod)
@@ -1271,19 +1248,16 @@ def _all_inner(g: GroupTable, n1: Subgroup, w: Subgroup) -> Tuple[bool, int]:
 
 
 @memo
-def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, Subgroup, int]]:
-    """(rep, W, dim H^1(G/N, W)) for every special N with W = Omega_1(Z(N))
-    != 1 whose induced maps are all inner; cached on the table."""
+def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, int]]:
+    """(rep, dim H^1(G/N, W)) for every special N whose layer W != 1 has
+    only inner induced maps; cached on the table."""
     layers = []
     for rep in find_special_subgroups(g):
-        if not rep.special:
+        if not rep.special or rep.layer.order == 1:
             continue
-        w = omega1(g, subgroup_center(g, rep.subgroup))
-        if w.order == 1:
-            continue
-        gate, h1 = _all_inner(g, rep.subgroup, w)
+        gate, h1 = _all_inner(g, rep.subgroup, rep.layer)
         if gate:
-            layers.append((rep, w, h1))
+            layers.append((rep, h1))
     return layers
 
 
@@ -1295,11 +1269,8 @@ def check_ddd(inst):
         for rep in find_special_subgroups(g):
             if not rep.special:
                 continue
-            n = rep.subgroup
-            a, w = probe_configuration(g, rep)
-            if w.order == 1:
-                continue
-            gate, lhs = _all_inner(g, a, w)
+            n, a = rep.subgroup, rep.product
+            gate, lhs = _all_inner(g, a, omega1(g, subgroup_center(g, a)))
             if not gate:
                 continue
             zw = set_product(g, center(g), omega1(g, n))
@@ -1324,11 +1295,11 @@ def check_thm55(inst):
             if not rep.special:
                 continue
             out = excess_h1_probe(g, rep)
-            if out.status == "certificate":
-                ok, _ = verify_certificate(g, out.certificate)
+            if isinstance(out, Certificate):
+                ok, _ = verify_certificate(g, out)
                 yield ok, {"reason": "certificate failed"}
-            elif out.status == "diagnostic":
-                yield False, dict(out.diagnostic.details)
+            elif out is not None:
+                yield False, dict(out.details)
 
     return _sweep(trials(), none="H1 bound never met", count="certificates")
 
@@ -1347,17 +1318,12 @@ def check_ty(inst):
         for rep in find_special_subgroups(g):
             if not rep.special:
                 continue
-            n = rep.subgroup
-            c = rep.centralizer
-            a = set_product(g, n, c)
-            if a.order == n.order:
-                continue
-            w = omega1(g, subgroup_center(g, n))
-            if w.order == 1:
+            n, w = rep.subgroup, rep.layer
+            if rep.product.order == n.order or w.order == 1:
                 continue
             cert, evidence = try_config(
                 g, n, w, "paper", "ty", {"n_members": [int(x) for x in n.members]},
-                complement_of=a,
+                complement_of=rep.product,
             )
             if evidence is None or (evidence["h1_dim"] == 0):
                 continue
@@ -1419,11 +1385,11 @@ def check_xi(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, _ in _inner_special_layers(g):
+        for rep, _ in _inner_special_layers(g):
             for a in normal_subgroups(g):
                 if not a.contains_subgroup(rep.subgroup) or a.order == g.order:
                     continue
-                cw = _centralized_part(g, w, a)
+                cw = _centralized_part(g, rep.layer, a)
                 if cw.order == 1:
                     continue
                 got = conjugation_h1(g, a, cw)
@@ -1442,9 +1408,9 @@ def check_yu(inst):
     g = _nonabelian_group(inst)
 
     def trials():
-        for rep, w, h1_n in _inner_special_layers(g):
+        for rep, h1_n in _inner_special_layers(g):
             normals = [a for a in normal_subgroups(g) if a.contains_subgroup(rep.subgroup)]
-            parts = [_centralized_part(g, w, a) for a in normals]
+            parts = [_centralized_part(g, rep.layer, a) for a in normals]
             for a2, cw2 in zip(normals, parts):
                 for a1, cw1 in zip(normals, parts):
                     if a1.order <= a2.order or cw1.order == 1:
@@ -1489,10 +1455,10 @@ def check_ll(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, h1 in _inner_special_layers(g):
+        for rep, h1 in _inner_special_layers(g):
             if h1 != n_val:
                 continue
-            wz = set_product(g, w, center(g))
+            wz = set_product(g, rep.layer, center(g))
             for n1 in normal_subgroups(g):
                 if not n1.contains_subgroup(wz):
                     continue
@@ -1523,11 +1489,11 @@ def check_kl(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for rep, w, h1 in _inner_special_layers(g):
+        for rep, h1 in _inner_special_layers(g):
             if h1 != n_val:
                 continue
             n = rep.subgroup
-            wz = set_product(g, w, center(g))
+            wz = set_product(g, rep.layer, center(g))
             layers = [
                 n1
                 for n1 in normal_subgroups(g)
@@ -1559,18 +1525,18 @@ def _trichotomy(g: GroupTable, rep: SpecialReport, specials: List[SpecialReport]
 
 def _trichotomy_sweep(g: GroupTable, keep=None) -> Outcome:
     """The trichotomy on the special layers with inner induced maps that
-    ``keep(rep, w, h1_dim)`` selects; without ``keep``, on every special
+    ``keep(rep, h1_dim)`` selects; without ``keep``, on every special
     subgroup.  The search sweep runs at the first layer kept, once per table."""
     specials = [r for r in find_special_subgroups(g) if r.special]
     if keep is None:
         return _sweep((_trichotomy(g, rep, specials) for rep in specials), none="no special subgroup")
     layers = _inner_special_layers(g)
-    return _sweep(_trichotomy(g, rep, specials) for rep, w, h1 in layers if keep(rep, w, h1))
+    return _sweep(_trichotomy(g, rep, specials) for rep, h1 in layers if keep(rep, h1))
 
 
-def _cyclic_layer(g: GroupTable, n: Subgroup, w: Subgroup) -> bool:
+def _cyclic_layer(g: GroupTable, rep: SpecialReport) -> bool:
     """Is N/(W·Z(G)) cyclic?"""
-    return is_cyclic_quotient(g, n, set_product(g, w, center(g)))
+    return is_cyclic_quotient(g, rep.subgroup, set_product(g, rep.layer, center(g)))
 
 
 def _self_centralizing(g: GroupTable, n: Subgroup) -> bool:
@@ -1593,7 +1559,7 @@ def check_xx(inst):
     g = _nonabelian_group(inst)
     return _trichotomy_sweep(
         g,
-        lambda rep, w, h1: h1 == subgroup_rank(g, center(g)) and not _cyclic_layer(g, rep.subgroup, w),
+        lambda rep, h1: h1 == subgroup_rank(g, center(g)) and not _cyclic_layer(g, rep),
     )
 
 
@@ -1602,8 +1568,8 @@ def check_xy(inst):
     g = _nonabelian_group(inst)
 
     def trials():
-        for rep, w, h1_n in _inner_special_layers(g):
-            n = rep.subgroup
+        for rep, h1_n in _inner_special_layers(g):
+            n, w = rep.subgroup, rep.layer
             wz = set_product(g, w, center(g))
             zn = subgroup_center(g, n)
             for n1 in normal_subgroups(g):
@@ -1628,8 +1594,7 @@ def check_t92(inst):
     g = _nonabelian_group(inst)
     return _trichotomy_sweep(
         g,
-        lambda rep, w, h1: h1 == subgroup_rank(g, center(g))
-        and rep.witness["product_order"] == rep.subgroup.order,
+        lambda rep, h1: h1 == subgroup_rank(g, center(g)) and rep.product.order == rep.subgroup.order,
     )
 
 
@@ -1638,13 +1603,13 @@ def check_tt(inst):
     """The trichotomy on the special layers whose outer centralizer part is
     trivial, read as C_G(N) <= N (``_self_centralizing``)."""
     g = _nonabelian_group(inst)
-    return _trichotomy_sweep(g, lambda rep, w, h1: _self_centralizing(g, rep.subgroup))
+    return _trichotomy_sweep(g, lambda rep, h1: _self_centralizing(g, rep.subgroup))
 
 
 @register("xpl", "trichotomy for cyclic layers", _gen_special)
 def check_xpl(inst):
     g = _nonabelian_group(inst)
-    return _trichotomy_sweep(g, lambda rep, w, h1: _cyclic_layer(g, rep.subgroup, w))
+    return _trichotomy_sweep(g, lambda rep, h1: _cyclic_layer(g, rep))
 
 
 @register("qk", "non-cyclic double layers force a non-inner map", _gen_special)
@@ -1652,7 +1617,7 @@ def check_qk(inst):
     """The trichotomy on the special layers that are non-cyclic double layers,
     read as N/(W·Z(G)) non-cyclic of order p^2 (``_noncyclic_double_layer``)."""
     g = _nonabelian_group(inst)
-    return _trichotomy_sweep(g, lambda rep, w, h1: _noncyclic_double_layer(g, rep.subgroup))
+    return _trichotomy_sweep(g, lambda rep, h1: _noncyclic_double_layer(g, rep.subgroup))
 
 
 @register("ui", "the full special-subgroup trichotomy", _gen_special)
@@ -1691,11 +1656,11 @@ def check_tu(inst):
     q = free_submodule_closure(fbt, gens_rows, "left")
     if q.dim == 0:
         raise Skip("zero module")
-    lmod, _ = restrict_action(fbt.as_gmodule("left"), q)
+    lmod = restrict_action(fbt.as_gmodule("left"), q)
     d_t = d_G(lmod)
     down_img = FpSubspace.from_rows((q.basis @ tp.down) % p, p, tp.free_base.dim)
     try:
-        bmod, _ = restrict_action(tp.free_base.as_gmodule("left"), down_img)
+        bmod = restrict_action(tp.free_base.as_gmodule("left"), down_img)
         d_g_img = d_G(bmod)
     except ModuleError:
         raise Skip("image not a base submodule")

@@ -104,6 +104,16 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise UsageError(f"{what} must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _resolve_normal(g: GroupTable, spec: str) -> Subgroup:
     named = {
         "center": lambda: center(g),
@@ -297,7 +307,7 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pgv", description="finite p-group verification lab")
     ap.add_argument("--order-cap", default=DEFAULT_ORDER_CAP)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="catalog operations")
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default="all")
     p.add_argument("--catalog", default="all")
     p.add_argument("--catalog-file")
-    p.add_argument("--budget-ms", type=int, default=None)
+    p.add_argument("--budget-ms")
     p.add_argument("--replay", action="store_true", help="re-verify counterexamples")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_check)
@@ -359,6 +369,9 @@ def main(argv: Optional[list] = None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         args.order_cap = _positive_int(args.order_cap, "--order-cap")
+        args.seed = _nonnegative_int(args.seed, "--seed")
+        if getattr(args, "budget_ms", None) is not None:
+            args.budget_ms = _positive_int(args.budget_ms, "--budget-ms")
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.fn(args)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,11 +46,11 @@ from .gmodule import (
     FreeBimodule,
     GModule,
     ModuleError,
+    fixed_points,
     free_submodule_closure,
     module_from_conjugation,
     random_right_submodule,
     restrict_action,
-    submodule_fixed_points,
 )
 
 DEFAULT_H2_ORDER_CAP = 64
@@ -400,20 +400,28 @@ def inflated_z1_rows(
     return tables.reshape(len(z), along.source.order * d)
 
 
-# -- H^1 of submodules and conjugation modules ---------------------------------
-
-
-def h1_dim_of_submodule(fb, carrier) -> int:
-    sub, _ = restrict_action(fb.as_gmodule("right"), carrier)
-    return cohomology(sub.group, sub, 1).h_dim
+# -- H^1 of sampled submodules and conjugation modules --------------------------
 
 
 @dataclass
 class SampledModule:
+    """A right submodule of prod^n F_p(G) (``free``): its carrier there, and
+    ``module``, the carrier restricted once, which every reading uses."""
+
     free: FreeBimodule
     carrier: fl.FpSubspace
-    fixed_dim: int
-    h1_dim: int
+    module: GModule = field(init=False)
+
+    def __post_init__(self):
+        self.module = restrict_action(self.free.as_gmodule("right"), self.carrier)
+
+    @property
+    def fixed_dim(self) -> int:
+        return fixed_points(self.module).dim
+
+    @functools.cached_property
+    def h1_dim(self) -> int:
+        return cohomology(self.module.group, self.module, 1).h_dim
 
 
 def sample_nG_module(group: GroupTable, n: int, seed: int) -> SampledModule:
@@ -425,17 +433,13 @@ def sample_nG_module(group: GroupTable, n: int, seed: int) -> SampledModule:
     rng = np.random.default_rng(seed)
     best = None
     for attempt in range(1, 65):
-        carrier = random_right_submodule(fb, rng, extra_vectors=1 + attempt % 3)
-        if submodule_fixed_points(fb, carrier, "right").dim != n:
+        s = SampledModule(fb, random_right_submodule(fb, rng, extra_vectors=1 + attempt % 3))
+        if s.fixed_dim != n:
             continue
-        best = SampledModule(fb, carrier, n, h1_dim_of_submodule(fb, carrier))
+        best = s
         if best.h1_dim <= n:
             return best
-    if best is None:
-        carrier = free_submodule_closure(fb, fb.socle_basis(), "right")
-        fixed = submodule_fixed_points(fb, carrier, "right")
-        best = SampledModule(fb, carrier, fixed.dim, h1_dim_of_submodule(fb, carrier))
-    return best
+    return best or SampledModule(fb, free_submodule_closure(fb, fb.socle_basis(), "right"))
 
 
 def conjugation_h1(

@@ -160,17 +160,15 @@ def is_stable(m: GModule, carrier: FpSubspace) -> bool:
     return _is_stable_under(carrier, _actions(m))
 
 
-def restrict_action(m: GModule, carrier: FpSubspace) -> Tuple[GModule, np.ndarray]:
-    """Abstract module on a stable carrier; returns (module, basis rows)."""
+def restrict_action(m: GModule, carrier: FpSubspace) -> GModule:
+    """Abstract module on a stable carrier, in coordinates of ``carrier.basis``."""
     if not is_stable(m, carrier):
         raise ModuleError("carrier not stable under the action")
-    basis = carrier.basis
-    img = (basis @ m.act) % m.p
-    if np.any(carrier.reduce(img.reshape(-1, m.dim))):
-        raise ModuleError("vector outside carrier")
+    # Stable under the Burnside basis, hence under every element of G.
+    img = (carrier.basis @ m.act) % m.p
     # Coordinates in an RREF basis are the entries at its pivot columns.
     act = img[:, :, list(carrier.pivots)]
-    return GModule(m.group, act, check=False), basis
+    return GModule(m.group, act, check=False)
 
 
 def quotient_module(m: GModule, sub: FpSubspace) -> Tuple[GModule, np.ndarray]:
@@ -465,9 +463,3 @@ def random_right_submodule(
 ) -> FpSubspace:
     seeds = rng.integers(0, fb.p, size=(extra_vectors, fb.dim))
     return free_submodule_closure(fb, np.vstack([fb.socle_basis(), seeds]), "right")
-
-
-def submodule_fixed_points(fb: FreeBimodule, carrier: FpSubspace, side: str) -> FpSubspace:
-    mod = fb.as_gmodule(side)
-    amb_fixed = fixed_points(mod)
-    return amb_fixed.intersect(carrier)

@@ -72,8 +72,14 @@ def subgroup_rank(g: GroupTable, a: Subgroup) -> int:
 
 @dataclass
 class SpecialReport:
+    """The special-subgroup conditions on N (``subgroup``), with the
+    subgroups Section 5 builds on it: C_G(N), the product A = N C_G(N) and
+    the layer W = Omega_1(Z(N))."""
+
     subgroup: Subgroup
     centralizer: Subgroup
+    product: Subgroup
+    layer: Subgroup
     checks: Dict[str, bool]
     witness: Dict[str, object]
 
@@ -104,6 +110,8 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
             SpecialReport(
                 n,
                 c,
+                nc,
+                omega1(g, zn),
                 {
                     "centralizer_mod_center_cyclic": cyc,
                     "iset_inside": iset_in_n,
@@ -524,48 +532,32 @@ def brute_force_order_p_noninner(g: GroupTable) -> BruteForceResult:
 # -- the excess-H1 probe ----------------------------------------------------------
 
 
-@dataclass
-class ProbeOutcome:
-    status: str  # "certificate" | "diagnostic" | "skipped"
-    certificate: Optional[Certificate] = None
-    diagnostic: Optional[Diagnostic] = None
-    reason: str = ""
-
-
-def probe_configuration(g: GroupTable, rep: SpecialReport) -> Tuple[Subgroup, Subgroup]:
-    """(A, W) of the excess-H^1 probe on N: A = N C_G(N), W = Omega_1(Z(A))."""
-    a = set_product(g, rep.subgroup, rep.centralizer)
-    return a, omega1(g, subgroup_center(g, a))
-
-
-def excess_h1_probe(g: GroupTable, rep: SpecialReport) -> ProbeOutcome:
+def excess_h1_probe(g: GroupTable, rep: SpecialReport) -> "Certificate | Diagnostic | None":
     """For a special N with A = N C_G(N) and W = Omega_1(Z(A)): if
     H^1(G/A, W) has dimension > d(Z(G)), hunt the promised non-inner
     automorphism; report a Diagnostic when the bound holds but every induced
-    map is inner."""
+    map is inner, and None when N is not special or the bound fails."""
     if not rep.special:
-        failed = ", ".join(k for k, ok in rep.checks.items() if not ok)
-        return ProbeOutcome("skipped", reason=f"not special: fails {failed}")
-    n = rep.subgroup
-    a, w = probe_configuration(g, rep)
+        return None
+    a = rep.product
     n_val = subgroup_rank(g, center(g))
-    cert, evidence = try_config(g, a, w, "paper", "thm5_5", {"n_members": _members(n)})
+    extra = {"n_members": _members(rep.subgroup)}
+    cert, evidence = try_config(g, a, omega1(g, subgroup_center(g, a)), "paper", "thm5_5", extra)
     if cert is not None:
-        return ProbeOutcome("certificate", certificate=cert)
+        return cert
     h1 = evidence["h1_dim"] if evidence else 0
-    if h1 >= n_val + 1:
-        diag = Diagnostic(
-            "thm5_5:bound met but all induced maps inner",
-            {
-                "group": g.fingerprint(),
-                "n_members": _members(n),
-                "h1_dim": int(h1),
-                "d_center": int(n_val),
-                "evidence": evidence,
-            },
-        )
-        return ProbeOutcome("diagnostic", diagnostic=diag)
-    return ProbeOutcome("skipped", reason=f"H1 bound unmet (dim {h1} < {n_val + 1})")
+    if h1 < n_val + 1:
+        return None
+    return Diagnostic(
+        "thm5_5:bound met but all induced maps inner",
+        {
+            "group": g.fingerprint(),
+            "n_members": extra["n_members"],
+            "h1_dim": int(h1),
+            "d_center": int(n_val),
+            "evidence": evidence,
+        },
+    )
 
 
 # -- paper-mode descent ------------------------------------------------------------
@@ -618,16 +610,13 @@ def descent(g: GroupTable) -> "Certificate | Diagnostic":
     reports.sort(key=lambda r: (r.subgroup.order, -r.witness["iset_size"], r.subgroup.key()))
     normals = normal_subgroups(g)
     for rep in reports:
-        n = rep.subgroup
-        w = omega1(g, subgroup_center(g, n))
+        n, w = rep.subgroup, rep.layer
         if w.order == 1:
             continue
         # (a) excess-H1 probe on the composite subgroup.
         outcome = excess_h1_probe(g, rep)
-        if outcome.status == "certificate":
-            return outcome.certificate
-        if outcome.status == "diagnostic":
-            return outcome.diagnostic
+        if outcome is not None:
+            return outcome
         # (b)/(c)/(d): compare H^1 over G/N with the layers below.
         extra = {"n_members": _members(n)}
         cert, _ = try_config(g, n, w, "paper", "ty", extra)

@@ -17,7 +17,6 @@ from pgv.cohomology import (
     Cochain,
     brute_force_z1,
     cohomology,
-    h1_dim_of_submodule,
     inflate_module,
 )
 from pgv.extensions import build_extension, filtration, kernel_of_down, transfer_maps
@@ -97,7 +96,7 @@ def test_criterion_3_worked_example(p):
     g = cyclic_group(p, p)
     fb = FreeBimodule(g, 1)
     rad = radical(fb.as_gmodule("right"))
-    mod, _ = restrict_action(fb.as_gmodule("right"), rad)
+    mod = restrict_action(fb.as_gmodule("right"), rad)
     assert cohomology(g, mod, 1).h_dim == 1
     cp = trivial_module(g, 1)
     sp2 = cohomology(g, cp, 2)
@@ -187,7 +186,7 @@ def test_criterion_6_freeness(catalog):
             for carrier in carriers:
                 if carrier.dim == 0:
                     continue
-                mod, _ = restrict_action(fb.as_gmodule("right"), carrier)
+                mod = restrict_action(fb.as_gmodule("right"), carrier)
                 h1 = cohomology(g, mod, 1).h_dim
                 if h1 != 0:
                     continue

@@ -21,8 +21,10 @@ from pgv.checks import (
     _sweep,
     run_check,
 )
+from pgv.gmodule import GModule
 from pgv.group_core import center, centralizer, normal_subgroups, omega1, set_product, subgroup_center
 from pgv.suite import replay_counterexamples, report_to_json, resolve_check_ids, run_suite
+from tests.groups import fixed_points_in_carrier, h1_of_restriction
 
 EXPECTED_IDS = {
     "lp_order", "ij_bound", "ddd_iso", "thm5_5", "gen_count", "cc_bound",
@@ -291,3 +293,40 @@ def test_centralized_part_matches_member_loop():
             for a in normals:
                 want = [x for x in w.members if centralizer(g, a).contains(int(x))]
                 assert _centralized_part(g, w, a).members.tolist() == [int(x) for x in want]
+
+
+# Checks that draw their module through ``_carrier`` (with its ``extra``) or
+# ``_growth_instance``.
+CARRIER_CHECKS = dict.fromkeys(
+    ("gen_count", "cc_bound", "ut_embed", "free_iff_h1zero", "dual_fixed", "dual_gens", "ww_bridge"), 1
+) | {"xu_free": 2}
+GROWTH_CHECKS = ("gg_growth", "yy_upper", "jj_lower", "cor8_0", "aa_cases", "qq_cases", "ggg_exact", "kj_h2")
+
+
+def _sampled_modules_of_the_default_suite():
+    cat = builtin_catalog()
+    drawn = {}
+    for cid, extra in CARRIER_CHECKS.items():
+        for inst in CHECKS[cid].generate(cat, 0, 12):
+            key = (inst["group"], inst.get("n", 1), inst["seed"], extra)
+            if key not in drawn:
+                g = checks._group(inst)
+                drawn[key] = checks._carrier(g, int(key[1]), int(inst["seed"]), extra)
+    for cid in GROWTH_CHECKS:
+        for inst in CHECKS[cid].generate(cat, 0, 12):
+            key = (inst["group"], inst["n"], inst["seed"], inst.get("kind"))
+            if key not in drawn:
+                drawn[key] = checks._growth_instance(inst)
+    return list(drawn.values())
+
+
+def test_sampled_modules_match_the_carrier_oracles():
+    # Each sampled module is restricted once; its fixed points and H^1 must
+    # be those read off the carrier in the free module and off a second,
+    # independent restriction.
+    samples = _sampled_modules_of_the_default_suite()
+    assert len(samples) == 73
+    for s in samples:
+        assert isinstance(s.module, GModule) and s.module.dim == s.carrier.dim
+        assert s.fixed_dim == fixed_points_in_carrier(s.free, s.carrier).dim
+        assert s.h1_dim == h1_of_restriction(s.free, s.carrier)

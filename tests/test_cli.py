@@ -54,6 +54,10 @@ def test_usage_errors(tmp_path, capsys):
     for cap in ("0", "-3", "x"):
         assert main(["h2", "--group", "C4", "--h2-cap", cap]) == 1
     assert main(["--order-cap", "-5", "group", "info", "C4"]) == 1
+    for seed in ("-3", "x"):
+        assert main(["--seed", seed, "check", "--id", "gen_count"]) == 1
+    for budget in ("-5", "0", "x"):
+        assert main(["check", "--id", "gen_count", "--budget-ms", budget]) == 1
     assert main(["check", "--id", "gen_count", "--catalog", "order<=abc"]) == 1
     assert main(["catalog", "list", "--filter", "p=x"]) == 1
     not_utf8 = tmp_path / "binary.pres"

@@ -7,6 +7,7 @@ import pytest
 from pgv.cohomology import (
     Cochain,
     CohomologyError,
+    SampledModule,
     brute_force_z1,
     cayley_tree,
     coboundary,
@@ -14,7 +15,6 @@ from pgv.cohomology import (
     cohomology,
     conjugation_derivation,
     derivation_to_automorphism,
-    h1_dim_of_submodule,
     inflate,
     inflate_module,
     inflated_z1_rows,
@@ -28,14 +28,12 @@ from pgv.group_core import (
     GroupTable,
     Subgroup,
     center,
-    centralizer,
     conjugation_map,
     cyclic_group,
     direct_product_tables,
     from_pc_presentation,
     is_inner,
     map_order,
-    normal_subgroups,
     omega1,
     quotient,
     subgroup_center,
@@ -46,10 +44,9 @@ from pgv.gmodule import (
     free_submodule_closure,
     module_from_conjugation,
     regular_module,
-    restrict_action,
     trivial_module,
 )
-from tests.test_group_core import pres_d8, pres_d16, pres_heis27
+from tests.groups import conjugation_module, h1_of_restriction, pres_d8, pres_d16, pres_heis27, small_modules
 
 
 def klein():
@@ -273,11 +270,12 @@ def test_probe_zero_h1_absent():
     assert (evidence["h1_dim"], evidence["tested"], evidence["all_inner"]) == (0, 0, True)
 
 
-def test_h1_dim_of_submodule_free_is_zero():
+def test_h1_of_restricted_free_module_is_zero():
     g = from_pc_presentation(pres_d8())
     fb = FreeBimodule(g, 1)
     full = free_submodule_closure(fb, np.eye(8, dtype=np.int64), "right")
-    assert h1_dim_of_submodule(fb, full) == 0
+    assert h1_of_restriction(fb, full) == 0
+    assert SampledModule(fb, full).h1_dim == 0
 
 
 # -- slices at generators against slices at every element ----------------------
@@ -328,14 +326,6 @@ def z_over_all_slices(g, m, degree):
     return R[: len(piv)]
 
 
-def conjugation_module(g):
-    """W = the largest elementary abelian normal subgroup, acted on by G/C_G(W)."""
-    orders = g.element_orders()
-    elementary = [n for n in normal_subgroups(g) if np.all(orders[n.members] <= g.p)]
-    w = max(elementary, key=lambda n: n.order)
-    return module_from_conjugation(g, centralizer(g, w), w).module
-
-
 def assert_z_matches_all_slices(g, m, degree):
     sp = cohomology(g, m, degree)
     assert np.array_equal(sp.z_basis, z_over_all_slices(g, m, degree)), (g, m.name, degree)
@@ -366,15 +356,6 @@ def test_generator_slices_give_every_slice_z2():
 
 
 # -- the coboundary operator against the elementwise oracles --------------------
-
-
-def small_modules():
-    """trivial:1, trivial:2 and the conjugation module of every catalog group
-    of order <= 16."""
-    for e in builtin_catalog():
-        if e.order <= 16:
-            g = e.group()
-            yield from (trivial_module(g, 1), trivial_module(g, 2), conjugation_module(g))
 
 
 def test_coboundary_slices_match_elementwise_oracles():

@@ -20,7 +20,7 @@ from pgv.extensions import (
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import cyclic_group, direct_product_tables, from_pc_presentation, is_isomorphic
 from pgv.gmodule import FreeBimodule, regular_module, trivial_module
-from tests.test_group_core import pres_d8
+from tests.groups import pres_d8, pres_heis27
 
 
 def carry_cocycle(p):
@@ -310,7 +310,6 @@ def test_build_extension_matches_tuple_reference_on_small_catalog():
 def test_build_extension_matches_tuple_reference_on_conjugation_module():
     from pgv.gmodule import module_from_conjugation
     from pgv.group_core import normal_subgroups
-    from tests.test_group_core import pres_heis27
 
     # W of order 9 in He27 with N1 = W: C3 acts on F_3^2 by a Jordan block.
     g = from_pc_presentation(pres_heis27())

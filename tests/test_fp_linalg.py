@@ -23,7 +23,7 @@ from pgv.fp_linalg import (
 )
 from pgv.cohomology import cohomology
 from pgv.gmodule import _closure
-from tests.test_cohomology import small_modules
+from tests.groups import small_modules
 
 
 def all_vectors(n, p):

@@ -39,35 +39,15 @@ from pgv.group_core import (
 )
 from pgv.catalog import builtin_catalog, find_entry, load_catalog
 from pgv.presentations import PcPresentation, PresentationError, parse_presentations
+from tests.groups import pres_d8, pres_d16, pres_heis27
 
 
 def pres_c4():
     return PcPresentation(2, 2, "C4", {1: [2], 2: []}, {})
 
 
-def pres_d8():
-    # g1 reflection, g2 rotation of order 4, g3 = g2^2.
-    return PcPresentation(
-        2, 3, "D8", {1: [], 2: [3], 3: []}, {(2, 1): [3], (3, 1): [], (3, 2): []}
-    )
-
-
 def pres_q8():
     return PcPresentation(2, 3, "Q8", {1: [3], 2: [3], 3: []}, {(2, 1): [3]})
-
-
-def pres_d16():
-    return PcPresentation(
-        2,
-        4,
-        "D16",
-        {1: [], 2: [3], 3: [4], 4: []},
-        {(2, 1): [3, 4], (3, 1): [4]},
-    )
-
-
-def pres_heis27():
-    return PcPresentation(3, 3, "He27", {1: [], 2: [], 3: []}, {(2, 1): [3]})
 
 
 def test_cyclic_from_presentation():

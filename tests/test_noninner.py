@@ -11,6 +11,7 @@ from pgv.group_core import (
     GroupMap,
     Subgroup,
     center,
+    centralizer,
     conjugation_map,
     cyclic_group,
     elementary_abelian_normals,
@@ -20,6 +21,7 @@ from pgv.group_core import (
     map_order,
     normal_subgroups,
     omega1,
+    set_product,
     subgroup_center,
 )
 from pgv.noninner import (
@@ -38,7 +40,7 @@ from pgv.noninner import (
     subgroup_rank,
     verify_certificate,
 )
-from tests.test_group_core import pres_d8
+from tests.groups import pres_d8
 
 
 @pytest.fixture(scope="module")
@@ -230,10 +232,8 @@ def test_probe_skips_when_hypotheses_unmet(catalog):
     g = find_entry("D8", catalog).group()
     z = center(g)
     rep = next(r for r in find_special_subgroups(g) if r.subgroup == z)
-    out = excess_h1_probe(g, rep)
-    assert out.status == "skipped"
-    assert out.reason.startswith("not special: fails ")
-    assert "product_inside_frattini" in out.reason
+    assert not rep.checks["product_inside_frattini"]
+    assert excess_h1_probe(g, rep) is None
 
 
 def test_descent_examples(catalog):
@@ -412,3 +412,20 @@ def test_route_ledger_of_every_shipped_nonabelian_group(catalog):
     entries += load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
     assert len(entries) == 76
     assert {e.name: _route(e.group()) for e in entries} == ROUTES
+
+
+def test_special_reports_carry_the_product_and_the_layer(catalog):
+    # A = N C_G(N) and W = Omega_1(Z(N)) on every report, special or not,
+    # of every shipped non-abelian group, against a fresh computation.
+    entries = [e for e in catalog if not e.group().is_abelian()]
+    entries += load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    assert len(entries) == 76
+    specials = 0
+    for e in entries:
+        g = e.group()
+        for r in find_special_subgroups(g):
+            n = r.subgroup
+            assert r.product == set_product(g, n, centralizer(g, n)), (e.name, n.order)
+            assert r.layer == omega1(g, subgroup_center(g, n)), (e.name, n.order)
+            specials += r.special
+    assert specials > 0
