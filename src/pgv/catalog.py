@@ -42,7 +42,7 @@ class CatalogError(ValueError):
 
 @dataclass
 class CatalogEntry:
-    """A named group: collected from its presentation, or, for a direct
+    """A named group: built from its presentation, or, for a direct
     product (presentation None), built from its two factors' tables."""
 
     name: str

@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fp_linalg as fl
-from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, Subgroup
+from .group_core import GroupError, GroupMap, GroupTable, QuotientMap, Subgroup, memo
 from .gmodule import (
     ConjugationModule,
     FreeBimodule,
@@ -442,11 +442,14 @@ def sample_nG_module(group: GroupTable, n: int, seed: int) -> SampledModule:
     return best or SampledModule(fb, free_submodule_closure(fb, fb.socle_basis(), "right"))
 
 
+@memo
 def conjugation_h1(
     g: GroupTable, n1: Subgroup, w: Subgroup
 ) -> Optional[Tuple[ConjugationModule, CohomologySpace]]:
     """W as a G/N1-module by conjugation with its H^1, or None when N1 and W
-    do not make a conjugation module (``module_from_conjugation`` refuses)."""
+    do not make a conjugation module (``module_from_conjugation`` refuses).
+    Cached on the table per (N1, W); callers read the result and never
+    change it."""
     try:
         cm = module_from_conjugation(g, n1, w)
     except ModuleError:

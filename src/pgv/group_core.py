@@ -4,6 +4,11 @@ Elements are indices 0..order-1 with 0 the identity.  Groups built from a
 power-commutator presentation enumerate normal words g1^e1...gn^en in
 lexicographic order of the exponent tuple, so the element index is the
 base-p integer with e1 the most significant digit.
+
+Tables are built and checked with array passes rather than per-element
+loops: a presentation's table grows from its tail subgroups
+<g_k, ..., g_n> upwards, and associativity is tested on a generating set
+only (Light's test), which is exact at every order.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .fp_linalg import check_prime
 from .presentations import PcPresentation
 
 DEFAULT_ORDER_CAP = 1024
-FULL_ASSOC_LIMIT = 512
 
 
 class GroupError(ValueError):
@@ -124,25 +128,40 @@ class GroupTable:
         sorted_cols = np.sort(mul, axis=0)
         if np.any(sorted_rows != np.arange(n)) or np.any(sorted_cols != np.arange(n)[:, None]):
             raise GroupError("table rows/columns are not permutations")
-        self.verify_associativity(full=n <= FULL_ASSOC_LIMIT)
+        self.verify_associativity()
 
-    def verify_associativity(self, full: bool = True) -> None:
-        n = self.order
-        mul = self.mul
-        if full:
-            for a in range(n):
-                lhs = mul[mul[a], :]
-                rhs = mul[a][mul]
-                if not np.array_equal(lhs, rhs):
-                    raise GroupError(f"associativity fails at a={a}")
-        else:
-            rng = np.random.default_rng(0)
-            m = 10 * n * n
-            a = rng.integers(0, n, size=m)
-            b = rng.integers(0, n, size=m)
-            c = rng.integers(0, n, size=m)
-            if np.any(mul[mul[a, b], c] != mul[a, mul[b, c]]):
-                raise GroupError("associativity fails (sampled)")
+    def verify_associativity(self) -> None:
+        """Raise GroupError unless the table is associative (exact).
+
+        Light's test (Clifford & Preston, The Algebraic Theory of
+        Semigroups I, 1961): the left nucleus {a : (ax)y = a(xy) for all
+        x, y} is closed under products, so it is the whole table once it
+        holds a set that generates the table by products.  The set is
+        chosen greedily: the least element a not yet reached, after which
+        every reached x adds x a^k for every power a^k.  Each reached
+        element is a product of chosen ones, so reaching less than their
+        whole product closure only chooses more.  Then each chosen element
+        is tested, a block of them at a time.  Needs 0 to be a two-sided
+        identity and the rows and columns to be permutations.
+        """
+        n, mul = self.order, self.mul
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        chosen: List[int] = []
+        while not reached.all():
+            a = int(np.argmin(reached))
+            chosen.append(a)
+            powers, y = [0], a
+            while y != 0:  # the cycle of 1 under right multiplication by a
+                powers.append(y)
+                y = int(mul[y, a])
+            reached[mul[np.flatnonzero(reached)[:, None], powers]] = True
+        step = max(1, (1 << 16) // (n * n))
+        for lo in range(0, len(chosen), step):
+            block = chosen[lo : lo + step]
+            bad = (mul[mul[block]] != mul[block][:, mul]).any(axis=(1, 2))
+            if bad.any():
+                raise GroupError(f"associativity fails at a={block[int(np.argmax(bad))]}")
 
     # -- basics ------------------------------------------------------------
 
@@ -187,7 +206,7 @@ class GroupTable:
 
     @memo
     def element_orders(self) -> np.ndarray:
-        return np.array([self.element_order(x) for x in range(self.order)], dtype=np.int64)
+        return _orders_modulo(self, np.arange(self.order) == 0)
 
     @memo
     def is_abelian(self) -> bool:
@@ -219,6 +238,19 @@ class GroupTable:
         return f"<{nm}: order {self.order}, p={self.p}>"
 
 
+def _orders_modulo(g: GroupTable, inside: np.ndarray) -> np.ndarray:
+    """For every x, the least p^k with x^(p^k) in the subgroup whose bitmap
+    is ``inside``: the order of x, or of its coset in an abelian quotient."""
+    orders = np.ones(g.order, dtype=np.int64)
+    cur = np.arange(g.order)
+    live = ~inside
+    while live.any():
+        orders[live] *= g.p
+        cur = g.pow_p_table[cur]
+        live = ~inside[cur]
+    return orders
+
+
 @memo
 def opposite(g: GroupTable) -> GroupTable:
     return GroupTable(g.p, np.ascontiguousarray(g.mul.T), name=f"{g.name}^op", check=False)
@@ -248,50 +280,35 @@ def direct_product_tables(a: GroupTable, b: GroupTable) -> GroupTable:
 # -- construction from presentations ---------------------------------------
 
 
-def _collect(letters: List[int], pres: PcPresentation) -> List[int]:
-    """Collection from the left: normal-form exponents of a letter word."""
-    p = pres.p
-    exps: List[int] = []
-    w = list(letters)
-    for k in range(1, pres.ngens + 1):
-        e = 0
-        guard = 0
-        while True:
-            try:
-                j = w.index(k)
-            except ValueError:
-                break
-            while j > 0:
-                m = w[j - 1]
-                w[j - 1 : j + 1] = [k, m] + pres.comm_word(m, k)
-                j -= 1
-                guard += 1
-                if guard > 4_000_000:
-                    raise InconsistentPresentation("collection does not terminate")
-            e += 1
-            w.pop(0)
-            if e == p:
-                w = pres.pow_word(k) + w
-                e = 0
-        exps.append(e)
-    if w:
-        raise InconsistentPresentation("collection left letters beyond the last generator")
-    return exps
+def _right_mul(right_by_gen: np.ndarray, x, letters: Iterable[int]):
+    """x times the word ``letters``, one generator at a time; x may be an
+    array.  Row k-1 of ``right_by_gen`` is right multiplication by g_k."""
+    for k in letters:
+        x = right_by_gen[k - 1, x]
+    return x
 
 
-def _exps_to_index(exps: Sequence[int], p: int) -> int:
-    idx = 0
-    for e in exps:
-        idx = idx * p + e
-    return idx
-
-
-def _index_to_exps(idx: int, p: int, ngens: int) -> List[int]:
-    out = [0] * ngens
-    for i in range(ngens - 1, -1, -1):
-        out[i] = idx % p
-        idx //= p
+def _times_normal_words(right_by_gen: np.ndarray, start, factors: Sequence[Sequence[int]], p: int):
+    """start * z_1^e_1 * ... * z_r^e_r for every exponent tuple, as a new last
+    axis indexed by the tuple read as a base-p number, e_1 most significant.
+    Each z_i is given as a word; with z_i = g_(k+i) the products are start
+    times every normal word of <g_(k+1), ..., g_n> in index order."""
+    out = np.asarray(start)[..., None]
+    for word in factors:
+        cols = [out]
+        for _ in range(p - 1):
+            cols.append(_right_mul(right_by_gen, cols[-1], word))
+        out = np.stack(cols, axis=-1).reshape(*out.shape[:-1], -1)
     return out
+
+
+def _letters(idx: int, p: int, ngens: int) -> List[int]:
+    """The normal word of an element index as a list of generator letters."""
+    letters: List[int] = []
+    for i in range(ngens, 0, -1):
+        idx, e = divmod(idx, p)
+        letters[:0] = [i] * e
+    return letters
 
 
 def from_pc_presentation(
@@ -299,47 +316,61 @@ def from_pc_presentation(
 ) -> GroupTable:
     """Build the multiplication table of a consistent pc-presentation.
 
-    The table is defined by collection of x * g_k for every normal word x and
-    generator g_k, then extended to all products column by column.  A full
-    associativity check afterwards rejects inconsistent presentations.
+    Row k of ``right_by_gen`` (x -> x g_k) is filled for k = n, ..., 1 from
+    the tail subgroup G_(k+1) = <g_(k+1), ..., g_n>, whose elements are the
+    indices below m = p^(n-k) and whose rows are already known.  Write
+    x = u v with u = g_1^e_1 ... g_k^e_k and v in G_(k+1); then
+    x g_k = u g_k v^(g_k), with v^(g_k) in G_(k+1) the product of the images
+    g_j^(g_k) = g_j [g_j, g_k].  When e_k = p - 1 the digit wraps and
+    g_k^p v^(g_k) is read off the products g_k^p u for u in G_(k+1).  So
+    each row costs array passes over G_(k+1) and index arithmetic, and no
+    word is collected.  The table is x times every normal word, one digit
+    at a time.
+
+    The result is validated as a group (associativity included) and every
+    power and commutator relation, trivial ones too, is evaluated in it.  A
+    group of order p^n generated by the g_k that satisfies the relations is
+    the presented group, so a consistent presentation gives the table that
+    collection gives, and an inconsistent one raises InconsistentPresentation.
     """
     p, n = pres.p, pres.ngens
     order = p**n
     if order > order_cap:
         raise GroupError(f"order cap: {order} > {order_cap}")
+    gen = [p ** (n - i) for i in range(n + 1)]  # gen[i] is the index of g_i
 
-    # x * g_k for every x, via honest collection.
     right_by_gen = np.empty((n, order), dtype=np.int64)
-    for x in range(order):
-        exps = _index_to_exps(x, p, n)
-        letters = [i + 1 for i, e in enumerate(exps) for _ in range(e)]
-        for k in range(1, n + 1):
-            exps_out = _collect(letters + [k], pres)
-            right_by_gen[k - 1, x] = _exps_to_index(exps_out, p)
+    x = np.arange(order)
+    for k in range(n, 0, -1):
+        m = gen[k]
+        images = [
+            _letters(int(_right_mul(right_by_gen, gen[j], pres.comm_word(j, k))), p, n)
+            for j in range(k + 1, n + 1)
+        ]
+        conj = _times_normal_words(right_by_gen, 0, images, p)
+        g_k_p = _right_mul(right_by_gen, 0, pres.pow_word(k))
+        wrap = _times_normal_words(right_by_gen, g_k_p, [[j] for j in range(k + 1, n + 1)], p)
+        prefix, tail = np.divmod(x, m)
+        tail = conj[tail]
+        right_by_gen[k - 1] = np.where(
+            prefix % p < p - 1, (prefix + 1) * m + tail, (prefix - (p - 1)) * m + wrap[tail]
+        )
 
-    mul = np.empty((order, order), dtype=np.int64)
-    mul[:, 0] = np.arange(order)
-    powers = [p ** (n - 1 - i) for i in range(n)]
-    for y in range(1, order):
-        exps = _index_to_exps(y, p, n)
-        k = max(i for i, e in enumerate(exps) if e > 0)  # last nonzero digit
-        y_prev = y - powers[k]
-        mul[:, y] = right_by_gen[k, mul[:, y_prev]]
-
+    mul = _times_normal_words(right_by_gen, x, [[j] for j in range(1, n + 1)], p)
     try:
         g = GroupTable(p, mul, name=pres.name, order_cap=order_cap)
     except GroupError as e:
         raise InconsistentPresentation(f"inconsistent presentation: {e}") from e
 
-    # Sanity: the defining relations hold in the table.
+    def value(word: Iterable[int]) -> int:
+        return int(_right_mul(right_by_gen, 0, word))
+
     for i in range(1, n + 1):
-        gi = powers[i - 1]
-        if g.power(gi, p) != _exps_to_index(_collect(pres.pow_word(i), pres), p):
+        if g.power(gen[i], p) != value(pres.pow_word(i)):
             raise InconsistentPresentation(f"pow relation for g{i} broken")
-    for (i, j), w in pres.comm_words.items():
-        gi, gj = powers[i - 1], powers[j - 1]
-        if g.commutator(gi, gj) != _exps_to_index(_collect(list(w), pres), p):
-            raise InconsistentPresentation(f"comm relation for ({i},{j}) broken")
+        for j in range(1, i):
+            if g.commutator(gen[i], gen[j]) != value(pres.comm_word(i, j)):
+                raise InconsistentPresentation(f"comm relation for ({i},{j}) broken")
     return g
 
 
@@ -667,7 +698,7 @@ def quotient(g: GroupTable, n: Subgroup) -> Tuple[GroupTable, QuotientMap]:
     reps_arr = np.array(reps, dtype=np.int64)
     qmul = coset_id[g.mul[np.ix_(reps_arr, reps_arr)]]
     qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False)
-    qt.verify_associativity(full=qt.order <= FULL_ASSOC_LIMIT)
+    qt.verify_associativity()
     return qt, QuotientMap(g, qt, n, coset_id, reps_arr)
 
 
@@ -812,63 +843,56 @@ def _partial_hom_image(
 
 def abelian_cyclic_basis(g: GroupTable) -> List[int]:
     """Elements generating a direct decomposition into cyclic factors,
-    ordered by descending factor order (abelian groups only)."""
+    ordered by descending factor order (abelian groups only).
+
+    Each step takes the least x whose coset x*span has the largest order
+    p^k in G/span, then the first x*s (s in span, ascending) of order p^k;
+    its powers are a complement of span in <span, x>.
+    """
     if not g.is_abelian():
         raise GroupError("abelian group expected")
-    basis: List[int] = []
-    span = Subgroup(g, [0], check=False)
     orders = g.element_orders()
-    while span.order < g.order:
-        # Element of maximal order in G/span, lifted to the same order:
-        # choose x maximizing the order of x*span in the quotient, then shift
-        # by span members so the representative's own order matches.
-        best = None
-        for x in range(g.order):
-            if span.contains(x):
-                continue
-            # order of the coset x*span in G/span: least p^k with x^(p^k) in span
-            k = 0
-            y = x
-            while not span.contains(int(y)):
-                k += 1
-                y = g.power(x, g.p**k)
-            coset_order = g.p**k
-            if best is None or coset_order > best[0]:
-                best = (coset_order, x)
-        coset_order, x = best
-        # adjust the representative within its coset to have the coset order
-        rep = None
-        for s in span.members:
-            cand = int(g.mul[x, s])
-            if g.power(cand, coset_order) == 0:
-                rep = cand
-                break
-        if rep is None:
+    basis: List[int] = []
+    span = np.zeros(g.order, dtype=bool)
+    span[0] = True
+    while not span.all():
+        coset_order = _orders_modulo(g, span)
+        x = int(np.argmax(coset_order))
+        order = int(coset_order[x])
+        members = np.flatnonzero(span)
+        cand = g.mul[x, members]
+        pure = np.flatnonzero(orders[cand] == order)
+        if pure.size == 0:
             raise GroupError("no pure representative found (not abelian?)")
+        rep = int(cand[pure[0]])
         basis.append(rep)
-        span = subgroup_closure(g, list(span.members) + [rep])
-    basis.sort(key=lambda b: -g.element_order(b))
+        y = 0
+        for _ in range(order):
+            span[g.mul[members, y]] = True
+            y = int(g.mul[y, rep])
+    basis.sort(key=lambda b: -orders[b])
     return basis
 
 
 def _abelian_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]:
+    """Match the normal words b_1^e_1 ... b_r^e_r of the two cyclic bases."""
     b1 = abelian_cyclic_basis(g1)
     b2 = abelian_cyclic_basis(g2)
-    o1 = [g1.element_order(b) for b in b1]
-    o2 = [g2.element_order(b) for b in b2]
-    if o1 != o2:
+    o1 = g1.element_orders()[b1].tolist()
+    if o1 != g2.element_orders()[b2].tolist():
         return None
-    phi = -np.ones(g1.order, dtype=np.int64)
-    from itertools import product as iproduct
 
-    ranges = [range(o) for o in o1]
-    for exps in iproduct(*ranges):
-        x = 0
-        y = 0
-        for b, c, e in zip(b1, b2, exps):
-            x = int(g1.mul[x, g1.power(b, e)])
-            y = int(g2.mul[y, g2.power(c, e)])
-        phi[x] = y
+    def words(g: GroupTable, basis: List[int]) -> np.ndarray:
+        out = np.zeros(1, dtype=np.int64)
+        for b, o in zip(basis, o1):
+            powers = np.zeros(o, dtype=np.int64)
+            for e in range(1, o):
+                powers[e] = g.mul[powers[e - 1], b]
+            out = g.mul[out[:, None], powers[None, :]].ravel()
+        return out
+
+    phi = -np.ones(g1.order, dtype=np.int64)
+    phi[words(g1, b1)] = words(g2, b2)
     if np.any(phi < 0) or np.unique(phi).size != g1.order:
         return None
     return phi

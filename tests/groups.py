@@ -5,13 +5,18 @@ import error in one test module does not stop the others from being
 collected.
 """
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 
-from pgv.catalog import builtin_catalog
+from pgv.catalog import _base_entries, builtin_catalog
 from pgv.cohomology import cohomology
 from pgv.gmodule import fixed_points, module_from_conjugation, restrict_action, trivial_module
-from pgv.group_core import centralizer, normal_subgroups
-from pgv.presentations import PcPresentation
+from pgv.group_core import GroupError, Subgroup, centralizer, normal_subgroups, subgroup_closure
+from pgv.presentations import PcPresentation, parse_presentations
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def pres_d8():
@@ -66,3 +71,133 @@ def h1_of_restriction(fb, carrier):
     and not taken from any object that already holds one."""
     sub = restrict_action(fb.as_gmodule("right"), carrier)
     return cohomology(sub.group, sub, 1).h_dim
+
+
+# -- oracles for table construction: the per-element forms that group_core
+#    replaced with array passes --------------------------------------------
+
+
+def shipped_presentations():
+    """Every presentation the project ships: the catalog families, the
+    order-16 and order-81 data files and ``tests/data/special32.pres``."""
+    pres = [e.presentation for e in _base_entries(1024)]
+    return pres + parse_presentations((DATA / "special32.pres").read_text(encoding="utf-8"))
+
+
+def collect(letters, pres):
+    """Collection from the left: the normal-form exponents of a letter word."""
+    p = pres.p
+    exps = []
+    w = list(letters)
+    for k in range(1, pres.ngens + 1):
+        e = 0
+        while k in w:
+            j = w.index(k)
+            while j > 0:
+                m = w[j - 1]
+                w[j - 1 : j + 1] = [k, m] + pres.comm_word(m, k)
+                j -= 1
+            e += 1
+            w.pop(0)
+            if e == p:
+                w = pres.pow_word(k) + w
+                e = 0
+        exps.append(e)
+    assert not w
+    return exps
+
+
+def collected_right_by_gen(pres):
+    """Row k-1 holds x g_k for every normal word x, each by collecting the
+    whole word x g_k."""
+    p, n = pres.p, pres.ngens
+    out = np.empty((n, p**n), dtype=np.int64)
+    for x, exps in enumerate(itertools.product(range(p), repeat=n)):
+        letters = [i for i, e in enumerate(exps, start=1) for _ in range(e)]
+        for k in range(1, n + 1):
+            out[k - 1, x] = int("".join(map(str, collect(letters + [k], pres))), p)
+    return out
+
+
+def table_from_right_by_gen(right_by_gen, p):
+    """x y = (x y') g_k column by column, where g_k is the last letter of
+    the normal word y and y' the word before it."""
+    n, order = right_by_gen.shape
+    mul = np.empty((order, order), dtype=np.int64)
+    mul[:, 0] = np.arange(order)
+    for y in range(1, order):
+        k = max(i for i in range(n) if (y // p ** (n - 1 - i)) % p)
+        mul[:, y] = right_by_gen[k, mul[:, y - p ** (n - 1 - k)]]
+    return mul
+
+
+def associative_by_every_element(mul):
+    """(a x) y = a (x y) for all x, y, tested for every a in turn."""
+    return all(np.array_equal(mul[mul[a]], mul[a][mul]) for a in range(len(mul)))
+
+
+def octonion_loop():
+    """The 16 unit octonions +-1, +-e_1, ..., +-e_7 under multiplication, a
+    loop that is not associative.  Index 2i + s is (-1)^s e_i with e_0 = 1,
+    so index 1 is -1, which lies in the nucleus."""
+    sign = np.ones((8, 8), dtype=np.int64)
+    unit = np.zeros((8, 8), dtype=np.int64)
+    for i in range(8):
+        unit[0, i] = unit[i, 0] = i
+        if i:
+            sign[i, i] = -1
+    for a, b, c in ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5)):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            unit[x, y], unit[y, x] = z, z
+            sign[y, x] = -1
+    mul = np.empty((16, 16), dtype=np.int64)
+    for u, v in itertools.product(range(16), repeat=2):
+        (i, s), (j, t) = divmod(u, 2), divmod(v, 2)
+        neg = (s + t + (sign[i, j] < 0)) % 2
+        mul[u, v] = 2 * unit[i, j] + neg
+    return mul
+
+
+def abelian_cyclic_basis_by_loops(g):
+    """Per-element form of ``group_core.abelian_cyclic_basis``: the least x
+    whose coset has the largest order, then the first pure x*s."""
+    if not g.is_abelian():
+        raise GroupError("abelian group expected")
+    basis = []
+    span = Subgroup(g, [0], check=False)
+    while span.order < g.order:
+        best = None
+        for x in range(g.order):
+            if span.contains(x):
+                continue
+            k = 0
+            y = x
+            while not span.contains(int(y)):
+                k += 1
+                y = g.power(x, g.p**k)
+            if best is None or g.p**k > best[0]:
+                best = (g.p**k, x)
+        coset_order, x = best
+        rep = next(int(g.mul[x, s]) for s in span.members if g.power(int(g.mul[x, s]), coset_order) == 0)
+        basis.append(rep)
+        span = subgroup_closure(g, list(span.members) + [rep])
+    basis.sort(key=lambda b: -g.element_order(b))
+    return basis
+
+
+def abelian_isomorphism_by_loops(g1, g2):
+    """Per-element form of ``group_core._abelian_isomorphism``."""
+    b1, b2 = abelian_cyclic_basis_by_loops(g1), abelian_cyclic_basis_by_loops(g2)
+    o1 = [g1.element_order(b) for b in b1]
+    if o1 != [g2.element_order(b) for b in b2]:
+        return None
+    phi = -np.ones(g1.order, dtype=np.int64)
+    for exps in itertools.product(*(range(o) for o in o1)):
+        x = y = 0
+        for b, c, e in zip(b1, b2, exps):
+            x = int(g1.mul[x, g1.power(b, e)])
+            y = int(g2.mul[y, g2.power(c, e)])
+        phi[x] = y
+    if np.any(phi < 0) or np.unique(phi).size != g1.order:
+        return None
+    return phi

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pgv.cohomology as cohomology_module
 from pgv.cohomology import (
     Cochain,
     CohomologyError,
@@ -14,6 +15,7 @@ from pgv.cohomology import (
     cocycle_seed,
     cohomology,
     conjugation_derivation,
+    conjugation_h1,
     derivation_to_automorphism,
     inflate,
     inflate_module,
@@ -541,3 +543,25 @@ def test_conjugation_bridge_matches_tuple_reference_on_sweep_configs():
                 assert list(got) == want, e.name
                 images += 1
     assert configs > 1000 and images > 1000
+
+
+def test_conjugation_h1_is_built_once_per_pair(monkeypatch):
+    built = []
+    real = cohomology_module.module_from_conjugation
+
+    def counted(g, n1, w):
+        built.append((n1.key(), w.key()))
+        return real(g, n1, w)
+
+    monkeypatch.setattr(cohomology_module, "module_from_conjugation", counted)
+    g = from_pc_presentation(pres_d8())  # a fresh table: nothing cached yet
+    klein = subgroup_closure(g, [1, 4])  # <g3, g1>
+    rotations = subgroup_closure(g, [2])  # <g2>, cyclic of order 4
+    first = conjugation_h1(g, klein, klein)
+    assert first is not None and (first[1].z_dim, first[1].h_dim) == (1, 0)  # regular F_2[C_2]
+    # Equal subgroups built afresh hit the same entry, and a refusal (W not
+    # elementary abelian) is cached like any other result.
+    assert conjugation_h1(g, Subgroup(g, klein.members), Subgroup(g, klein.members)) is first
+    assert conjugation_h1(g, klein, rotations) is None
+    assert conjugation_h1(g, klein, rotations) is None
+    assert built == [(klein.key(), klein.key()), (klein.key(), rotations.key())]

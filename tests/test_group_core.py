@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,26 @@ from pgv.group_core import (
     subgroup_center,
     subgroup_closure,
     trivial_group,
+    _abelian_isomorphism,
     _element_signature,
+    abelian_cyclic_basis,
 )
-from pgv.catalog import builtin_catalog, find_entry, load_catalog
+from pgv.catalog import PRODUCT_CAP, _product_entries, builtin_catalog, find_entry, load_catalog, table_to_presentation
+from pgv.cohomology import cohomology
+from pgv.gmodule import trivial_module
 from pgv.presentations import PcPresentation, PresentationError, parse_presentations
-from tests.groups import pres_d8, pres_d16, pres_heis27
+from tests.groups import (
+    abelian_cyclic_basis_by_loops,
+    abelian_isomorphism_by_loops,
+    associative_by_every_element,
+    collected_right_by_gen,
+    octonion_loop,
+    pres_d8,
+    pres_d16,
+    pres_heis27,
+    shipped_presentations,
+    table_from_right_by_gen,
+)
 
 
 def pres_c4():
@@ -80,6 +96,136 @@ def test_inconsistent_presentation_rejected():
     )
     with pytest.raises(InconsistentPresentation):
         from_pc_presentation(bad)
+
+
+def test_inconsistent_power_relation_rejected():
+    # [g2, g1] = g3 as in He27, but g1^3 = g2 cannot commute with g1.  With
+    # g1^3 = g3 instead, the same relations present a group of order 27.
+    def pres(pow1):
+        return PcPresentation(3, 3, "bad", {1: pow1, 2: [], 3: []}, {(2, 1): [3]})
+
+    assert from_pc_presentation(pres([3])).order == 27
+    with pytest.raises(InconsistentPresentation):
+        from_pc_presentation(pres([2]))
+
+
+def test_array_construction_matches_collection_on_every_shipped_presentation():
+    # x g_k for every x by collecting the whole word, and the table built
+    # from those columns, against the table from the tail subgroups.
+    presentations = shipped_presentations()
+    assert len(presentations) == 94
+    for pres in presentations:
+        g = from_pc_presentation(pres)
+        right_by_gen = collected_right_by_gen(pres)
+        gens = [pres.p ** (pres.ngens - k) for k in range(1, pres.ngens + 1)]
+        assert np.array_equal(g.mul[:, gens].T, right_by_gen), pres.name
+        assert np.array_equal(g.mul, table_from_right_by_gen(right_by_gen, pres.p)), pres.name
+
+
+def test_order_1024_presentation_is_built_in_bounded_memory():
+    # D32 x D32 at the default order cap: its table is 8 MiB, and building
+    # and validating it (exact associativity included) stays below 64 MiB
+    # traced.  A check of 10 n^2 random triples would hold 240 MiB of
+    # indices alone.
+    d32 = find_entry("D32").group()
+    pres = table_to_presentation(direct_product_tables(d32, d32), "D32xD32")
+    tracemalloc.start()
+    try:
+        g = from_pc_presentation(pres)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 1024 and center(g).order == 4
+    assert peak < 64 << 20, peak
+
+
+def _accepts(p, mul):
+    """Does GroupTable validation accept the table?  On a loop (rows and
+    columns permutations, 0 the identity) only associativity can fail."""
+    try:
+        GroupTable(p, mul)
+    except GroupError as e:
+        assert str(e).startswith("associativity fails"), e
+        return False
+    return True
+
+
+def test_associativity_test_agrees_with_every_element_on_tables_and_quotients():
+    quotients = 0
+    for e in builtin_catalog():
+        g = e.group()
+        assert _accepts(g.p, g.mul) and associative_by_every_element(g.mul), e.name
+        if e.order <= 32:
+            for n in normal_subgroups(g):
+                q, _ = quotient(g, n)
+                assert _accepts(q.p, q.mul) and associative_by_every_element(q.mul), e.name
+                quotients += 1
+    assert quotients == 1488
+
+
+def _twisted_loop(g, f):
+    """G x C_p with (x, a)(y, b) = (xy, a + b + f(x, y)) at index p x + a: a
+    loop for f vanishing at the identity, associative exactly when f is a
+    2-cocycle.  Index 1 is (1, 1), central and in the nucleus."""
+    x, a = np.divmod(np.arange(g.order * g.p), g.p)
+    return g.mul[np.ix_(x, x)] * g.p + (a[:, None] + a[None, :] + f[np.ix_(x, x)]) % g.p
+
+
+def test_associativity_test_agrees_with_every_element_on_twisted_loops():
+    rng = np.random.default_rng(0)
+    seen = {True: 0, False: 0}
+    for e in builtin_catalog():
+        if e.order > 16:
+            continue
+        g = e.group()
+        random_f = rng.integers(0, g.p, size=(g.order, g.order))
+        random_f[0, :] = random_f[:, 0] = 0
+        cocycles = [rep.table[:, :, 0] for rep in cohomology(g, trivial_module(g, 1), 2).h_reps]
+        for f in [random_f] + cocycles:
+            loop = _twisted_loop(g, f)
+            verdict = _accepts(g.p, loop)
+            assert verdict == associative_by_every_element(loop), e.name
+            seen[verdict] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_nonassociative_octonion_loops_are_rejected():
+    oct16 = octonion_loop()
+    assert not associative_by_every_element(oct16)
+    assert not _accepts(2, oct16)
+    # At the default order cap.
+    big = direct_product_tables(GroupTable(2, oct16, check=False), cyclic_group(2, 64))
+    assert big.order == 1024
+    assert not _accepts(2, big.mul)
+
+
+def test_element_orders_match_the_per_element_loop():
+    for e in builtin_catalog():
+        g = e.group()
+        assert g.element_orders().tolist() == [g.element_order(x) for x in range(g.order)], e.name
+
+
+def test_array_abelian_bases_and_maps_match_the_loops():
+    # Every abelian catalog table and every abelian product table that
+    # deduplication drops; maps between every pair of the same order.
+    catalog = builtin_catalog()
+    names = {e.name for e in catalog}
+    dropped = [
+        e for e in _product_entries([e for e in catalog if e.presentation is not None], PRODUCT_CAP)
+        if e.name not in names
+    ]
+    tables = [e.group() for e in list(catalog) + dropped if e.group().is_abelian()]
+    assert len(dropped) > 0
+    for g in tables:
+        assert abelian_cyclic_basis(g) == abelian_cyclic_basis_by_loops(g), g.name
+    maps = 0
+    for g1, g2 in itertools.product(tables, repeat=2):
+        if g1.order == g2.order and g1.order <= 64:
+            got, want = _abelian_isomorphism(g1, g2), abelian_isomorphism_by_loops(g1, g2)
+            assert (got is None) == (want is None), (g1.name, g2.name)
+            assert got is None or np.array_equal(got, want), (g1.name, g2.name)
+            maps += got is not None
+    assert maps > 0
 
 
 def test_heisenberg27():
