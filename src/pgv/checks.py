@@ -85,10 +85,11 @@ from .gmodule import (
     tuple_product_matrix,
 )
 from .noninner import (
+    BRUTE_FORCE_LIMIT,
     Certificate,
     SpecialReport,
-    brute_force_order_p_noninner,
     engine_sweep,
+    exhaustive_noninner,
     excess_h1_probe,
     find_special_subgroups,
     subgroup_rank,
@@ -1635,10 +1636,9 @@ def check_cor18(inst):
         details["verified"] = ok
         if not ok:
             return False, details
-    bf = brute_force_order_p_noninner(g)
-    if bf.supported:
-        details["brute_force_found"] = bf.automorphism is not None
-        if (bf.automorphism is not None) != (cert is not None):
+    if g.order <= BRUTE_FORCE_LIMIT:
+        details["brute_force_found"] = exhaustive_noninner(g) is not None
+        if details["brute_force_found"] != (cert is not None):
             return False, details
     return cert is not None, details
 

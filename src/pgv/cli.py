@@ -41,6 +41,7 @@ from .group_core import (
 )
 from .gmodule import ModuleError, module_from_conjugation, trivial_module
 from .noninner import (
+    BRUTE_FORCE_LIMIT,
     Certificate,
     Diagnostic,
     NoninnerError,
@@ -257,7 +258,13 @@ def cmd_find_noninner(args) -> int:
             + ("exists" if cross is not None else "not found either")
         )
         return 0
-    print("no non-inner automorphism of order p found")
+    if g.order <= BRUTE_FORCE_LIMIT:
+        print("no non-inner automorphism of order p exists (exhaustive search over Aut(G))")
+    else:
+        print(
+            "no non-inner automorphism of order p found; the search is exhaustive "
+            f"only up to order {BRUTE_FORCE_LIMIT}, so one may still exist"
+        )
     return 0
 
 

@@ -380,12 +380,16 @@ def from_pc_presentation(
 class Subgroup:
     """Subset of a GroupTable closed under multiplication and inverse."""
 
-    def __init__(self, parent: GroupTable, members: Iterable[int], check: bool = True):
+    def __init__(self, parent: GroupTable, members: Sequence[int], check: bool = True):
         self.parent = parent
-        mem = np.array(sorted(set(int(m) for m in members)), dtype=np.int64)
-        self.members = mem
+        idx = np.asarray(members, dtype=np.int64)
+        if check and idx.size and idx.min() < 0:
+            raise GroupError("subgroup members must be element indices")
         self.bitmap = np.zeros(parent.order, dtype=bool)
-        self.bitmap[mem] = True
+        self.bitmap[idx] = True
+        # flatnonzero returns a view of an (n, 1) buffer; the copy keeps that
+        # second array object out of every cached subgroup.
+        mem = self.members = np.flatnonzero(self.bitmap).copy()
         self._normal: Optional[bool] = None
         if check:
             if mem.size == 0 or mem[0] != 0:
@@ -525,12 +529,10 @@ def frattini(g: GroupTable) -> Subgroup:
 
 @dataclass
 class ISet:
-    """The set {a in A : a^p in Z(G)}; promoted to a subgroup only if closed."""
+    """The set {a in A : a^p in Z(G)}; ``is_subgroup`` says whether it is closed."""
 
-    parent: GroupTable
     members: np.ndarray
     is_subgroup: bool
-    subgroup: Optional[Subgroup]
 
     @property
     def size(self) -> int:
@@ -545,7 +547,7 @@ def iset(g: GroupTable, a: Subgroup) -> ISet:
     bitmap = np.zeros(g.order, dtype=bool)
     bitmap[members] = True
     closed = bool(bitmap[sub].all()) and members.size > 0 and members[0] == 0
-    return ISet(g, members, closed, Subgroup(g, members, check=False) if closed else None)
+    return ISet(members, closed)
 
 
 def all_subgroups(g: GroupTable, max_order: int = 128) -> List[Subgroup]:

@@ -470,63 +470,41 @@ def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     # Derivations valued in elementary abelian subgroups cannot reach every
     # group (the bottom extraspecial cases need cyclic value groups), so the
     # sweep closes with the exhaustive oracle where it is affordable.
-    return _brute_force_certificate(
-        g,
-        "brute_force",
-        "exhaustive automorphism enumeration ({maps} maps)",
-        "first non-inner automorphism of order p selected",
+    f = exhaustive_noninner(g)
+    if f is None:
+        return None
+    maps = sum(1 for _ in iter_isomorphisms(g, g))
+    return Certificate(
+        g.fingerprint(),
+        g.p,
+        g.order,
+        [int(x) for x in f.image_of],
+        {"mode": "search", "lemma_tag": "brute_force"},
+        [
+            f"exhaustive automorphism enumeration ({maps} maps)",
+            "first non-inner automorphism of order p selected",
+        ],
     )
 
 
-# -- brute force oracle -----------------------------------------------------------
+# -- exhaustive oracle ------------------------------------------------------------
 
 
 BRUTE_FORCE_LIMIT = 16
 
 
-@dataclass
-class BruteForceResult:
-    supported: bool
-    automorphism: Optional[GroupMap]
-    aut_order: Optional[int] = None
-
-
-def all_automorphisms(g: GroupTable) -> List[np.ndarray]:
-    """Every automorphism, in the order the isomorphism search yields them."""
-    return list(iter_isomorphisms(g, g))
-
-
-def _brute_force_certificate(g: GroupTable, tag: str, *transcript: str) -> Optional[Certificate]:
-    """The exhaustive oracle's map as a search certificate, or None when the
-    oracle finds none or the group is past ``BRUTE_FORCE_LIMIT``; ``{maps}``
-    in a transcript line is the number of automorphisms enumerated."""
-    bf = brute_force_order_p_noninner(g)
-    if bf.automorphism is None:
-        return None
-    return Certificate(
-        g.fingerprint(),
-        g.p,
-        g.order,
-        [int(x) for x in bf.automorphism.image_of],
-        {"mode": "search", "lemma_tag": tag},
-        [line.format(maps=bf.aut_order) for line in transcript],
-    )
-
-
-def brute_force_order_p_noninner(g: GroupTable) -> BruteForceResult:
-    """Exhaustive automorphism search for a non-inner map of order p."""
+def exhaustive_noninner(g: GroupTable) -> Optional[GroupMap]:
+    """The first non-inner automorphism of order p in the order
+    ``iter_isomorphisms(g, g)`` yields them, or None.  The walk is lazy and
+    stops at the first hit; None proves that no such map exists only when
+    ``g.order <= BRUTE_FORCE_LIMIT``, since larger groups are not searched."""
     if g.order > BRUTE_FORCE_LIMIT:
-        return BruteForceResult(False, None)
-    autos = all_automorphisms(g)
-    found = None
-    for phi in autos:
+        return None
+    for phi in iter_isomorphisms(g, g):
         f = GroupMap(g, g, phi, check=False)
-        if map_order(f) != g.p:
-            continue
-        if is_inner(g, f) is None:
-            found = f
-            break
-    return BruteForceResult(True, found, aut_order=len(autos))
+        if map_order(f) == g.p and is_inner(g, f) is None:
+            return f
+    return None
 
 
 # -- the excess-H1 probe ----------------------------------------------------------
@@ -644,11 +622,19 @@ def descent(g: GroupTable) -> "Certificate | Diagnostic":
 def find_noninner(g: GroupTable, mode: str = "search") -> "Certificate | Diagnostic | None":
     """Front door used by the CLI: 'search' or 'paper' mode."""
     if mode == "search":
-        if g.is_abelian():
-            return _brute_force_certificate(
-                g, "brute_force_abelian", "found by exhaustive automorphism enumeration"
-            )
-        return engine_sweep(g)
+        if not g.is_abelian():
+            return engine_sweep(g)
+        f = exhaustive_noninner(g)
+        if f is None:
+            return None
+        return Certificate(
+            g.fingerprint(),
+            g.p,
+            g.order,
+            [int(x) for x in f.image_of],
+            {"mode": "search", "lemma_tag": "brute_force_abelian"},
+            ["found by exhaustive automorphism enumeration"],
+        )
     if mode == "paper":
         return descent(g)
     raise NoninnerError(f"unknown mode {mode!r}")

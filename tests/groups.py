@@ -13,7 +13,18 @@ import numpy as np
 from pgv.catalog import _base_entries, builtin_catalog
 from pgv.cohomology import cohomology
 from pgv.gmodule import fixed_points, module_from_conjugation, restrict_action, trivial_module
-from pgv.group_core import GroupError, Subgroup, centralizer, normal_subgroups, subgroup_closure
+from pgv.group_core import (
+    GroupError,
+    GroupMap,
+    Subgroup,
+    centralizer,
+    is_inner,
+    iter_isomorphisms,
+    map_order,
+    normal_subgroups,
+    subgroup_closure,
+)
+from pgv.noninner import BRUTE_FORCE_LIMIT
 from pgv.presentations import PcPresentation, parse_presentations
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -201,3 +212,19 @@ def abelian_isomorphism_by_loops(g1, g2):
     if np.any(phi < 0) or np.unique(phi).size != g1.order:
         return None
     return phi
+
+
+# -- oracle for the exhaustive non-inner search: the list-then-scan form that
+#    ``noninner.exhaustive_noninner`` replaced with a lazy walk -------------------
+
+
+def listed_noninner(g):
+    """Every automorphism listed first, then the list scanned for the first
+    non-inner map of order p; None past ``BRUTE_FORCE_LIMIT``."""
+    if g.order > BRUTE_FORCE_LIMIT:
+        return None
+    for phi in list(iter_isomorphisms(g, g)):
+        f = GroupMap(g, g, phi, check=False)
+        if map_order(f) == g.p and is_inner(g, f) is None:
+            return f
+    return None

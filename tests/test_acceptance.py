@@ -34,8 +34,9 @@ from pgv.gmodule import (
 )
 from pgv.group_core import cyclic_group, direct_product_tables, from_pc_presentation
 from pgv.noninner import (
-    brute_force_order_p_noninner,
+    BRUTE_FORCE_LIMIT,
     engine_sweep,
+    exhaustive_noninner,
     find_noninner,
     verify_certificate,
 )
@@ -81,9 +82,8 @@ def test_criterion_2_oracle_agreement(catalog):
             continue
         g = e.group()
         sweep = engine_sweep(g)
-        oracle = brute_force_order_p_noninner(g)
-        assert oracle.supported
-        assert (sweep is not None) == (oracle.automorphism is not None), e.name
+        assert g.order <= BRUTE_FORCE_LIMIT
+        assert (sweep is not None) == (exhaustive_noninner(g) is not None), e.name
         # The existence theorem at this scale: both must find one.
         assert sweep is not None, f"counterexample artifact: {e.name}"
         checked += 1

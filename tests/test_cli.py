@@ -220,6 +220,23 @@ def test_find_and_verify_roundtrip(tmp_path, capsys):
     assert set(payload) == {"fingerprint", "p", "order", "map", "provenance", "transcript"}
 
 
+@pytest.mark.parametrize(
+    "group, line",
+    [
+        ("C2", "no non-inner automorphism of order p exists (exhaustive search over Aut(G))"),
+        (
+            "C2xC2xC2xC2xC2",
+            "no non-inner automorphism of order p found; the search is exhaustive "
+            "only up to order 16, so one may still exist",
+        ),
+    ],
+)
+def test_find_noninner_says_whether_none_is_proved(group, line, capsys):
+    # Up to the search's order limit "none" is a proof; past it, only a miss.
+    assert main(["find-noninner", "--group", group]) == 0
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
 def test_verify_wrong_group_is_infra_error(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(["find-noninner", "--group", "M16", "--out", str(cert)])

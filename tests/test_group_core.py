@@ -291,6 +291,15 @@ def test_iset_d8_everything():
     assert s.is_subgroup
 
 
+def test_subgroup_members_sorted_unique_and_never_negative():
+    g = cyclic_group(2, 2)
+    assert Subgroup(g, [1, 0, 1, 0]).members.tolist() == [0, 1]
+    assert Subgroup(g, np.array([1, 0])).members.dtype == np.int64
+    # -1 would index the last element, and {0, 1} is a subgroup of C2.
+    with pytest.raises(GroupError):
+        Subgroup(g, [0, -1])
+
+
 def test_omega1_q8():
     g = from_pc_presentation(pres_q8())
     full = Subgroup(g, np.arange(8), check=False)

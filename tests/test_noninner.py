@@ -18,6 +18,7 @@ from pgv.group_core import (
     frattini,
     from_pc_presentation,
     is_inner,
+    iter_isomorphisms,
     map_order,
     normal_subgroups,
     omega1,
@@ -25,22 +26,21 @@ from pgv.group_core import (
     subgroup_center,
 )
 from pgv.noninner import (
-    BruteForceResult,
+    BRUTE_FORCE_LIMIT,
     Certificate,
     Diagnostic,
     NoninnerError,
     _sweep_configs,
-    all_automorphisms,
-    brute_force_order_p_noninner,
     descent,
     engine_sweep,
     excess_h1_probe,
+    exhaustive_noninner,
     find_noninner,
     find_special_subgroups,
     subgroup_rank,
     verify_certificate,
 )
-from tests.groups import pres_d8
+from tests.groups import listed_noninner, pres_d8
 
 
 @pytest.fixture(scope="module")
@@ -89,22 +89,36 @@ def test_special_scan_small_catalog(catalog):
 def test_aut_counts_small():
     # |Aut(C_p x C_p)| = |GL_2(p)| = (p^2 - 1)(p^2 - p).
     for name, order in (("D8", 8), ("Q8", 24), ("C2xC2", 6), ("C3xC3", 48)):
-        assert len(all_automorphisms(find_entry(name).group())) == order, name
+        g = find_entry(name).group()
+        assert sum(1 for _ in iter_isomorphisms(g, g)) == order, name
 
 
 def test_brute_force_examples(catalog):
-    c4 = cyclic_group(2, 4)
-    bf = brute_force_order_p_noninner(c4)
-    assert bf.supported and bf.automorphism is not None  # x -> x^3
-    assert map_order(bf.automorphism) == 2
+    f = exhaustive_noninner(cyclic_group(2, 4))
+    assert f is not None and list(f.image_of) == [0, 3, 2, 1]  # x -> x^3
+    assert map_order(f) == 2
 
     for name in ("D8", "Q8"):
-        g = find_entry(name, catalog).group()
-        bf = brute_force_order_p_noninner(g)
-        assert bf.supported and bf.automorphism is not None
+        assert exhaustive_noninner(find_entry(name, catalog).group()) is not None
 
     big = find_entry("D32", catalog).group()
-    assert not brute_force_order_p_noninner(big).supported
+    assert big.order > BRUTE_FORCE_LIMIT and exhaustive_noninner(big) is None
+
+
+def test_lazy_walk_matches_listed_oracle(catalog):
+    # The lazy walk picks the map the list-then-scan form picks, or neither
+    # finds one, on every catalog group the search covers.
+    checked = 0
+    for e in catalog:
+        if e.order > BRUTE_FORCE_LIMIT:
+            continue
+        g = e.group()
+        got, want = exhaustive_noninner(g), listed_noninner(g)
+        assert (got is None) == (want is None), e.name
+        if got is not None:
+            assert np.array_equal(got.image_of, want.image_of), e.name
+        checked += 1
+    assert checked == 27
 
 
 def test_engine_sweep_d8_q8(catalog):
@@ -123,8 +137,7 @@ def test_engine_matches_brute_force_up_to_16(catalog):
             continue
         g = e.group()
         cert = engine_sweep(g)
-        bf = brute_force_order_p_noninner(g)
-        assert (cert is not None) == (bf.automorphism is not None), e.name
+        assert (cert is not None) == (exhaustive_noninner(g) is not None), e.name
         assert cert is not None  # the existence theorem at this scale
 
 
@@ -180,17 +193,16 @@ def test_sweep_configs_match_pairwise_reference(catalog):
 def test_search_certificates_are_pinned(catalog):
     # The bytes of every search certificate up to order 16, pinned, so that
     # a refactor of the generating sets or searches behind them cannot move
-    # a certificate unnoticed.  C2xC2xC2xC2 is left out: its brute force
-    # alone takes seconds.
+    # a certificate unnoticed.
     lines = []
     for e in catalog:
-        if e.order > 16 or e.name == "C2xC2xC2xC2":
+        if e.order > 16:
             continue
         r = find_noninner(e.group(), "search")
         lines.append(f"{e.name}:{'none' if r is None else r.to_json().strip()}")
-    assert len(lines) == 26
+    assert len(lines) == 27
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "7be981a6bd8dfd15677479e85435e475a554988792aff2ebb5eb77f619fe0a28"
+    assert digest == "338530fdc0ebe0dcf611d512d821cd5d20cd6652dfe07c88ce3f6e300987865e"
 
 
 def test_certificate_roundtrip_and_tamper(catalog):
