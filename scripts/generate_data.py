@@ -1,4 +1,5 @@
-"""Regenerate the presentation data files from central extensions.
+"""Regenerate the data files: two presentation files from central
+extensions, and the catalog ledger from the deduplication of the catalog.
 
 src/pgv/data/order81.pres: every group of order 3^4 is a central extension
 of a group of order 3^3 by C_3, so every second-cohomology class over the
@@ -11,6 +12,14 @@ coefficients COEFFS over the representatives of cohomology(K4sC4,
 trivial:1, 2).  tests/test_special_fixture.py rebuilds them with
 `extension` and checks each file entry against it up to isomorphism.
 
+src/pgv/data/catalog.ledger: `catalog.dedupe_candidates` builds every
+candidate entry of the built-in catalog (the base entries, order81.pres
+included, and the direct products of the kept ones) and deduplicates them up
+to isomorphism with `catalog._dedupe`.  The ledger lists every candidate
+as kept, with its merged tags, or dropped; `builtin_catalog` reads it
+instead of deduplicating.  It is written after order81.pres and before
+special32.pres, whose base group comes from the catalog.
+
     python scripts/generate_data.py
 """
 
@@ -22,7 +31,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from pgv.catalog import abelian_presentation, find_entry, order27_list, table_to_presentation
+from pgv.catalog import (
+    LEDGER,
+    abelian_presentation,
+    dedupe_candidates,
+    find_entry,
+    order27_list,
+    render_ledger,
+    table_to_presentation,
+)
 from pgv.cohomology import Cochain, cohomology
 from pgv.extensions import build_extension
 from pgv.group_core import _group_invariants, abelian_cyclic_basis, find_isomorphism, from_pc_presentation
@@ -87,15 +104,23 @@ def order81_entries():
     return entries
 
 
+def write_ledger(path):
+    candidates, kept = dedupe_candidates()
+    path.write_text(render_ledger(candidates, kept), encoding="utf-8")
+    print(f"wrote {path} with {len(kept)} of {len(candidates)} candidates kept")
+
+
 def main():
+    data = ROOT / "src" / "pgv" / "data"
     write(
-        ROOT / "src" / "pgv" / "data" / "order81.pres",
+        data / "order81.pres",
         [
             "The 15 groups of order 81, generated as central extensions of the",
             "order-27 groups and deduplicated up to isomorphism.",
         ],
         order81_entries(),
     )
+    write_ledger(data / LEDGER)
     write(
         ROOT / "tests" / "data" / "special32.pres",
         [

@@ -5,7 +5,10 @@ the dihedral / quaternion / semidihedral / modular 2-group families, the
 modular p-groups and both extraspecial groups of order p^3 for small odd p,
 the full order-16 and order-81 classifications (data files), and pairwise
 direct products up to a product cap.  Entries of the same order are
-deduplicated up to isomorphism at load time.
+deduplicated up to isomorphism by `_dedupe`, once, in
+scripts/generate_data.py, which records the outcome in the data file
+`catalog.ledger`.  `builtin_catalog` reads that ledger and builds no table;
+an entry builds its table on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .group_core import (
 from .presentations import PcPresentation, parse_presentations
 
 PRODUCT_CAP = 64  # direct products of catalog groups are listed up to this order
+LEDGER = "catalog.ledger"  # the outcome of `_dedupe`, written by scripts/generate_data.py
 
 
 class CatalogError(ValueError):
@@ -390,12 +394,99 @@ def _dedupe(entries: List[CatalogEntry], order_cap: int) -> List[CatalogEntry]:
     return kept
 
 
+def _catalog_key(e: CatalogEntry) -> Tuple[int, int, str]:
+    return (e.order, e.priority, e.name)
+
+
+def dedupe_candidates(order_cap: int = DEFAULT_ORDER_CAP) -> Tuple[List[CatalogEntry], List[CatalogEntry]]:
+    """Every candidate entry and the ones deduplication up to isomorphism
+    keeps, both in catalog order (a stable sort of the order generated).
+    Builds every table: scripts/generate_data.py runs it to write the
+    ledger, and the tests run it to check the ledger."""
+    bases = _base_entries(order_cap)
+    kept_bases = _dedupe(list(bases), order_cap)
+    products = _product_entries(kept_bases, min(PRODUCT_CAP, order_cap))
+    kept = _dedupe(kept_bases + products, order_cap)
+    return sorted(bases + products, key=_catalog_key), sorted(kept, key=_catalog_key)
+
+
+def render_ledger(candidates: Sequence[CatalogEntry], kept: Sequence[CatalogEntry]) -> str:
+    """The text of catalog.ledger: one line per candidate, in the order
+    given, either `kept ORDER PRIORITY NAME TAGS` (TAGS comma-separated)
+    or `dropped ORDER PRIORITY NAME`."""
+    kept_ids = {id(e) for e in kept}
+    lines = [
+        "# The built-in catalog's candidate entries deduplicated up to isomorphism",
+        "# (catalog.dedupe_candidates), one line per candidate in catalog order:",
+        "#   kept ORDER PRIORITY NAME TAGS   the entry stays, with these merged tags",
+        "#   dropped ORDER PRIORITY NAME     it is isomorphic to a kept entry",
+        "# builtin_catalog() reads this file instead of deduplicating.",
+        "# Regenerate with: python scripts/generate_data.py",
+        "",
+    ]
+    for e in candidates:
+        head = f"{e.order} {e.priority} {e.name}"
+        lines.append(f"kept {head} {','.join(e.tags)}" if id(e) in kept_ids else f"dropped {head}")
+    return "\n".join(lines) + "\n"
+
+
+class _LedgerLine(NamedTuple):
+    order: int
+    priority: int
+    name: str
+    tags: Optional[Tuple[str, ...]]  # None for a dropped candidate
+
+
+def _read_ledger() -> List[_LedgerLine]:
+    """The lines of catalog.ledger, as `render_ledger` writes them."""
+    out = []
+    for n, text in enumerate(_data_text(LEDGER).splitlines(), start=1):
+        if not text.strip() or text.startswith("#"):
+            continue
+        verdict, *fields = text.split()
+        try:
+            order, priority, name, *tags = fields
+            if len(tags) != {"kept": 1, "dropped": 0}.get(verdict):
+                raise ValueError
+            out.append(_LedgerLine(int(order), int(priority), name, tuple(tags[0].split(",")) if tags else None))
+        except ValueError:
+            raise CatalogError(f"{LEDGER} line {n} is malformed: {text!r}") from None
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def builtin_catalog(order_cap: int = DEFAULT_ORDER_CAP) -> Tuple[CatalogEntry, ...]:
-    bases = _dedupe(_base_entries(order_cap), order_cap)
-    products = _product_entries(bases, min(PRODUCT_CAP, order_cap))
-    entries = _dedupe(bases + products, order_cap)
-    entries.sort(key=lambda e: (e.order, e.priority, e.name))
+    """The candidates the ledger keeps, in its order and with its merged
+    tags.  Builds no table: each entry builds its own on first use.
+
+    A line names a candidate by name and priority.  Two products can share
+    both (C2xC2xC2xC2 from C2 and C2xC2xC2, and from C2xC2 twice); the
+    ledger lists such candidates in the order they are generated, and
+    they take their lines in that order."""
+    ledger = [line for line in _read_ledger() if line.order <= order_cap]
+    kept = {(line.name, line.priority) for line in ledger if line.tags is not None}
+    bases = _base_entries(order_cap)
+    kept_bases = sorted((e for e in bases if (e.name, e.priority) in kept), key=_catalog_key)
+    candidates: Dict[Tuple[str, int], List[CatalogEntry]] = {}
+    for e in bases + _product_entries(kept_bases, min(PRODUCT_CAP, order_cap)):
+        candidates.setdefault((e.name, e.priority), []).append(e)
+    entries = []
+    for line in ledger:
+        same = candidates.get((line.name, line.priority))
+        if not same or same[0].order != line.order:
+            raise CatalogError(
+                f"{LEDGER} lists {line.name} (priority {line.priority}, order {line.order}), "
+                f"which is no catalog candidate: run scripts/generate_data.py"
+            )
+        e = same.pop(0)
+        if line.tags is not None:
+            e.tags = line.tags
+            entries.append(e)
+    for (name, priority), left in candidates.items():
+        if left:
+            raise CatalogError(
+                f"catalog candidate {name} (priority {priority}) is missing from {LEDGER}: run scripts/generate_data.py"
+            )
     return tuple(entries)
 
 

@@ -962,7 +962,7 @@ def find_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]:
         # ``iter_isomorphisms`` would find one too, but the catalog's
         # deduplication compares many abelian groups with equal invariants,
         # and backtracking over their every-pc-generator sequences made
-        # ``builtin_catalog()`` take 95 s instead of 1.2 s on a 2-vCPU host
+        # ``catalog._dedupe`` take 95 s instead of 1.2 s on a 2-vCPU host
         # (1.59M ``_partial_hom_image`` calls instead of 850).
         return _abelian_isomorphism(g1, g2)
     return next(iter_isomorphisms(g1, g2), None)

@@ -1,13 +1,20 @@
+import fnmatch
 import hashlib
 import itertools
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pgv import catalog as catalog_module
+from pgv import group_core
 from pgv.catalog import (
+    LEDGER,
     CatalogError,
     builtin_catalog,
+    dedupe_candidates,
     dihedral,
     find_entry,
     heisenberg,
@@ -15,12 +22,14 @@ from pgv.catalog import (
     modular_odd,
     order8_list,
     quaternion,
+    render_ledger,
     semidihedral,
     table_to_presentation,
 )
 from pgv.cohomology import Cochain, cohomology
 from pgv.extensions import build_extension
 from pgv.group_core import (
+    DEFAULT_ORDER_CAP,
     _group_invariants,
     center,
     find_isomorphism,
@@ -30,7 +39,8 @@ from pgv.group_core import (
 from pgv.gmodule import trivial_module
 from pgv.presentations import PresentationError, render_presentation
 
-FIXTURE = Path(__file__).resolve().parent / "data" / "special32.pres"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "tests" / "data" / "special32.pres"
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +138,71 @@ def test_missing_data_file_is_an_error(monkeypatch):
     monkeypatch.setattr(catalog_module, "_data_text", missing)
     with pytest.raises(FileNotFoundError):
         catalog_module._base_entries(64)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_ORDER_CAP, 8, 16, 64])
+def test_ledger_matches_a_fresh_dedupe(cap):
+    # The uncached loader, so that each cap reads the ledger afresh.
+    loaded = builtin_catalog.__wrapped__(cap)
+    candidates, kept = dedupe_candidates(cap)
+    if cap == DEFAULT_ORDER_CAP:
+        assert render_ledger(candidates, kept) == catalog_module._data_text(LEDGER)
+    summary = lambda entries: [(e.name, e.priority, e.order, e.tags) for e in entries]  # noqa: E731
+    assert summary(loaded) == summary(kept)
+    assert [e.group().fingerprint() for e in loaded] == [e.group().fingerprint() for e in kept]
+
+
+def test_builtin_catalog_builds_no_table(monkeypatch):
+    calls = []
+    for module in (catalog_module, group_core):
+        for name in ("from_pc_presentation", "direct_product_tables", "find_isomorphism", "_group_invariants"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    entries = builtin_catalog.__wrapped__()
+    assert calls == []
+    assert len(entries) == 119
+    assert all(e._table is None for e in entries)
+    assert {id(f) for e in entries for f in e.factors} <= {id(e) for e in entries}  # factors are kept entries
+
+
+def _ledger_lines_without(prefix):
+    """The ledger with its first line that starts with prefix left out."""
+    lines = catalog_module._data_text(LEDGER).splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    return "".join(lines[:i] + lines[i + 1 :])
+
+
+def test_stale_ledger_is_a_catalog_error(monkeypatch):
+    real = catalog_module._data_text
+    text = real(LEDGER)
+    stale = [
+        (text + "kept 16 1 Q8xC2 quaternion\n", r"lists Q8xC2 \(priority 1, order 16\), which is no catalog candidate"),
+        (text.replace("kept 8 1 D8 ", "kept 16 1 D8 "), r"lists D8 \(priority 1, order 16\)"),
+        # Without D8 kept, no product has D8 as a factor.
+        (_ledger_lines_without("kept 8 1 D8 "), r"lists C2xD8 \(priority 2, order 16\), which is no catalog candidate"),
+        (_ledger_lines_without("kept 64 1 D64 "), r"candidate D64 \(priority 1\) is missing"),
+        # Two products share this name and priority: each needs its own line.
+        (_ledger_lines_without("dropped 16 2 C2xC2xC2xC2"), r"candidate C2xC2xC2xC2 \(priority 2\) is missing"),
+    ]
+    for ledger, message in stale:
+        monkeypatch.setattr(catalog_module, "_data_text", lambda f, t=ledger: t if f == LEDGER else real(f))
+        with pytest.raises(CatalogError, match=message + ".*run scripts/generate_data.py"):
+            builtin_catalog.__wrapped__()
+    for bad in ("kept 8 1 D8", "dropped 8 1 D8 dihedral", "kept x 1 D8 dihedral", "keep 8 1 D8 dihedral"):
+        monkeypatch.setattr(catalog_module, "_data_text", lambda f, t=text + bad: t if f == LEDGER else real(f))
+        with pytest.raises(CatalogError, match="is malformed"):
+            builtin_catalog.__wrapped__()
+
+
+def test_package_data_ships_every_data_file():
+    # Parsed by hand: tomllib is not in Python 3.10.
+    section = (ROOT / "pyproject.toml").read_text().split("[tool.setuptools.package-data]")[1]
+    patterns = json.loads(re.search(r"^pgv\s*=\s*(\[[^\]]*\])", section, re.M).group(1))
+    package = ROOT / "src" / "pgv"
+    files = [f.relative_to(package).as_posix() for f in (package / "data").rglob("*") if f.is_file()]
+    assert f"data/{LEDGER}" in files
+    for f in files:
+        assert any(fnmatch.fnmatchcase(f, pattern) and f.count("/") == pattern.count("/") for pattern in patterns), f
 
 
 def test_products_present_and_deduped(catalog):
