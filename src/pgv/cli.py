@@ -8,6 +8,7 @@ never change the exit status.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -311,7 +312,9 @@ def cmd_check(args) -> int:
     return 2 if report["infra_errors"] else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: building it costs more than a small command."""
     ap = argparse.ArgumentParser(prog="pgv", description="finite p-group verification lab")
     ap.add_argument("--order-cap", default=DEFAULT_ORDER_CAP)
     ap.add_argument("--seed", default=0)

@@ -16,7 +16,7 @@ the canonical section times the kernel norm element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .group_core import (
     GroupMap,
     GroupTable,
     Subgroup,
+    memo,
 )
 from .gmodule import FreeBimodule, GModule, free_submodule_closure
 
@@ -150,6 +151,7 @@ class TransferPair:
     free_base: FreeBimodule
     lambda_basis: np.ndarray  # rows: section(g) * e_{i,l} spanning ker(down)
     lambda1_basis: np.ndarray  # rows: e_{i,l} * section(g)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)  # filled by @memo
 
 
 def _algebra_power_product(
@@ -235,8 +237,10 @@ def kernel_of_down(tp: TransferPair) -> FpSubspace:
     return FpSubspace.from_rows(rows, tp.ext.total.p, tp.down.shape[0])
 
 
+@memo
 def filtration(tp: TransferPair, m: int) -> FpSubspace:
-    """Two-sided submodule generated by the e-vectors with exponent sum >= m."""
+    """Two-sided submodule generated by the e-vectors with exponent sum >= m;
+    each layer is built once per transfer pair."""
     p = tp.ext.total.p
     t = tp.ext.t
     if m <= 0:
@@ -247,8 +251,22 @@ def filtration(tp: TransferPair, m: int) -> FpSubspace:
     return free_submodule_closure(tp.free_total, seeds, "both")
 
 
+# Rows of b per batch of filtration_product: a batch of products is at most
+# PRODUCT_ROWS * dim(a) rows, so the products are never all held at once.
+PRODUCT_ROWS = 8
+
+
 def filtration_product(tp: TransferPair, a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    """Span of pairwise algebra products of two carriers."""
+    """Span of the pairwise algebra products x*y, x in a.basis, y in b.basis.
+
+    The products with a batch of y rows are formed in one pass and folded
+    into the echelon form of the span so far; once the span is the whole
+    module, no product can add to it.
+    """
     fbt = tp.free_total
-    products = [fbt.algebra_product(a.basis, y) for y in b.basis]
-    return FpSubspace.from_rows(np.vstack(products) if products else b.basis, fbt.p, fbt.dim)
+    span = fl.RowSpace(fbt.p, fbt.dim)
+    for s in range(0, b.dim, PRODUCT_ROWS):
+        if span.dim == fbt.dim:
+            break
+        span.add(fbt.algebra_product(a.basis, b.basis[s : s + PRODUCT_ROWS]).reshape(-1, fbt.dim))
+    return span.subspace()

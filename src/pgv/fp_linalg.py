@@ -75,15 +75,19 @@ def _float_exact(inner: int, p: int) -> bool:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p for residue matrices.
+    """(a @ b) % p for residue matrices, or stacks of them as np.matmul takes.
 
-    A product of at least BLAS_MIN multiply-adds runs as a float64 BLAS
-    product when that is exact, i.e. inner * (p - 1)^2 < 2^53.  Smaller ones
-    stay in int64, which numpy multiplies without BLAS, so a run that makes
-    only small products never allocates BLAS's buffers.
+    A product of at least BLAS_MIN multiply-adds, counted over the whole
+    stack, runs as a float64 BLAS product when that is exact, i.e.
+    inner * (p - 1)^2 < 2^53 (numpy makes one BLAS call per matrix of a
+    stack).  Smaller ones stay in int64,
+    which numpy multiplies without BLAS, so a run that makes only small
+    products never allocates BLAS's buffers.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if a.size * b.shape[-1] >= BLAS_MIN and _float_exact(a.shape[-1], p):
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    madds = int(np.prod(stack)) * a.shape[-2] * a.shape[-1] * b.shape[-1]
+    if madds >= BLAS_MIN and _float_exact(a.shape[-1], p):
         prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         return _mod_float(prod, p, out=prod).astype(np.int64)
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p

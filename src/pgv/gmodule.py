@@ -322,12 +322,15 @@ class FreeBimodule:
         return self.copies(np.ones((1, self.block), dtype=np.int64))
 
     def algebra_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Componentwise product x*y of tuple vectors; x may be a stack of rows."""
+        """Componentwise product x*y of tuple vectors; x may be a stack of
+        rows, and so may y, which then gives out[j] = x * y[j]."""
         x = fl.as_residues(x, self.p)
+        y = np.asarray(y)
         xs = x.reshape(-1, self.n, self.block)
-        ys = self.mul_block(np.reshape(y, (self.n, self.block)), "right")
-        out = np.stack([xs[:, l] @ ys[l] for l in range(self.n)], axis=1)
-        return (out % self.p).reshape(x.shape)
+        ys = self.mul_block(y.reshape(-1, self.n, self.block), "right")
+        # One product per copy: (rows of x) @ (blocks of y) -> (y, x, copy, g).
+        out = np.stack([fl.matmul_mod(xs[:, l], ys[:, l], self.p) for l in range(self.n)], axis=-2)
+        return out.reshape(y.shape[:-1] + x.shape)
 
     @memo
     def delta_pairing_matrix(self) -> np.ndarray:

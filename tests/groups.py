@@ -12,6 +12,7 @@ import numpy as np
 
 from pgv.catalog import _base_entries, builtin_catalog
 from pgv.cohomology import cohomology
+from pgv.fp_linalg import FpSubspace
 from pgv.gmodule import fixed_points, module_from_conjugation, restrict_action, trivial_module
 from pgv.group_core import (
     GroupError,
@@ -82,6 +83,25 @@ def h1_of_restriction(fb, carrier):
     and not taken from any object that already holds one."""
     sub = restrict_action(fb.as_gmodule("right"), carrier)
     return cohomology(sub.group, sub, 1).h_dim
+
+
+# -- oracle for the transfer filtration ------------------------------------
+
+
+def filtration_product_by_pairs(tp, a, b):
+    """Definition-level product of two carriers of prod^n F_p(T): the span of
+    x*y for x in a.basis and y in b.basis, where copy l of x*y is x_l times
+    the matrix of right multiplication by y_l, built anew for each y and l."""
+    fbt = tp.free_total
+    size = fbt.block
+    products = []
+    for y in b.basis:
+        right = np.zeros((fbt.dim, fbt.dim), dtype=np.int64)
+        for l in range(fbt.n):
+            copy = slice(l * size, (l + 1) * size)
+            right[copy, copy] = fbt.mul_block(y[copy], "right")
+        products.append((a.basis @ right) % fbt.p)
+    return FpSubspace.from_rows(np.vstack(products) if products else b.basis, fbt.p, fbt.dim)
 
 
 # -- oracles for table construction: the per-element forms that group_core

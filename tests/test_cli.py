@@ -386,3 +386,28 @@ def test_check_on_the_special_fixture_has_no_infrastructure_error(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["infra_errors"] == [] and rep["replay_mismatches"] == []
     assert rep["counts"]["PASS"] > 0 and rep["counts"]["COUNTEREXAMPLE"] > 0
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    """main reuses one parser; a usage error from it leaves the next call as a
+    separate run of the command would see it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    argvs = [["group", "info", "Q8"], ["h2", "--bogus"], ["h2", "--group", "C4"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    separate = []
+    for argv in argvs:
+        run = subprocess.run([sys.executable, "-m", "pgv.cli", *argv], capture_output=True, text=True, env=env)
+        separate.append((run.returncode, run.stdout))
+    capsys.readouterr()
+    in_process = []
+    for argv in argvs:
+        rc = main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    assert in_process == separate
+    assert [rc for rc, _ in separate] == [0, 1, 0]
+    assert cli.build_parser() is cli.build_parser()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgv.catalog import builtin_catalog
-from pgv.checks import _build_transfer, _gen_transfer
+from pgv.checks import _build_transfer, _gen_transfer, _gen_xp
 from pgv.cohomology import Cochain, cohomology, two_coboundary, zero_two_cocycle
 from pgv.extensions import (
     ExtensionError,
@@ -19,8 +19,8 @@ from pgv.extensions import (
 )
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import cyclic_group, direct_product_tables, from_pc_presentation, is_isomorphic
-from pgv.gmodule import FreeBimodule, regular_module, trivial_module
-from tests.groups import pres_d8, pres_heis27
+from pgv.gmodule import FreeBimodule, free_submodule_closure, regular_module, trivial_module
+from tests.groups import filtration_product_by_pairs, pres_d8, pres_heis27
 
 
 def carry_cocycle(p):
@@ -223,18 +223,57 @@ def test_filtration_layers_t2(p):
 
 
 def test_filtration_products():
-    p = 2
-    g = cyclic_group(p, p)
-    m = trivial_module(g, 2)
-    f = nontrivial_cocycle(g, m)
-    ext = build_extension(g, m, f)
-    tp = transfer_maps(ext, 1)
-    t = 2
-    for m1 in range(0, t * (p - 1) + 1):
-        for m2 in range(0, t * (p - 1) + 1):
-            prod = filtration_product(tp, filtration(tp, m1), filtration(tp, m2))
-            want = filtration(tp, min(m1 + m2, t * (p - 1) + 1))
-            assert prod == want
+    for p in (2, 3):
+        g = cyclic_group(p, p)
+        m = trivial_module(g, 2)
+        ext = build_extension(g, m, nontrivial_cocycle(g, m))
+        t = 2
+        top = t * (p - 1) + 1
+        for n in (1, 2):
+            tp = transfer_maps(ext, n)
+            for m1 in range(0, top):
+                for m2 in range(0, top):
+                    prod = filtration_product(tp, filtration(tp, m1), filtration(tp, m2))
+                    assert prod == filtration(tp, min(m1 + m2, top)), (p, n, m1, m2)
+
+
+def filtration_cases():
+    """Every transfer pair of the tp_products, dd_layers and xp_layers checks:
+    p = 2 and 3, kernel rank t = 1 and 2, n = 1 and 2 copies."""
+    for inst in _gen_transfer(None, 0, None) + _gen_xp(None, 0, None):
+        yield inst, _build_transfer(inst)[2]
+
+
+def test_filtration_is_the_closure_of_its_seeds_built_once():
+    for inst, tp in filtration_cases():
+        p, t = tp.ext.total.p, tp.ext.t
+        top = t * (p - 1) + 1
+        layers = [filtration(tp, m) for m in range(top + 1)]
+        assert layers[0] == FpSubspace.full(tp.free_total.dim, p), inst
+        assert layers[top].dim == 0, inst
+        for m in range(1, top):
+            seeds = tp.e_vectors[tp.e_exponents.sum(axis=1) >= m]
+            assert layers[m] == free_submodule_closure(tp.free_total, seeds, "both"), (inst, m)
+        for m in range(top):
+            assert layers[m].contains(layers[m + 1]) and layers[m].dim > layers[m + 1].dim, (inst, m)
+        assert all(filtration(tp, m) is layers[m] for m in range(top + 1)), inst
+
+
+def test_filtration_product_matches_the_pairwise_oracle():
+    """Every product of two layers, the zero and full ones included, and of
+    random carriers (not submodules), in which every row of b counts."""
+    rng = np.random.default_rng(11)
+    for inst, tp in filtration_cases():
+        p, t, dim = tp.ext.total.p, tp.ext.t, tp.free_total.dim
+        top = t * (p - 1) + 1
+        layers = [filtration(tp, m) for m in range(top + 1)]
+        for m1, a in enumerate(layers):
+            for m2, b in enumerate(layers):
+                assert filtration_product(tp, a, b) == filtration_product_by_pairs(tp, a, b), (inst, m1, m2)
+        for rows in (1, 3, dim // 2, dim):
+            a = FpSubspace.from_rows(rng.integers(0, p, size=(2, dim)), p, dim)
+            b = FpSubspace.from_rows(rng.integers(0, p, size=(rows, dim)), p, dim)
+            assert filtration_product(tp, a, b) == filtration_product_by_pairs(tp, a, b), (inst, rows)
 
 
 def test_up_image_independent_of_section():

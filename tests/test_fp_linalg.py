@@ -634,6 +634,18 @@ def test_matmul_mod_matches_int64_product(p, m, k, n, seed):
     assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p)
 
 
+@pytest.mark.parametrize("p,rows,inner,stack", [(2, 4, 8, 8), (3, 54, 27, 8), (3, 5, 6, 1)])
+def test_matmul_mod_on_a_stack(p, rows, inner, stack):
+    """A matrix times a stack of matrices, on both sides of BLAS_MIN."""
+    assert (stack * rows * inner * inner >= fl.BLAS_MIN) == (rows == 54)
+    rng = np.random.default_rng(rows)
+    a = rng.integers(0, p, size=(rows, inner))
+    b = rng.integers(0, p, size=(stack, inner, inner))
+    got = matmul_mod(a, b, p)
+    assert got.dtype == np.int64 and np.array_equal(got, (a @ b) % p)
+    assert np.array_equal(matmul_mod(b, a.T, p), (b @ a.T) % p)
+
+
 def test_matmul_mod_guard_sits_at_2_53(monkeypatch):
     p = 32749
     widest = ((1 << 53) - 1) // (p - 1) ** 2
