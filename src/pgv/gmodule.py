@@ -284,8 +284,11 @@ class FreeBimodule:
     def mul_block(self, y: np.ndarray, side: str = "right") -> np.ndarray:
         """The |G| x |G| matrix of x -> x*y (side 'right') or x -> y*x
         (side 'left') on one copy, y a group algebra vector; a stack of
-        vectors y gives a stack of matrices."""
+        vectors y gives a stack of matrices.  The last axis must have length
+        |G|: a vector of the n-fold module is not one group algebra element."""
         y = fl.as_residues(y, self.p)
+        if y.shape[-1:] != (self.block,):
+            raise ModuleError(f"a group algebra vector has length {self.block}, got shape {y.shape}")
         g = self.group
         if side == "right":
             return y.take(g.mul[g.inv], axis=-1)  # B[a, k] = y[a^-1 k]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -390,7 +390,7 @@ def _centralizes(g: GroupTable, bitmaps: np.ndarray, w: Subgroup) -> np.ndarray:
 Config = Tuple[Subgroup, Subgroup, str, Optional[Dict[str, object]], bool]
 
 
-def _sweep_configs(g: GroupTable) -> List[Config]:
+def _sweep_configs(g: GroupTable) -> Iterator[Config]:
     """The (N1, W, tag, extra, all_h) configurations of the sweep, in order.
 
     Stage A follows the narrow schedule (N inside the Frattini subgroup with
@@ -398,58 +398,58 @@ def _sweep_configs(g: GroupTable) -> List[Config]:
     abelian normal subgroup and to central homomorphism targets.  A pair
     (N1, W) is kept only the first time it comes up.
 
-    Subgroups are rows of the normal-subgroup lattice: every W here is
-    characteristic in a normal subgroup, so it is a row too, and
-    holds[i, j] says row j lies inside row i.
+    The configurations are yielded one at a time, so a sweep that certifies
+    early builds nothing for the later stages.  Stage A reads only the
+    normal subgroups inside Phi(G): that list is the full lattice, in its
+    order, filtered to N <= Phi, and every N1 and W of stage A lies in it.
+    The full lattice is built when stage B is reached.  Subgroups are rows
+    of a stacked bitmap, and containment is tested one column set at a
+    time: row i contains S when ``bitmaps[i, S.members]`` all hold.
     """
-    normals = normal_subgroups(g)
-    bitmaps = np.stack([n.bitmap for n in normals])
-    orders = np.array([n.order for n in normals])
-    # |N_i ∩ N_j| for every pair by one product; the counts are exact.
-    counts = bitmaps.astype(np.float64)
-    holds = (counts @ counts.T) == orders
-    row = {n.bitmap.tobytes(): i for i, n in enumerate(normals)}
-
-    def index(s: Subgroup) -> int:
-        return row[s.bitmap.tobytes()]
-
-    phi = index(frattini(g))
     seen: set = set()
-    configs: List[Config] = []
 
-    def push(n1: int, w: int, tag: str, extra=None, all_h=False):
-        if (n1, w) in seen:
-            return
-        seen.add((n1, w))
-        configs.append((normals[n1], normals[w], tag, extra, all_h))
+    def fresh(n1: Subgroup, w: Subgroup) -> bool:
+        key = (n1.bitmap.tobytes(), w.bitmap.tobytes())
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
 
     # Stage A: N <= Phi(G) ascending, W = socle of Z(N), N1 between W and N.
-    for i, n in enumerate(normals):
-        if not holds[phi, i] or n.order == 1:
+    phi = frattini(g)
+    below = normal_subgroups(g, within=phi)
+    bitmaps = np.stack([n.bitmap for n in below])
+    orders = np.array([n.order for n in below])
+    for n in below:
+        if n.order == 1:
             continue
-        socle = omega1(g, subgroup_center(g, n))
-        if socle.order == 1:
+        w = omega1(g, subgroup_center(g, n))
+        if w.order == 1:
             continue
-        w = index(socle)
-        for n1 in np.flatnonzero((orders < n.order) & holds[i] & holds[:, w]):
-            push(int(n1), w, "lp", {"n_members": _members(n)})
-        push(i, w, "lp", {"n_members": _members(n)})
+        extra = {"n_members": _members(n)}
+        inside_n = ~(bitmaps & ~n.bitmap).any(axis=1)
+        for i in np.flatnonzero((orders < n.order) & inside_n & bitmaps[:, w.members].all(axis=1)):
+            if fresh(below[i], w):
+                yield below[i], w, "lp", extra, False
+        if fresh(n, w):
+            yield n, w, "lp", extra, False
 
     # Stage B: W any elementary abelian normal, N1 any normal supergroup
     # centralizing it.
-    for wsub in elementary_abelian_normals(g):
-        w = index(wsub)
-        for n1 in np.flatnonzero(holds[:, w] & _centralizes(g, bitmaps, wsub)):
-            push(int(n1), w, "engine_wide")
+    normals = normal_subgroups(g)
+    bitmaps = np.stack([n.bitmap for n in normals])
+    for w in elementary_abelian_normals(g):
+        for i in np.flatnonzero(bitmaps[:, w.members].all(axis=1) & _centralizes(g, bitmaps, w)):
+            if fresh(normals[i], w):
+                yield normals[i], w, "engine_wide", None, False
 
     # Stage C: central homomorphism targets: W = socle of the center, N1 any
     # normal subgroup containing the Frattini subgroup (W need not sit in N1).
-    socle = omega1(g, center(g))
-    if socle.order > 1:
-        w = index(socle)
-        for n1 in np.flatnonzero(holds[:, phi]):
-            push(int(n1), w, "central_hom", None, True)
-    return configs
+    w = omega1(g, center(g))
+    if w.order > 1:
+        for i in np.flatnonzero(bitmaps[:, phi.members].all(axis=1)):
+            if fresh(normals[i], w):
+                yield normals[i], w, "central_hom", None, True
 
 
 @memo

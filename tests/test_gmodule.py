@@ -450,6 +450,19 @@ def diag_oracle(block, n):
     return place_oracle([[block if l == i else 0 * block for l in range(n)] for i in range(n)], n)
 
 
+def test_mul_matrix_rejects_a_vector_of_the_n_fold_module():
+    # A vector of length 2|G| is an element of F_p(G)^2, not of the group
+    # algebra; reading only its first copy would be a silent wrong answer.
+    g = find_entry("D8").group()
+    fb = FreeBimodule(g, 2)
+    y = np.arange(fb.dim) % 2
+    for side in ("right", "left"):
+        with pytest.raises(ModuleError, match="group algebra vector has length 8"):
+            fb.mul_matrix(y, side)
+        with pytest.raises(ModuleError):
+            fb.mul_block(y.reshape(1, -1), side)
+
+
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "D8", "Q8"])
 def test_free_bimodule_layout_matches_elementwise_oracle(name):
     g = find_entry(name).group()

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pgv.noninner as noninner
-from pgv.catalog import builtin_catalog, find_entry, load_catalog
+from pgv.catalog import builtin_catalog, find_entry, load_catalog, table_to_presentation
 from pgv.group_core import (
     GroupMap,
     Subgroup,
@@ -182,12 +185,58 @@ def _reference_sweep_configs(g):
 
 
 def test_sweep_configs_match_pairwise_reference(catalog):
+    # K4sC4_e1101 of the fixture is certified by no configuration, so its
+    # sweep runs through all three stages.
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
     groups = [e.group() for e in catalog if not e.group().is_abelian()]
     assert len(groups) == 73
+    groups += [e.group() for e in fixture]
+    assert len(groups) == 76
     for g in groups:
-        got = _sweep_configs(g)
+        got = list(_sweep_configs(g))
         assert got, g.name
         assert got == _reference_sweep_configs(g), g.name
+
+
+def test_sweep_builds_the_full_lattice_only_past_stage_a(catalog):
+    # Stage A reads the normal subgroups inside Phi(G); the full lattice is
+    # built only when the sweep reaches stage B.  Fresh tables, so no other
+    # test has filled their caches.
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    full = ("_normal_subgroups", None)
+    stage_a = from_pc_presentation(table_to_presentation(find_entry("C2xC2xC2xQ8", catalog).group(), "f"))
+    assert engine_sweep(stage_a).provenance["lemma_tag"] == "lp"
+    assert full not in stage_a._cache
+    for pres in (find_entry("He27", catalog).presentation, find_entry("K4sC4_e1101", fixture).presentation):
+        g = from_pc_presentation(pres)
+        engine_sweep(g)
+        assert full in g._cache, pres.name
+
+
+def test_sweep_certifies_c2x5_x_d8_in_bounded_memory():
+    # C2^5 x D8 has 31,663 normal subgroups: a lattice x lattice array over
+    # them (7.5 GiB in float64) runs out of a 1 GiB address space, while the
+    # lattice inside Phi(G) has two members and certifies the group.  A
+    # child process holds the limit, so a regression fails here with
+    # MemoryError instead of exhausting the host.
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pgv.catalog import find_entry
+from pgv.group_core import direct_product_tables
+from pgv.noninner import engine_sweep, verify_certificate
+g = direct_product_tables(find_entry("C2xC2xC2xC2xC2").group(), find_entry("D8").group())
+cert = engine_sweep(g)
+assert g.order == 256 and cert is not None
+ok, lines = verify_certificate(g, cert)
+assert ok, lines
+print(cert.provenance["lemma_tag"])
+"""
+    src = str(Path(noninner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "lp\n"
 
 
 def test_search_certificates_are_pinned(catalog):
