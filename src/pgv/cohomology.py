@@ -171,9 +171,9 @@ def cocycle_seed(m: GModule, gens: Sequence[int], degree: int) -> np.ndarray:
         T = T.reshape((q - 1) * r * d, q, q, d)
     for h, s, hs in cayley_tree(g, gens):
         if degree == 1:
-            T[:, hs] = (T[:, h] @ act[s] + T[:, s]) % p
+            T[:, hs] = fl.as_residues(T[:, h] @ act[s] + T[:, s], p)
         else:
-            T[:, :, hs] = (T[:, :, h] @ act[s] + T[:, g.mul[:, h], s] - T[:, h, s, None]) % p
+            T[:, :, hs] = fl.as_residues(T[:, :, h] @ act[s] + T[:, g.mul[:, h], s] - T[:, h, s, None], p)
     return T
 
 
@@ -238,7 +238,7 @@ def coboundary(m: GModule, cochains: np.ndarray, last: Optional[int] = None) -> 
     for i in range(n):
         out += (-1) ** (n - i) * at(args[:i] + [mul[args[i], args[i + 1]]] + args[i + 2 :])
     out -= (-1) ** n * at(args[1:])
-    return out % m.p
+    return fl.as_residues(out, m.p)
 
 
 def _tables(rows: np.ndarray, q: int, dim: int, degree: int) -> np.ndarray:

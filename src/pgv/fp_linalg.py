@@ -3,6 +3,12 @@
 Everything here works on numpy int64 arrays whose entries are residues in
 [0, p).  Vectors are rows; the row-space convention matches the rest of the
 library, where a module element is a row vector acted on from the right.
+
+Integer arrays are brought back to residues by ``as_residues`` alone.  numpy's
+int64 remainder runs a hardware division per element, several times the cost
+of a floor division by a scalar, which numpy turns into a multiply and a
+shift, so on all but small arrays a residue is formed as x - (x // p) * p,
+and at p = 2 as x & 1.  Large float64 products are reduced by ``_mod_float``.
 """
 
 from __future__ import annotations
@@ -40,8 +46,26 @@ def inv_scalar(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+# Arrays of fewer elements than this are reduced by np.remainder, one ufunc
+# call; from here on the three calls of the floor-division form cost less.
+DIVIDE_MIN = 256
+
+
 def as_residues(a, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
+    """a mod p as a new C-ordered int64 array; a itself is left as it is.
+
+    Exact for every int64 value, negatives included, since x // p floors:
+    x - (x // p) * p is then in [0, p).  A 0-d input gives a numpy scalar, as
+    ``%`` does.
+    """
+    x = np.asarray(a, dtype=np.int64)
+    if p == 2:
+        return np.bitwise_and(x, 1, order="C")
+    if x.size < DIVIDE_MIN:
+        return np.remainder(x, p, order="C")
+    q = np.floor_divide(x, p, order="C")
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
 # The blocked elimination works through column panels of PANEL columns and
@@ -90,7 +114,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if madds >= BLAS_MIN and _float_exact(a.shape[-1], p):
         prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         return _mod_float(prod, p, out=prod).astype(np.int64)
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    return as_residues(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64), p)
 
 
 def _eliminate(
@@ -124,12 +148,12 @@ def _eliminate(
             A[r, n + r] = 1
         row = A[r, c:end]
         if row[0] != 1:
-            row = A[r, c:end] = (row * inv_scalar(row[0], p)) % p
+            row = A[r, c:end] = as_residues(row * inv_scalar(row[0], p), p)
         col = A[:, c]
         others = col.nonzero()[0]
         others = others[others != r]
         if others.size:
-            A[others, c:end] = (A[others, c:end] - col[others, None] * row) % p
+            A[others, c:end] = as_residues(A[others, c:end] - col[others, None] * row, p)
         piv.append(c)
         r += 1
     return piv
@@ -203,7 +227,7 @@ def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     Matrices with both dimensions above PANEL take the blocked path; the
     result is the same, since the RREF is unique.
     """
-    A = np.remainder(np.asarray(a, dtype=np.int64), p, order="C")
+    A = as_residues(a, p)
     if A.ndim != 2:
         raise ValueError("matrix expected")
     if min(A.shape) > PANEL:
@@ -236,7 +260,7 @@ def right_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    basis[:, piv] = -A[: len(piv), free].T % p
+    basis[:, piv] = as_residues(-A[: len(piv), free].T, p)
     return basis
 
 
@@ -313,7 +337,7 @@ def _reduce(rows: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) 
     """Residues of rows after clearing the pivot columns of an RREF basis."""
     B = as_residues(np.atleast_2d(rows), p)
     if len(pivots):
-        B = (B - B[:, list(pivots)] @ basis) % p
+        B = as_residues(B - B[:, list(pivots)] @ basis, p)
     return B
 
 

@@ -14,7 +14,15 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .fp_linalg import FpSubspace, RowSpace
-from .group_core import GroupTable, Subgroup, memo, opposite, quotient, subgroup_closure
+from .group_core import (
+    GroupTable,
+    Subgroup,
+    distinct_elements,
+    memo,
+    opposite,
+    quotient,
+    subgroup_closure,
+)
 
 DEFAULT_DIM_CAP = 8192
 
@@ -242,7 +250,7 @@ def module_from_conjugation(g: GroupTable, n1: Subgroup, w: Subgroup) -> Conjuga
     for i, b in enumerate(basis_elements):
         powers = np.array([g.power(b, c) for c in range(p)], dtype=np.int64)
         element_of_code = g.mul[element_of_code, powers[vecs[:, i]]]
-    if np.unique(element_of_code).size != element_of_code.size:
+    if distinct_elements(g, element_of_code).size != element_of_code.size:
         raise ModuleError("W basis is not independent")
     if element_of_code.size != w.order:
         raise ModuleError("W basis does not span W")

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .fp_linalg import check_prime
+from .fp_linalg import check_prime, right_kernel_basis, vector_codes
 from .presentations import PcPresentation
 
 DEFAULT_ORDER_CAP = 1024
@@ -455,10 +455,18 @@ def subgroup_closure(g: GroupTable, seeds: Iterable[int]) -> Subgroup:
     return Subgroup(g, np.nonzero(bitmap)[0], check=False)
 
 
+def distinct_elements(g: GroupTable, elements) -> np.ndarray:
+    """The distinct element indices among ``elements``, ascending: what
+    ``np.unique`` returns, read off a bitmap of g without a sort.  numpy
+    2.4's ``np.unique`` also imports numpy.ma (about 13 ms) on first use."""
+    seen = np.zeros(g.order, dtype=bool)
+    seen[elements] = True
+    return np.flatnonzero(seen)
+
+
 def set_product(g: GroupTable, a: Subgroup, b: Subgroup) -> Subgroup:
     """Product set A*B; a subgroup whenever one factor is normal."""
-    prods = np.unique(g.mul[np.ix_(a.members, b.members)].ravel())
-    return Subgroup(g, prods)
+    return Subgroup(g, g.mul[np.ix_(a.members, b.members)].ravel())
 
 
 @memo
@@ -501,7 +509,7 @@ def commutator_subgroup(g: GroupTable) -> Subgroup:
     That subgroup is normal, because [x, s]^y = [xy, s][y, s]^-1, and every
     generator is central modulo it, so it contains every commutator.
     """
-    return subgroup_closure(g, np.unique(_commutators_with_generators(g)))
+    return subgroup_closure(g, distinct_elements(g, _commutators_with_generators(g)))
 
 
 def omega1(g: GroupTable, n: Subgroup) -> Subgroup:
@@ -643,8 +651,32 @@ def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> List[Subgrou
 
 @memo
 def maximal_subgroups(g: GroupTable) -> List[Subgroup]:
-    """Index-p (maximal) subgroups; normal because the group is a p-group."""
-    return [n for n in normal_subgroups(g) if n.order * g.p == g.order]
+    """Index-p (maximal) subgroups, sorted by ``key()``; normal because the
+    group is a p-group.
+
+    Each contains Phi(G), so they are the preimages of the hyperplanes of
+    G/Phi(G) = F_p^d, written in the Burnside basis b_1..b_d: one hyperplane
+    per functional whose first nonzero coefficient is 1.  Each is built as
+    Phi(G) with the lifts prod b_i^(v_i) of a basis v of its hyperplane
+    adjoined one at a time, every step central of order p.
+    """
+    basis = g.burnside_basis()
+    phi = frattini(g).members
+    out = []
+    for functional in vector_codes(len(basis), g.p):
+        nonzero = np.flatnonzero(functional)
+        if not nonzero.size or functional[nonzero[0]] != 1:
+            continue
+        members = phi
+        for v in right_kernel_basis(functional[None], g.p):
+            x = 0
+            for b, c in zip(basis, v):
+                x = int(g.mul[x, g.power(b, c)])
+            members = np.flatnonzero(_adjoin(g, members, x))
+        m = Subgroup(g, members, check=False)
+        m._normal = True
+        out.append(m)
+    return sorted(out, key=Subgroup.key)
 
 
 def elementary_abelian_normals(g: GroupTable) -> List[Subgroup]:
@@ -725,7 +757,7 @@ class GroupMap:
     def is_bijective(self) -> bool:
         return (
             self.source.order == self.target.order
-            and np.unique(self.image_of).size == self.source.order
+            and distinct_elements(self.target, self.image_of).size == self.source.order
         )
 
     def is_automorphism(self) -> bool:
@@ -895,7 +927,7 @@ def _abelian_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]
 
     phi = -np.ones(g1.order, dtype=np.int64)
     phi[words(g1, b1)] = words(g2, b2)
-    if np.any(phi < 0) or np.unique(phi).size != g1.order:
+    if np.any(phi < 0) or distinct_elements(g2, phi).size != g1.order:
         return None
     return phi
 
@@ -942,7 +974,7 @@ def iter_isomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[np.ndarray]:
     def backtrack(pos: int, images: List[int]) -> Iterator[np.ndarray]:
         if pos == len(gens):
             phi = _partial_hom_image(g1, g2, gens, images)
-            if phi is not None and np.all(phi >= 0) and np.unique(phi).size == n:
+            if phi is not None and np.all(phi >= 0) and distinct_elements(g2, phi).size == n:
                 yield phi
             return
         for cand in sig2_index.get(tuple(sig1[gens[pos]]), []):

@@ -37,6 +37,7 @@ from .group_core import (
     _p_power_exponent,
     center,
     centralizer,
+    distinct_elements,
     elementary_abelian_normals,
     frattini,
     is_cyclic_quotient,
@@ -62,8 +63,7 @@ class NoninnerError(ValueError):
 def subgroup_rank(g: GroupTable, a: Subgroup) -> int:
     """Minimal generator count of an abelian subgroup: log_p |A / A^p|."""
     pw = g.pow_p_table
-    powers = np.unique(pw[a.members])
-    sub = subgroup_closure(g, powers)
+    sub = subgroup_closure(g, distinct_elements(g, pw[a.members]))
     return _p_power_exponent(a.order // sub.order, g.p)
 
 

@@ -411,3 +411,30 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
     assert in_process == separate
     assert [rc for rc, _ in separate] == [0, 1, 0]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_certify_verify_and_check_leave_numpy_ma_unimported(tmp_path):
+    """numpy 2.4's np.unique imports numpy.ma (about 13 ms per process); pgv
+    takes distinct element indices from bitmaps, so none of these commands
+    should pull it in.  A fresh interpreter, since the test process may
+    have imported it already."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cert = tmp_path / "d8.json"
+    script = f"""
+import sys
+from pgv.cli import main
+assert main(["find-noninner", "--group", "D8", "--out", {str(cert)!r}]) == 0
+assert main(["verify", "--group", "D8", "--cert", {str(cert)!r}]) == 0
+assert main(["check", "--id", "cor18"]) == 0
+print("numpy.ma imported:", "numpy.ma" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "\nVALID\n" in run.stdout
+    assert run.stdout.splitlines()[-1] == "numpy.ma imported: False"

@@ -248,6 +248,50 @@ def test_complement_reps_matches_row_at_a_time_reference():
                     assert np.array_equal(got, reference_complement_reps(s, space, p)), (p, n, s, space)
 
 
+EDGES = np.array([0, -1, 1, 1 << 62, -(1 << 62), (1 << 62) - 1, 1 - (1 << 62)], dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 32749]),
+    st.sampled_from(["0-d", "row", "matrix", "transposed", "strided"]),
+    st.integers(min_value=1, max_value=3 * fl.DIVIDE_MIN),
+    st.integers(min_value=1, max_value=62),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(p=3, layout="row", size=fl.DIVIDE_MIN - 1, bits=62, seed=0)
+@example(p=3, layout="row", size=fl.DIVIDE_MIN, bits=62, seed=0)
+@example(p=32749, layout="transposed", size=2 * fl.DIVIDE_MIN, bits=62, seed=1)
+@example(p=2, layout="strided", size=fl.DIVIDE_MIN + 1, bits=62, seed=2)
+@example(p=5, layout="0-d", size=1, bits=62, seed=3)
+def test_as_residues_matches_np_remainder(p, layout, size, bits, seed):
+    # Every int64 value up to +-2^62, negatives included, on both sides of
+    # DIVIDE_MIN, in views that are not C-contiguous; the input stays as it is.
+    rng = np.random.default_rng(seed)
+    bound = 1 << bits
+    values = rng.integers(-bound, bound, size=2 * size, dtype=np.int64, endpoint=True)
+    values[: EDGES.size] = EDGES[: 2 * size]
+    if layout == "0-d":
+        a = np.array(values[0])
+    elif layout == "row":
+        a = values[:size]
+    elif layout == "matrix":
+        a = values.reshape(2, size)
+    elif layout == "transposed":
+        a = values.reshape(2, size).T
+    else:
+        a = values[::2]
+    before = a.copy()
+
+    got = fl.as_residues(a, p)
+    want = np.remainder(a, p)
+    assert np.array_equal(a, before)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if a.ndim:
+        assert got.flags.c_contiguous and not np.shares_memory(got, a)
+
+
 def test_check_prime_rejects():
     for bad in (1, 4, 9, (1 << 15) + 1):
         with pytest.raises(ValueError):

@@ -263,6 +263,23 @@ def test_frattini_klein_four_trivial():
     assert frattini(g8) == center(g8)
 
 
+def test_maximal_subgroups_match_the_lattice_and_brute_force():
+    # maximal_subgroups builds the hyperplane preimages of G/Phi(G); the
+    # index-p members of the normal lattice are the same list in the same
+    # order, and up to order 32 the subgroups no proper subgroup contains
+    # are the same set.
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    for e in list(builtin_catalog()) + list(fixture):
+        g = e.group()
+        got = maximal_subgroups(g)
+        want = [n for n in normal_subgroups(g) if n.order * g.p == g.order]
+        assert [m.key() for m in got] == [n.key() for n in want], e.name
+        assert all(Subgroup(g, m.members).is_normal() for m in got), e.name  # re-checked closure
+        if g.order <= 32:
+            brute = maximal_subgroups_bruteforce(g)
+            assert sorted(m.key() for m in got) == sorted(m.key() for m in brute), e.name
+
+
 def test_burnside_basis_is_a_minimal_generating_sequence():
     # Burnside's basis theorem: a minimal generating sequence has
     # log_p |G : Phi(G)| elements.  Each is the least element outside the
