@@ -56,8 +56,9 @@ from .group_core import (
     iset,
     map_order,
     memo,
-    normal_subgroups,
+    normals_between,
     omega1,
+    phi_layers,
     quotient,
     set_product,
     subgroup_center,
@@ -917,11 +918,7 @@ def _gen_xu(cat, seed, limit):
 @register("xu_free", "modules maximal over a minimal normal subgroup restrict freely", _gen_xu)
 def check_xu(inst):
     g = _group(inst)
-    mins = [
-        s
-        for s in normal_subgroups(g)
-        if s.order == g.p and s.order > 1
-    ]
+    mins = normals_between(g, order=g.p)
     if not mins:
         raise Skip("no minimal normal subgroup")
     nsub = mins[int(inst["seed"]) % len(mins)]
@@ -968,7 +965,7 @@ def check_io(inst):
     # whose H^1 does not move under inflation gives d(ext) = d(G) + 1.
     d_g = len(g.burnside_basis())
     # A non-trivial p-group has a normal subgroup of order p.
-    nsub = next(s for s in normal_subgroups(g) if s.order == g.p)
+    nsub = normals_between(g, order=g.p)[0]
     _, qm = quotient(g, nsub)
     fbq = FreeBimodule(qm.group, 1)
     rank_results = []
@@ -1061,7 +1058,7 @@ def _gen_px(cat, seed, limit):
 @register("px_iff", "H^1 stability passes between a module and its fixed part", _gen_px)
 def check_px(inst):
     g = _group(inst)
-    mins = [s for s in normal_subgroups(g) if s.order == g.p]
+    mins = normals_between(g, order=g.p)
     if len(mins) < 2:
         raise Skip("needs two minimal normals")
     seed = int(inst["seed"])
@@ -1091,7 +1088,7 @@ def check_px(inst):
 @register("du_growth", "radical cohomology grows by one under module extensions", _gen_jx)
 def check_du(inst):
     g = _group(inst)
-    cyclics = [s for s in normal_subgroups(g) if s.order == g.p]
+    cyclics = normals_between(g, order=g.p)
     if not cyclics:
         raise Skip("no cyclic normal")
     nsub = cyclics[int(inst["seed"]) % len(cyclics)]
@@ -1153,17 +1150,8 @@ def check_lp(inst):
     phi = frattini(g)
 
     def trials():
-        for n in normal_subgroups(g, within=phi):
-            if n.order == 1:
-                continue
-            w = omega1(g, subgroup_center(g, n))
-            if w.order == 1:
-                continue
-            candidates = [
-                x for x in normal_subgroups(g)
-                if x.contains_subgroup(w) and n.contains_subgroup(x)
-            ]
-            for n1 in candidates:
+        for n, w in phi_layers(g):
+            for n1 in normals_between(g, lower=w, upper=n, within=phi):
                 got = conjugation_h1(g, n1, w)
                 if got is None:
                     continue
@@ -1187,20 +1175,13 @@ def check_ij(inst):
     g = _group(inst)
     z = center(g)
     n_val = subgroup_rank(g, z)
+    mul, inv = g.mul, g.inv
 
     def trials():
-        for n in normal_subgroups(g):
-            if n.order == 1:
-                continue
-            # gate: [N,N] <= Z(G) <= N and Omega1(N) abelian
-            if not n.contains_subgroup(z):
-                continue
-            comm_in_z = all(
-                z.contains(g.commutator(int(x), int(y)))
-                for x in n.members
-                for y in n.members
-            )
-            if not comm_in_z:
+        # gate: Z(G) <= N, [N,N] <= Z(G) and Omega1(N) abelian
+        for n in normals_between(g, lower=z):
+            x, y = n.members[:, None], n.members[None, :]
+            if not z.bitmap[mul[mul[mul[inv[x], inv[y]], x], y]].all():
                 continue
             w = omega1(g, n)
             sub = g.mul[np.ix_(w.members, w.members)]
@@ -1337,16 +1318,13 @@ def check_ty(inst):
 def check_j(inst):
     g = _nonabelian_group(inst)
     phi = frattini(g)
-    normals = normal_subgroups(g)
 
     def trials():
         for rep in find_special_subgroups(g):
             if not rep.checks["iset_inside"]:
                 continue
             a = rep.subgroup
-            for a1 in normals:
-                if a1.order != a.order * g.p or not a1.contains_subgroup(a):
-                    continue
+            for a1 in normals_between(g, lower=a, order=a.order * g.p):
                 za1 = subgroup_center(g, a1)
                 if not za1.contains_subgroup(center(g)):
                     continue
@@ -1364,15 +1342,9 @@ def check_j(inst):
 @register("l3_2", "vanishing H^1 forces the socle to be proper", _gen_special)
 def check_l32(inst):
     g = _group(inst)
-    phi = frattini(g)
 
     def trials():
-        for n in normal_subgroups(g, within=phi):
-            if n.order == 1:
-                continue
-            w = omega1(g, subgroup_center(g, n))
-            if w.order == 1:
-                continue
+        for n, w in phi_layers(g):
             if _h1_dim(g, n, w) != 0:
                 continue
             yield w.order != n.order, {"n_order": int(n.order), "w_order": int(w.order)}
@@ -1387,9 +1359,8 @@ def check_xi(inst):
 
     def trials():
         for rep, _ in _inner_special_layers(g):
-            for a in normal_subgroups(g):
-                if not a.contains_subgroup(rep.subgroup) or a.order == g.order:
-                    continue
+            # Every normal A >= N but G itself, the last.
+            for a in normals_between(g, lower=rep.subgroup)[:-1]:
                 cw = _centralized_part(g, rep.layer, a)
                 if cw.order == 1:
                     continue
@@ -1410,7 +1381,7 @@ def check_yu(inst):
 
     def trials():
         for rep, h1_n in _inner_special_layers(g):
-            normals = [a for a in normal_subgroups(g) if a.contains_subgroup(rep.subgroup)]
+            normals = normals_between(g, lower=rep.subgroup)
             parts = [_centralized_part(g, rep.layer, a) for a in normals]
             for a2, cw2 in zip(normals, parts):
                 for a1, cw1 in zip(normals, parts):
@@ -1431,20 +1402,15 @@ def check_hh(inst):
     n_val = subgroup_rank(g, center(g))
 
     def trials():
-        for n in normal_subgroups(g, within=phi):
+        for n, w in phi_layers(g):
             if not _self_centralizing(g, n):
-                continue
-            w = omega1(g, subgroup_center(g, n))
-            if w.order == 1:
                 continue
             m = _h1_dim(g, n, w)
             if m is None or m >= n_val:
                 continue
-            smaller = any(
-                centralizer(g, n1).order <= n1.order and n1.order < n.order
-                for n1 in normal_subgroups(g)
-                if n.contains_subgroup(n1)
-            )
+            # Every normal N1 < N: the last of those <= N is N itself.
+            below = normals_between(g, upper=n, within=phi)[:-1]
+            smaller = any(_self_centralizing(g, n1) for n1 in below)
             yield engine_sweep(g) is not None or smaller, {"m": int(m), "n": int(n_val)}
 
     return _sweep(trials())
@@ -1460,9 +1426,7 @@ def check_ll(inst):
             if h1 != n_val:
                 continue
             wz = set_product(g, rep.layer, center(g))
-            for n1 in normal_subgroups(g):
-                if not n1.contains_subgroup(wz):
-                    continue
+            for n1 in normals_between(g, lower=wz):
                 cn1 = centralizer(g, n1)
                 top = set_product(g, cn1, rep.subgroup)
                 ok = is_cyclic_quotient(g, top, rep.subgroup)
@@ -1495,13 +1459,7 @@ def check_kl(inst):
                 continue
             n = rep.subgroup
             wz = set_product(g, rep.layer, center(g))
-            layers = [
-                n1
-                for n1 in normal_subgroups(g)
-                if n1.contains_subgroup(wz)
-                and n.contains_subgroup(n1)
-                and n1.order * g.p == n.order
-            ]
+            layers = normals_between(g, lower=wz, upper=n, order=n.order // g.p)
             yield bool(layers), {"n_order": int(n.order)}
 
     return _sweep(trials())
@@ -1573,13 +1531,8 @@ def check_xy(inst):
             n, w = rep.subgroup, rep.layer
             wz = set_product(g, w, center(g))
             zn = subgroup_center(g, n)
-            for n1 in normal_subgroups(g):
-                if not (
-                    n.contains_subgroup(n1)
-                    and n1.contains_subgroup(wz)
-                    and n1.order < n.order
-                ):
-                    continue
+            # Every normal N1 < N over W Z(G): N itself, if listed, is last.
+            for n1 in normals_between(g, lower=wz, upper=n)[:-1]:
                 if set_product(g, zn, n1).order != n.order:
                     continue
                 cert, ev = try_config(g, n1, w, "paper", "xy", None, complement_of=n)

@@ -649,6 +649,47 @@ def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> List[Subgrou
     return sorted(found.values(), key=lambda s: (s.order, s.key()))
 
 
+def normals_between(
+    g: GroupTable,
+    lower: Optional[Subgroup] = None,
+    upper: Optional[Subgroup] = None,
+    order: Optional[int] = None,
+    within: Optional[Subgroup] = None,
+) -> List[Subgroup]:
+    """The normal subgroups N of g inside `within` with lower <= N <= upper
+    and |N| = order, each bound applied only where it is given, in the
+    (order, key) order of ``normal_subgroups(g, within=within)``.
+
+    The lattice members whose order fits the bounds are stacked as bitmap
+    rows on each call, not cached: row N contains lower when
+    ``bitmaps[N, lower.members]`` all hold, and lies in upper when it has
+    no bit outside ``upper.bitmap``.
+    """
+    lo = 1 if lower is None else lower.order
+    hi = g.order if upper is None else upper.order
+    normals = [
+        n for n in normal_subgroups(g, within=within)
+        if lo <= n.order <= hi and (order is None or n.order == order)
+    ]
+    if not normals or (lower is None and upper is None):
+        return normals
+    bitmaps = np.stack([n.bitmap for n in normals])
+    keep = np.ones(len(normals), dtype=bool)
+    if lower is not None:
+        keep &= bitmaps[:, lower.members].all(axis=1)
+    if upper is not None:
+        keep &= ~(bitmaps & ~upper.bitmap).any(axis=1)
+    return [normals[i] for i in np.flatnonzero(keep)]
+
+
+def phi_layers(g: GroupTable) -> Iterator[Tuple[Subgroup, Subgroup]]:
+    """(N, W) for every normal N != 1 inside Phi(G), in lattice order, with
+    W = Omega_1(Z(N)).  W != 1: a normal N != 1 of a p-group meets Z(G),
+    and N ∩ Z(G) <= Z(N).  Only the lattice inside Phi(G) is built."""
+    for n in normal_subgroups(g, within=frattini(g))[1:]:
+        yield n, omega1(g, subgroup_center(g, n))
+
+
 @memo
 def maximal_subgroups(g: GroupTable) -> List[Subgroup]:
     """Index-p (maximal) subgroups, sorted by ``key()``; normal because the
@@ -815,10 +856,7 @@ def _element_signature(g: GroupTable) -> np.ndarray:
     cent_sizes = (g.mul == g.mul.T).sum(axis=1)
     pw = g.pow_p_table
     pow_order = orders[pw]
-    sig = np.stack([orders, cent_sizes, pow_order], axis=1)
-    # One refinement round: histogram of neighbor signatures under multiplication
-    # is overkill here; order/centralizer/power-order already cuts deep.
-    return sig
+    return np.stack([orders, cent_sizes, pow_order], axis=1)
 
 
 def _group_invariants(g: GroupTable) -> tuple:

@@ -48,7 +48,9 @@ from .group_core import (
     map_order,
     maximal_subgroups,
     normal_subgroups,
+    normals_between,
     omega1,
+    phi_layers,
     set_product,
     subgroup_center,
     subgroup_closure,
@@ -400,11 +402,12 @@ def _sweep_configs(g: GroupTable) -> Iterator[Config]:
 
     The configurations are yielded one at a time, so a sweep that certifies
     early builds nothing for the later stages.  Stage A reads only the
-    normal subgroups inside Phi(G): that list is the full lattice, in its
-    order, filtered to N <= Phi, and every N1 and W of stage A lies in it.
-    The full lattice is built when stage B is reached.  Subgroups are rows
-    of a stacked bitmap, and containment is tested one column set at a
-    time: row i contains S when ``bitmaps[i, S.members]`` all hold.
+    normal subgroups inside Phi(G) (``phi_layers``, ``normals_between``):
+    that list is the full lattice, in its order, filtered to N <= Phi, and
+    every N1 and W of stage A lies in it.  The full lattice is built when
+    stage B is reached.  Stage B stacks it as bitmap rows and tests
+    containment one column set at a time: row i contains S when
+    ``bitmaps[i, S.members]`` all hold.
     """
     seen: set = set()
 
@@ -415,24 +418,14 @@ def _sweep_configs(g: GroupTable) -> Iterator[Config]:
         seen.add(key)
         return True
 
-    # Stage A: N <= Phi(G) ascending, W = socle of Z(N), N1 between W and N.
+    # Stage A: N <= Phi(G) ascending, W = socle of Z(N), N1 between W and N
+    # (N itself last).
     phi = frattini(g)
-    below = normal_subgroups(g, within=phi)
-    bitmaps = np.stack([n.bitmap for n in below])
-    orders = np.array([n.order for n in below])
-    for n in below:
-        if n.order == 1:
-            continue
-        w = omega1(g, subgroup_center(g, n))
-        if w.order == 1:
-            continue
+    for n, w in phi_layers(g):
         extra = {"n_members": _members(n)}
-        inside_n = ~(bitmaps & ~n.bitmap).any(axis=1)
-        for i in np.flatnonzero((orders < n.order) & inside_n & bitmaps[:, w.members].all(axis=1)):
-            if fresh(below[i], w):
-                yield below[i], w, "lp", extra, False
-        if fresh(n, w):
-            yield n, w, "lp", extra, False
+        for n1 in normals_between(g, lower=w, upper=n, within=phi):
+            if fresh(n1, w):
+                yield n1, w, "lp", extra, False
 
     # Stage B: W any elementary abelian normal, N1 any normal supergroup
     # centralizing it.
@@ -447,9 +440,9 @@ def _sweep_configs(g: GroupTable) -> Iterator[Config]:
     # normal subgroup containing the Frattini subgroup (W need not sit in N1).
     w = omega1(g, center(g))
     if w.order > 1:
-        for i in np.flatnonzero(bitmaps[:, phi.members].all(axis=1)):
-            if fresh(normals[i], w):
-                yield normals[i], w, "central_hom", None, True
+        for n1 in normals_between(g, lower=phi):
+            if fresh(n1, w):
+                yield n1, w, "central_hom", None, True
 
 
 @memo
@@ -586,7 +579,6 @@ def descent(g: GroupTable) -> "Certificate | Diagnostic":
     if not reports:
         return Diagnostic("descent stuck at entry", {"group": g.fingerprint()})
     reports.sort(key=lambda r: (r.subgroup.order, -r.witness["iset_size"], r.subgroup.key()))
-    normals = normal_subgroups(g)
     for rep in reports:
         n, w = rep.subgroup, rep.layer
         if w.order == 1:
@@ -604,11 +596,7 @@ def descent(g: GroupTable) -> "Certificate | Diagnostic":
         # one layer deeper: W <= N2 and |N/N2| = p^2.
         wz = set_product(g, w, center(g))
         for index, floor, tag in ((g.p, wz, "xx"), (g.p * g.p, w, "qk")):
-            for n1 in normals:
-                if n1.order * index != n.order or not n.contains_subgroup(n1):
-                    continue
-                if not n1.contains_subgroup(floor):
-                    continue
+            for n1 in normals_between(g, lower=floor, upper=n, order=n.order // index, within=phi):
                 cert, _ = try_config(g, n1, w, "paper", tag, extra, complement_of=n)
                 if cert is not None:
                     return cert

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pgv import checks
-from pgv.catalog import builtin_catalog
+from pgv.catalog import builtin_catalog, find_entry
 from pgv.checks import (
     CHECKS,
     COUNTEREXAMPLE,
@@ -22,7 +22,7 @@ from pgv.checks import (
     run_check,
 )
 from pgv.gmodule import GModule
-from pgv.group_core import center, centralizer, normal_subgroups, omega1, set_product, subgroup_center
+from pgv.group_core import Subgroup, center, centralizer, normal_subgroups, omega1, set_product, subgroup_center
 from pgv.suite import replay_counterexamples, report_to_json, resolve_check_ids, run_suite
 from tests.groups import fixed_points_in_carrier, h1_of_restriction
 
@@ -281,6 +281,18 @@ def test_tt_and_qk_gates_differ_on_the_catalog():
     whole = normal_subgroups(d8)[-1]
     assert whole.order == 8
     assert _self_centralizing(d8, whole) and _noncyclic_double_layer(d8, whole)
+
+
+def test_self_centralizing_reads_containment_not_order():
+    # hh's smaller layer is self-centralizing, C_G(N1) <= N1, as in its own
+    # gate.  The order test |C_G(N1)| <= |N1| passes on this order-8 normal
+    # subgroup of D8xC2, whose centralizer of order 4 is not inside it.
+    g = find_entry("D8xC2").group()
+    n1 = Subgroup(g, range(0, 16, 2))
+    assert n1.is_normal()
+    c = centralizer(g, n1)
+    assert c.order == 4 and not n1.contains_subgroup(c)
+    assert not _self_centralizing(g, n1)
 
 
 def test_centralized_part_matches_member_loop():

@@ -29,8 +29,10 @@ from pgv.group_core import (
     maximal_subgroups_bruteforce,
     memo,
     normal_subgroups,
+    normals_between,
     omega1,
     opposite,
+    phi_layers,
     quotient,
     set_product,
     subgroup_center,
@@ -432,6 +434,56 @@ def test_normal_subgroups_keyword_and_positional_within_share_an_entry():
     assert [s.key() for s in again] == [s.key() for s in first] and again[0] is first[0]
     again.clear()  # a caller's copy: the cached list is untouched
     assert len(normal_subgroups(g, within=phi)) == len(first) == 2
+
+
+def test_normals_between_and_phi_layers_match_pairwise_filters():
+    # Oracle: the full lattice filtered pair by pair on Python member sets,
+    # with Phi(G) as one more upper bound where the query reads `within`.
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    groups = [e.group() for e in list(builtin_catalog()) + fixture]
+    assert len(groups) == 122
+    for g in groups:
+        normals = normal_subgroups(g)
+        sets = [set(n.members.tolist()) for n in normals]
+        index = {n.bitmap.tobytes(): i for i, n in enumerate(normals)}
+        phi = frattini(g)
+
+        def want(lower=None, upper=None, order=None, within=None):
+            below = set() if lower is None else set(lower.members.tolist())
+            above = set(range(g.order))
+            for b in (upper, within):
+                if b is not None:
+                    above &= set(b.members.tolist())
+            return [
+                i for i, s in enumerate(sets)
+                if below <= s <= above and (order is None or len(s) == order)
+            ]
+
+        def got(**bounds):
+            return [index[n.bitmap.tobytes()] for n in normals_between(g, **bounds)]
+
+        picks = [normals[i] for i in sorted(set(np.linspace(0, len(normals) - 1, 4).astype(int)))]
+        picks += [center(g), phi]
+        assert got() == want()
+        for s in picks:
+            for within in (None, phi):
+                assert got(lower=s, within=within) == want(lower=s, within=within), g.name
+                assert got(upper=s, within=within) == want(upper=s, within=within), g.name
+            for t in picks:
+                assert got(lower=s, upper=t) == want(lower=s, upper=t), g.name
+        for order in sorted({n.order for n in normals}):
+            for within in (None, phi):
+                assert got(order=order, within=within) == want(order=order, within=within), g.name
+            assert got(lower=center(g), upper=phi, order=order) == want(lower=center(g), upper=phi, order=order)
+
+        layers = []
+        for n, s in zip(normals, sets):
+            if n.order > 1 and s <= set(phi.members.tolist()):
+                block = g.mul[np.ix_(n.members, n.members)]
+                zn = [int(x) for x, row, col in zip(n.members, block, block.T) if (row == col).all()]
+                layers.append((n.key(), tuple(x for x in zn if g.power(x, g.p) == 0)))
+        assert [(n.key(), w.key()) for n, w in phi_layers(g)] == layers, g.name
+        assert all(len(w) > 1 for _, w in layers)
 
 
 class _Derived:

@@ -213,6 +213,15 @@ def test_sweep_builds_the_full_lattice_only_past_stage_a(catalog):
         assert full in g._cache, pres.name
 
 
+def test_descent_reads_only_the_lattice_inside_phi():
+    # K4sC4_e1101 runs the layer descent below every special subgroup; its
+    # layers N1 < N lie inside Phi(G), so paper mode builds no full lattice.
+    fixture = load_catalog(str(Path(__file__).resolve().parent / "data" / "special32.pres"))
+    g = from_pc_presentation(find_entry("K4sC4_e1101", fixture).presentation)
+    assert descent(g).step == "descent:all special subgroups exhausted"
+    assert ("_normal_subgroups", None) not in g._cache
+
+
 def test_sweep_certifies_c2x5_x_d8_in_bounded_memory():
     # C2^5 x D8 has 31,663 normal subgroups: a lattice x lattice array over
     # them (7.5 GiB in float64) runs out of a 1 GiB address space, while the
