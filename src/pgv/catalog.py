@@ -225,16 +225,6 @@ def order27_list() -> List[PcPresentation]:
     ]
 
 
-def order8_list() -> List[PcPresentation]:
-    return [
-        abelian_presentation(2, [3], "C8"),
-        abelian_presentation(2, [2, 1], "C4xC2"),
-        abelian_presentation(2, [1, 1, 1], "C2xC2xC2"),
-        dihedral(3),
-        quaternion(3),
-    ]
-
-
 # -- presentation export (central series normal forms) -------------------------
 
 

@@ -181,13 +181,6 @@ def _sweep(trials: Iterator[Outcome], none: str = "hypotheses never met", count:
     return True, {count: n}
 
 
-def run_check(check_id: str, instance: Dict[str, object]) -> CheckVerdict:
-    cid = ALIASES.get(check_id, check_id)
-    if cid not in CHECKS:
-        raise KeyError(f"unknown check_id {check_id!r}")
-    return CHECKS[cid].run(instance)
-
-
 # -- shared materialization helpers ----------------------------------------------
 
 
@@ -1230,7 +1223,7 @@ def _all_inner(g: GroupTable, n1: Subgroup, w: Subgroup) -> Tuple[bool, int]:
 
 
 @memo
-def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, int]]:
+def _inner_special_layers(g: GroupTable) -> Tuple[Tuple[SpecialReport, int], ...]:
     """(rep, dim H^1(G/N, W)) for every special N whose layer W != 1 has
     only inner induced maps; cached on the table."""
     layers = []
@@ -1240,7 +1233,7 @@ def _inner_special_layers(g: GroupTable) -> List[Tuple[SpecialReport, int]]:
         gate, h1 = _all_inner(g, rep.subgroup, rep.layer)
         if gate:
             layers.append((rep, h1))
-    return layers
+    return tuple(layers)
 
 
 @register("ddd_iso", "inner derivation classes match the p-th power set", _gen_special)

@@ -11,8 +11,9 @@ the cochain vanishes:
     (d tau)(g, h)  = tau(g).h + tau(h) - tau(gh)
     (d f)(g, h, k) = f(g, h).k + f(gh, k) - f(h, k) - f(g, hk)
 
-The one exception is the test oracle ``brute_force_z1``, which writes the
-degree-1 identity out on its own so that it does not share d with the solver.
+The one exception is the test oracle ``brute_force_z1`` in ``tests/groups.py``,
+which writes the degree-1 identity out on its own so that it does not share
+d with the solver.
 
 Degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0.  A solution row
 holds every value tau(g) of a derivation, and the values of a 2-cochain at
@@ -298,36 +299,8 @@ def cohomology(
     return CohomologySpace(degree, g, m, Z, B[: len(bpiv)])
 
 
-def two_coboundary(g: GroupTable, m: GModule, sigma: np.ndarray) -> Cochain:
-    """Coboundary of a normalized 1-cochain sigma (shape (order, dim))."""
-    sigma = fl.as_residues(sigma, m.p).reshape(1, g.order, m.dim)
-    if sigma[0, 0].any():
-        raise CohomologyError("sigma must be normalized")
-    return Cochain(m, coboundary(m, sigma)[0])
-
-
 def zero_two_cocycle(g: GroupTable, m: GModule) -> Cochain:
     return Cochain(m, np.zeros((g.order, g.order, m.dim), dtype=np.int64))
-
-
-def brute_force_z1(g: GroupTable, m: GModule, limit: int = 1 << 20) -> List[np.ndarray]:
-    """All derivations by explicit function enumeration (oracle for tests).
-
-    The identity tau(gh) = tau(g).h + tau(h) is written out here on its own,
-    so that the oracle does not share ``coboundary`` with the solver."""
-    from itertools import product as iproduct
-
-    q, d, p = g.order, m.dim, m.p
-    total = p ** (q * d)
-    if total > limit:
-        raise CohomologyError("enumeration limit exceeded")
-    out = []
-    for flat in iproduct(range(p), repeat=q * d):
-        tab = np.array(flat, dtype=np.int64).reshape(q, d)
-        acted = np.swapaxes(tab @ m.act, 0, 1)  # [g, h] -> tau(g).h
-        if np.array_equal(tab[g.mul], (acted + tab[None]) % p):
-            out.append(tab)
-    return out
 
 
 # -- derivations from and to automorphisms -------------------------------------
@@ -349,26 +322,6 @@ def derivation_to_automorphism(
     return f
 
 
-def conjugation_derivation(
-    g: GroupTable, cm: ConjugationModule, x: int
-) -> Cochain:
-    """delta_x(c) = rep(c)^{-1} rep(c)^x, checked W-valued and constant on cosets."""
-    qm = cm.quotient_map
-    elts = np.arange(g.order)
-    codes = cm.code_of_element[g.mul[g.inv, g.mul[g.mul[g.inv[x], elts], x]]]
-    # The section holds the least element of each coset, so the first
-    # offending element is the one an ascending element-by-element scan
-    # would stop at, and it names the same failure.
-    bad = np.flatnonzero((codes < 0) | (codes != codes[qm.section][qm.image_of]))
-    if bad.size:
-        raise CohomologyError("not W-valued" if codes[bad[0]] < 0 else "value not constant on cosets")
-    tab = fl.vector_codes(cm.module.dim, g.p)[codes[qm.section]]
-    der = Cochain(cm.module, tab)
-    if not der.is_cocycle():
-        raise CohomologyError("conjugation derivation fails the cocycle identity")
-    return der
-
-
 def quotient_refinement_map(fine: QuotientMap, coarse: QuotientMap) -> GroupMap:
     """The projection G/N1 -> G/N for N1 <= N (both quotients of the same G)."""
     if fine.source is not coarse.source:
@@ -383,12 +336,6 @@ def inflate_module(m: GModule, along: GroupMap) -> GModule:
     """Module over `along.source` acting through the projection."""
     act = m.act[along.image_of]
     return GModule(along.source, act, check=False, name=f"infl({m.name})")
-
-
-def inflate(src: Cochain, along: GroupMap, target_module: Optional[GModule] = None) -> Cochain:
-    """delta(c) = tau(pi(c)) on the finer quotient."""
-    mod = target_module if target_module is not None else inflate_module(src.module, along)
-    return Cochain(mod, src.table[along.image_of])
 
 
 def inflated_z1_rows(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fp_linalg as fl
 from .fp_linalg import FpSubspace
-from .cohomology import Cochain, coboundary, unit_cochains
+from .cohomology import Cochain
 from .group_core import (
     DEFAULT_ORDER_CAP,
     GroupError,
@@ -102,37 +102,6 @@ def build_extension(
     kernel = Subgroup(total, kernel_embed)
     section = (nsize * np.arange(g.order)).astype(np.int64)
     return ExtensionResult(total, g, nmod, f, projection, kernel_embed, kernel, section)
-
-
-def section_is_homomorphism(ext: ExtensionResult) -> bool:
-    sec = ext.section
-    g = ext.base
-    t = ext.total
-    return bool(np.array_equal(sec[g.mul], t.mul[np.ix_(sec, sec)]))
-
-
-def equivalence_map(
-    ext: ExtensionResult, f: Cochain, f2: Cochain
-) -> Optional[GroupMap]:
-    """Isomorphism ext(f) -> ext(f2), (a, g) -> (a + sigma(g), g), when
-    f - f2 is the coboundary of some normalized sigma; None otherwise."""
-    m, q, d, p = f.module, f.module.group.order, f.module.dim, f.module.p
-    units = unit_cochains(q, d, 1)  # sigma(g)_i = 1 for one g != 1 and one i
-    diff = (f.table - f2.table).reshape(-1)
-    sol = fl.solve_left(coboundary(m, units).reshape(len(units), -1), diff, p)
-    if sol is None:
-        return None
-    sigma = np.zeros((q, d), dtype=np.int64)
-    sigma[1:] = sol.reshape(q - 1, d)
-    ext2 = build_extension(ext.base, m, f2)
-    nsize = p**d
-    x = np.arange(ext.total.order)
-    shifted = fl.vector_codes(d, p)[x % nsize] + sigma[x // nsize]
-    image = fl.encode(shifted, p) + nsize * (x // nsize)
-    fmap = GroupMap(ext.total, ext2.total, image, check=False)
-    if not fmap.is_homomorphism() or not fmap.is_bijective():
-        return None
-    return fmap
 
 
 # -- transfer maps --------------------------------------------------------------

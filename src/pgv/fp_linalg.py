@@ -423,9 +423,6 @@ class FpSubspace:
         """Residues of rows modulo the subspace: zero exactly for members."""
         return _reduce(rows, self.basis, self.pivots, self.p)
 
-    def contains_vector(self, v) -> bool:
-        return not np.any(self.reduce(v))
-
     def contains(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
         return not np.any(self.reduce(other.basis))
@@ -434,17 +431,6 @@ class FpSubspace:
         self._check_compatible(other)
         basis, piv, _ = _extend(self.basis, self.pivots, other.basis, self.p)
         return FpSubspace(self.p, self.ambient_dim, basis, tuple(piv))
-
-    def intersect(self, other: "FpSubspace") -> "FpSubspace":
-        self._check_compatible(other)
-        if self.dim == 0 or other.dim == 0:
-            return FpSubspace.zero(self.ambient_dim, self.p)
-        stacked = np.vstack([self.basis, other.basis])
-        coeffs = left_kernel_basis(np.ascontiguousarray(stacked), self.p)
-        if coeffs.shape[0] == 0:
-            return FpSubspace.zero(self.ambient_dim, self.p)
-        vecs = (coeffs[:, : self.dim] @ self.basis) % self.p
-        return FpSubspace.from_rows(vecs, self.p, self.ambient_dim)
 
     def _check_compatible(self, other: "FpSubspace"):
         if self.p != other.p or self.ambient_dim != other.ambient_dim:

@@ -66,9 +66,6 @@ class GModule:
             if not np.array_equal(prod, self.act[self.group.mul[g]]):
                 raise ModuleError("action is not a homomorphism")
 
-    def apply(self, v: np.ndarray, g: int) -> np.ndarray:
-        return (np.asarray(v, dtype=np.int64) @ self.act[g]) % self.p
-
     def __repr__(self):
         return f"<module dim {self.dim} over {self.group.name or 'G'}>"
 
@@ -76,16 +73,6 @@ class GModule:
 def trivial_module(group: GroupTable, dim: int = 1) -> GModule:
     act = np.broadcast_to(np.eye(dim, dtype=np.int64), (group.order, dim, dim)).copy()
     return GModule(group, act, check=False, name="trivial")
-
-
-def regular_module(group: GroupTable) -> GModule:
-    """Right regular module: basis indexed by group elements, v_h . g = v_{hg}."""
-    n = group.order
-    act = np.zeros((n, n, n), dtype=np.int64)
-    rows = np.arange(n)
-    for g in range(n):
-        act[g, rows, group.mul[rows, g]] = 1
-    return GModule(group, act, check=False, name="regular")
 
 
 def dual_module(m: GModule) -> GModule:
@@ -424,16 +411,6 @@ def tuple_product_matrix(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) 
     acting = "right" if side == "left" else "left"
     blocks = [fb.mul_block(np.reshape(x, (fb.n, fb.block)), acting) for x in xs]
     return np.vstack([np.hstack(list(b)) for b in blocks])
-
-
-def ann_tuple(fb: FreeBimodule, xs: Sequence[np.ndarray], side: str) -> FpSubspace:
-    """Tuples (y_1..y_s) with sum_i (y_i,..,y_i) x_i = 0 in prod^n F_p(G):
-    the left kernel of ``tuple_product_matrix``.  Lives in prod^s F_p(G)."""
-    s = len(xs)
-    if s < 1:
-        raise ModuleError("s >= 1 required")
-    rows = fl.left_kernel_basis(tuple_product_matrix(fb, xs, side), fb.p)
-    return FpSubspace.from_rows(rows, fb.p, s * fb.block)
 
 
 # -- embedding into the free module ------------------------------------------

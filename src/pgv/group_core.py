@@ -44,9 +44,9 @@ def memo(fn: Callable) -> Callable:
     The one cache policy for data derived from an immutable table or module.
     Keyword arguments and omitted defaults are bound to their positions
     first, so every spelling of one call shares one entry.  A cached None is
-    a hit like any other value.  A list result is handed out as a fresh copy
-    that the caller may change; any other value is returned as is and is
-    read-only by convention.
+    a hit like any other value.  A hit returns the cached object itself, so
+    cached values are read-only: a sequence is cached as a tuple, and any
+    other value is read-only by convention.
     """
     sig = inspect.signature(fn)
     arity = len(sig.parameters)
@@ -61,7 +61,7 @@ def memo(fn: Callable) -> Callable:
         val = obj._cache.get(key, _MISS)
         if val is _MISS:
             val = obj._cache[key] = fn(obj, *args)
-        return list(val) if isinstance(val, list) else val
+        return val
 
     return cached
 
@@ -165,10 +165,6 @@ class GroupTable:
 
     # -- basics ------------------------------------------------------------
 
-    def conjugate(self, x: int, g: int) -> int:
-        """x^g = g^-1 x g."""
-        return int(self.mul[self.mul[self.inv[g], x], g])
-
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
         m, inv = self.mul, self.inv
@@ -213,7 +209,7 @@ class GroupTable:
         return bool(np.array_equal(self.mul, self.mul.T))
 
     @memo
-    def burnside_basis(self) -> List[int]:
+    def burnside_basis(self) -> Tuple[int, ...]:
         """A minimal generating sequence (deterministic): each element is the
         least one outside the subgroup that Phi(G) and the ones before it
         generate.  By Burnside's basis theorem it generates G and has
@@ -224,7 +220,7 @@ class GroupTable:
         while not bits.all():
             gens.append(int(np.argmin(bits)))
             bits = _adjoin(self, np.flatnonzero(bits), gens[-1])
-        return gens
+        return tuple(gens)
 
     @memo
     def fingerprint(self) -> str:
@@ -254,17 +250,6 @@ def _orders_modulo(g: GroupTable, inside: np.ndarray) -> np.ndarray:
 @memo
 def opposite(g: GroupTable) -> GroupTable:
     return GroupTable(g.p, np.ascontiguousarray(g.mul.T), name=f"{g.name}^op", check=False)
-
-
-def trivial_group(p: int) -> GroupTable:
-    return GroupTable(p, np.zeros((1, 1), dtype=np.int64), name="1")
-
-
-def cyclic_group(p: int, order: int) -> GroupTable:
-    n = order
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
-    return GroupTable(p, mul, name=f"C{n}")
 
 
 def direct_product_tables(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -383,7 +368,7 @@ class Subgroup:
     def __init__(self, parent: GroupTable, members: Sequence[int], check: bool = True):
         self.parent = parent
         idx = np.asarray(members, dtype=np.int64)
-        if check and idx.size and idx.min() < 0:
+        if check and idx.size and (idx.min() < 0 or idx.max() >= parent.order):
             raise GroupError("subgroup members must be element indices")
         self.bitmap = np.zeros(parent.order, dtype=bool)
         self.bitmap[idx] = True
@@ -558,37 +543,6 @@ def iset(g: GroupTable, a: Subgroup) -> ISet:
     return ISet(members, closed)
 
 
-def all_subgroups(g: GroupTable, max_order: int = 128) -> List[Subgroup]:
-    """Complete subgroup lattice by closure BFS; guarded by a size cap."""
-    if g.order > max_order:
-        raise GroupError(f"order cap: subgroup lattice only up to {max_order}")
-    seen: Dict[Tuple[int, ...], Subgroup] = {}
-    trivial = Subgroup(g, [0], check=False)
-    seen[trivial.key()] = trivial
-    queue = [trivial]
-    while queue:
-        h = queue.pop()
-        for x in range(1, g.order):
-            if h.contains(x):
-                continue
-            new = subgroup_closure(g, list(h.members) + [x])
-            k = new.key()
-            if k not in seen:
-                seen[k] = new
-                queue.append(new)
-    return sorted(seen.values(), key=lambda s: (s.order, s.key()))
-
-
-def maximal_subgroups_bruteforce(g: GroupTable, max_order: int = 128) -> List[Subgroup]:
-    subs = all_subgroups(g, max_order=max_order)
-    proper = [s for s in subs if s.order < g.order]
-    maximal = []
-    for s in proper:
-        if not any(t.order > s.order and t.order < g.order and t.contains_subgroup(s) for t in proper):
-            maximal.append(s)
-    return maximal
-
-
 def _adjoin(g: GroupTable, members: np.ndarray, x: int) -> np.ndarray:
     """Bitmap of <N, x> = N u Nx u ... u Nx^(p-1), for N normal with x^p in N
     and [x, G] <= N (a central step of order p)."""
@@ -604,7 +558,7 @@ def _adjoin(g: GroupTable, members: np.ndarray, x: int) -> np.ndarray:
 
 def normal_subgroups(
     g: GroupTable, within: Optional[Subgroup] = None, order_cap: int = DEFAULT_ORDER_CAP
-) -> List[Subgroup]:
+) -> Tuple[Subgroup, ...]:
     """All subgroups of `within` that are normal in g, built layer by layer.
 
     Every normal subgroup of a p-group sits in a chain of normal subgroups
@@ -621,7 +575,7 @@ def normal_subgroups(
 
 
 @memo
-def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> List[Subgroup]:
+def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> Tuple[Subgroup, ...]:
     """``normal_subgroups`` below its order cap, cached per ``within``."""
     allowed = np.ones(g.order, dtype=bool) if within is None else within.bitmap
     comm_with_gens = _commutators_with_generators(g)
@@ -646,7 +600,7 @@ def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> List[Subgrou
                 new._normal = True
                 found[key] = new
                 queue.append(new)
-    return sorted(found.values(), key=lambda s: (s.order, s.key()))
+    return tuple(sorted(found.values(), key=lambda s: (s.order, s.key())))
 
 
 def normals_between(
@@ -691,7 +645,7 @@ def phi_layers(g: GroupTable) -> Iterator[Tuple[Subgroup, Subgroup]]:
 
 
 @memo
-def maximal_subgroups(g: GroupTable) -> List[Subgroup]:
+def maximal_subgroups(g: GroupTable) -> Tuple[Subgroup, ...]:
     """Index-p (maximal) subgroups, sorted by ``key()``; normal because the
     group is a p-group.
 
@@ -717,7 +671,7 @@ def maximal_subgroups(g: GroupTable) -> List[Subgroup]:
         m = Subgroup(g, members, check=False)
         m._normal = True
         out.append(m)
-    return sorted(out, key=Subgroup.key)
+    return tuple(sorted(out, key=Subgroup.key))
 
 
 def elementary_abelian_normals(g: GroupTable) -> List[Subgroup]:
@@ -808,10 +762,6 @@ class GroupMap:
         return int(self.image_of[x])
 
 
-def identity_map(g: GroupTable) -> GroupMap:
-    return GroupMap(g, g, np.arange(g.order), check=False)
-
-
 def map_order(f: GroupMap) -> int:
     if not f.is_automorphism():
         raise GroupError("not automorphism")
@@ -842,11 +792,6 @@ def is_inner(g: GroupTable, f: GroupMap) -> Optional[int]:
     return None
 
 
-def conjugation_map(g: GroupTable, h: int) -> GroupMap:
-    conj = g.mul[g.mul[g.inv[h], np.arange(g.order)], h]
-    return GroupMap(g, g, conj, check=False)
-
-
 # -- isomorphism testing -----------------------------------------------------
 
 
@@ -874,7 +819,7 @@ def _group_invariants(g: GroupTable) -> tuple:
 
 
 def _partial_hom_image(
-    g1: GroupTable, g2: GroupTable, gens_sub: List[int], images_sub: List[int]
+    g1: GroupTable, g2: GroupTable, gens_sub: Sequence[int], images_sub: Sequence[int]
 ) -> Optional[np.ndarray]:
     """Map on <gens_sub> induced by generator images, or None on conflict.
 
@@ -971,7 +916,7 @@ def _abelian_isomorphism(g1: GroupTable, g2: GroupTable) -> Optional[np.ndarray]
 
 
 @memo
-def _greedy_generators(g: GroupTable) -> List[int]:
+def _greedy_generators(g: GroupTable) -> Tuple[int, ...]:
     """Each element is the least one outside the subgroup the ones before it
     generate; on a table built from a pc-presentation these are the pc
     generators, more than d(G) of them.
@@ -987,7 +932,7 @@ def _greedy_generators(g: GroupTable) -> List[int]:
     while cur.order < g.order:
         gens.append(int(np.argmin(cur.bitmap)))  # least element outside
         cur = subgroup_closure(g, gens)
-    return gens
+    return tuple(gens)
 
 
 def iter_isomorphisms(g1: GroupTable, g2: GroupTable) -> Iterator[np.ndarray]:

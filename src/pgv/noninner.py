@@ -91,7 +91,7 @@ class SpecialReport:
 
 
 @memo
-def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
+def find_special_subgroups(g: GroupTable) -> Tuple[SpecialReport, ...]:
     """Evaluate the special-subgroup conditions on every normal subgroup of
     the Frattini subgroup; reports cover near-misses too.  This is the one
     place the three conditions are evaluated; reports come in (order, key())
@@ -128,8 +128,7 @@ def find_special_subgroups(g: GroupTable) -> List[SpecialReport]:
                 },
             )
         )
-    reports.sort(key=lambda r: (r.subgroup.order, r.subgroup.key()))
-    return reports
+    return tuple(reports)
 
 
 # -- certificates ----------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Groups, modules and oracles shared by several test modules.
+"""Groups, modules, fixtures and oracles shared by several test modules.
 
 Test modules import these from here, never from one another, so that an
 import error in one test module does not stop the others from being
-collected.
+collected.  ``src/pgv`` keeps only what pgv runs
+(``tests/test_library_surface.py``), so a helper that only tests need, such
+as ``cyclic_group`` or the brute-force subgroup lattice, lives here.
 """
 
 import itertools
@@ -10,13 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from pgv.catalog import _base_entries, builtin_catalog
-from pgv.cohomology import cohomology
+from pgv import fp_linalg as fl
+from pgv.catalog import _base_entries, abelian_presentation, builtin_catalog, dihedral, quaternion
+from pgv.checks import CHECKS
+from pgv.cohomology import Cochain, CohomologyError, coboundary, cohomology, unit_cochains
+from pgv.extensions import build_extension
 from pgv.fp_linalg import FpSubspace
-from pgv.gmodule import fixed_points, module_from_conjugation, restrict_action, trivial_module
+from pgv.gmodule import GModule, fixed_points, module_from_conjugation, restrict_action, trivial_module
 from pgv.group_core import (
     GroupError,
     GroupMap,
+    GroupTable,
     Subgroup,
     centralizer,
     is_inner,
@@ -27,6 +33,7 @@ from pgv.group_core import (
 )
 from pgv.noninner import BRUTE_FORCE_LIMIT
 from pgv.presentations import PcPresentation, parse_presentations
+from pgv.suite import resolve_check_ids
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -52,6 +59,51 @@ def pres_heis27():
     return PcPresentation(3, 3, "He27", {1: [], 2: [], 3: []}, {(2, 1): [3]})
 
 
+def trivial_group(p):
+    return GroupTable(p, np.zeros((1, 1), dtype=np.int64), name="1")
+
+
+def cyclic_group(p, order):
+    idx = np.arange(order)
+    return GroupTable(p, (idx[:, None] + idx[None, :]) % order, name=f"C{order}")
+
+
+def order8_list():
+    """The five groups of order 8 as pc-presentations."""
+    return [
+        abelian_presentation(2, [3], "C8"),
+        abelian_presentation(2, [2, 1], "C4xC2"),
+        abelian_presentation(2, [1, 1, 1], "C2xC2xC2"),
+        dihedral(3),
+        quaternion(3),
+    ]
+
+
+def identity_map(g):
+    return GroupMap(g, g, np.arange(g.order), check=False)
+
+
+def conjugation_map(g, h):
+    """x -> h^-1 x h."""
+    return GroupMap(g, g, g.mul[g.mul[g.inv[h], np.arange(g.order)], h], check=False)
+
+
+def regular_module(group):
+    """Right regular module: basis indexed by group elements, v_h . g = v_{hg}."""
+    n = group.order
+    act = np.zeros((n, n, n), dtype=np.int64)
+    rows = np.arange(n)
+    for g in range(n):
+        act[g, rows, group.mul[rows, g]] = 1
+    return GModule(group, act, check=False, name="regular")
+
+
+def run_check(check_id, instance):
+    """One registered check, named by id or alias, on one instance."""
+    (cid,) = resolve_check_ids(check_id)
+    return CHECKS[cid].run(instance)
+
+
 def conjugation_module(g):
     """W = the largest elementary abelian normal subgroup, acted on by G/C_G(W)."""
     orders = g.element_orders()
@@ -69,13 +121,127 @@ def small_modules():
             yield from (trivial_module(g, 1), trivial_module(g, 2), conjugation_module(g))
 
 
+# -- oracles for subgroup lattices and subspaces ------------------------------
+
+
+def all_subgroups(g, max_order=128):
+    """Complete subgroup lattice by closure BFS, sorted by (order, key)."""
+    if g.order > max_order:
+        raise GroupError(f"order cap: subgroup lattice only up to {max_order}")
+    trivial = Subgroup(g, [0], check=False)
+    seen = {trivial.key(): trivial}
+    queue = [trivial]
+    while queue:
+        h = queue.pop()
+        for x in range(1, g.order):
+            if h.contains(x):
+                continue
+            new = subgroup_closure(g, list(h.members) + [x])
+            if new.key() not in seen:
+                seen[new.key()] = new
+                queue.append(new)
+    return sorted(seen.values(), key=lambda s: (s.order, s.key()))
+
+
+def maximal_subgroups_bruteforce(g, max_order=128):
+    """The proper subgroups that no larger proper subgroup contains."""
+    proper = [s for s in all_subgroups(g, max_order=max_order) if s.order < g.order]
+    return [
+        s
+        for s in proper
+        if not any(t.order > s.order and t.contains_subgroup(s) for t in proper)
+    ]
+
+
+def intersect(u, v):
+    """u ∩ v, from the left kernel of the stacked bases."""
+    if u.p != v.p or u.ambient_dim != v.ambient_dim:
+        raise ValueError("subspace mismatch")
+    if u.dim == 0 or v.dim == 0:
+        return FpSubspace.zero(u.ambient_dim, u.p)
+    coeffs = fl.left_kernel_basis(np.vstack([u.basis, v.basis]), u.p)
+    return FpSubspace.from_rows((coeffs[:, : u.dim] @ u.basis) % u.p, u.p, u.ambient_dim)
+
+
+# -- oracles for cochains and extensions --------------------------------------
+
+
+def brute_force_z1(g, m, limit=1 << 20):
+    """All derivations by explicit function enumeration.
+
+    The identity tau(gh) = tau(g).h + tau(h) is written out here on its own,
+    so that the oracle does not share ``coboundary`` with the solver."""
+    q, d, p = g.order, m.dim, m.p
+    if p ** (q * d) > limit:
+        raise CohomologyError("enumeration limit exceeded")
+    out = []
+    for flat in itertools.product(range(p), repeat=q * d):
+        tab = np.array(flat, dtype=np.int64).reshape(q, d)
+        acted = np.swapaxes(tab @ m.act, 0, 1)  # [g, h] -> tau(g).h
+        if np.array_equal(tab[g.mul], (acted + tab[None]) % p):
+            out.append(tab)
+    return out
+
+
+def two_coboundary(g, m, sigma):
+    """Coboundary of a normalized 1-cochain sigma (shape (order, dim))."""
+    sigma = fl.as_residues(sigma, m.p).reshape(1, g.order, m.dim)
+    if sigma[0, 0].any():
+        raise CohomologyError("sigma must be normalized")
+    return Cochain(m, coboundary(m, sigma)[0])
+
+
+def conjugation_derivation(g, cm, x):
+    """delta_x(c) = rep(c)^{-1} rep(c)^x, checked W-valued and constant on cosets."""
+    qm = cm.quotient_map
+    elts = np.arange(g.order)
+    codes = cm.code_of_element[g.mul[g.inv, g.mul[g.mul[g.inv[x], elts], x]]]
+    # The section holds the least element of each coset, so the first
+    # offending element is the one an ascending element-by-element scan
+    # would stop at, and it names the same failure.
+    bad = np.flatnonzero((codes < 0) | (codes != codes[qm.section][qm.image_of]))
+    if bad.size:
+        raise CohomologyError("not W-valued" if codes[bad[0]] < 0 else "value not constant on cosets")
+    der = Cochain(cm.module, fl.vector_codes(cm.module.dim, g.p)[codes[qm.section]])
+    if not der.is_cocycle():
+        raise CohomologyError("conjugation derivation fails the cocycle identity")
+    return der
+
+
+def section_is_homomorphism(ext):
+    sec, g, t = ext.section, ext.base, ext.total
+    return bool(np.array_equal(sec[g.mul], t.mul[np.ix_(sec, sec)]))
+
+
+def equivalence_map(ext, f, f2):
+    """Isomorphism ext(f) -> ext(f2), (a, g) -> (a + sigma(g), g), when
+    f - f2 is the coboundary of some normalized sigma; None otherwise."""
+    m, q, d, p = f.module, f.module.group.order, f.module.dim, f.module.p
+    units = unit_cochains(q, d, 1)  # sigma(g)_i = 1 for one g != 1 and one i
+    diff = (f.table - f2.table).reshape(-1)
+    sol = fl.solve_left(coboundary(m, units).reshape(len(units), -1), diff, p)
+    if sol is None:
+        return None
+    sigma = np.zeros((q, d), dtype=np.int64)
+    sigma[1:] = sol.reshape(q - 1, d)
+    ext2 = build_extension(ext.base, m, f2)
+    nsize = p**d
+    x = np.arange(ext.total.order)
+    shifted = fl.vector_codes(d, p)[x % nsize] + sigma[x // nsize]
+    image = fl.encode(shifted, p) + nsize * (x // nsize)
+    fmap = GroupMap(ext.total, ext2.total, image, check=False)
+    if not fmap.is_homomorphism() or not fmap.is_bijective():
+        return None
+    return fmap
+
+
 # -- oracles for a right submodule of prod^n F_p(G), read off its carrier -----
 
 
 def fixed_points_in_carrier(fb, carrier):
     """The vectors of the carrier fixed by G: the free module's own fixed
     points intersected with the carrier, with no restricted module."""
-    return fixed_points(fb.as_gmodule("right")).intersect(carrier)
+    return intersect(fixed_points(fb.as_gmodule("right")), carrier)
 
 
 def h1_of_restriction(fb, carrier):

@@ -15,7 +15,6 @@ from pgv.catalog import builtin_catalog, find_entry
 from pgv.cli import main as cli_main
 from pgv.cohomology import (
     Cochain,
-    brute_force_z1,
     cohomology,
     inflate_module,
 )
@@ -32,7 +31,7 @@ from pgv.gmodule import (
     restrict_action,
     trivial_module,
 )
-from pgv.group_core import cyclic_group, direct_product_tables, from_pc_presentation
+from pgv.group_core import direct_product_tables, from_pc_presentation
 from pgv.noninner import (
     BRUTE_FORCE_LIMIT,
     engine_sweep,
@@ -41,6 +40,7 @@ from pgv.noninner import (
     verify_certificate,
 )
 from pgv.suite import replay_counterexamples, run_suite
+from tests.groups import brute_force_z1, cyclic_group, regular_module
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +116,6 @@ def test_criterion_4_solver_vs_enumeration():
         g = cyclic_group(p, order)
         cases.append((g, trivial_module(g, 1)))
         if p ** (g.order * g.order) <= 1 << 20:
-            from pgv.gmodule import regular_module
-
             cases.append((g, regular_module(g)))
     k4 = direct_product_tables(cyclic_group(2, 2), cyclic_group(2, 2))
     cases.append((k4, trivial_module(k4, 1)))

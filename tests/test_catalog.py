@@ -20,7 +20,6 @@ from pgv.catalog import (
     heisenberg,
     load_catalog,
     modular_odd,
-    order8_list,
     quaternion,
     render_ledger,
     semidihedral,
@@ -38,6 +37,7 @@ from pgv.group_core import (
 )
 from pgv.gmodule import trivial_module
 from pgv.presentations import PresentationError, render_presentation
+from tests.groups import all_subgroups, maximal_subgroups_bruteforce, order8_list
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "data" / "special32.pres"
@@ -272,7 +272,7 @@ def test_frattini_formula_vs_maximal_oracle_catalog(catalog):
     # subgroups from the full subgroup lattice, across the small catalog.
     import numpy as np
 
-    from pgv.group_core import frattini, maximal_subgroups_bruteforce
+    from pgv.group_core import frattini
 
     checked = 0
     for e in catalog:
@@ -290,7 +290,7 @@ def test_frattini_formula_vs_maximal_oracle_catalog(catalog):
 
 def test_iset_closed_for_abelian_subgroups(catalog):
     # The p-th-power-into-center set of an abelian subgroup is a subgroup.
-    from pgv.group_core import all_subgroups, iset
+    from pgv.group_core import iset
     import numpy as np
 
     for name in ("D8", "Q8", "D16", "He27"):

@@ -19,12 +19,11 @@ from pgv.checks import (
     _noncyclic_double_layer,
     _self_centralizing,
     _sweep,
-    run_check,
 )
 from pgv.gmodule import GModule
 from pgv.group_core import Subgroup, center, centralizer, normal_subgroups, omega1, set_product, subgroup_center
 from pgv.suite import replay_counterexamples, report_to_json, resolve_check_ids, run_suite
-from tests.groups import fixed_points_in_carrier, h1_of_restriction
+from tests.groups import fixed_points_in_carrier, h1_of_restriction, run_check
 
 EXPECTED_IDS = {
     "lp_order", "ij_bound", "ddd_iso", "thm5_5", "gen_count", "cc_bound",
@@ -43,12 +42,14 @@ def test_registry_complete():
 
 
 def test_unknown_check_id():
-    with pytest.raises(KeyError):
-        run_check("nope", {})
+    with pytest.raises(KeyError, match="'nope'"):
+        resolve_check_ids("nope")
 
 
 def test_alias_thm_gg():
-    v = run_check("thm_gg", {"group": "C2", "n": 2, "seed": 4})
+    assert resolve_check_ids("thm5.5") == ["thm5_5"]
+    (cid,) = resolve_check_ids("thm_gg")
+    v = CHECKS[cid].run({"group": "C2", "n": 2, "seed": 4})
     assert v.check_id == "gg_growth"
 
 

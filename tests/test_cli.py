@@ -8,6 +8,7 @@ from pgv.catalog import find_entry
 from pgv.cli import main
 from pgv.cohomology import cohomology, solve_size
 from pgv.gmodule import trivial_module
+from tests.groups import run_check
 
 
 def test_catalog_list(capsys):
@@ -356,7 +357,6 @@ def test_check_resolves_groups_in_the_catalog_file(tmp_path, capsys):
     # A file group named like the built-in D8 but with Q8's presentation must
     # get Q8's verdicts, in the run and in the replay.
     from pgv.catalog import find_entry
-    from pgv.checks import run_check
     from pgv.presentations import render_presentation
 
     q8 = find_entry("Q8").presentation

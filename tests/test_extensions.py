@@ -5,22 +5,29 @@ import pytest
 
 from pgv.catalog import builtin_catalog
 from pgv.checks import _build_transfer, _gen_transfer, _gen_xp
-from pgv.cohomology import Cochain, cohomology, two_coboundary, zero_two_cocycle
+from pgv.cohomology import Cochain, cohomology, zero_two_cocycle
 from pgv.extensions import (
     ExtensionError,
     build_extension,
-    equivalence_map,
     filtration,
     filtration_product,
     kernel_of_down,
     lambda_expansion,
-    section_is_homomorphism,
     transfer_maps,
 )
 from pgv.fp_linalg import FpSubspace, rank_array
-from pgv.group_core import cyclic_group, direct_product_tables, from_pc_presentation, is_isomorphic
-from pgv.gmodule import FreeBimodule, free_submodule_closure, regular_module, trivial_module
-from tests.groups import filtration_product_by_pairs, pres_d8, pres_heis27
+from pgv.group_core import direct_product_tables, from_pc_presentation, is_isomorphic
+from pgv.gmodule import FreeBimodule, free_submodule_closure, trivial_module
+from tests.groups import (
+    cyclic_group,
+    equivalence_map,
+    filtration_product_by_pairs,
+    pres_d8,
+    pres_heis27,
+    regular_module,
+    section_is_homomorphism,
+    two_coboundary,
+)
 
 
 def carry_cocycle(p):

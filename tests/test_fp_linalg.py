@@ -23,7 +23,7 @@ from pgv.fp_linalg import (
 )
 from pgv.cohomology import cohomology
 from pgv.gmodule import _closure
-from tests.groups import small_modules
+from tests.groups import intersect, small_modules
 
 
 def all_vectors(n, p):
@@ -81,7 +81,7 @@ def test_rref_idempotent():
 def test_kernel_forced_by_rank_nullity():
     k = kernel_space([[1, 1]], 2)
     assert k.dim == 1
-    assert k.contains_vector([1, 1])
+    assert not k.reduce([1, 1]).any()
     k2 = kernel_space(np.eye(2, dtype=np.int64), 3)
     assert k2.dim == 0
 
@@ -184,7 +184,7 @@ def test_subspace_sum_with_zero():
     u = FpSubspace.from_rows([[1, 0, 1], [0, 1, 0]], 2)
     z = FpSubspace.zero(3, 2)
     assert u.sum(z) == u
-    assert u.intersect(u) == u
+    assert intersect(u, u) == u
 
 
 def test_subspace_modular_law_f2_exhaustive():
@@ -193,7 +193,7 @@ def test_subspace_modular_law_f2_exhaustive():
         u = FpSubspace.from_rows(rng.integers(0, 2, size=(3, 6)), 2)
         v = FpSubspace.from_rows(rng.integers(0, 2, size=(3, 6)), 2)
         s = u.sum(v)
-        i = u.intersect(v)
+        i = intersect(u, v)
         assert s.dim + i.dim == u.dim + v.dim
         # Oracle: membership agreement by exhaustive enumeration.
         su = span_by_enumeration(u.basis, 2) if u.dim else {(0,) * 6}
@@ -408,12 +408,12 @@ def test_contains_sum_intersect_match_rank_definitions(p, n, ku, kv, seed):
     assert u.contains(v) == (rank_sum == u.dim)
     s = u.sum(v)
     assert s == FpSubspace.from_rows(stacked, p, n) and s.dim == rank_sum
-    i = u.intersect(v)
+    i = intersect(u, v)
     assert i.dim == u.dim + v.dim - rank_sum
     assert u.contains(i) and v.contains(i)
     x = rng.integers(0, p, size=n)
     with_x = np.vstack([u.basis, x[None, :]])
-    assert u.contains_vector(x) == (rank_array(with_x, p) == u.dim)
+    assert (not u.reduce(x).any()) == (rank_array(with_x, p) == u.dim)
 
     if small(p, n, ku + kv):
         su, sv = span_or_zero(u.basis, p, n), span_or_zero(v.basis, p, n)

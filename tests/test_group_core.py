@@ -10,23 +10,18 @@ from pgv.group_core import (
     GroupTable,
     InconsistentPresentation,
     Subgroup,
-    all_subgroups,
     center,
     centralizer,
     commutator_subgroup,
-    conjugation_map,
-    cyclic_group,
     direct_product_tables,
     frattini,
     from_pc_presentation,
     GroupMap,
-    identity_map,
     is_inner,
     is_isomorphic,
     iset,
     map_order,
     maximal_subgroups,
-    maximal_subgroups_bruteforce,
     memo,
     normal_subgroups,
     normals_between,
@@ -37,7 +32,6 @@ from pgv.group_core import (
     set_product,
     subgroup_center,
     subgroup_closure,
-    trivial_group,
     _abelian_isomorphism,
     _element_signature,
     abelian_cyclic_basis,
@@ -49,14 +43,20 @@ from pgv.presentations import PcPresentation, PresentationError, parse_presentat
 from tests.groups import (
     abelian_cyclic_basis_by_loops,
     abelian_isomorphism_by_loops,
+    all_subgroups,
     associative_by_every_element,
     collected_right_by_gen,
+    conjugation_map,
+    cyclic_group,
+    identity_map,
+    maximal_subgroups_bruteforce,
     octonion_loop,
-    pres_d8,
     pres_d16,
+    pres_d8,
     pres_heis27,
     shipped_presentations,
     table_from_right_by_gen,
+    trivial_group,
 )
 
 
@@ -295,7 +295,7 @@ def test_burnside_basis_is_a_minimal_generating_sequence():
         assert g.p ** len(basis) * phi.order == g.order, e.name
         assert subgroup_closure(g, basis).order == g.order, e.name
         for i, x in enumerate(basis):
-            below = subgroup_closure(g, list(phi.members) + basis[:i])
+            below = subgroup_closure(g, list(phi.members) + list(basis[:i]))
             assert x == int(np.argmin(below.bitmap)), e.name
     d16 = find_entry("D16").group()
     assert len(d16.burnside_basis()) == 2
@@ -317,6 +317,14 @@ def test_subgroup_members_sorted_unique_and_never_negative():
     # -1 would index the last element, and {0, 1} is a subgroup of C2.
     with pytest.raises(GroupError):
         Subgroup(g, [0, -1])
+
+
+@pytest.mark.parametrize("member", [-1, 8])
+def test_subgroup_member_outside_the_table_is_a_group_error(member):
+    # -1 would index the last element of D8 and 8 lies past it.
+    g = from_pc_presentation(pres_d8())
+    with pytest.raises(GroupError, match="element indices"):
+        Subgroup(g, [0, member])
 
 
 def test_omega1_q8():
@@ -431,9 +439,8 @@ def test_normal_subgroups_keyword_and_positional_within_share_an_entry():
     entries = len(g._cache)
     again = normal_subgroups(g, within=phi)
     assert len(g._cache) == entries
-    assert [s.key() for s in again] == [s.key() for s in first] and again[0] is first[0]
-    again.clear()  # a caller's copy: the cached list is untouched
-    assert len(normal_subgroups(g, within=phi)) == len(first) == 2
+    assert again is first  # a hit hands out the cached tuple itself
+    assert len(first) == 2
 
 
 def test_normals_between_and_phi_layers_match_pairwise_filters():
@@ -496,7 +503,7 @@ class _Derived:
     @memo
     def listed(self, side="right"):
         self.calls.append(side)
-        return [side]
+        return (side,)
 
     @memo
     def nothing(self):
@@ -504,14 +511,13 @@ class _Derived:
         return None
 
 
-def test_memo_shares_entries_caches_none_and_copies_lists():
+def test_memo_shares_entries_caches_none_and_hands_out_the_cached_object():
     obj = _Derived()
     out = obj.listed()
-    assert obj.listed("right") == obj.listed(side="right") == ["right"]
+    assert obj.listed("right") == obj.listed(side="right") == ("right",)
     assert obj.calls == ["right"]
-    out.clear()  # a caller's copy: the cached list is untouched
-    assert obj.listed() == ["right"] and obj.listed() is not obj.listed()
-    assert obj.listed("left") == ["left"] and obj.calls == ["right", "left"]
+    assert obj.listed() is out and obj.listed(side="right") is out  # a hit is no copy
+    assert obj.listed("left") == ("left",) and obj.calls == ["right", "left"]
     assert obj.nothing() is None and obj.nothing() is None
     assert obj.calls == ["right", "left", None]
     assert set(obj._cache) == {("listed", "right"), ("listed", "left"), ("nothing",)}
@@ -533,7 +539,7 @@ def test_centralizer_and_derived_subgroup_match_definitions():
     assert len(groups) == 100
     for g in groups:
         n = g.order
-        subsets = [Subgroup(g, [x], check=False) for x in range(n)] + normal_subgroups(g)
+        subsets = [Subgroup(g, [x], check=False) for x in range(n)] + list(normal_subgroups(g))
         for s in subsets:
             mask = np.ones(n, dtype=bool)
             for m in s.members:

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from pgv.catalog import load_catalog
-from pgv.checks import run_check
 from pgv.group_core import find_isomorphism
 from pgv.noninner import descent, engine_sweep, find_special_subgroups
+from tests.groups import run_check
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "data" / "special32.pres"
