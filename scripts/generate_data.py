@@ -82,7 +82,7 @@ def order81_entries():
     for pres in order27_list():
         q = from_pc_presentation(pres)
         m = trivial_module(q, 1)
-        reps = cohomology(q, m, 2, h2_order_cap=64).h_reps
+        reps = cohomology(q, m, 2).h_reps
         for coeffs in itertools.product(range(3), repeat=len(reps)):
             g = extend(q, m, reps, coeffs)
             inv = _group_invariants(g)

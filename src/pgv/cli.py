@@ -55,7 +55,7 @@ from .suite import replay_counterexamples, report_to_json, run_suite
 
 
 # `pgv h2` says on stderr how large its solve is once its seed (see
-# `cohomology.solve_size`) reaches this size (D16 with trivial:40 needs 82 MiB).
+# `cohomology.solve_size`) reaches this size (D16 with trivial:40 needs 94 MiB).
 H2_ANNOUNCE_BYTES = 64 << 20
 
 

@@ -15,26 +15,25 @@ The one exception is the test oracle ``brute_force_z1`` in ``tests/groups.py``,
 which writes the degree-1 identity out on its own so that it does not share
 d with the solver.
 
-Degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0.  A solution row
-holds every value tau(g) of a derivation, and the values of a 2-cochain at
-non-identity arguments (``_tables`` and ``_rows``).  A cocycle is fixed by
-its values at (..., s) for s in a generating sequence (Holt, Eick &
-O'Brien, *Handbook of Computational Group Theory*, ch. 7), so the solver's
-unknowns are only those values, for s in a Burnside basis
-(``GroupTable.burnside_basis``, d(G) elements): (|G| - 1) d(G) dim unknowns
-in degree 2 and d(G) dim in degree 1.  ``cocycle_seed`` builds, by a walk
-of the Cayley graph, the cochain each unit unknown fixes.  The solver then
-intersects, one at a time, the kernels of d's slices (the last argument
-fixed) at the same generators on the span of that seed: the identity then
-holds at every element (see ``_solution_space``).  Every elimination runs in
-``fp_linalg``, whose blocked kernel and ``matmul_mod`` use exact float64
-BLAS products.
+Degree-2 cocycles are normalized, f(1, .) = f(., 1) = 0.  The solver keeps
+a stack of n-cochains in one layout: each table flattened to a row of
+|G|^n dim values, so that in degree 2 the identity-argument values are zero
+columns.  A cocycle is fixed by its values at (..., s) for s in a
+generating sequence (Holt, Eick & O'Brien, *Handbook of Computational Group
+Theory*, ch. 7), so the solver's unknowns are only those values, for s in
+a Burnside basis (``GroupTable.burnside_basis``, d(G) elements):
+(|G| - 1) d(G) dim unknowns in degree 2 and d(G) dim in degree 1.
+``cocycle_seed`` builds, by a walk of the Cayley graph, the cochain each
+unit unknown fixes.  The solver then intersects, one at a time, the kernels
+of d's slices (the last argument fixed) at the same generators on the span
+of that seed: the identity then holds at every element (see
+``_solution_space``).  Every elimination runs in ``fp_linalg``, whose
+blocked kernel and ``matmul_mod`` use exact float64 BLAS products.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -94,7 +93,8 @@ class Cochain:
 
 @dataclass
 class CohomologySpace:
-    """Z^n and B^n as RREF bases of the solver's unknowns (``_rows``)."""
+    """Z^n and B^n as RREF bases of flattened n-cochain tables: a row holds
+    the |G|^n dim values of one table, in the table's order."""
 
     degree: int
     group: GroupTable
@@ -119,8 +119,8 @@ class CohomologySpace:
         """Representatives of an echelon complement of B^n in Z^n
         (``fp_linalg.complement_reps``), built on first use."""
         rows = fl.complement_reps(self.b_basis, self.z_basis, self.module.p)
-        tables = _tables(rows, self.group.order, self.module.dim, self.degree)
-        return [Cochain(self.module, tab) for tab in tables]
+        shape = (self.group.order,) * self.degree + (self.module.dim,)
+        return [Cochain(self.module, row.reshape(shape)) for row in rows]
 
 
 def cayley_tree(g: GroupTable, gens: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -242,22 +242,6 @@ def coboundary(m: GModule, cochains: np.ndarray, last: Optional[int] = None) -> 
     return fl.as_residues(out, m.p)
 
 
-def _tables(rows: np.ndarray, q: int, dim: int, degree: int) -> np.ndarray:
-    """Cochain tables from the solver's flattened unknowns (see ``_rows``)."""
-    if degree == 1:
-        return rows.reshape(len(rows), q, dim)
-    tables = np.zeros((len(rows), q, q, dim), dtype=np.int64)
-    tables[:, 1:, 1:] = rows.reshape(len(rows), q - 1, q - 1, dim)
-    return tables
-
-
-def _rows(tables: np.ndarray, degree: int) -> np.ndarray:
-    """The solver's unknowns of cochain tables: every value in degree 1, the
-    values at non-identity arguments in degree 2 (normalized cochains)."""
-    kept = tables if degree == 1 else tables[:, 1:, 1:]
-    return kept.reshape(len(kept), math.prod(kept.shape[1:]))
-
-
 def unit_cochains(q: int, dim: int, n: int) -> np.ndarray:
     """The unit n-cochains (n <= 1) whose coboundaries span B^(n+1):
     every unit vector for n = 0, the normalized ones (sigma(1) = 0) for n = 1."""
@@ -268,11 +252,10 @@ def unit_cochains(q: int, dim: int, n: int) -> np.ndarray:
 def solve_size(g: GroupTable, dim: int, degree: int) -> Tuple[int, int]:
     """The unknowns of the cocycle solve over g, and the bytes of its largest
     array: the seed, or a slice image, is an int64 matrix with a row per
-    unknown and a column per solver value of a cochain (``_rows``)."""
+    unknown and a column per value of a flattened cochain, |G|^n dim."""
     q = g.order
     unknowns = (1 if degree == 1 else q - 1) * len(g.burnside_basis()) * dim
-    values = (q if degree == 1 else q - 1) ** degree * dim
-    return unknowns, unknowns * values * np.dtype(np.int64).itemsize
+    return unknowns, unknowns * q**degree * dim * np.dtype(np.int64).itemsize
 
 
 def cohomology(
@@ -289,13 +272,15 @@ def cohomology(
         raise CohomologyError(f"cap exceeded: degree-2 limited to order {h2_order_cap}")
     q, d, p = g.order, m.dim, m.p
 
+    def flat(cochains):  # a stack of tables as rows of |G|^n dim values, a view
+        return cochains.reshape(len(cochains), q**degree * d)
+
     def make_slice(k):
-        return lambda S: _rows(coboundary(m, _tables(S, q, d, degree), last=k), degree)
+        return lambda S: flat(coboundary(m, S.reshape((len(S),) + (q,) * degree + (d,)), last=k))
 
     gens = m.group.burnside_basis()
-    seed = _rows(cocycle_seed(m, gens, degree), degree)
-    Z = _solution_space(seed, [make_slice(k) for k in gens], p)
-    B, bpiv = fl.rref_array(_rows(coboundary(m, unit_cochains(q, d, degree - 1)), degree), p)
+    Z = _solution_space(flat(cocycle_seed(m, gens, degree)), [make_slice(k) for k in gens], p)
+    B, bpiv = fl.rref_array(flat(coboundary(m, unit_cochains(q, d, degree - 1))), p)
     return CohomologySpace(degree, g, m, Z, B[: len(bpiv)])
 
 

@@ -462,21 +462,7 @@ def engine_sweep(g: GroupTable) -> Optional[Certificate]:
     # Derivations valued in elementary abelian subgroups cannot reach every
     # group (the bottom extraspecial cases need cyclic value groups), so the
     # sweep closes with the exhaustive oracle where it is affordable.
-    f = exhaustive_noninner(g)
-    if f is None:
-        return None
-    maps = sum(1 for _ in iter_isomorphisms(g, g))
-    return Certificate(
-        g.fingerprint(),
-        g.p,
-        g.order,
-        [int(x) for x in f.image_of],
-        {"mode": "search", "lemma_tag": "brute_force"},
-        [
-            f"exhaustive automorphism enumeration ({maps} maps)",
-            "first non-inner automorphism of order p selected",
-        ],
-    )
+    return _exhaustive_certificate(g)
 
 
 # -- exhaustive oracle ------------------------------------------------------------
@@ -497,6 +483,27 @@ def exhaustive_noninner(g: GroupTable) -> Optional[GroupMap]:
         if map_order(f) == g.p and is_inner(g, f) is None:
             return f
     return None
+
+
+def _exhaustive_certificate(g: GroupTable) -> Optional[Certificate]:
+    """The certificate of ``exhaustive_noninner``'s map, or None without one.
+    Its tag is ``brute_force_abelian`` on an abelian group, which the
+    derivation sweep skips, and ``brute_force`` on a group the sweep missed,
+    whose transcript also counts every automorphism of the group."""
+    f = exhaustive_noninner(g)
+    if f is None:
+        return None
+    if g.is_abelian():
+        tag, transcript = "brute_force_abelian", ["found by exhaustive automorphism enumeration"]
+    else:
+        maps = sum(1 for _ in iter_isomorphisms(g, g))
+        tag = "brute_force"
+        transcript = [
+            f"exhaustive automorphism enumeration ({maps} maps)",
+            "first non-inner automorphism of order p selected",
+        ]
+    prov = {"mode": "search", "lemma_tag": tag}
+    return Certificate(g.fingerprint(), g.p, g.order, [int(x) for x in f.image_of], prov, transcript)
 
 
 # -- the excess-H1 probe ----------------------------------------------------------
@@ -609,19 +616,7 @@ def descent(g: GroupTable) -> "Certificate | Diagnostic":
 def find_noninner(g: GroupTable, mode: str = "search") -> "Certificate | Diagnostic | None":
     """Front door used by the CLI: 'search' or 'paper' mode."""
     if mode == "search":
-        if not g.is_abelian():
-            return engine_sweep(g)
-        f = exhaustive_noninner(g)
-        if f is None:
-            return None
-        return Certificate(
-            g.fingerprint(),
-            g.p,
-            g.order,
-            [int(x) for x in f.image_of],
-            {"mode": "search", "lemma_tag": "brute_force_abelian"},
-            ["found by exhaustive automorphism enumeration"],
-        )
+        return _exhaustive_certificate(g) if g.is_abelian() else engine_sweep(g)
     if mode == "paper":
         return descent(g)
     raise NoninnerError(f"unknown mode {mode!r}")

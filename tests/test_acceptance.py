@@ -5,7 +5,6 @@ checklist under `pytest -s tests/test_acceptance.py`.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np
@@ -23,7 +22,6 @@ from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.gmodule import (
     FreeBimodule,
     annihilator,
-    annihilator_by_products,
     d_G,
     free_submodule_closure,
     minimal_generators,
@@ -31,7 +29,7 @@ from pgv.gmodule import (
     restrict_action,
     trivial_module,
 )
-from pgv.group_core import direct_product_tables, from_pc_presentation
+from pgv.group_core import direct_product_tables
 from pgv.noninner import (
     BRUTE_FORCE_LIMIT,
     engine_sweep,

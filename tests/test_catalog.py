@@ -30,10 +30,8 @@ from pgv.extensions import build_extension
 from pgv.group_core import (
     DEFAULT_ORDER_CAP,
     _group_invariants,
-    center,
     find_isomorphism,
     from_pc_presentation,
-    is_isomorphic,
 )
 from pgv.gmodule import trivial_module
 from pgv.presentations import PresentationError, render_presentation

@@ -12,7 +12,6 @@ from pgv.checks import (
     PASS,
     SKIPPED,
     UNSUPPORTED,
-    CheckVerdict,
     Skip,
     Unsupported,
     _centralized_part,

@@ -142,7 +142,8 @@ def test_h2_command(capsys):
 def test_h2_size_estimate_is_the_first_slice(monkeypatch, name, dim):
     # The first array the solver takes a kernel of is the image of the seed
     # under the first slice: a row per unknown f(x, s)_c, x != 1 and s in a
-    # minimal generating sequence, and a column per value f(x, y)_c, x, y != 1.
+    # minimal generating sequence, and a column per value f(x, y)_c of a
+    # whole table, identity arguments included.
     g = find_entry(name).group()
     shapes = []
     real = fl.left_kernel_basis
@@ -156,7 +157,7 @@ def test_h2_size_estimate_is_the_first_slice(monkeypatch, name, dim):
     unknowns, seed_bytes = solve_size(g, dim, 2)
     q, rank = g.order, len(g.burnside_basis())
     assert unknowns == (q - 1) * rank * dim
-    assert shapes[0] == ((unknowns, (q - 1) ** 2 * dim), seed_bytes)
+    assert shapes[0] == ((unknowns, q**2 * dim), seed_bytes)
 
 
 def test_h_reps_are_built_on_first_use_only(monkeypatch, capsys):
@@ -183,12 +184,12 @@ def test_h2_announces_a_large_solve_on_stderr_only(monkeypatch, capsys):
     assert main(["h2", "--group", "D8"]) == 0
     quiet = capsys.readouterr()
     assert quiet.err == ""
-    monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 14 * 49 * 8)
+    monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 14 * 64 * 8)
     assert main(["h2", "--group", "D8"]) == 0
     loud = capsys.readouterr()
     assert loud.out == quiet.out
     assert loud.err == "h2: 14 unknowns; the seed and each slice image take 0 MiB\n"
-    assert main(["h2", "--group", "C3xC3"]) == 0  # 16 unknowns, 64 values each
+    assert main(["h2", "--group", "C3xC3"]) == 0  # 16 unknowns, 81 values each
     assert "h2: 16 unknowns" in capsys.readouterr().err
     assert main(["h2", "--group", "C3xC3", "--h2-cap", "8"]) == 2  # refused, not announced
     assert "unknowns" not in capsys.readouterr().err

@@ -15,20 +15,16 @@ from pgv.cohomology import (
     cohomology,
     conjugation_h1,
     derivation_to_automorphism,
-    inflate_module,
     inflated_z1_rows,
     quotient_refinement_map,
-    zero_two_cocycle,
 )
 from pgv.catalog import builtin_catalog, find_entry
 from pgv.fp_linalg import left_kernel_array, matmul_mod, rank_array, rref_array
 from pgv.group_core import (
-    GroupTable,
     Subgroup,
     center,
     direct_product_tables,
     from_pc_presentation,
-    is_inner,
     map_order,
     omega1,
     quotient,
@@ -331,7 +327,14 @@ def z_over_all_slices(g, m, degree):
 
 def assert_z_matches_all_slices(g, m, degree):
     sp = cohomology(g, m, degree)
-    assert np.array_equal(sp.z_basis, z_over_all_slices(g, m, degree)), (g, m.name, degree)
+    z = sp.z_basis
+    if degree == 2:
+        # The solver's rows are whole tables; the oracle's omit the identity
+        # arguments, where every normalized cocycle is zero.
+        tables = z.reshape(len(z), g.order, g.order, m.dim)
+        assert not tables[:, 0].any() and not tables[:, :, 0].any(), (g, m.name)
+        z = tables[:, 1:, 1:].reshape(len(z), (g.order - 1) ** 2 * m.dim)
+    assert np.array_equal(z, z_over_all_slices(g, m, degree)), (g, m.name, degree)
 
 
 def test_generator_slices_give_every_slice_z1():

@@ -16,7 +16,7 @@ from pgv.extensions import (
     transfer_maps,
 )
 from pgv.fp_linalg import FpSubspace, rank_array
-from pgv.group_core import direct_product_tables, from_pc_presentation, is_isomorphic
+from pgv.group_core import from_pc_presentation
 from pgv.gmodule import FreeBimodule, free_submodule_closure, trivial_module
 from tests.groups import (
     cyclic_group,

@@ -7,7 +7,6 @@ from pgv.catalog import find_entry
 from pgv.cohomology import sample_nG_module
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import (
-    GroupTable,
     Subgroup,
     center,
     direct_product_tables,

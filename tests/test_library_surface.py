@@ -18,6 +18,9 @@ docstring names a ROADMAP item ("ROADMAP item 12") is kept for that item.
 A definition found uncalled no longer lends its references to others, and
 the scan repeats until no new one appears, so a helper that only dead code
 calls is found as well.
+
+A second scan keeps the test modules' imports honest: every name a module
+of ``tests/`` imports must be read there.
 """
 
 import ast
@@ -195,3 +198,56 @@ X = Box()
     }
     outside = ['TARGETS = ("pgv.m.traced",)']
     assert uncalled(library, outside) == ["m.Box.unused", "m.dead", "m.helper_for_dead"]
+
+
+def unread_imports(source):
+    """The names a module imports and never reads, sorted.
+
+    A read is a loaded name (``np`` in ``np.zeros``), a function argument,
+    since pytest hands a test or fixture the fixture its argument names, or
+    a string given to ``pytest.mark.usefixtures``.  A re-export is not a
+    read, and ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names if a.name != "*"}
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            read.add(node.arg)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "usefixtures":
+            read |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+    return sorted(imported - read)
+
+
+def test_every_test_import_is_read():
+    unread = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        names = unread_imports(path.read_text(encoding="utf-8"))
+        if names:
+            unread[path.name] = names
+    assert unread == {}
+
+
+def test_import_scan_counts_fixtures_and_reads_only():
+    source = '''
+from __future__ import annotations
+
+import json
+import os.path
+import numpy as np
+import pytest
+from pgv.catalog import find_entry, load_catalog as load
+from tests.groups import cyclic_group, klein, small_modules, pres_d8
+
+find_entry = None
+
+
+@pytest.mark.usefixtures("klein")
+def test_x(small_modules, tmp_path):
+    return os.path.join(str(tmp_path), np.__name__) and cyclic_group(2, 2)
+'''
+    assert unread_imports(source) == ["find_entry", "json", "load", "pres_d8"]

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -11,14 +10,12 @@ import pytest
 import pgv.noninner as noninner
 from pgv.catalog import builtin_catalog, find_entry, load_catalog, table_to_presentation
 from pgv.group_core import (
-    GroupMap,
     Subgroup,
     center,
     centralizer,
     elementary_abelian_normals,
     frattini,
     from_pc_presentation,
-    is_inner,
     iter_isomorphisms,
     map_order,
     normal_subgroups,
@@ -41,7 +38,7 @@ from pgv.noninner import (
     subgroup_rank,
     verify_certificate,
 )
-from tests.groups import cyclic_group, listed_noninner, pres_d8
+from tests.groups import cyclic_group, listed_noninner
 
 
 @pytest.fixture(scope="module")
