@@ -14,6 +14,7 @@ configuration into ``_sweep``.  ``register`` alone turns the outcome into a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,7 @@ from .cohomology import (
 )
 from .extensions import (
     ExtensionResult,
+    TransferPair,
     build_extension,
     filtration,
     filtration_product,
@@ -202,15 +204,29 @@ def _h1_of_module(g: GroupTable, m: GModule) -> int:
 def _class_extension(g: GroupTable, t: int, seed: int, split: bool = False) -> ExtensionResult:
     """G extended by the trivial module F_p^t along the seed-th H^2 class.
     When H^2 vanishes: the split extension if ``split``, else a skip."""
+    ext = _seeded_extension(g, t, seed)
+    if not split and ext.cocycle.is_zero():
+        raise Skip("H^2 trivial")
+    return ext
+
+
+@memo
+def _seeded_extension(g: GroupTable, t: int, seed: int) -> ExtensionResult:
+    """The extension along the seed-th H^2 class of F_p^t, or the split one
+    when H^2 vanishes.  Cached on the table, so every check in a process
+    shares it, and with it the memos on its ``total``."""
     m = trivial_module(g, t)
     sp = cohomology(g, m, 2)
-    if sp.h_dim:
-        f = sp.h_reps[seed % sp.h_dim]
-    elif split:
-        f = zero_two_cocycle(g, m)
-    else:
-        raise Skip("H^2 trivial")
+    f = sp.h_reps[seed % sp.h_dim] if sp.h_dim else zero_two_cocycle(g, m)
     return build_extension(g, m, f)
+
+
+@memo
+def _transfer_pair(g: GroupTable, t: int, seed: int, n: int) -> TransferPair:
+    """The transfer pair of ``_class_extension(g, t, seed, split=True)`` with
+    n copies.  Cached on the table, so the ``filtration`` layers cached on
+    the pair are shared by every check in a process."""
+    return transfer_maps(_seeded_extension(g, t, seed), n)
 
 
 def _classes_and_split(g: GroupTable, m: GModule, k: int) -> List[Cochain]:
@@ -257,8 +273,10 @@ def _subgroup_table(g: GroupTable, s: Subgroup) -> Tuple[GroupTable, np.ndarray]
     return GroupTable(g.p, mul, check=False, name=f"{g.name}|sub"), members
 
 
-def _small_nonabelian(cat, max_order):
-    return [e for e in cat if e.order <= max_order and not e.group().is_abelian()]
+def _small_nonabelian(cat, max_order) -> Iterator[CatalogEntry]:
+    """The non-abelian entries of order <= max_order, in catalog order; an
+    entry's table is built only when the scan reaches it."""
+    return (e for e in cat if e.order <= max_order and not e.group().is_abelian())
 
 
 def _tiny_groups(cat):
@@ -276,7 +294,7 @@ def _tiny_groups(cat):
 
 def _gen_modules(cat, seed, limit):
     out = []
-    for i, e in enumerate(_tiny_groups(cat) + _small_nonabelian(cat, 8)):
+    for i, e in enumerate(_tiny_groups(cat) + list(_small_nonabelian(cat, 8))):
         for n in (1, 2):
             for k in range(2):
                 out.append({"group": e.name, "n": n, "seed": seed + 17 * i + k})
@@ -469,8 +487,8 @@ def _gen_transfer(cat, seed, limit):
 
 def _build_transfer(inst):
     g = _group(inst)
-    ext = _class_extension(g, int(inst["t"]), int(inst["seed"]), split=True)
-    return g, ext, transfer_maps(ext, int(inst["n"]))
+    tp = _transfer_pair(g, int(inst["t"]), int(inst["seed"]), int(inst["n"]))
+    return g, tp.ext, tp
 
 
 @register("xo_unique", "kernel elements expand uniquely over the section basis", _gen_transfer)
@@ -1129,7 +1147,7 @@ def _gen_nonabelian(max_order: int):
     """Instances on the non-abelian catalog groups of order <= max_order."""
 
     def gen(cat, seed, limit):
-        return [{"group": e.name, "seed": seed} for e in _small_nonabelian(cat, max_order)][:limit]
+        return [{"group": e.name, "seed": seed} for e in itertools.islice(_small_nonabelian(cat, max_order), limit)]
 
     return gen
 

@@ -40,7 +40,7 @@ from .group_core import (
     subgroup_center,
     subgroup_closure,
 )
-from .gmodule import ModuleError, module_from_conjugation, trivial_module
+from .gmodule import DEFAULT_DIM_CAP, ModuleError, module_from_conjugation, trivial_module
 from .noninner import (
     BRUTE_FORCE_LIMIT,
     Certificate,
@@ -186,13 +186,15 @@ def cmd_h2(args) -> int:
     if kind != "trivial":
         raise UsageError("h2 supports --module trivial:<dim>")
     dim = _positive_int(param, "module dimension") if param else 1
-    m = trivial_module(g, dim)
+    # The module alone holds |G| dim^2 int64, so the cap is checked first.
+    if dim > DEFAULT_DIM_CAP:
+        raise UsageError(f"module dimension {dim} exceeds the cap {DEFAULT_DIM_CAP}")
     h2_cap = _positive_int(args.h2_cap, "--h2-cap")
     unknowns, seed_bytes = solve_size(g, dim, 2)
     if g.order <= h2_cap and seed_bytes >= H2_ANNOUNCE_BYTES:
         mib = seed_bytes / 2**20
         print(f"h2: {unknowns} unknowns; the seed and each slice image take {mib:.0f} MiB", file=sys.stderr)
-    sp = cohomology(g, m, 2, h2_order_cap=h2_cap)
+    sp = cohomology(g, trivial_module(g, dim), 2, h2_order_cap=h2_cap)
     print(f"Z^2: {sp.z_dim}  B^2: {sp.b_dim}  H^2: {sp.h_dim}")
     return 0
 

@@ -16,7 +16,7 @@ the canonical section times the kernel norm element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -39,6 +39,15 @@ class ExtensionError(ValueError):
     pass
 
 
+def _freeze_arrays(obj) -> None:
+    """Make every array field read-only: results are shared through memos,
+    and a caller that writes into one raises instead of corrupting it."""
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if isinstance(val, np.ndarray):
+            val.setflags(write=False)
+
+
 @dataclass
 class ExtensionResult:
     total: GroupTable
@@ -49,6 +58,9 @@ class ExtensionResult:
     kernel_embed: np.ndarray  # kernel element index (vector code) -> total index
     kernel: Subgroup
     section: np.ndarray  # base element -> total index (0, g)
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
     @property
     def t(self) -> int:
@@ -121,6 +133,9 @@ class TransferPair:
     lambda_basis: np.ndarray  # rows: section(g) * e_{i,l} spanning ker(down)
     lambda1_basis: np.ndarray  # rows: e_{i,l} * section(g)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)  # filled by @memo
+
+    def __post_init__(self):
+        _freeze_arrays(self)
 
 
 def _algebra_power_product(

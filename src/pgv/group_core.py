@@ -45,8 +45,10 @@ def memo(fn: Callable) -> Callable:
     Keyword arguments and omitted defaults are bound to their positions
     first, so every spelling of one call shares one entry.  A cached None is
     a hit like any other value.  A hit returns the cached object itself, so
-    cached values are read-only: a sequence is cached as a tuple, and any
-    other value is read-only by convention.
+    cached values are read-only: a sequence is cached as a tuple, the arrays
+    of a table, a module, an extension or a transfer pair refuse writes, and
+    any other value is read-only by convention.  An entry lives as long as
+    the object it is cached on.
     """
     sig = inspect.signature(fn)
     arity = len(sig.parameters)

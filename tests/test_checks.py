@@ -342,3 +342,52 @@ def test_sampled_modules_match_the_carrier_oracles():
         assert isinstance(s.module, GModule) and s.module.dim == s.carrier.dim
         assert s.fixed_dim == fixed_points_in_carrier(s.free, s.carrier).dim
         assert s.h1_dim == h1_of_restriction(s.free, s.carrier)
+
+
+# The checks that read the shared class extensions and transfer pairs cached
+# on the catalog tables (``_seeded_extension``, ``_transfer_pair``).
+SHARED_EXTENSION_CHECKS = sorted(
+    ("xo_unique", "to_iso", "thm2e_image", "tp_products", "dd_layers", "tu_coker", "dp_dim", "rty_eq")
+)
+
+
+def _fresh_catalog():
+    """The built-in catalog with no table built, so no memo is shared with
+    any earlier test."""
+    return builtin_catalog.__wrapped__()
+
+
+def _verdicts_by_check(report):
+    by_check = {}
+    for v in report["verdicts"]:
+        by_check.setdefault(v["check_id"], []).append(v)
+    return by_check
+
+
+def test_shared_extensions_do_not_depend_on_check_order():
+    forward = run_suite(",".join(SHARED_EXTENSION_CHECKS), catalog=_fresh_catalog())
+    backward = run_suite(",".join(reversed(SHARED_EXTENSION_CHECKS)), catalog=_fresh_catalog())
+    assert not forward["infra_errors"] and not backward["infra_errors"]
+    assert list(_verdicts_by_check(forward)) == SHARED_EXTENSION_CHECKS
+    assert list(_verdicts_by_check(backward)) == SHARED_EXTENSION_CHECKS[::-1]
+    assert _verdicts_by_check(forward) == _verdicts_by_check(backward)
+
+
+def test_a_check_alone_matches_its_verdicts_in_the_full_run():
+    full = _verdicts_by_check(run_suite("all", catalog=_fresh_catalog()))
+    for cid in ("tu_coker", "rty_eq", "aa_cases", "jj_lower"):
+        alone = run_suite(cid, catalog=_fresh_catalog())
+        assert alone["verdicts"] == full[cid], cid
+
+
+def test_gen_nonabelian_builds_tables_only_up_to_its_limit():
+    cat = _fresh_catalog()
+    insts = checks._gen_nonabelian(64)(cat, 0, 2)
+    assert [i["seed"] for i in insts] == [0, 0]
+    last = next(k for k, e in enumerate(cat) if e.name == insts[-1]["group"])
+    assert [e.name for e in cat[: last + 1] if not e.group().is_abelian()] == [i["group"] for i in insts]
+    assert all(e._table is None for e in cat[last + 1 :])
+    # The lazy scan keeps the list of the full one.
+    every = [{"group": e.name, "seed": 5} for e in cat if e.order <= 64 and not e.group().is_abelian()]
+    for limit in (0, 2, 12, None):
+        assert checks._gen_nonabelian(64)(cat, 5, limit) == every[:limit]

@@ -7,7 +7,7 @@ import pgv.fp_linalg as fl
 from pgv.catalog import find_entry
 from pgv.cli import main
 from pgv.cohomology import cohomology, solve_size
-from pgv.gmodule import trivial_module
+from pgv.gmodule import DEFAULT_DIM_CAP, trivial_module
 from tests.groups import run_check
 
 
@@ -193,6 +193,25 @@ def test_h2_announces_a_large_solve_on_stderr_only(monkeypatch, capsys):
     assert "h2: 16 unknowns" in capsys.readouterr().err
     assert main(["h2", "--group", "C3xC3", "--h2-cap", "8"]) == 2  # refused, not announced
     assert "unknowns" not in capsys.readouterr().err
+
+
+def test_h2_caps_the_module_dimension_before_building_it(monkeypatch, capsys):
+    built = []
+
+    def recording(g, dim):
+        built.append((dim, capsys.readouterr().err))
+        assert dim <= DEFAULT_DIM_CAP, "module built before the cap check"
+        return trivial_module(g, dim)
+
+    monkeypatch.setattr(cli, "trivial_module", recording)
+    for dim in (DEFAULT_DIM_CAP + 1, 99999):
+        assert main(["h2", "--group", "D8", "--module", f"trivial:{dim}"]) == 1
+        assert capsys.readouterr().err == f"usage error: module dimension {dim} exceeds the cap {DEFAULT_DIM_CAP}\n"
+    assert built == []
+    # The solve size is announced before the module is built.
+    monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 0)
+    assert main(["h2", "--group", "D8", "--module", "trivial:2"]) == 0
+    assert built == [(2, "h2: 28 unknowns; the seed and each slice image take 0 MiB\n")]
 
 
 def test_extend_command(tmp_path, capsys):

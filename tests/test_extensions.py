@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgv.catalog import builtin_catalog
-from pgv.checks import _build_transfer, _gen_transfer, _gen_xp
+from pgv.checks import _build_transfer, _class_extension, _gen_transfer, _gen_xp, _transfer_pair
 from pgv.cohomology import Cochain, cohomology, zero_two_cocycle
 from pgv.extensions import (
     ExtensionError,
@@ -450,3 +450,18 @@ def test_transfer_maps_match_elementwise_oracle():
                 lam1.append(in_copy(r % n, product_oracle(total, ev, s)))
         assert np.array_equal(tp.lambda_basis, np.array(lam)), inst
         assert np.array_equal(tp.lambda1_basis, np.array(lam1)), inst
+
+
+def test_shared_extension_and_transfer_pair_are_built_once_and_refuse_writes():
+    g = builtin_catalog.__wrapped__()[1].group()
+    tp = _transfer_pair(g, 2, 0, 1)
+    ext = tp.ext
+    assert _transfer_pair(g, 2, 0, 1) is tp
+    assert _class_extension(g, 2, 0) is _class_extension(g, 2, 0, split=True) is ext
+    with pytest.raises(ValueError, match="read-only"):
+        ext.kernel_embed[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        tp.down[0, 0] = 1
+    for obj in (ext, tp):
+        arrays = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
