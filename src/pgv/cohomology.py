@@ -29,13 +29,26 @@ of d's slices (the last argument fixed) at the same generators on the span
 of that seed: the identity then holds at every element (see
 ``_solution_space``).  Every elimination runs in ``fp_linalg``, whose
 blocked kernel and ``matmul_mod`` use exact float64 BLAS products.
+
+Inside a ``solve_once()`` block, ``cohomology`` solves each distinct
+(table, action, degree) once.  The key is what the solve reads: the degree,
+p and a sha256 of the table's ``mul`` and the module's ``act``; a hit is
+confirmed by comparing both arrays, so it is exact.  A repeat gets a new
+``CohomologySpace`` for its own group and module that shares the first
+solve's read-only bases.  ``run_suite`` opens one scope per check id, over
+the check's instance generation and its instances, because the checks
+rebuild equal modules by restriction, inflation, quotients and sampling.
+Outside a scope nothing is kept, so ``replay_counterexamples``, which runs
+after the suite's scopes close, solves every space again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -258,19 +271,34 @@ def solve_size(g: GroupTable, dim: int, degree: int) -> Tuple[int, int]:
     return unknowns, unknowns * q**degree * dim * np.dtype(np.int64).itemsize
 
 
-def cohomology(
-    g: GroupTable,
-    m: GModule,
-    degree: int = 1,
-    h2_order_cap: int = DEFAULT_H2_ORDER_CAP,
-) -> CohomologySpace:
-    if m.group is not g and m.group.order != g.order:
-        raise CohomologyError("module is not over this group")
-    if degree not in (1, 2):
-        raise CohomologyError("degree must be 1 or 2")
-    if degree == 2 and g.order > h2_order_cap:
-        raise CohomologyError(f"cap exceeded: degree-2 limited to order {h2_order_cap}")
-    q, d, p = g.order, m.dim, m.p
+# The spaces solved inside the open ``solve_once`` scope, None outside one:
+# (degree, p, content digest) -> [(mul, act, z_basis, b_basis), ...].
+_solved: Optional[Dict[tuple, List[tuple]]] = None
+
+
+@contextlib.contextmanager
+def solve_once():
+    """Within the block, ``cohomology`` solves each (table, action, degree)
+    once (see the module docstring).  An inner scope uses the outer one's
+    entries and leaves them at its exit; the outermost scope drops them at
+    its exit, an exception included."""
+    global _solved
+    outer = _solved
+    if outer is None:
+        _solved = {}
+    try:
+        yield
+    finally:
+        _solved = outer
+
+
+def _content_digest(m: GModule) -> bytes:
+    return hashlib.sha256(m.group.mul.tobytes() + m.act.tobytes()).digest()
+
+
+def _solve(m: GModule, degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """RREF bases of Z^n and B^n over ``m.group``, both read-only."""
+    q, d, p = m.group.order, m.dim, m.p
 
     def flat(cochains):  # a stack of tables as rows of |G|^n dim values, a view
         return cochains.reshape(len(cochains), q**degree * d)
@@ -281,7 +309,36 @@ def cohomology(
     gens = m.group.burnside_basis()
     Z = _solution_space(flat(cocycle_seed(m, gens, degree)), [make_slice(k) for k in gens], p)
     B, bpiv = fl.rref_array(flat(coboundary(m, unit_cochains(q, d, degree - 1))), p)
-    return CohomologySpace(degree, g, m, Z, B[: len(bpiv)])
+    B = B[: len(bpiv)]
+    Z.setflags(write=False)
+    B.setflags(write=False)
+    return Z, B
+
+
+def cohomology(
+    g: GroupTable,
+    m: GModule,
+    degree: int = 1,
+    h2_order_cap: int = DEFAULT_H2_ORDER_CAP,
+) -> CohomologySpace:
+    """Z^n, B^n and H^n of g with coefficients in m, n = ``degree`` (1 or 2).
+    Inside ``solve_once`` a repeat of an earlier solve shares its bases."""
+    if m.group is not g and not np.array_equal(m.group.mul, g.mul):
+        raise CohomologyError("module is not over this group")
+    if degree not in (1, 2):
+        raise CohomologyError("degree must be 1 or 2")
+    if degree == 2 and g.order > h2_order_cap:
+        raise CohomologyError(f"cap exceeded: degree-2 limited to order {h2_order_cap}")
+    if _solved is None:
+        return CohomologySpace(degree, g, m, *_solve(m, degree))
+    mul, act = m.group.mul, m.act
+    solved = _solved.setdefault((degree, m.p, _content_digest(m)), [])
+    for mul0, act0, Z, B in solved:
+        if np.array_equal(mul0, mul) and np.array_equal(act0, act):
+            return CohomologySpace(degree, g, m, Z, B)
+    Z, B = _solve(m, degree)
+    solved.append((mul, act, Z, B))
+    return CohomologySpace(degree, g, m, Z, B)
 
 
 def zero_two_cocycle(g: GroupTable, m: GModule) -> Cochain:

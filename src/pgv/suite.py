@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .catalog import CatalogEntry, builtin_catalog
 from .checks import ALIASES, CHECKS, COUNTEREXAMPLE, PASS, SKIPPED, UNSUPPORTED, CheckVerdict
+from .cohomology import solve_once
 
 
 def _instance_limit(budget_ms: Optional[int]) -> int:
@@ -67,20 +68,21 @@ def run_suite(
     counts = {PASS: 0, COUNTEREXAMPLE: 0, SKIPPED: 0, UNSUPPORTED: 0}
     infra_errors: List[Dict[str, str]] = []
     for cid in check_ids:
-        cdef = CHECKS[cid]
-        instances = cdef.generate(cat, seed, limit)
-        for inst in instances:
-            if "group" in inst and inst["group"] not in entries:
-                continue
-            try:
-                v = _run(cid, inst, entries)
-            except Exception as e:  # infrastructure failure, not a finding
-                infra_errors.append(
-                    {"check_id": cid, "instance": json.dumps(inst, sort_keys=True), "error": repr(e)}
-                )
-                v = CheckVerdict(cid, inst, UNSUPPORTED, {"error": repr(e)})
-            counts[v.status] = counts.get(v.status, 0) + 1
-            verdicts.append(v.to_dict())
+        # One scope per check: its generator and its instances solve each
+        # cohomology space once, and the spaces go when the check is done.
+        with solve_once():
+            for inst in CHECKS[cid].generate(cat, seed, limit):
+                if "group" in inst and inst["group"] not in entries:
+                    continue
+                try:
+                    v = _run(cid, inst, entries)
+                except Exception as e:  # infrastructure failure, not a finding
+                    infra_errors.append(
+                        {"check_id": cid, "instance": json.dumps(inst, sort_keys=True), "error": repr(e)}
+                    )
+                    v = CheckVerdict(cid, inst, UNSUPPORTED, {"error": repr(e)})
+                counts[v.status] = counts.get(v.status, 0) + 1
+                verdicts.append(v.to_dict())
 
     report = {
         "meta": {
@@ -106,7 +108,9 @@ def replay_counterexamples(
     report: Dict[str, object], catalog: Optional[Sequence[CatalogEntry]] = None
 ) -> List[Dict[str, object]]:
     """Re-run every COUNTEREXAMPLE from its stored instance, with groups named
-    in ``catalog`` (the built-in one by default); returns mismatches."""
+    in ``catalog`` (the built-in one by default); returns mismatches.  The suite's
+    ``solve_once`` scopes are closed by then, so every cohomology space is
+    solved again."""
     entries = {e.name: e for e in (catalog if catalog is not None else builtin_catalog())}
     mismatches = []
     for v in report["verdicts"]:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import pgv.cohomology as cohomology_module
 from pgv import checks
 from pgv.catalog import builtin_catalog, find_entry
 from pgv.checks import (
@@ -180,6 +181,38 @@ def test_counterexample_replay():
     rep = run_suite("ij_bound", "quaternion", seed=0, budget_ms=2000)
     assert rep["counts"][COUNTEREXAMPLE] >= 1
     assert replay_counterexamples(rep) == []
+
+
+def test_replay_solves_its_cohomology_again(monkeypatch):
+    # The suite shares solves within a check; replay runs outside that scope,
+    # so it derives every verdict again from scratch.
+    rep = run_suite("jx_rank", catalog=_fresh_catalog())
+    assert rep["counts"][COUNTEREXAMPLE] >= 1
+    solves = []
+    real = cohomology_module._solve
+
+    def counted(m, degree):
+        assert cohomology_module._solved is None
+        solves.append(degree)
+        return real(m, degree)
+
+    monkeypatch.setattr(cohomology_module, "_solve", counted)
+    assert replay_counterexamples(rep) == []
+    assert len(solves) > 0
+
+
+def test_the_suite_shares_solves_within_a_check_and_not_across_checks(monkeypatch):
+    # du_growth and jx_rank draw the same modules: one scope over both runs
+    # would solve 10 fewer spaces than the two checks alone.
+    solves = []
+    real = cohomology_module._solve
+    monkeypatch.setattr(cohomology_module, "_solve", lambda m, degree: solves.append(degree) or real(m, degree))
+    counts = {}
+    for cids in ("du_growth", "jx_rank", "du_growth,jx_rank"):
+        del solves[:]
+        run_suite(cids, catalog=_fresh_catalog())
+        counts[cids] = len(solves)
+    assert counts["du_growth,jx_rank"] == counts["du_growth"] + counts["jx_rank"] > 0
 
 
 def test_report_json_serializable():
@@ -375,7 +408,7 @@ def test_shared_extensions_do_not_depend_on_check_order():
 
 def test_a_check_alone_matches_its_verdicts_in_the_full_run():
     full = _verdicts_by_check(run_suite("all", catalog=_fresh_catalog()))
-    for cid in ("tu_coker", "rty_eq", "aa_cases", "jj_lower"):
+    for cid in ("tu_coker", "rty_eq", "aa_cases", "jj_lower", "du_growth", "jx_rank", "cor18", "px_iff"):
         alone = run_suite(cid, catalog=_fresh_catalog())
         assert alone["verdicts"] == full[cid], cid
 

@@ -37,6 +37,7 @@ from pgv.gmodule import (
     module_from_conjugation,
     trivial_module,
 )
+from pgv.suite import run_suite
 from tests.groups import (
     brute_force_z1,
     conjugation_derivation,
@@ -571,3 +572,117 @@ def test_conjugation_h1_is_built_once_per_pair(monkeypatch):
     assert conjugation_h1(g, klein, rotations) is None
     assert conjugation_h1(g, klein, rotations) is None
     assert built == [(klein.key(), klein.key()), (klein.key(), rotations.key())]
+
+
+# -- solve_once: one solve per distinct (table, action, degree) ----------------
+
+
+def test_a_module_over_another_table_of_the_same_order_is_refused():
+    c4, v4 = cyclic_group(2, 4), klein()
+    with pytest.raises(CohomologyError):
+        cohomology(c4, trivial_module(v4, 1), 1)  # once read as H^1(C4, F_2) = 2
+    assert cohomology(c4, trivial_module(c4, 1), 1).h_dim == 1
+    # An equal table built afresh is the same group.
+    assert cohomology(klein(), trivial_module(v4, 1), 1).h_dim == 2
+
+
+def _count_solves(monkeypatch):
+    solves = []
+    real = cohomology_module._solution_space
+
+    def counted(*args):
+        solves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cohomology_module, "_solution_space", counted)
+    return solves
+
+
+def _same_bases(a, b):
+    return all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.z_basis, b.z_basis), (a.b_basis, b.b_basis))
+    )
+
+
+def test_spaces_shared_in_a_scope_equal_a_fresh_solve(monkeypatch):
+    spaces = []
+    real = cohomology_module.CohomologySpace
+
+    def recorded(*args):
+        spaces.append(real(*args))
+        return spaces[-1]
+
+    solves = _count_solves(monkeypatch)
+    monkeypatch.setattr(cohomology_module, "CohomologySpace", recorded)
+    report = run_suite("du_growth,jx_rank,px_iff", catalog=builtin_catalog.__wrapped__())
+    monkeypatch.undo()
+    assert not report["infra_errors"]
+    # The suite's scope served most of these spaces from an earlier solve.
+    assert len(spaces) > 2 * len(solves) > 0
+    assert cohomology_module._solved is None
+    for sp in spaces:
+        fresh = cohomology(sp.group, sp.module, sp.degree)
+        assert _same_bases(sp, fresh), (sp.group.name, sp.module.name, sp.degree)
+
+
+def test_distinct_modules_under_one_digest_keep_their_own_spaces(monkeypatch):
+    modules = [m for m in small_modules() if m.group.order <= 8]
+    fresh = [cohomology(m.group, m, degree) for m in modules for degree in (1, 2)]
+    monkeypatch.setattr(cohomology_module, "_content_digest", lambda m: b"")
+    solves = _count_solves(monkeypatch)
+    with cohomology_module.solve_once():
+        for _ in range(2):
+            shared = [cohomology(m.group, m, degree) for m in modules for degree in (1, 2)]
+            assert all(_same_bases(a, b) for a, b in zip(shared, fresh))
+    distinct = {(d, m.p, m.group.mul.tobytes(), m.act.tobytes()) for m in modules for d in (1, 2)}
+    assert len(solves) == len(distinct) < len(fresh)
+
+
+def test_nothing_is_shared_outside_a_scope(monkeypatch):
+    g = cyclic_group(2, 4)
+    solves = _count_solves(monkeypatch)
+    for _ in range(3):
+        cohomology(g, trivial_module(g, 1), 1)
+    assert len(solves) == 3
+    with cohomology_module.solve_once():
+        first = cohomology(g, trivial_module(g, 1), 1)
+        again = cohomology(cyclic_group(2, 4), trivial_module(cyclic_group(2, 4), 1), 1)
+    assert len(solves) == 4
+    # The caller's table and module label the space; the bases are shared.
+    assert again.group is not first.group and again.module is not first.module
+    assert again.z_basis is first.z_basis and again.b_basis is first.b_basis
+
+
+def test_shared_bases_refuse_writes():
+    g = cyclic_group(2, 2)
+    with cohomology_module.solve_once():
+        cohomology(g, regular_module(g), 1)
+        sp = cohomology(g, regular_module(g), 1)
+    assert sp.z_dim == sp.b_dim == 1
+    for basis in (sp.z_basis, sp.b_basis):
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0
+
+
+def test_scopes_nest_and_an_exception_closes_them(monkeypatch):
+    g = klein()
+    m1, m2 = trivial_module(g, 1), trivial_module(g, 2)
+    solves = _count_solves(monkeypatch)
+    with cohomology_module.solve_once():
+        cohomology(g, m1, 1)
+        with cohomology_module.solve_once():
+            cohomology(g, m1, 1)
+            cohomology(g, m2, 1)
+        assert len(solves) == 2
+        cohomology(g, m1, 1)
+        cohomology(g, m2, 1)
+        assert len(solves) == 2
+    assert cohomology_module._solved is None
+    with pytest.raises(RuntimeError):
+        with cohomology_module.solve_once():
+            cohomology(g, m1, 1)
+            raise RuntimeError("stop")
+    assert cohomology_module._solved is None
+    cohomology(g, m1, 1)
+    assert len(solves) == 4
