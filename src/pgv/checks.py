@@ -210,14 +210,26 @@ def _class_extension(g: GroupTable, t: int, seed: int, split: bool = False) -> E
     return ext
 
 
-@memo
 def _seeded_extension(g: GroupTable, t: int, seed: int) -> ExtensionResult:
-    """The extension along the seed-th H^2 class of F_p^t, or the split one
-    when H^2 vanishes.  Cached on the table, so every check in a process
-    shares it, and with it the memos on its ``total``."""
+    """The extension along the seed-th H^2 class of F_p^t (seed mod dim H^2),
+    or the split one when H^2 vanishes.  Seeds that pick one class get one
+    shared extension."""
+    h_dim = _h2_dim(g, t)
+    return _extension_of_class(g, t, seed % h_dim if h_dim else None)
+
+
+@memo
+def _h2_dim(g: GroupTable, t: int) -> int:
+    return cohomology(g, trivial_module(g, t), 2).h_dim
+
+
+@memo
+def _extension_of_class(g: GroupTable, t: int, k: Optional[int]) -> ExtensionResult:
+    """The extension along the k-th H^2 class representative of F_p^t, the
+    split one for k None.  Cached on the table, so every check in a process
+    shares it, and with it the memos on it and on its ``total``."""
     m = trivial_module(g, t)
-    sp = cohomology(g, m, 2)
-    f = sp.h_reps[seed % sp.h_dim] if sp.h_dim else zero_two_cocycle(g, m)
+    f = zero_two_cocycle(g, m) if k is None else cohomology(g, m, 2).h_reps[k]
     return build_extension(g, m, f)
 
 
@@ -898,9 +910,11 @@ def check_rty(inst):
     return ok, {"dim_Q": int(qmod1.dim), "dim_fixed": int(qn.dim), "d_of_fixed": int(d_fixed)}
 
 
+@memo
 def _collapsed_extension(ext: ExtensionResult) -> ExtensionResult:
     """The rank-1 extension below a rank-2 one: the kernel P and the cocycle
-    pushed onto P/P1, P1 the second coordinate."""
+    pushed onto P/P1, P1 the second coordinate.  Cached on ``ext``, which
+    ``_extension_of_class`` shares between checks."""
     g = ext.base
     sub = FpSubspace.from_rows(np.array([[0, 1]]), g.p, 2)
     qkern, fbar = _quotient_mod_cocycle(g, ext.module, ext.cocycle, sub)

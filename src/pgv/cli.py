@@ -51,7 +51,7 @@ from .noninner import (
     verify_certificate,
 )
 from .presentations import PresentationError, parse_presentations, render_presentation
-from .suite import replay_counterexamples, report_to_json, run_suite
+from .suite import UnknownCheckError, replay_counterexamples, report_to_json, run_suite
 
 
 # `pgv h2` says on stderr how large its solve is once its seed (see
@@ -387,7 +387,7 @@ def main(argv: Optional[list] = None) -> int:
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.fn(args)
-    except (UsageError, CatalogError, PresentationError, KeyError) as e:
+    except (UsageError, CatalogError, PresentationError, UnknownCheckError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (GroupError, ModuleError, NoninnerError, CohomologyError, ExtensionError) as e:

@@ -58,6 +58,7 @@ class ExtensionResult:
     kernel_embed: np.ndarray  # kernel element index (vector code) -> total index
     kernel: Subgroup
     section: np.ndarray  # base element -> total index (0, g)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)  # filled by @memo
 
     def __post_init__(self):
         _freeze_arrays(self)

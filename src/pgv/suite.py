@@ -36,6 +36,14 @@ def _run(check_id: str, inst: Dict[str, object], entries: Dict[str, CatalogEntry
     return dataclasses.replace(CHECKS[check_id].run(run_inst), instance=inst)
 
 
+class UnknownCheckError(KeyError):
+    """A check id that is neither registered nor an alias.  Its str is the
+    plain message, where a KeyError's is the repr of its argument."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def resolve_check_ids(expr: str) -> List[str]:
     if expr in ("all", "*"):
         return sorted(CHECKS)
@@ -46,7 +54,7 @@ def resolve_check_ids(expr: str) -> List[str]:
             continue
         cid = ALIASES.get(part, part)
         if cid not in CHECKS:
-            raise KeyError(f"unknown check_id {part!r}")
+            raise UnknownCheckError(f"unknown check_id {part!r}")
         ids.append(cid)
     return ids
 

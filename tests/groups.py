@@ -153,6 +153,13 @@ def maximal_subgroups_bruteforce(g, max_order=128):
     ]
 
 
+def numpy_loop_rref(a, p):
+    """Oracle: ``rref_array`` through the numpy per-pivot loop, at every p
+    and size (the packed F_2 kernel is not used)."""
+    A = fl.as_residues(a, p)
+    return A, fl._eliminate(A, p)
+
+
 def intersect(u, v):
     """u ∩ v, from the left kernel of the stacked bases."""
     if u.p != v.p or u.ambient_dim != v.ambient_dim:

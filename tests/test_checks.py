@@ -378,7 +378,7 @@ def test_sampled_modules_match_the_carrier_oracles():
 
 
 # The checks that read the shared class extensions and transfer pairs cached
-# on the catalog tables (``_seeded_extension``, ``_transfer_pair``).
+# on the catalog tables (``_extension_of_class``, ``_transfer_pair``).
 SHARED_EXTENSION_CHECKS = sorted(
     ("xo_unique", "to_iso", "thm2e_image", "tp_products", "dd_layers", "tu_coker", "dp_dim", "rty_eq")
 )
@@ -408,9 +408,37 @@ def test_shared_extensions_do_not_depend_on_check_order():
 
 def test_a_check_alone_matches_its_verdicts_in_the_full_run():
     full = _verdicts_by_check(run_suite("all", catalog=_fresh_catalog()))
-    for cid in ("tu_coker", "rty_eq", "aa_cases", "jj_lower", "du_growth", "jx_rank", "cor18", "px_iff"):
+    for cid in (
+        "tu_coker",
+        "rty_eq",
+        "qq_cases",
+        "ggg_exact",
+        "aa_cases",
+        "jj_lower",
+        "du_growth",
+        "jx_rank",
+        "cor18",
+        "px_iff",
+    ):
         alone = run_suite(cid, catalog=_fresh_catalog())
         assert alone["verdicts"] == full[cid], cid
+
+
+def test_each_class_and_collapsed_extension_is_built_once(monkeypatch):
+    # Seeds that pick one H^2 class share its extension, and the rank-1
+    # extension collapsed from it is cached on it, so no extension these
+    # checks read is built twice.
+    built = []
+    real = checks.build_extension
+
+    def counting(g, m, f, *args, **kwargs):
+        built.append((g.fingerprint(), m.act.tobytes(), f.table.tobytes()))
+        return real(g, m, f, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "build_extension", counting)
+    report = run_suite("qq_cases,ggg_exact,rty_eq", catalog=_fresh_catalog())
+    assert not report["infra_errors"]
+    assert built and len(set(built)) == len(built)
 
 
 def test_gen_nonabelian_builds_tables_only_up_to_its_limit():

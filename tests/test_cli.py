@@ -80,6 +80,21 @@ def test_usage_errors(tmp_path, capsys):
     assert "infrastructure error" not in capsys.readouterr().err
 
 
+def test_unknown_check_id_is_a_plain_usage_error(capsys):
+    assert main(["check", "--id", "nope"]) == 1
+    assert capsys.readouterr().err == "usage error: unknown check_id 'nope'\n"
+
+
+def test_key_error_inside_a_command_is_an_infrastructure_error(monkeypatch, capsys):
+    # Only an unknown check id is the user's fault; any other KeyError is a bug.
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert main(["check", "--id", "gen_count"]) == 2
+    assert capsys.readouterr().err == "infrastructure error: KeyError('internal')\n"
+
+
 def test_unwritable_out_fails_before_any_work(monkeypatch, tmp_path, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the work ran before --out was checked")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pgv.cohomology as cohomology_module
+import pgv.fp_linalg as fl
 from pgv.cohomology import (
     Cochain,
     CohomologyError,
@@ -45,6 +46,7 @@ from tests.groups import (
     conjugation_module,
     cyclic_group,
     h1_of_restriction,
+    numpy_loop_rref,
     pres_d16,
     pres_d8,
     pres_heis27,
@@ -686,3 +688,29 @@ def test_scopes_nest_and_an_exception_closes_them(monkeypatch):
     assert cohomology_module._solved is None
     cohomology(g, m1, 1)
     assert len(solves) == 4
+
+
+def test_solver_spaces_are_the_same_with_the_numpy_loop_at_p_2(monkeypatch):
+    # The packed F_2 kernel against the numpy per-pivot loop, through the
+    # whole solve: every order-16 group, H^1 and H^2 of F_2 and F_2^2.
+    def solve_all():
+        out = []
+        for e in builtin_catalog():
+            if e.order != 16:
+                continue
+            g = e.group()
+            for d, n in itertools.product((1, 2), (1, 2)):
+                sp = cohomology(g, trivial_module(g, d), n)
+                out.append((e.name, d, n, sp.z_basis, sp.b_basis, [f.table for f in sp.h_reps]))
+        return out
+
+    packed = solve_all()
+    monkeypatch.setattr(fl, "rref_array", numpy_loop_rref)
+    monkeypatch.setattr(fl, "left_kernel_basis", lambda a, p: fl.right_kernel_basis(np.asarray(a).T, p))
+    looped = solve_all()
+    assert len(packed) == 14 * 4
+    for got, want in zip(packed, looped):
+        assert got[:3] == want[:3]
+        for x, y in zip(got[3:5], want[3:5]):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), got[:3]
+        assert len(got[5]) == len(want[5]) and all(x.tobytes() == y.tobytes() for x, y in zip(got[5], want[5]))

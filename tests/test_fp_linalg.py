@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pgv.fp_linalg import (
 )
 from pgv.cohomology import cohomology
 from pgv.gmodule import _closure
-from tests.groups import intersect, small_modules
+from tests.groups import intersect, numpy_loop_rref, small_modules
 
 
 def all_vectors(n, p):
@@ -705,3 +706,112 @@ def test_matmul_mod_guard_sits_at_2_53(monkeypatch):
     int_path = matmul_mod(a, b, p)
     assert np.array_equal(float_path, (a @ b) % p)
     assert np.array_equal(int_path, (a @ b) % p)
+
+
+# -- F_2 on packed rows against the numpy loop ---------------------------------
+
+
+def loop_left_kernel_f2(a):
+    """Oracle: ``right_kernel_basis(a^T)`` with its RREF from the numpy loop."""
+    with mock.patch.object(fl, "rref_array", numpy_loop_rref):
+        return right_kernel_basis(np.asarray(a).T, 2)
+
+
+def unitriangular_product(n, rng):
+    """An invertible n x n matrix over F_2: lower times upper unitriangular."""
+    lower = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    return (lower @ upper) % 2
+
+
+def f2_matrix(kind, m, n, rng):
+    k = min(m, n)
+    if kind == "zero":
+        return np.zeros((m, n), dtype=np.int64)
+    if kind == "full":  # rank min(m, n)
+        return (unitriangular_product(m, rng)[:, :k] @ unitriangular_product(n, rng)[:k]) % 2
+    if kind == "deficient":  # rank below min(m, n) when that is positive
+        return random_matrix(2, (m, n), max(k - 1 - int(rng.integers(0, k + 1)), 0), rng)
+    a = rng.integers(0, 2, size=(m, n))
+    if kind == "duplicates" and m:
+        a[rng.integers(0, m, size=m // 2 + 1)] = a[rng.integers(0, m, size=m // 2 + 1)]
+    return a
+
+
+F2_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 200]
+F2_KINDS = ["random", "zero", "full", "deficient", "duplicates"]
+
+
+def f2_case(kind, rows, width, tall, raw, seed):
+    rng = np.random.default_rng(seed)
+    m, n = (width, rows) if tall else (rows, width)
+    a = f2_matrix(kind, m, n, rng)
+    if raw:  # negative entries and entries above 1
+        a = a + 2 * rng.integers(-3, 4, size=a.shape)
+    return a
+
+
+F2_CASE = (
+    st.sampled_from(F2_KINDS),
+    st.integers(min_value=0, max_value=70),
+    st.sampled_from(F2_WIDTHS),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+def f2_examples(test):
+    """Every width, tall and wide, of every kind, with raw entries."""
+    cases = [("random", 0, 200, False, False), ("random", 5, 0, False, False)]
+    cases += [("random", 3, 0, True, False), ("zero", 6, 9, False, True)]
+    cases += [("full", 1, 1, False, True), ("random", 2, 4, True, True), ("duplicates", 4, 1, False, False)]
+    cases += [(kind, 70, width, tall, True) for kind in F2_KINDS for width in F2_WIDTHS for tall in (False, True)]
+    for seed, case in enumerate(cases):
+        test = example(*case, seed)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(*F2_CASE)
+@f2_examples
+def test_packed_rref_matches_the_numpy_loop(kind, rows, width, tall, raw, seed):
+    a = f2_case(kind, rows, width, tall, raw, seed)
+    before = a.copy()
+    want_R, want_piv = numpy_loop_rref(a, 2)
+    # The packed kernel at every size, and rref_array, which routes by size.
+    for R, piv in (fl._rref_f2(fl.as_residues(a, 2)), rref_array(a, 2)):
+        assert piv == want_piv and all(type(c) is int for c in piv)
+        assert R.dtype == np.int64 and R.shape == a.shape and R.flags.c_contiguous
+        assert np.array_equal(R, want_R)
+    assert np.array_equal(a, before)
+
+
+def test_only_tiny_f2_rrefs_take_the_loop(monkeypatch):
+    packed = []
+    real = fl._rref_f2
+
+    def counting(A):
+        packed.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(fl, "_rref_f2", counting)
+    assert fl.PACK_MIN == 9
+    for shape in ((1, 8), (2, 4), (8, 1), (0, 5), (1, 9), (3, 3), (9, 1)):
+        rref_array(np.ones(shape, dtype=np.int64), 2)
+    rref_array(np.ones((3, 3), dtype=np.int64), 3)
+    assert packed == [(1, 9), (3, 3), (9, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(*F2_CASE)
+@f2_examples
+def test_packed_left_kernel_matches_the_loop_kernel_of_the_transpose(kind, rows, width, tall, raw, seed):
+    a = f2_case(kind, rows, width, tall, raw, seed)
+    before = a.copy()
+    K = left_kernel_basis(a, 2)
+    want = loop_left_kernel_f2(a)
+    assert K.dtype == np.int64 and K.shape == want.shape
+    assert np.array_equal(K, want)
+    assert not ((K @ a) % 2).any()
+    assert np.array_equal(a, before)
