@@ -4,12 +4,15 @@ Arrays in and out are numpy int64 arrays whose entries are residues in
 [0, p).  Vectors are rows; the row-space convention matches the rest of the
 library, where a module element is a row vector acted on from the right.
 
-Elimination has two kernels.  At p = 2, ``rref_array`` and
-``left_kernel_basis`` pack each row into one Python int and eliminate by XOR
-(``_rref_f2``, ``_left_kernel_f2``), at every shape but the RREF of a matrix
-of fewer than PACK_MIN entries.  Otherwise they run the numpy per-pivot loop
-(``_eliminate``) or, at odd p once both dimensions pass a panel, its blocked
-form; at p = 2 that loop is the tests' oracle.
+Elimination has two kernels.  At p = 2 and 3, ``rref_array``,
+``left_kernel_basis`` and ``complement_reps`` pack each row into Python ints
+and eliminate by word operations: one int per row and XOR at p = 2
+(``_rref_f2``, ``_left_kernel_f2``), two bit planes per row at p = 3
+(``_rref_f3``, ``_left_kernel_f3``).  The RREF of a matrix of fewer than
+PACK_MIN entries, and at p = 3 that of a tall one, runs the numpy per-pivot
+loop (``_eliminate``) instead, as does every elimination at p >= 5, which
+takes its blocked form once both dimensions pass a panel.  The loop is the
+tests' oracle at every p.  Left kernels and complements need no transpose.
 
 Integer arrays are brought back to residues by ``as_residues`` alone, but for
 the packed F_2 kernel, which reads each entry's parity as it packs.  numpy's
@@ -237,12 +240,21 @@ def _recast(src: np.ndarray, dst: np.ndarray) -> None:
 # is a dict from leading bit to packed row.
 
 
-# An RREF over F_2 of fewer entries than this runs the per-pivot loop, which
-# costs less there than packing and unpacking.  On a 2-vCPU Xeon host, over
-# the F_2 RREFs that find-noninner makes: about 4.5 against 8 us per call on
-# its 690 single-row or single-column ones below 9 entries, while from 9
-# entries on (and at 2 x 2 and 2 x 3) packing costs less.
+# An RREF over F_2 or F_3 of fewer entries than this runs the per-pivot loop,
+# which costs less there than packing and unpacking.  On a 2-vCPU Xeon host,
+# over the F_2 RREFs that find-noninner makes: about 4.5 against 8 us per call
+# on its 690 single-row or single-column ones below 9 entries, while from 9
+# entries on (and at 2 x 2 and 2 x 3) packing costs less.  Over the F_3 RREFs
+# of the registry checks the two break even at about 9 to 12 entries.
 PACK_MIN = 9
+
+# An F_3 RREF runs packed only on matrices with at most this many rows per
+# column.  A row of a taller matrix mostly reduces to zero through the whole
+# echelon, one Python step per pivot, while the loop clears all rows at a
+# pivot at once.  Over the tall F_3 RREFs of the registry checks (same host),
+# packing took 3.2 ms in all against the loop's 9.4 at 1 to 2 rows per
+# column, 8.4 against 8.0 at 2 to 4, and 18.7 against 9.3 beyond 4.
+F3_TALL = 2
 
 
 def _pack_f2(A: np.ndarray) -> List[int]:
@@ -258,13 +270,18 @@ def _pack_f2(A: np.ndarray) -> List[int]:
     return [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(m)]
 
 
-def _unpack_f2(rows: Sequence[int], n: int, bitorder: str = "big") -> np.ndarray:
-    """Packed rows back to an int64 matrix of n columns; with ``bitorder``
-    "little", column j is read from bit j instead."""
+def _unpack_bits(rows: Sequence[int], n: int, bitorder: str) -> np.ndarray:
+    """Packed rows back to a writable uint8 matrix of n columns."""
     nbytes = (n + 7) // 8
     data = b"".join([row.to_bytes(nbytes, bitorder) for row in rows])
     bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(bits, axis=1, count=n, bitorder=bitorder).astype(np.int64)
+    return np.unpackbits(bits, axis=1, count=n, bitorder=bitorder)
+
+
+def _unpack_f2(rows: Sequence[int], n: int, bitorder: str = "big") -> np.ndarray:
+    """Packed rows back to an int64 matrix of n columns; with ``bitorder``
+    "little", column j is read from bit j instead."""
+    return _unpack_bits(rows, n, bitorder).astype(np.int64)
 
 
 def _reduce_f2(echelon: Dict[int, int], row: int, floor: int) -> int:
@@ -331,6 +348,98 @@ def _left_kernel_f2(A: np.ndarray) -> np.ndarray:
     return _unpack_f2(kernel, m, "little")
 
 
+# -- F_3 on bit-sliced rows -----------------------------------------------------
+#
+# At p = 3 a row is a pair of packed ints in the layout above: the bit plane
+# of its entries equal to 1 and that of its entries equal to 2 (Boothby &
+# Bradshaw, "Bitslicing and the method of four Russians over larger finite
+# fields", 2009), so (ones | twos).bit_length() gives the leading column.
+# The sum of two rows takes six word operations (Harrison, Page & Smart,
+# "Software implementation of finite fields of characteristic three", LMS J.
+# Comput. Math. 5, 2002), and negation swaps the planes.  An echelon maps a
+# leading bit to a row whose entry there is 1.
+
+
+_PLANES = np.array([1, 2]).reshape(2, 1, 1)
+
+
+def _pack_f3(A: np.ndarray) -> List[Tuple[int, int]]:
+    """The rows of the int64 matrix A, taken mod 3, as pairs of packed ints."""
+    m, n = A.shape
+    nbytes = (n + 7) // 8
+    data = np.packbits(as_residues(A, 3) == _PLANES, axis=2).tobytes()
+    rows = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(2 * m)]
+    return list(zip(rows[:m], rows[m:]))
+
+
+def _unpack_f3(rows: Sequence[Tuple[int, int]], n: int, bitorder: str = "big") -> np.ndarray:
+    """Row pairs back to an int64 matrix of n residue columns (``_unpack_f2``)."""
+    m = len(rows)
+    bits = _unpack_bits([row[0] for row in rows] + [row[1] for row in rows], n, bitorder)
+    bits[m:] <<= 1
+    bits[:m] |= bits[m:]
+    return bits[:m].astype(np.int64)
+
+
+def _reduce_f3(echelon: Dict[int, Tuple[int, int]], ones: int, twos: int, floor: int) -> Tuple[int, int]:
+    """``_reduce_f2`` on a row pair: a row with a new leading bit joins
+    ``echelon`` scaled to a leading 1."""
+    lead = (ones | twos).bit_length() - 1
+    while lead >= floor:
+        other = echelon.get(lead)
+        if other is None:
+            echelon[lead] = (twos, ones) if twos >> lead else (ones, twos)
+            break
+        # Add the echelon row times minus the row's leading entry.
+        b2, b1 = other if ones >> lead else other[::-1]
+        t = (ones | b2) ^ (twos | b1)
+        ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+        lead = (ones | twos).bit_length() - 1
+    return ones, twos
+
+
+def _rref_f3(A: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """``rref_array`` of the int64 matrix A at p = 3: ``_rref_f2`` on row
+    pairs, where a row with entry c at a later pivot column is cleared by
+    adding -c times the echelon row there."""
+    m, n = A.shape
+    echelon: Dict[int, Tuple[int, int]] = {}
+    for ones, twos in _pack_f3(A):
+        _reduce_f3(echelon, ones, twos, 0)
+    leads = sorted(echelon)  # the last pivot column first
+    later = 0  # the bits of the pivot columns after the current one
+    for lead in leads:
+        ones, twos = echelon[lead]
+        hits = (ones | twos) & later
+        while hits:
+            at = hits.bit_length() - 1
+            bit = 1 << at
+            other = echelon[at]
+            b2, b1 = other if ones & bit else other[::-1]
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+            hits ^= bit
+        echelon[lead] = (ones, twos)
+        later |= 1 << lead
+    leads.reverse()
+    width = 8 * ((n + 7) // 8)
+    R = _unpack_f3([echelon[lead] for lead in leads] + [(0, 0)] * (m - len(leads)), n)
+    return R, [width - 1 - lead for lead in leads]
+
+
+def _left_kernel_f3(A: np.ndarray) -> np.ndarray:
+    """``left_kernel_basis`` of the int64 matrix A at p = 3, in the same
+    basis, by the tagged pass of ``_left_kernel_f2``."""
+    m = A.shape[0]
+    echelon: Dict[int, Tuple[int, int]] = {}
+    kernel = []
+    for i, (ones, twos) in enumerate(_pack_f3(A)):
+        row = _reduce_f3(echelon, ones << m | 1 << i, twos << m, m)
+        if (row[0] | row[1]).bit_length() <= m:
+            kernel.append(row)
+    return _unpack_f3(kernel, m, "little")
+
+
 def _int_matrix(a) -> np.ndarray:
     A = np.asarray(a, dtype=np.int64)
     if A.ndim != 2:
@@ -341,14 +450,17 @@ def _int_matrix(a) -> np.ndarray:
 def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices).
 
-    At p = 2 a matrix of at least PACK_MIN entries runs on packed rows
-    (``_rref_f2``).  At odd p, matrices with both dimensions above PANEL
-    take the blocked path.  The rest run the per-pivot loop.  Every path
+    A matrix of at least PACK_MIN entries runs on packed rows at p = 2
+    (``_rref_f2``), and at p = 3 (``_rref_f3``) when it has at most F3_TALL
+    rows per column.  Otherwise, matrices with both dimensions above PANEL
+    take the blocked path, and the rest the per-pivot loop.  Every path
     gives the same result, since the RREF is unique.
     """
     A = _int_matrix(a)
     if p == 2 and A.size >= PACK_MIN:
         return _rref_f2(A)
+    if p == 3 and A.size >= PACK_MIN and A.shape[0] <= F3_TALL * A.shape[1]:
+        return _rref_f3(A)
     A = as_residues(A, p)
     if min(A.shape) > PANEL:
         return A, _eliminate_blocked(A, p)
@@ -363,13 +475,16 @@ def rank_array(a: np.ndarray, p: int) -> int:
 def left_kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """A basis of {x : x @ a = 0}: ``right_kernel_basis`` of a^T.
 
-    At p = 2 the same basis comes from one pass over the rows of a
-    (``_left_kernel_f2``); it is the same because each of its rows is the
-    unique kernel vector with a 1 at one dependent row and its other entries
-    at the independent rows before it.
+    At p = 2 and 3 the same basis comes from one pass over the rows of a
+    (``_left_kernel_f2``, ``_left_kernel_f3``), with no transpose; it is the
+    same because each of its rows is the unique kernel vector with a 1 at
+    one dependent row and its other entries at the independent rows before
+    it.
     """
     if p == 2:
         return _left_kernel_f2(_int_matrix(a))
+    if p == 3:
+        return _left_kernel_f3(_int_matrix(a))
     return right_kernel_basis(np.asarray(a).T, p)
 
 
@@ -612,12 +727,21 @@ def complement_reps(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:
 
     Deterministic and greedy: row i of the RREF basis R of `space` is kept
     when it lies outside the span of `sub` and of the rows of R before it,
-    that is when column len(sub) + i of [sub; R]^T is a pivot column, so one
-    elimination decides every row.  The kept rows are those of R as they
-    are, not reduced against `sub`.
+    that is when column len(sub) + i of [sub; R]^T is a pivot column.  At
+    p = 2 and 3 one pass over the packed rows of [sub; R] in order decides
+    every row: a row is kept when it reduces to something nonzero, and so
+    joins the echelon.  At p >= 5 the RREF of [sub; R]^T does.  The kept
+    rows are those of R as they are, not reduced against `sub`.
     """
     R, piv = rref_array(space, p)
     R = R[: len(piv)]
     k = len(sub)
-    _, cols = rref_array(np.vstack([sub, R]).T, p)
-    return R[[c - k for c in cols if c >= k]]
+    rows = np.vstack([sub, R])
+    echelon: dict = {}
+    if p == 2:
+        new = [i for i, row in enumerate(_pack_f2(rows)) if _reduce_f2(echelon, row, 0)]
+    elif p == 3:
+        new = [i for i, (ones, twos) in enumerate(_pack_f3(rows)) if any(_reduce_f3(echelon, ones, twos, 0))]
+    else:
+        _, new = rref_array(rows.T, p)
+    return R[[i - k for i in new if i >= k]]

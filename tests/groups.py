@@ -155,9 +155,30 @@ def maximal_subgroups_bruteforce(g, max_order=128):
 
 def numpy_loop_rref(a, p):
     """Oracle: ``rref_array`` through the numpy per-pivot loop, at every p
-    and size (the packed F_2 kernel is not used)."""
+    and size (the packed F_2 and F_3 kernels are not used)."""
     A = fl.as_residues(a, p)
     return A, fl._eliminate(A, p)
+
+
+def loop_left_kernel(a, p):
+    """Oracle: ``right_kernel_basis(a^T)`` with its RREF from the numpy loop."""
+    A, piv = numpy_loop_rref(np.asarray(a).T, p)
+    n = A.shape[1]
+    free = [j for j in range(n) if j not in set(piv)]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, piv] = (-A[: len(piv), free].T) % p
+    return basis
+
+
+def transposed_complement_reps(sub, space, p):
+    """Oracle: ``complement_reps`` from the pivot columns of one RREF of
+    [sub; RREF(space)]^T, both RREFs by the numpy loop."""
+    R, piv = numpy_loop_rref(space, p)
+    R = R[: len(piv)]
+    k = len(sub)
+    _, cols = numpy_loop_rref(np.vstack([sub, R]).T, p)
+    return R[[c - k for c in cols if c >= k]]
 
 
 def intersect(u, v):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,12 +20,13 @@ from pgv.cohomology import (
     inflated_z1_rows,
     quotient_refinement_map,
 )
-from pgv.catalog import builtin_catalog, find_entry
+from pgv.catalog import builtin_catalog, find_entry, load_catalog
 from pgv.fp_linalg import left_kernel_array, matmul_mod, rank_array, rref_array
 from pgv.group_core import (
     Subgroup,
     center,
     direct_product_tables,
+    frattini,
     from_pc_presentation,
     map_order,
     omega1,
@@ -40,18 +42,21 @@ from pgv.gmodule import (
 )
 from pgv.suite import run_suite
 from tests.groups import (
+    DATA,
     brute_force_z1,
     conjugation_derivation,
     conjugation_map,
     conjugation_module,
     cyclic_group,
     h1_of_restriction,
+    loop_left_kernel,
     numpy_loop_rref,
     pres_d16,
     pres_d8,
     pres_heis27,
     regular_module,
     small_modules,
+    transposed_complement_reps,
     two_coboundary,
 )
 
@@ -690,27 +695,68 @@ def test_scopes_nest_and_an_exception_closes_them(monkeypatch):
     assert len(solves) == 4
 
 
-def test_solver_spaces_are_the_same_with_the_numpy_loop_at_p_2(monkeypatch):
-    # The packed F_2 kernel against the numpy per-pivot loop, through the
-    # whole solve: every order-16 group, H^1 and H^2 of F_2 and F_2^2.
-    def solve_all():
-        out = []
-        for e in builtin_catalog():
-            if e.order != 16:
-                continue
-            g = e.group()
-            for d, n in itertools.product((1, 2), (1, 2)):
-                sp = cohomology(g, trivial_module(g, d), n)
-                out.append((e.name, d, n, sp.z_basis, sp.b_basis, [f.table for f in sp.h_reps]))
-        return out
+def solver_spaces(order):
+    """Z, B and the H representatives' tables of H^1 and H^2 over F_p and
+    F_p^2, for every catalog group of this order."""
+    out = []
+    for e in builtin_catalog():
+        if e.order != order:
+            continue
+        g = e.group()
+        for d, n in itertools.product((1, 2), (1, 2)):
+            sp = cohomology(g, trivial_module(g, d), n)
+            out.append((e.name, d, n, sp.z_basis, sp.b_basis, [f.table for f in sp.h_reps]))
+    return out
 
-    packed = solve_all()
+
+def check_solver_spaces_under_the_numpy_loop(monkeypatch, order, groups):
+    packed = solver_spaces(order)
     monkeypatch.setattr(fl, "rref_array", numpy_loop_rref)
-    monkeypatch.setattr(fl, "left_kernel_basis", lambda a, p: fl.right_kernel_basis(np.asarray(a).T, p))
-    looped = solve_all()
-    assert len(packed) == 14 * 4
+    monkeypatch.setattr(fl, "left_kernel_basis", loop_left_kernel)
+    monkeypatch.setattr(fl, "complement_reps", transposed_complement_reps)
+    looped = solver_spaces(order)
+    assert len(packed) == groups * 4
     for got, want in zip(packed, looped):
         assert got[:3] == want[:3]
         for x, y in zip(got[3:5], want[3:5]):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), got[:3]
         assert len(got[5]) == len(want[5]) and all(x.tobytes() == y.tobytes() for x, y in zip(got[5], want[5]))
+
+
+def test_solver_spaces_are_the_same_with_the_numpy_loop_at_p_2(monkeypatch):
+    # The packed F_2 kernel against the numpy per-pivot loop, through the
+    # whole solve: every order-16 group, H^1 and H^2 of F_2 and F_2^2.
+    check_solver_spaces_under_the_numpy_loop(monkeypatch, 16, 14)
+
+
+def test_solver_spaces_are_the_same_with_the_numpy_loop_at_p_3(monkeypatch):
+    # The bit-sliced F_3 kernel likewise: every order-27 group.
+    check_solver_spaces_under_the_numpy_loop(monkeypatch, 27, 5)
+
+
+def test_h1_over_the_trivial_module_has_the_rank_of_the_frattini_quotient():
+    # H^1(G, F_p) = Hom(G, F_p) has dimension log_p |G : Phi(G)|, and B^1 is
+    # 0 (Brown, Cohomology of Groups, III.1).  Phi(G) is computed apart from
+    # the solver: the closure of the commutators and p-th powers.
+    groups = [e.group() for e in builtin_catalog()]
+    groups += [e.group() for e in load_catalog(str(DATA / "special32.pres"))]
+    assert len(groups) == 122
+    for g in groups:
+        index = g.order // frattini(g).order
+        rank = round(math.log(index, g.p))
+        assert g.p**rank == index
+        sp = cohomology(g, trivial_module(g, 1), 1)
+        assert (sp.z_dim, sp.b_dim, sp.h_dim) == (rank, 0, rank), g.name
+
+
+def test_trivial_2_doubles_every_dimension_of_trivial_1():
+    # Universal coefficients: F_p^2 = F_p + F_p as modules, so Z^n, B^n and
+    # H^n of trivial:2 are twice those of trivial:1.
+    for e in builtin_catalog():
+        if e.order > 27:
+            continue
+        g = e.group()
+        for n in (1, 2):
+            one = cohomology(g, trivial_module(g, 1), n)
+            two = cohomology(g, trivial_module(g, 2), n)
+            assert (two.z_dim, two.b_dim, two.h_dim) == (2 * one.z_dim, 2 * one.b_dim, 2 * one.h_dim), (e.name, n)

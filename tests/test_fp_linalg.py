@@ -1,5 +1,6 @@
+import contextlib
 import itertools
-from unittest import mock
+import signal
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pgv.fp_linalg import (
 )
 from pgv.cohomology import cohomology
 from pgv.gmodule import _closure
-from tests.groups import intersect, numpy_loop_rref, small_modules
+from tests.groups import intersect, loop_left_kernel, numpy_loop_rref, small_modules, transposed_complement_reps
 
 
 def all_vectors(n, p):
@@ -708,83 +709,138 @@ def test_matmul_mod_guard_sits_at_2_53(monkeypatch):
     assert np.array_equal(int_path, (a @ b) % p)
 
 
-# -- F_2 on packed rows against the numpy loop ---------------------------------
+# -- F_2 and F_3 on packed rows against the numpy loop --------------------------
 
 
-def loop_left_kernel_f2(a):
-    """Oracle: ``right_kernel_basis(a^T)`` with its RREF from the numpy loop."""
-    with mock.patch.object(fl, "rref_array", numpy_loop_rref):
-        return right_kernel_basis(np.asarray(a).T, 2)
+def unitriangular_product(n, rng, p=2):
+    """An invertible n x n matrix over F_p: lower times upper unitriangular."""
+    lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    return (lower @ upper) % p
 
 
-def unitriangular_product(n, rng):
-    """An invertible n x n matrix over F_2: lower times upper unitriangular."""
-    lower = np.tril(rng.integers(0, 2, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
-    upper = np.triu(rng.integers(0, 2, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
-    return (lower @ upper) % 2
-
-
-def f2_matrix(kind, m, n, rng):
+def packed_matrix(kind, m, n, rng, p=2):
     k = min(m, n)
     if kind == "zero":
         return np.zeros((m, n), dtype=np.int64)
     if kind == "full":  # rank min(m, n)
-        return (unitriangular_product(m, rng)[:, :k] @ unitriangular_product(n, rng)[:k]) % 2
+        return (unitriangular_product(m, rng, p)[:, :k] @ unitriangular_product(n, rng, p)[:k]) % p
     if kind == "deficient":  # rank below min(m, n) when that is positive
-        return random_matrix(2, (m, n), max(k - 1 - int(rng.integers(0, k + 1)), 0), rng)
-    a = rng.integers(0, 2, size=(m, n))
+        return random_matrix(p, (m, n), max(k - 1 - int(rng.integers(0, k + 1)), 0), rng)
+    a = rng.integers(0, p, size=(m, n))
     if kind == "duplicates" and m:
         a[rng.integers(0, m, size=m // 2 + 1)] = a[rng.integers(0, m, size=m // 2 + 1)]
     return a
 
 
-F2_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 200]
-F2_KINDS = ["random", "zero", "full", "deficient", "duplicates"]
+PACKED_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 200]
+PACKED_KINDS = ["random", "zero", "full", "deficient", "duplicates"]
 
 
-def f2_case(kind, rows, width, tall, raw, seed):
+def packed_case(kind, rows, width, tall, raw, seed, p=2):
     rng = np.random.default_rng(seed)
     m, n = (width, rows) if tall else (rows, width)
-    a = f2_matrix(kind, m, n, rng)
-    if raw:  # negative entries and entries above 1
-        a = a + 2 * rng.integers(-3, 4, size=a.shape)
+    a = packed_matrix(kind, m, n, rng, p)
+    if raw:  # negative entries and entries of p and above
+        a = a + p * rng.integers(-3, 4, size=a.shape)
     return a
 
 
-F2_CASE = (
-    st.sampled_from(F2_KINDS),
+PACKED_CASE = (
+    st.sampled_from(PACKED_KINDS),
     st.integers(min_value=0, max_value=70),
-    st.sampled_from(F2_WIDTHS),
+    st.sampled_from(PACKED_WIDTHS),
     st.booleans(),
     st.booleans(),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 
 
-def f2_examples(test):
+def packed_examples(test):
     """Every width, tall and wide, of every kind, with raw entries."""
     cases = [("random", 0, 200, False, False), ("random", 5, 0, False, False)]
     cases += [("random", 3, 0, True, False), ("zero", 6, 9, False, True)]
     cases += [("full", 1, 1, False, True), ("random", 2, 4, True, True), ("duplicates", 4, 1, False, False)]
-    cases += [(kind, 70, width, tall, True) for kind in F2_KINDS for width in F2_WIDTHS for tall in (False, True)]
+    cases += [(kind, 70, width, tall, True) for kind in PACKED_KINDS for width in PACKED_WIDTHS for tall in (False, True)]
     for seed, case in enumerate(cases):
         test = example(*case, seed)(test)
     return test
 
 
-@settings(max_examples=60, deadline=None)
-@given(*F2_CASE)
-@f2_examples
-def test_packed_rref_matches_the_numpy_loop(kind, rows, width, tall, raw, seed):
-    a = f2_case(kind, rows, width, tall, raw, seed)
+@contextlib.contextmanager
+def deadline(seconds=1.0):
+    """Fail instead of hanging: a packed reduction whose leading entry does
+    not cancel, as under a wrong row addition, would loop forever.  Every
+    case here takes milliseconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_packed_rref(a, p, packed):
     before = a.copy()
-    want_R, want_piv = numpy_loop_rref(a, 2)
-    # The packed kernel at every size, and rref_array, which routes by size.
-    for R, piv in (fl._rref_f2(fl.as_residues(a, 2)), rref_array(a, 2)):
+    want_R, want_piv = numpy_loop_rref(a, p)
+    # The packed kernel at every size, and rref_array, which routes by shape.
+    with deadline():
+        results = [packed(fl.as_residues(a, p)), rref_array(a, p)]
+    for R, piv in results:
         assert piv == want_piv and all(type(c) is int for c in piv)
         assert R.dtype == np.int64 and R.shape == a.shape and R.flags.c_contiguous
         assert np.array_equal(R, want_R)
     assert np.array_equal(a, before)
+
+
+def check_packed_left_kernel(a, p):
+    before = a.copy()
+    with deadline():
+        K = left_kernel_basis(a, p)
+    want = loop_left_kernel(a, p)
+    assert K.dtype == np.int64 and K.shape == want.shape
+    assert np.array_equal(K, want)
+    assert not ((K @ a) % p).any()
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(*PACKED_CASE)
+@packed_examples
+def test_packed_rref_matches_the_numpy_loop(kind, rows, width, tall, raw, seed):
+    check_packed_rref(packed_case(kind, rows, width, tall, raw, seed), 2, fl._rref_f2)
+
+
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(*PACKED_CASE)
+@packed_examples
+def test_bit_sliced_f3_rref_matches_the_numpy_loop(kind, rows, width, tall, raw, seed):
+    check_packed_rref(packed_case(kind, rows, width, tall, raw, seed, 3), 3, fl._rref_f3)
+
+
+def test_f3_planes_add_and_negate_entrywise():
+    # Every pair of entries (a_j, b_j) side by side, behind a leading column:
+    # reducing (c | a) at that column by the echelon row (1 | b) leaves
+    # a - c b, and a row with a new leading 2 joins the echelon negated.
+    a, b = (np.array(x) for x in zip(*itertools.product(range(3), repeat=2)))
+    lead = 15  # the bit of column 0: 10 columns take 2 bytes
+    (b1, b2), = fl._pack_f3(np.concatenate([[1], b])[None])
+    for c in (1, 2):
+        (a1, a2), = fl._pack_f3(np.concatenate([[c], a])[None])
+        echelon = {lead: (b1, b2)}
+        with deadline():
+            reduced = fl._reduce_f3(echelon, a1, a2, lead)
+        got = fl._unpack_f3([reduced], 10)[0]
+        assert got[0] == 0 and np.array_equal(got[1:], (a - c * b) % 3), c
+        assert echelon == {lead: (b1, b2)}
+        fresh = {}
+        fl._reduce_f3(fresh, a1, a2, lead)
+        assert np.array_equal(fl._unpack_f3([fresh[lead]], 10)[0], (np.concatenate([[c], a]) * c) % 3)
 
 
 def test_only_tiny_f2_rrefs_take_the_loop(monkeypatch):
@@ -803,15 +859,78 @@ def test_only_tiny_f2_rrefs_take_the_loop(monkeypatch):
     assert packed == [(1, 9), (3, 3), (9, 1)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(*F2_CASE)
-@f2_examples
+def test_only_tiny_or_tall_f3_rrefs_take_the_loop(monkeypatch):
+    packed, looped = [], []
+    real_f3, real_loop = fl._rref_f3, fl._eliminate
+
+    def counting_f3(A):
+        packed.append(A.shape)
+        return real_f3(A)
+
+    def counting_loop(A, p, *args):
+        looped.append(A.shape)
+        return real_loop(A, p, *args)
+
+    monkeypatch.setattr(fl, "_rref_f3", counting_f3)
+    monkeypatch.setattr(fl, "_eliminate", counting_loop)
+    assert fl.PACK_MIN == 9 and fl.F3_TALL == 2
+    shapes = ((1, 8), (2, 4), (8, 1), (0, 5), (1, 9), (3, 3), (6, 3), (7, 3), (9, 1), (18, 9), (19, 9))
+    for shape in shapes:
+        rref_array(np.ones(shape, dtype=np.int64), 3)
+    assert packed == [(1, 9), (3, 3), (6, 3), (18, 9)]
+    assert looped == [(1, 8), (2, 4), (8, 1), (0, 5), (7, 3), (9, 1), (19, 9)]
+    # Other primes never take it, and left kernels and complements at p = 3
+    # take no RREF of a transpose: the kernel none at all, the complement
+    # only that of `space`.
+    for p in (2, 5):
+        rref_array(np.ones((3, 3), dtype=np.int64), p)
+    assert len(packed) == 4
+    del packed[:], looped[:]
+    rrefs = []
+    real_rref = fl.rref_array
+
+    def counting_rref(a, p):
+        rrefs.append(np.shape(a))
+        return real_rref(a, p)
+
+    monkeypatch.setattr(fl, "rref_array", counting_rref)
+    left_kernel_basis(np.ones((30, 4), dtype=np.int64), 3)
+    complement_reps(np.ones((2, 50), dtype=np.int64), np.eye(50, dtype=np.int64), 3)
+    assert rrefs == [(50, 50)] and packed == [(50, 50)] and looped == []
+
+
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(*PACKED_CASE)
+@packed_examples
 def test_packed_left_kernel_matches_the_loop_kernel_of_the_transpose(kind, rows, width, tall, raw, seed):
-    a = f2_case(kind, rows, width, tall, raw, seed)
-    before = a.copy()
-    K = left_kernel_basis(a, 2)
-    want = loop_left_kernel_f2(a)
-    assert K.dtype == np.int64 and K.shape == want.shape
-    assert np.array_equal(K, want)
-    assert not ((K @ a) % 2).any()
-    assert np.array_equal(a, before)
+    check_packed_left_kernel(packed_case(kind, rows, width, tall, raw, seed), 2)
+
+
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(*PACKED_CASE)
+@packed_examples
+def test_bit_sliced_f3_left_kernel_matches_the_loop_kernel_of_the_transpose(kind, rows, width, tall, raw, seed):
+    check_packed_left_kernel(packed_case(kind, rows, width, tall, raw, seed, 3), 3)
+
+
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@given(st.sampled_from([2, 3, 5]), *PACKED_CASE, st.integers(min_value=0, max_value=6))
+@example(2, "zero", 0, 0, False, False, 0, 0)
+@example(3, "random", 0, 9, False, False, 1, 3)
+@example(3, "full", 70, 65, False, True, 2, 6)
+@example(3, "duplicates", 70, 64, True, True, 3, 5)
+@example(5, "deficient", 40, 9, False, True, 4, 4)
+@example(2, "random", 70, 200, True, True, 5, 6)
+def test_complement_reps_matches_the_transposed_rref(p, kind, rows, width, tall, raw, seed, nsub):
+    space = packed_case(kind, rows, width, tall, raw, seed, p)
+    rng = np.random.default_rng(seed + 1)
+    n = space.shape[1]
+    # sub mixes rows of span(space), repeated and zero rows and random ones.
+    combos = rng.integers(-2, 3, size=(nsub, space.shape[0])) @ space
+    sub = np.vstack([combos, combos[:1], np.zeros((nsub % 2, n), dtype=np.int64), rng.integers(0, p, size=(nsub // 3, n))])
+    for s in (sub, sub[:0], sub[::-1]):
+        with deadline():
+            got = complement_reps(s, space, p)
+        want = transposed_complement_reps(s, space, p)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want), (p, kind, s.shape, space.shape)
