@@ -28,7 +28,7 @@ unit unknown fixes.  The solver then intersects, one at a time, the kernels
 of d's slices (the last argument fixed) at the same generators on the span
 of that seed: the identity then holds at every element (see
 ``_solution_space``).  Every elimination runs in ``fp_linalg``, whose
-blocked kernel and ``matmul_mod`` use exact float64 BLAS products.
+``matmul_mod`` uses exact float64 BLAS products.
 
 Inside a ``solve_once()`` block, ``cohomology`` solves each distinct
 (table, action, degree) once.  The key is what the solve reads: the degree,

@@ -10,9 +10,9 @@ and eliminate by word operations: one int per row and XOR at p = 2
 (``_rref_f2``, ``_left_kernel_f2``), two bit planes per row at p = 3
 (``_rref_f3``, ``_left_kernel_f3``).  The RREF of a matrix of fewer than
 PACK_MIN entries, and at p = 3 that of a tall one, runs the numpy per-pivot
-loop (``_eliminate``) instead, as does every elimination at p >= 5, which
-takes its blocked form once both dimensions pass a panel.  The loop is the
-tests' oracle at every p.  Left kernels and complements need no transpose.
+loop (``_eliminate``) instead, as does every elimination at p >= 5.  The loop
+is the tests' oracle at every p.  Left kernels and complements need no
+transpose.
 
 Integer arrays are brought back to residues by ``as_residues`` alone, but for
 the packed F_2 kernel, which reads each entry's parity as it packs.  numpy's
@@ -79,15 +79,9 @@ def as_residues(a, p: int) -> np.ndarray:
     return np.subtract(x, q, out=q)
 
 
-# The blocked elimination works through column panels of PANEL columns and
-# updates the other rows in PANEL x PANEL tiles.  A panel has at most PANEL
-# pivots, so every partial sum of a tile product is at most PANEL * (p - 1)^2
-# < 2^53 for p <= MAX_PRIME and float64 arithmetic stays exact.  A tile
-# product has PANEL^3 = 2^18 multiply-adds, below the size at which OpenBLAS
-# splits a product over threads: on a small shared host the hand-off to a
-# second thread can cost several milliseconds.
-PANEL = 64
-BLAS_MIN = 1 << 16  # multiply-adds from which matmul_mod uses a float64 product
+# The multiply-adds from which matmul_mod runs a product through float64 BLAS,
+# which is exact while every partial sum stays below 2^53 (``_float_exact``).
+BLAS_MIN = 1 << 16
 
 
 def _mod_float(x: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -128,18 +122,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return as_residues(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64), p)
 
 
-def _eliminate(
-    A: np.ndarray, p: int, n: Optional[int] = None, swaps: Optional[List[Tuple[int, int]]] = None
-) -> List[int]:
-    """The per-pivot loop: bring the first n columns of residues A (all by
-    default) to RREF in place; returns the pivots.
-
-    The columns from n on are tag columns, which the row operations carry
-    along: the row that becomes pivot j gets a 1 in tag column n + j first.
-    Each row exchange is appended to ``swaps`` when it is given.
-    """
-    m, width = A.shape
-    n = width if n is None else n
+def _eliminate(A: np.ndarray, p: int) -> List[int]:
+    """The per-pivot loop: bring the residues A to RREF in place; returns the
+    pivots."""
+    m, n = A.shape
     r = 0
     piv: List[int] = []
     for c in range(n):
@@ -151,85 +137,17 @@ def _eliminate(
         i = r + int(hits[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-            if swaps is not None:
-                swaps.append((r, i))
-        # Row r is zero left of c, and its tags are zero from n + r + 1 on.
-        end = min(width, n + r + 1)
-        if end > n:
-            A[r, n + r] = 1
-        row = A[r, c:end]
+        row = A[r, c:]  # row r is zero left of c
         if row[0] != 1:
-            row = A[r, c:end] = as_residues(row * inv_scalar(row[0], p), p)
+            row = A[r, c:] = as_residues(row * inv_scalar(row[0], p), p)
         col = A[:, c]
         others = col.nonzero()[0]
         others = others[others != r]
         if others.size:
-            A[others, c:end] = as_residues(A[others, c:end] - col[others, None] * row, p)
+            A[others, c:] = as_residues(A[others, c:] - col[others, None] * row, p)
         piv.append(c)
         r += 1
     return piv
-
-
-def _eliminate_blocked(A: np.ndarray, p: int) -> List[int]:
-    """RREF of residues A in place, one column panel at a time.
-
-    The per-pivot loop runs once per panel, on the rows below those already
-    holding pivots, with one zero tag column per panel column.  Since the
-    row that becomes pivot j is tagged in column j, the k pivot rows end with
-    the inverse of their k x k pivot block (as it was before the panel) in
-    their tags.  Those rows are swapped into place and multiplied by that
-    inverse, and every other row with a nonzero entry in a pivot column is
-    cleared by float64 tile products.
-    """
-    m, n = A.shape
-    W = A.view(np.float64)  # the float64 working copy lives in A's own buffer
-    _recast(A, W)
-    r = 0
-    piv: List[int] = []
-    for c0 in range(0, n, PANEL):
-        if r == m:
-            break
-        panel = W[r:, c0 : c0 + PANEL]
-        w = panel.shape[1]
-        local = np.zeros((m - r, 2 * w), dtype=np.int64)
-        local[:, :w] = panel
-        swaps: List[Tuple[int, int]] = []
-        found = _eliminate(local, p, w, swaps)
-        if not found:
-            continue
-        k = len(found)
-        for i, j in swaps:
-            W[[r + i, r + j]] = W[[r + j, r + i]]
-        cols = [c0 + c for c in found]
-        pivot_rows = W[r : r + k]
-        inverse = local[:k, w : w + k].astype(np.float64)
-        for a in range(c0, n, PANEL):
-            block = pivot_rows[:, a : a + PANEL]
-            _mod_float(inverse @ block, p, out=block)
-        factors = W[:, cols]
-        touched = np.flatnonzero(factors.any(axis=1))
-        touched = touched[(touched < r) | (touched >= r + k)]
-        for t in range(0, touched.size, PANEL):
-            rows = touched[t : t + PANEL]
-            f = factors[rows]
-            for a in range(c0, n, PANEL):
-                update = f @ pivot_rows[:, a : a + PANEL]
-                np.subtract(W[rows, a : a + PANEL], update, out=update)
-                W[rows, a : a + PANEL] = _mod_float(update, p, out=update)
-        piv.extend(cols)
-        r += k
-    _recast(W, A)
-    return piv
-
-
-def _recast(src: np.ndarray, dst: np.ndarray) -> None:
-    """dst[:] = src where dst views src's buffer as the other 8-byte dtype.
-
-    A PANEL of rows at a time, so numpy's copy of the overlapping source is
-    one panel, not a second matrix.
-    """
-    for i in range(0, src.shape[0], PANEL):
-        dst[i : i + PANEL] = src[i : i + PANEL]
 
 
 # -- F_2 on packed rows ---------------------------------------------------------
@@ -452,9 +370,8 @@ def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
     A matrix of at least PACK_MIN entries runs on packed rows at p = 2
     (``_rref_f2``), and at p = 3 (``_rref_f3``) when it has at most F3_TALL
-    rows per column.  Otherwise, matrices with both dimensions above PANEL
-    take the blocked path, and the rest the per-pivot loop.  Every path
-    gives the same result, since the RREF is unique.
+    rows per column.  The rest take the per-pivot loop.  Every path gives
+    the same result, since the RREF is unique.
     """
     A = _int_matrix(a)
     if p == 2 and A.size >= PACK_MIN:
@@ -462,8 +379,6 @@ def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     if p == 3 and A.size >= PACK_MIN and A.shape[0] <= F3_TALL * A.shape[1]:
         return _rref_f3(A)
     A = as_residues(A, p)
-    if min(A.shape) > PANEL:
-        return A, _eliminate_blocked(A, p)
     return A, _eliminate(A, p)
 
 

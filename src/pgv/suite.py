@@ -56,6 +56,8 @@ def resolve_check_ids(expr: str) -> List[str]:
         if cid not in CHECKS:
             raise UnknownCheckError(f"unknown check_id {part!r}")
         ids.append(cid)
+    if not ids:
+        raise UnknownCheckError(f"no check_id in {expr!r}")
     return ids
 
 

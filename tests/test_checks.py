@@ -22,7 +22,7 @@ from pgv.checks import (
 )
 from pgv.gmodule import GModule
 from pgv.group_core import Subgroup, center, centralizer, normal_subgroups, omega1, set_product, subgroup_center
-from pgv.suite import replay_counterexamples, report_to_json, resolve_check_ids, run_suite
+from pgv.suite import UnknownCheckError, replay_counterexamples, report_to_json, resolve_check_ids, run_suite
 from tests.groups import fixed_points_in_carrier, h1_of_restriction, run_check
 
 EXPECTED_IDS = {
@@ -175,6 +175,9 @@ def test_resolve_check_ids():
     assert resolve_check_ids("thm_gg,ui") == ["gg_growth", "ui"]
     with pytest.raises(KeyError):
         resolve_check_ids("bogus")
+    for empty in ("", " , "):
+        with pytest.raises(UnknownCheckError, match="no check_id"):
+            resolve_check_ids(empty)
 
 
 def test_counterexample_replay():

@@ -83,6 +83,10 @@ def test_usage_errors(tmp_path, capsys):
 def test_unknown_check_id_is_a_plain_usage_error(capsys):
     assert main(["check", "--id", "nope"]) == 1
     assert capsys.readouterr().err == "usage error: unknown check_id 'nope'\n"
+    # An expression that names no check at all runs nothing and writes no report.
+    for expr in ("", " , "):
+        assert main(["check", "--id", expr]) == 1
+        assert capsys.readouterr() == ("", f"usage error: no check_id in {expr!r}\n")
 
 
 def test_key_error_inside_a_command_is_an_infrastructure_error(monkeypatch, capsys):

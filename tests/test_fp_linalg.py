@@ -456,7 +456,7 @@ def test_subspace_basis_is_read_only_echelon():
         FpSubspace(3, 3, np.zeros((1, 3), dtype=np.int64), (0,))
 
 
-# -- the blocked kernel against the per-pivot row loop -------------------------
+# -- large matrices against the per-pivot row loop ----------------------------
 
 
 def loop_rref(a, p):
@@ -497,7 +497,7 @@ def loop_right_kernel(a, p):
     return loop_rref(basis, p)[0]
 
 
-PANEL = fl.PANEL
+WIDE = 64  # the matrices below reach 3 * WIDE + 10 rows and columns
 
 
 def random_matrix(p, shape, rank, rng):
@@ -515,18 +515,18 @@ def random_matrix(p, shape, rank, rng):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 7, 32749]),
-    st.integers(min_value=1, max_value=3 * PANEL + 10),
-    st.integers(min_value=1, max_value=3 * PANEL + 10),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=3 * PANEL)),
+    st.integers(min_value=1, max_value=3 * WIDE + 10),
+    st.integers(min_value=1, max_value=3 * WIDE + 10),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3 * WIDE)),
     st.booleans(),
     st.booleans(),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-@example(p=2, m=PANEL + 1, n=2 * PANEL + 7, rank=None, transposed=False, raw=False, seed=1)
-@example(p=3, m=2 * PANEL + 7, n=PANEL + 1, rank=PANEL - 3, transposed=True, raw=True, seed=2)
-@example(p=32749, m=3 * PANEL, n=3 * PANEL + 5, rank=2 * PANEL + 1, transposed=False, raw=True, seed=3)
-@example(p=7, m=PANEL, n=3 * PANEL, rank=None, transposed=True, raw=False, seed=4)
-def test_blocked_kernel_matches_row_loop(p, m, n, rank, transposed, raw, seed):
+@example(p=2, m=WIDE + 1, n=2 * WIDE + 7, rank=None, transposed=False, raw=False, seed=1)
+@example(p=3, m=2 * WIDE + 7, n=WIDE + 1, rank=WIDE - 3, transposed=True, raw=True, seed=2)
+@example(p=32749, m=3 * WIDE, n=3 * WIDE + 5, rank=2 * WIDE + 1, transposed=False, raw=True, seed=3)
+@example(p=7, m=WIDE, n=3 * WIDE, rank=None, transposed=True, raw=False, seed=4)
+def test_large_rrefs_and_kernels_match_row_loop(p, m, n, rank, transposed, raw, seed):
     rng = np.random.default_rng(seed)
     shape = (n, m) if transposed else (m, n)
     a = random_matrix(p, shape, rank, rng)
@@ -545,86 +545,16 @@ def test_blocked_kernel_matches_row_loop(p, m, n, rank, transposed, raw, seed):
     assert np.array_equal(a, before)
 
 
-def test_blocked_kernel_runs_past_one_panel(monkeypatch):
-    # Both dimensions above the panel width take the blocked path; pivots
-    # then come from more than one panel.
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 5, size=(PANEL + 30, 2 * PANEL + 30))
-    calls = []
-    real = fl._eliminate_blocked
-
-    def counting(A, p):
-        calls.append(A.shape)
-        return real(A, p)
-
-    loops = []
-    real_loop = fl._eliminate
-
-    def counting_loop(A, p, n=None, swaps=None):
-        loops.append((A.shape, n))
-        return real_loop(A, p, n, swaps)
-
-    monkeypatch.setattr(fl, "_eliminate_blocked", counting)
-    monkeypatch.setattr(fl, "_eliminate", counting_loop)
-    R, piv = rref_array(a, 5)
-    assert calls == [a.shape]
-    # One pass of the loop per panel, on the panel and its tag columns; the
-    # last panel is never reached, since the first two hold every pivot.
-    assert loops == [((PANEL + 30, 2 * PANEL), PANEL), ((30, 2 * PANEL), PANEL)]
-    rref_array(a[:PANEL], 5)
-    assert calls == [a.shape]
-    assert len(piv) == PANEL + 30 and piv[-1] >= PANEL
-    assert np.array_equal(R, loop_rref(a, 5)[0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([2, 3, 5, 7, 32749]),
-    st.integers(min_value=1, max_value=2 * PANEL + 10),
-    st.integers(min_value=1, max_value=PANEL),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=PANEL)),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-@example(p=2, rows=2 * PANEL + 10, width=PANEL, rank=None, seed=0)  # tall
-@example(p=3, rows=7, width=PANEL, rank=None, seed=1)  # wide
-@example(p=32749, rows=PANEL, width=PANEL, rank=PANEL // 2, seed=2)  # rank-deficient
-@example(p=7, rows=PANEL + 5, width=40, rank=0, seed=3)  # no pivot at all
-def test_panel_tags_hold_the_inverse_pivot_block(p, rows, width, rank, seed):
-    # The blocked path runs the loop on a panel plus one zero tag column per
-    # panel column.  The tags of the k pivot rows must end as B^-1, where B
-    # is those rows (in the order the swaps bring them) at the pivot columns.
-    rng = np.random.default_rng(seed)
-    panel = random_matrix(p, (rows, width), rank, rng)
-    panel[: rows // 3] = 0  # the first pivot rows arrive by swaps
-    local = np.zeros((rows, 2 * width), dtype=np.int64)
-    local[:, :width] = panel
-    swaps = []
-    found = fl._eliminate(local, p, width, swaps)
-
-    R, piv = loop_rref(panel, p)
-    assert found == piv and np.array_equal(local[:, :width], R)
-    k = len(found)
-    assert swaps or not (k and rows // 3)
-    arrived = panel.copy()
-    for i, j in swaps:
-        arrived[[i, j]] = arrived[[j, i]]
-    B = arrived[:k][:, found]
-    aug, aug_piv = loop_rref(np.hstack([B, np.eye(k, dtype=np.int64)]), p)
-    assert aug_piv == list(range(k))  # B is invertible
-    assert np.array_equal(local[:k, width : width + k], aug[:, k:])
-    assert not local[:k, width + k :].any()
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 7, 32749]),
-    st.integers(min_value=1, max_value=3 * PANEL + 10),
-    st.integers(min_value=1, max_value=3 * PANEL + 10),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=3 * PANEL)),
+    st.integers(min_value=1, max_value=3 * WIDE + 10),
+    st.integers(min_value=1, max_value=3 * WIDE + 10),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3 * WIDE)),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-@example(p=2, m=PANEL + 1, n=2 * PANEL + 7, rank=None, seed=1)
-@example(p=3, m=2 * PANEL + 7, n=PANEL + 1, rank=PANEL - 3, seed=2)
+@example(p=2, m=WIDE + 1, n=2 * WIDE + 7, rank=None, seed=1)
+@example(p=3, m=2 * WIDE + 7, n=WIDE + 1, rank=WIDE - 3, seed=2)
 @example(p=32749, m=3, n=5, rank=0, seed=3)  # everything is free
 def test_plain_kernel_basis_matches_row_loop(p, m, n, rank, seed):
     a = random_matrix(p, (m, n), rank, np.random.default_rng(seed))
@@ -867,9 +797,9 @@ def test_only_tiny_or_tall_f3_rrefs_take_the_loop(monkeypatch):
         packed.append(A.shape)
         return real_f3(A)
 
-    def counting_loop(A, p, *args):
+    def counting_loop(A, p):
         looped.append(A.shape)
-        return real_loop(A, p, *args)
+        return real_loop(A, p)
 
     monkeypatch.setattr(fl, "_rref_f3", counting_f3)
     monkeypatch.setattr(fl, "_eliminate", counting_loop)
@@ -879,6 +809,16 @@ def test_only_tiny_or_tall_f3_rrefs_take_the_loop(monkeypatch):
         rref_array(np.ones(shape, dtype=np.int64), 3)
     assert packed == [(1, 9), (3, 3), (6, 3), (18, 9)]
     assert looped == [(1, 8), (2, 4), (8, 1), (0, 5), (7, 3), (9, 1), (19, 9)]
+    # Large ones run the loop once on the whole matrix: at p >= 5, and at
+    # p = 3 when tall.
+    del looped[:]
+    rng = np.random.default_rng(0)
+    for p, shape in ((5, (70, 70)), (3, (200, 65))):
+        a = rng.integers(0, p, size=shape)
+        R, piv = rref_array(a, p)
+        want_R, want_piv = loop_rref(a, p)
+        assert piv == want_piv and np.array_equal(R, want_R)
+    assert looped == [(70, 70), (200, 65)]
     # Other primes never take it, and left kernels and complements at p = 3
     # take no RREF of a transpose: the kernel none at all, the complement
     # only that of `space`.
