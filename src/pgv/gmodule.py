@@ -21,7 +21,6 @@ from .group_core import (
     memo,
     opposite,
     quotient,
-    subgroup_closure,
 )
 
 DEFAULT_DIM_CAP = 8192
@@ -220,23 +219,25 @@ def module_from_conjugation(g: GroupTable, n1: Subgroup, w: Subgroup) -> Conjuga
     x = n1.members[:, None]
     if np.any(g.mul[g.mul[g.inv[x], w.members[None, :]], x] != w.members):
         raise ModuleError("N1 does not centralize W")
-    # Greedy least-index basis of W.
+    # Greedy least-index basis of W: each b_i is the least element outside the
+    # span of the ones before it.  The span is kept as the element array of
+    # b_1^{c_1} ... b_k^{c_k} in code order (c_k the most significant digit).
+    # While the basis commutes, the span is a subgroup and span * <b> has p
+    # times its elements; a b that does not commute shows W is not abelian.
     basis_elements: List[int] = []
-    span = subgroup_closure(g, [0])
-    for y in w.members:
-        if y == 0 or span.contains(int(y)):
-            continue
-        basis_elements.append(int(y))
-        span = subgroup_closure(g, basis_elements)
-        if span.order == w.order:
-            break
-    k = len(basis_elements)
-    # Element of every code: multiply in b_i^{c_i} one basis element at a time.
-    vecs = fl.vector_codes(k, p)
-    element_of_code = np.zeros(p**k, dtype=np.int64)
-    for i, b in enumerate(basis_elements):
+    element_of_code = np.zeros(1, dtype=np.int64)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[0] = True
+    while element_of_code.size < w.order:
+        b = int(w.members[np.argmin(inside[w.members])])
+        if np.any(g.mul[b, basis_elements] != g.mul[basis_elements, b]):
+            raise ModuleError("W is not elementary abelian")
+        basis_elements.append(b)
         powers = np.array([g.power(b, c) for c in range(p)], dtype=np.int64)
-        element_of_code = g.mul[element_of_code, powers[vecs[:, i]]]
+        element_of_code = g.mul[element_of_code[None, :], powers[:, None]].ravel()
+        inside[element_of_code] = True
+    k = len(basis_elements)
+    vecs = fl.vector_codes(k, p)
     if distinct_elements(g, element_of_code).size != element_of_code.size:
         raise ModuleError("W basis is not independent")
     if element_of_code.size != w.order:

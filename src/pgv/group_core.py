@@ -715,22 +715,19 @@ class QuotientMap:
 
 
 def quotient(g: GroupTable, n: Subgroup) -> Tuple[GroupTable, QuotientMap]:
+    """G/N as a table: quotient element i is the coset of ``section[i]``, the
+    i-th least of the least coset elements.  Row x of ``g.mul[:, N]`` is the
+    coset xN, so one ``min`` finds every coset's least element, and a sorted
+    search numbers the cosets in that order."""
     if not n.is_normal():
         raise GroupError("not normal")
-    coset_id = -np.ones(g.order, dtype=np.int64)
-    reps: List[int] = []
-    for x in range(g.order):
-        if coset_id[x] < 0:
-            cid = len(reps)
-            members = g.mul[x, n.members]
-            coset_id[members] = cid
-            reps.append(x)
-    m = len(reps)
-    reps_arr = np.array(reps, dtype=np.int64)
-    qmul = coset_id[g.mul[np.ix_(reps_arr, reps_arr)]]
+    least = g.mul[:, n.members].min(axis=1)
+    reps = distinct_elements(g, least)
+    coset_id = np.searchsorted(reps, least)
+    qmul = coset_id[g.mul[np.ix_(reps, reps)]]
     qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False)
     qt.verify_associativity()
-    return qt, QuotientMap(g, qt, n, coset_id, reps_arr)
+    return qt, QuotientMap(g, qt, n, coset_id, reps)
 
 
 class GroupMap:
@@ -746,9 +743,24 @@ class GroupMap:
             raise GroupError("not a homomorphism")
 
     def is_homomorphism(self) -> bool:
+        """f(xy) = f(x)f(y) on all |G|^2 pairs, and f(1) = 1: the definition."""
         im = self.image_of
         lhs = im[self.source.mul]
         rhs = self.target.mul[np.ix_(im, im)]
+        return bool(np.array_equal(lhs, rhs)) and im[0] == 0
+
+    def is_homomorphism_on(self, gens: Sequence[int]) -> bool:
+        """f(xs) = f(x)f(s) for every x and every s in ``gens``, and f(1) = 1.
+
+        Exact when ``gens`` generates the source: every y is a word
+        s_1 ... s_k in the generators (inverses are positive powers in a
+        finite group), and induction on k gives f(xy) = f(x)f(s_1)...f(s_k)
+        for every x; at x = 1 that is f(y) = f(s_1)...f(s_k), so
+        f(xy) = f(x)f(y).  With a generator s, f(s) = f(1)f(s) forces
+        f(1) = 1 as well; the explicit test covers the trivial group."""
+        im, s = self.image_of, np.asarray(gens, dtype=np.int64)
+        lhs = im[self.source.mul[:, s]]
+        rhs = self.target.mul[im[:, None], im[s]]
         return bool(np.array_equal(lhs, rhs)) and im[0] == 0
 
     def is_bijective(self) -> bool:
@@ -779,19 +791,19 @@ def map_order(f: GroupMap) -> int:
 
 
 def is_inner(g: GroupTable, f: GroupMap) -> Optional[int]:
-    """A witness h with f = conjugation by h, or None; tries one h per Z(g)-coset."""
+    """The least h with f = conjugation by h, or None.
+
+    Conjugation by h depends only on the coset hZ(g), so only the least
+    element of each coset is tried: one gather builds every such
+    representative's whole conjugation table, and one comparison matches
+    them all against the image table."""
     if not f.is_automorphism():
         raise GroupError("not automorphism")
     z = center(g)
-    seen = np.zeros(g.order, dtype=bool)
-    for h in range(g.order):
-        if seen[h]:
-            continue
-        seen[g.mul[h, z.members]] = True
-        conj = g.mul[g.mul[g.inv[h], np.arange(g.order)], h]
-        if np.array_equal(conj, f.image_of):
-            return h
-    return None
+    reps = np.flatnonzero(g.mul[:, z.members].min(axis=1) == np.arange(g.order))
+    conj = g.mul[g.mul[g.inv[reps]], reps[:, None]]
+    hits = np.flatnonzero((conj == f.image_of).all(axis=1))
+    return int(reps[hits[0]]) if hits.size else None
 
 
 # -- isomorphism testing -----------------------------------------------------

@@ -196,6 +196,8 @@ def _certificate_from_derivation(
     }
     if extra:
         prov.update(extra)
+    # derivation_to_automorphism tests the generator pairs only, an exact
+    # test of the property on all pairs.
     transcript = [
         f"automorphism verified on all {g.order}x{g.order} pairs",
         f"map order = {map_order(psi)}",
@@ -211,6 +213,10 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
     lines: List[str] = []
     if cert.fingerprint != g.fingerprint():
         raise NoninnerError("fingerprint mismatch")
+    for key, value, want in (("p", cert.p, g.p), ("order", cert.order, g.order)):
+        if isinstance(value, bool) or not isinstance(value, int) or value != want:
+            lines.append(f"FAIL {key} {value!r} != {want}")
+            return False, lines
     defect = _index_defect(cert.map, g.order, length=g.order)
     if defect is not None:
         lines.append(f"FAIL map {defect}")
@@ -255,7 +261,7 @@ def verify_certificate(g: GroupTable, cert: Certificate) -> Tuple[bool, List[str
                 lines.append("FAIL provenance replay mismatch")
                 return False, lines
             lines.append("provenance derivation replayed exactly")
-        except (GroupError, ModuleError, CohomologyError, TypeError, ValueError) as e:
+        except (GroupError, ModuleError, CohomologyError, TypeError, ValueError, OverflowError) as e:
             lines.append(f"FAIL provenance replay error: {e}")
             return False, lines
     return True, lines

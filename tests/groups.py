@@ -23,7 +23,9 @@ from pgv.group_core import (
     GroupError,
     GroupMap,
     GroupTable,
+    QuotientMap,
     Subgroup,
+    center,
     centralizer,
     is_inner,
     iter_isomorphisms,
@@ -442,3 +444,40 @@ def listed_noninner(g):
         if map_order(f) == g.p and is_inner(g, f) is None:
             return f
     return None
+
+
+# -- oracles for ``group_core.is_inner`` and ``group_core.quotient``: the loops
+#    over cosets that one gather and one ``min`` replaced --------------------------
+
+
+def loop_is_inner(g, f):
+    """A witness h with f = conjugation by h, or None; tries one h per Z(g)-coset."""
+    if not f.is_automorphism():
+        raise GroupError("not automorphism")
+    z = center(g)
+    seen = np.zeros(g.order, dtype=bool)
+    for h in range(g.order):
+        if seen[h]:
+            continue
+        seen[g.mul[h, z.members]] = True
+        conj = g.mul[g.mul[g.inv[h], np.arange(g.order)], h]
+        if np.array_equal(conj, f.image_of):
+            return h
+    return None
+
+
+def loop_quotient(g, n):
+    """G/N with the cosets numbered as the loop over x first meets them."""
+    if not n.is_normal():
+        raise GroupError("not normal")
+    coset_id = -np.ones(g.order, dtype=np.int64)
+    reps = []
+    for x in range(g.order):
+        if coset_id[x] < 0:
+            coset_id[g.mul[x, n.members]] = len(reps)
+            reps.append(x)
+    reps_arr = np.array(reps, dtype=np.int64)
+    qmul = coset_id[g.mul[np.ix_(reps_arr, reps_arr)]]
+    qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False)
+    qt.verify_associativity()
+    return qt, QuotientMap(g, qt, n, coset_id, reps_arr)

@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from pgv.catalog import find_entry
+from pgv.catalog import builtin_catalog, find_entry
 from pgv.cohomology import sample_nG_module
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import (
     Subgroup,
     center,
+    centralizer,
     direct_product_tables,
+    elementary_abelian_normals,
     frattini,
     from_pc_presentation,
     omega1,
@@ -206,6 +208,30 @@ def test_module_from_conjugation_heisenberg():
     assert cm.module.dim == 1
     assert cm.module.group.order == 9
     assert np.array_equal(cm.module.act, trivial_module(cm.module.group, 1).act)
+
+
+def test_module_from_conjugation_rejects_a_nonabelian_w_of_exponent_p():
+    # He27 has exponent 3, so only commutation tells it from (C3)^3.
+    g = from_pc_presentation(pres_heis27())
+    whole = Subgroup(g, np.arange(27), check=False)
+    with pytest.raises(ModuleError, match="^W is not elementary abelian$"):
+        module_from_conjugation(g, Subgroup(g, [0]), whole)
+
+
+def test_w_basis_matches_the_greedy_closure_oracle_on_the_catalog():
+    # The basis is grown as a span array; the oracle closes the subgroup
+    # again after each element it adds, taking the least element outside.
+    for e in builtin_catalog():
+        if e.order > 32:
+            continue
+        g = e.group()
+        for w in elementary_abelian_normals(g):
+            oracle = []
+            for y in w.members[1:]:
+                if not subgroup_closure(g, oracle).contains(int(y)):
+                    oracle.append(int(y))
+            cm = module_from_conjugation(g, centralizer(g, w), w)
+            assert cm.basis_elements == oracle, (e.name, w.members)
 
 
 def test_embed_trivial_and_regular():

@@ -39,6 +39,7 @@ from pgv.group_core import (
 from pgv.catalog import PRODUCT_CAP, _product_entries, builtin_catalog, find_entry, load_catalog, table_to_presentation
 from pgv.cohomology import cohomology
 from pgv.gmodule import trivial_module
+from pgv.noninner import Certificate, find_noninner
 from pgv.presentations import PcPresentation, PresentationError, parse_presentations
 from tests.groups import (
     abelian_cyclic_basis_by_loops,
@@ -49,6 +50,8 @@ from tests.groups import (
     conjugation_map,
     cyclic_group,
     identity_map,
+    loop_is_inner,
+    loop_quotient,
     maximal_subgroups_bruteforce,
     octonion_loop,
     pres_d16,
@@ -636,6 +639,75 @@ def test_noninner_involution_on_d8_detected():
     for h in range(8):
         assert not np.array_equal(conjugation_map(g, h).image_of, image)
     assert is_inner(g, f) is None
+
+
+def _small_catalog_groups():
+    return [e.group() for e in builtin_catalog() if e.order <= 64]
+
+
+def _automorphisms_to_test(g):
+    """The identity, conjugation by each Burnside generator and by the last
+    element, and the map of every search- and paper-mode certificate."""
+    maps = [identity_map(g)] + [conjugation_map(g, h) for h in (*g.burnside_basis(), g.order - 1)]
+    for mode in ("search",) if g.is_abelian() else ("search", "paper"):
+        cert = find_noninner(g, mode)
+        if isinstance(cert, Certificate):
+            maps.append(GroupMap(g, g, cert.map, check=False))
+    return maps
+
+
+def test_quotient_matches_the_loop_oracle_on_the_catalog():
+    for g in _small_catalog_groups():
+        whole = Subgroup(g, np.arange(g.order), check=False)
+        kernels = [Subgroup(g, [0]), whole, center(g), frattini(g), commutator_subgroup(g)]
+        for n in kernels + list(maximal_subgroups(g))[:4]:
+            qt, qm = quotient(g, n)
+            ot, om = loop_quotient(g, n)
+            assert qt.mul.tobytes() == ot.mul.tobytes() and qt.name == ot.name, g.name
+            assert qm.image_of.tobytes() == om.image_of.tobytes(), g.name
+            assert qm.section.tobytes() == om.section.tobytes(), g.name
+            assert qm.kernel is n
+
+
+def test_is_inner_matches_the_loop_oracle_on_the_catalog():
+    noninner = 0
+    for g in _small_catalog_groups():
+        for f in _automorphisms_to_test(g):
+            w = is_inner(g, f)
+            assert w == loop_is_inner(g, f), g.name
+            noninner += w is None
+    # The certificate maps are the non-inner ones: the oracle saw both answers.
+    assert noninner > 50
+
+
+def test_generator_homomorphism_test_matches_all_pairs_on_perturbed_maps():
+    # Changing one image off the generators, or swapping two images off them,
+    # leaves the generator images alone; a homomorphism is determined by
+    # those, so no such map is one.  A swap that moves a generator's image
+    # may give another automorphism, and there the two tests must agree.
+    rejected = kept = 0
+    for g in _small_catalog_groups():
+        gens = g.burnside_basis()
+        others = [x for x in range(g.order) if x not in gens]
+        for f in _automorphisms_to_test(g):
+            assert f.is_homomorphism() and f.is_homomorphism_on(gens)
+            for x in others[:: max(1, len(others) // 6)]:
+                image = f.image_of.copy()
+                image[x] = (image[x] + 1) % g.order
+                bad = GroupMap(g, g, image, check=False)
+                assert not bad.is_homomorphism() and not bad.is_homomorphism_on(gens), (g.name, x)
+                rejected += 1
+            for x in range(min(8, g.order // 2)):
+                y = g.order - 1 - x
+                image = f.image_of.copy()
+                image[[x, y]] = image[[y, x]]
+                swapped = GroupMap(g, g, image, check=False)
+                assert swapped.is_homomorphism() == swapped.is_homomorphism_on(gens), (g.name, x, y)
+                kept += swapped.is_homomorphism()
+                if x not in gens and y not in gens:
+                    assert not swapped.is_homomorphism(), (g.name, x, y)
+                    rejected += 1
+    assert rejected > 3000 and kept > 0
 
 
 def test_map_order_examples():

@@ -10,6 +10,7 @@ import pytest
 import pgv.noninner as noninner
 from pgv.catalog import builtin_catalog, find_entry, load_catalog, table_to_presentation
 from pgv.group_core import (
+    GroupMap,
     Subgroup,
     center,
     centralizer,
@@ -244,18 +245,21 @@ print(cert.provenance["lemma_tag"])
 
 
 def test_search_certificates_are_pinned(catalog):
-    # The bytes of every search certificate up to order 16, pinned, so that
-    # a refactor of the generating sets or searches behind them cannot move
-    # a certificate unnoticed.
+    # The bytes of every search certificate of the built-in catalog, pinned,
+    # so that a refactor of the generating sets, searches or per-candidate
+    # tests behind them cannot move a certificate unnoticed.  The 27 lines of
+    # order <= 16 also keep their own digest.
     lines = []
     for e in catalog:
-        if e.order > 16:
-            continue
         r = find_noninner(e.group(), "search")
         lines.append(f"{e.name}:{'none' if r is None else r.to_json().strip()}")
-    assert len(lines) == 27
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 119
+    small = [line for line, e in zip(lines, catalog) if e.order <= 16]
+    assert len(small) == 27
+    digest = hashlib.sha256("\n".join(small).encode()).hexdigest()
     assert digest == "338530fdc0ebe0dcf611d512d821cd5d20cd6652dfe07c88ce3f6e300987865e"
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "74246741ac9dbff797fe9e2370ce26fc98b9edcb24aa62ade223fdb06217ef73"
 
 
 def test_certificate_roundtrip_and_tamper(catalog):
@@ -283,6 +287,50 @@ def test_certificate_roundtrip_and_tamper(catalog):
         ]
         okc, lines2 = verify_certificate(g, bad2)
         assert not okc
+
+
+def test_verify_rejects_an_overflowing_tau_entry(catalog):
+    # An entry past int64 fails the replay like any other bad table, with a
+    # FAIL provenance line, instead of escaping as an OverflowError.
+    g = find_entry("D16", catalog).group()
+    bad = Certificate.from_json(engine_sweep(g).to_json())
+    bad.provenance["tau_table"][1][0] = 10**30
+    ok, lines = verify_certificate(g, bad)
+    assert not ok
+    assert lines[-1].startswith("FAIL provenance replay error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("p", "x"), ("order", "16"), ("p", 3), ("order", 32), ("p", True), ("order", 16.0)]
+)
+def test_verify_checks_the_p_and_order_fields(catalog, key, value):
+    g = find_entry("D16", catalog).group()
+    honest = engine_sweep(g)
+    ok, lines = verify_certificate(g, honest)
+    assert ok and not any("FAIL" in ln for ln in lines)
+    bad = Certificate.from_json(honest.to_json())
+    setattr(bad, key, value)
+    ok, lines = verify_certificate(g, bad)
+    assert not ok
+    assert lines == [f"FAIL {key} {value!r} != {getattr(g, key)}"]
+
+
+def test_verify_runs_the_all_pairs_homomorphism_test(catalog, monkeypatch):
+    # The search tests the homomorphism property on generators only; the
+    # checker trusts only the table, so it keeps the all-pairs definition.
+    g = find_entry("D16", catalog).group()
+    cert = engine_sweep(g)
+    seen = []
+    all_pairs = GroupMap.is_homomorphism
+
+    def spy(f):
+        seen.append(f.image_of.tolist())
+        return all_pairs(f)
+
+    monkeypatch.setattr(GroupMap, "is_homomorphism", spy)
+    ok, lines = verify_certificate(g, cert)
+    assert ok and "homomorphism verified on all pairs" in lines
+    assert cert.map in seen
 
 
 def test_verify_fingerprint_mismatch(catalog):
