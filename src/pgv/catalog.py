@@ -13,12 +13,14 @@ an entry builds its table on first use.
 
 from __future__ import annotations
 
+import fnmatch
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,24 +80,29 @@ class CatalogEntry:
             self._table = tbl
         return self._table
 
-    def matches(self, expr: str) -> bool:
-        """Does any comma-separated needle match: 'all' or '*', 'order<=N',
-        'order=N', 'p=N', or a glob on the name or a tag?  Every needle is
-        parsed, and a malformed number is a CatalogError."""
-        import fnmatch
 
-        hits = []
-        for needle in filter(None, (s.strip() for s in expr.split(","))):
-            if needle.startswith("order<="):
-                hits.append(self.order <= _filter_int(needle, "order<="))
-            elif needle.startswith("order="):
-                hits.append(self.order == _filter_int(needle, "order="))
-            elif needle.startswith("p="):
-                hits.append(self.p == _filter_int(needle, "p="))
-            else:
-                names = (self.name, *self.tags)
-                hits.append(needle in ("all", "*") or any(fnmatch.fnmatch(x, needle) for x in names))
-        return any(hits)
+def catalog_filter(expr: str) -> Callable[[CatalogEntry], bool]:
+    """The predicate of a catalog filter: does any comma-separated needle
+    match, 'all' or '*', 'order<=N', 'order=N', 'p=N', or a glob on the name
+    or a tag?  Every needle is parsed here, once, and a malformed number is
+    a CatalogError."""
+    tests: List[Callable[[CatalogEntry], bool]] = []
+    for needle in filter(None, (s.strip() for s in expr.split(","))):
+        if needle.startswith("order<="):
+            bound = _filter_int(needle, "order<=")
+            tests.append(lambda e, bound=bound: e.order <= bound)
+        elif needle.startswith("order="):
+            order = _filter_int(needle, "order=")
+            tests.append(lambda e, order=order: e.order == order)
+        elif needle.startswith("p="):
+            p = _filter_int(needle, "p=")
+            tests.append(lambda e, p=p: e.p == p)
+        elif needle in ("all", "*"):
+            tests.append(lambda e: True)
+        else:
+            glob = re.compile(fnmatch.translate(needle)).match
+            tests.append(lambda e, glob=glob: any(glob(x) for x in (e.name, *e.tags)))
+    return lambda e: any(test(e) for test in tests)
 
 
 def _filter_int(needle: str, prefix: str) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fp_linalg as fl
-from .catalog import CatalogEntry, CatalogError, builtin_catalog, find_entry
+from .catalog import CatalogEntry, CatalogError, builtin_catalog, catalog_filter, find_entry
 from .cohomology import (
     Cochain,
     cohomology,
@@ -981,7 +981,7 @@ def check_io(inst):
     if len(el_ab) != 1:
         raise Skip("no unique normal elementary abelian", **details)
     cat = builtin_catalog()
-    dq = [e for e in cat if e.matches("dihedral") or e.matches("quaternion")]
+    dq = list(filter(catalog_filter("dihedral,quaternion"), cat))
     matches = any(e.order == g.order and is_isomorphic(e.group(), g) for e in dq)
     details["structure_claim_dihedral_or_quaternion"] = bool(matches)
     if not matches:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import CatalogError, builtin_catalog, find_entry, load_catalog, table_to_presentation
+from .catalog import CatalogError, builtin_catalog, catalog_filter, find_entry, load_catalog, table_to_presentation
 from .cohomology import (
     DEFAULT_H2_ORDER_CAP,
     Cochain,
@@ -142,9 +142,8 @@ def _resolve_normal(g: GroupTable, spec: str) -> Subgroup:
 def cmd_catalog(args) -> int:
     if args.action == "list":
         cat = builtin_catalog(order_cap=args.order_cap)
-        for e in cat:
-            if e.matches(args.filter):
-                print(f"{e.name}\torder {e.order}\tp={e.p}\t{','.join(e.tags)}")
+        for e in filter(catalog_filter(args.filter), cat):
+            print(f"{e.name}\torder {e.order}\tp={e.p}\t{','.join(e.tags)}")
         return 0
     raise UsageError(f"unknown catalog action {args.action!r}")
 

@@ -12,7 +12,10 @@ and eliminate by word operations: one int per row and XOR at p = 2
 PACK_MIN entries, and at p = 3 that of a tall one, runs the numpy per-pivot
 loop (``_eliminate``) instead, as does every elimination at p >= 5.  The loop
 is the tests' oracle at every p.  Left kernels and complements need no
-transpose.
+transpose.  ``RowSpace``, the incremental builder, keeps the same packed
+echelon at p = 2 and 3 and reduces each row once as it is added; its basis
+comes out by one back-substitution (``_echelon_rref``), the one that
+``_rref_f2`` and ``_rref_f3`` end with.
 
 Integer arrays are brought back to residues by ``as_residues`` alone, but for
 the packed F_2 kernel, which reads each entry's parity as it packs.  numpy's
@@ -182,9 +185,21 @@ def _pack_f2(A: np.ndarray) -> List[int]:
     of every int64, negatives included (two's complement), so no int64
     residue copy of A is made.
     """
-    m, n = A.shape
-    nbytes = (n + 7) // 8
-    data = np.packbits(np.bitwise_and(A, 1, dtype=np.uint8, casting="unsafe"), axis=1).tobytes()
+    return _ints_of_rows(np.packbits(np.bitwise_and(A, 1, dtype=np.uint8, casting="unsafe"), axis=1))
+
+
+def _ints_of_rows(bits: np.ndarray) -> List[int]:
+    """The rows of a uint8 matrix, each read as one big-endian int.
+
+    Rows of at most 8 bytes, which most are, are read by numpy as 64-bit
+    words, all at once, instead of by one int.from_bytes call each.
+    """
+    m, nbytes = bits.shape
+    if nbytes <= 8:
+        words = np.zeros((m, 8), dtype=np.uint8)
+        words[:, 8 - nbytes :] = bits
+        return words.view(">u8").ravel().tolist()
+    data = bits.tobytes()
     return [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(m)]
 
 
@@ -217,32 +232,12 @@ def _reduce_f2(echelon: Dict[int, int], row: int, floor: int) -> int:
 
 
 def _rref_f2(A: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """``rref_array`` of the int64 matrix A at p = 2.
-
-    Each row joins the echelon or reduces to zero.  Then back-substitution
-    runs from the last pivot column to the first: each echelon row is
-    cleared at the pivot columns after its own by the rows there, which are
-    already reduced and so bring no other pivot bit back.
-    """
-    m, n = A.shape
+    """``rref_array`` of the int64 matrix A at p = 2: each row joins the
+    echelon or reduces to zero, then ``_echelon_rref``."""
     echelon: Dict[int, int] = {}
     for row in _pack_f2(A):
         _reduce_f2(echelon, row, 0)
-    leads = sorted(echelon)  # the last pivot column first
-    later = 0  # the bits of the pivot columns after the current one
-    for lead in leads:
-        row = echelon[lead]
-        hits = row & later
-        while hits:
-            bit = hits.bit_length() - 1
-            row ^= echelon[bit]
-            hits ^= 1 << bit
-        echelon[lead] = row
-        later |= 1 << lead
-    leads.reverse()
-    width = 8 * ((n + 7) // 8)
-    R = _unpack_f2([echelon[lead] for lead in leads] + [0] * (m - len(leads)), n)
-    return R, [width - 1 - lead for lead in leads]
+    return _echelon_rref(echelon, 2, *A.shape)
 
 
 def _left_kernel_f2(A: np.ndarray) -> np.ndarray:
@@ -284,9 +279,7 @@ _PLANES = np.array([1, 2]).reshape(2, 1, 1)
 def _pack_f3(A: np.ndarray) -> List[Tuple[int, int]]:
     """The rows of the int64 matrix A, taken mod 3, as pairs of packed ints."""
     m, n = A.shape
-    nbytes = (n + 7) // 8
-    data = np.packbits(as_residues(A, 3) == _PLANES, axis=2).tobytes()
-    rows = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(2 * m)]
+    rows = _ints_of_rows(np.packbits(as_residues(A, 3) == _PLANES, axis=2).reshape(2 * m, (n + 7) // 8))
     return list(zip(rows[:m], rows[m:]))
 
 
@@ -318,30 +311,55 @@ def _reduce_f3(echelon: Dict[int, Tuple[int, int]], ones: int, twos: int, floor:
 
 def _rref_f3(A: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """``rref_array`` of the int64 matrix A at p = 3: ``_rref_f2`` on row
-    pairs, where a row with entry c at a later pivot column is cleared by
-    adding -c times the echelon row there."""
-    m, n = A.shape
+    pairs."""
     echelon: Dict[int, Tuple[int, int]] = {}
     for ones, twos in _pack_f3(A):
         _reduce_f3(echelon, ones, twos, 0)
+    return _echelon_rref(echelon, 3, *A.shape)
+
+
+def _echelon_rref(echelon: dict, p: int, m: int, n: int) -> Tuple[np.ndarray, List[int]]:
+    """The RREF of the span of a packed echelon of n columns (``_reduce_f2``
+    at p = 2, ``_reduce_f3`` at p = 3) as an int64 matrix padded with zero
+    rows to m rows, and its pivot columns.  The echelon is left as it is.
+
+    Back-substitution runs from the last pivot column to the first: each
+    echelon row is cleared at the pivot columns after its own by the reduced
+    rows there, which bring no other pivot bit back.  At p = 3 a row with
+    entry c at such a column is cleared by adding -c times the reduced row.
+    """
     leads = sorted(echelon)  # the last pivot column first
+    reduced: dict = {}
     later = 0  # the bits of the pivot columns after the current one
     for lead in leads:
-        ones, twos = echelon[lead]
-        hits = (ones | twos) & later
-        while hits:
-            at = hits.bit_length() - 1
-            bit = 1 << at
-            other = echelon[at]
-            b2, b1 = other if ones & bit else other[::-1]
-            t = (ones | b2) ^ (twos | b1)
-            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
-            hits ^= bit
-        echelon[lead] = (ones, twos)
+        row = echelon[lead]
+        if p == 2:
+            hits = row & later
+            while hits:
+                bit = hits.bit_length() - 1
+                row ^= reduced[bit]
+                hits ^= 1 << bit
+        else:
+            ones, twos = row
+            hits = (ones | twos) & later
+            while hits:
+                at = hits.bit_length() - 1
+                bit = 1 << at
+                other = reduced[at]
+                b2, b1 = other if ones & bit else other[::-1]
+                t = (ones | b2) ^ (twos | b1)
+                ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+                hits ^= bit
+            row = (ones, twos)
+        reduced[lead] = row
         later |= 1 << lead
     leads.reverse()
+    rows = [reduced[lead] for lead in leads]
     width = 8 * ((n + 7) // 8)
-    R = _unpack_f3([echelon[lead] for lead in leads] + [(0, 0)] * (m - len(leads)), n)
+    if p == 2:
+        R = _unpack_f2(rows + [0] * (m - len(rows)), n)
+    else:
+        R = _unpack_f3(rows + [(0, 0)] * (m - len(rows)), n)
     return R, [width - 1 - lead for lead in leads]
 
 
@@ -501,8 +519,9 @@ def _reduce(rows: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) 
 
 def _extend(
     basis: np.ndarray, pivots: Sequence[int], rows: np.ndarray, p: int
-) -> Tuple[np.ndarray, List[int], int]:
-    """RREF basis and pivots of span(basis) + span(rows), and the rank gained.
+) -> Tuple[np.ndarray, List[int], np.ndarray]:
+    """RREF basis and pivots of span(basis) + span(rows), and the rows that
+    joined: one per pivot gained, reduced against the old basis.
 
     Only the residues of rows are eliminated; the old rows are then cleared
     at the new pivot columns and both sets are merged by pivot.
@@ -510,14 +529,14 @@ def _extend(
     B = _reduce(rows, basis, pivots, p)
     B = B[np.any(B, axis=1)]
     if not B.shape[0]:
-        return basis, list(pivots), 0
+        return basis, list(pivots), B
     R, new_piv = rref_array(B, p)
     new = R[: len(new_piv)]
     old = _reduce(basis, new, new_piv, p)
     merged_piv = list(pivots) + new_piv
     order = np.argsort(merged_piv, kind="stable")
     merged = np.vstack([old, new])[order]
-    return merged, [merged_piv[i] for i in order], len(new_piv)
+    return merged, [merged_piv[i] for i in order], new
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,10 +564,18 @@ class FpSubspace:
         increasing = all(c1 < c2 for c1, c2 in zip(piv, piv[1:]))
         if not increasing or (piv and not 0 <= piv[0] <= piv[-1] < b.shape[1]):
             raise ValueError("pivots must increase within the ambient dimension")
-        before_pivot = np.arange(b.shape[1])[None, :] < np.array(piv, dtype=np.int64)[:, None]
-        identity = np.array_equal(b[:, list(piv)], np.eye(len(piv), dtype=np.int64))
-        if np.any(b[before_pivot]) or not identity:
-            raise ValueError("basis must be in RREF with no zero rows")
+        if piv:
+            # RREF with no zero rows: each row's first nonzero entry is a 1
+            # at its pivot, and the pivot columns hold no other nonzero entry.
+            nonzero = b != 0
+            at = np.array(piv)
+            rref = (
+                (nonzero.argmax(axis=1) == at).all()
+                and (b[np.arange(len(piv)), at] == 1).all()
+                and np.count_nonzero(nonzero[:, at]) == len(piv)
+            )
+            if not rref:
+                raise ValueError("basis must be in RREF with no zero rows")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "pivots", piv)
@@ -607,34 +634,80 @@ class FpSubspace:
 
 
 class RowSpace:
-    """Mutable builder of a row space, kept in the echelon representation.
+    """Mutable builder of a row space: the one place where a span grows batch
+    by batch (submodule closures, filtration products).
 
-    Used where a span really grows batch by batch (orbit closures, large
-    equation systems); ``subspace()`` freezes it into an
-    ``FpSubspace`` without another elimination.
+    At p = 2 and 3 it keeps a packed echelon, a dict from leading bit to
+    packed row as ``_reduce_f2`` and ``_reduce_f3`` build it: ``add`` packs a
+    batch once and reduces each row, which joins with a new leading bit or
+    vanishes, and a row never changes once it is in.  ``basis`` and
+    ``subspace()`` back-substitute and unpack once (``_echelon_rref``), with
+    no ``rref_array``.  At p >= 5 it keeps the RREF basis and merges each
+    batch into it (``_extend``).
     """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
         self.ncols = ncols
-        self._rows = np.zeros((0, ncols), dtype=np.int64)
+        self._echelon: dict = {}  # p = 2, 3: leading bit -> packed row
+        self._rows = np.zeros((0, ncols), dtype=np.int64)  # p >= 5: the RREF basis
         self._piv: List[int] = []
+        # The leading bits (p = 2, 3) or the rows (p >= 5) in the order they joined.
+        self._joined: list = []
 
     @property
     def dim(self) -> int:
-        return len(self._piv)
+        return len(self._joined)
 
     @property
     def basis(self) -> np.ndarray:
-        return self._rows
+        return self._rref()[0]
 
-    def add(self, rows: np.ndarray) -> int:
-        """Add rows to the span; returns the rank gained."""
-        self._rows, self._piv, gained = _extend(self._rows, self._piv, rows, self.p)
-        return gained
+    def add(self, rows) -> int:
+        """Add one row or a batch of rows of ``ncols`` columns to the span;
+        returns the rank gained."""
+        A = np.asarray(rows, dtype=np.int64)
+        if A.ndim == 1:
+            A = A[None]
+        if A.ndim != 2 or A.shape[1] != self.ncols:
+            raise ValueError(f"rows of {self.ncols} columns expected, got shape {np.shape(rows)}")
+        before = self.dim
+        # A row repeated in the batch lies in the span once its first copy
+        # is in, so only the first copy is reduced.
+        if self.p == 2:
+            for row in dict.fromkeys(_pack_f2(A)):
+                row = _reduce_f2(self._echelon, row, 0)
+                if row:
+                    self._joined.append(row.bit_length() - 1)
+        elif self.p == 3:
+            for ones, twos in dict.fromkeys(_pack_f3(A)):
+                ones, twos = _reduce_f3(self._echelon, ones, twos, 0)
+                if ones | twos:
+                    self._joined.append((ones | twos).bit_length() - 1)
+        else:
+            self._rows, self._piv, new = _extend(self._rows, self._piv, A, self.p)
+            self._joined.extend(new)
+        return self.dim - before
+
+    def joined(self, start: int = 0) -> np.ndarray:
+        """The rows that joined the span after the first ``start``, in the
+        order they joined, as they joined (not in RREF): the first k of them
+        span the space the builder had at dim k."""
+        if self.p == 2:
+            return _unpack_f2([self._echelon[lead] for lead in self._joined[start:]], self.ncols)
+        if self.p == 3:
+            return _unpack_f3([self._echelon[lead] for lead in self._joined[start:]], self.ncols)
+        rows = self._joined[start:]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.ncols)
+
+    def _rref(self) -> Tuple[np.ndarray, List[int]]:
+        if self.p in (2, 3):
+            return _echelon_rref(self._echelon, self.p, self.dim, self.ncols)
+        return self._rows, self._piv
 
     def subspace(self) -> FpSubspace:
-        return FpSubspace(self.p, self.ncols, self._rows, tuple(self._piv))
+        basis, piv = self._rref()
+        return FpSubspace(self.p, self.ncols, basis, tuple(piv))
 
 
 def complement_reps(sub: np.ndarray, space: np.ndarray, p: int) -> np.ndarray:

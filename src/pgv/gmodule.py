@@ -105,18 +105,39 @@ def radical(m: GModule) -> FpSubspace:
     return radical_of_carrier(m, FpSubspace.full(m.dim, m.p))
 
 
-def _closure(p: int, seeds: np.ndarray, mats: Sequence[np.ndarray]) -> FpSubspace:
-    """Least subspace containing the seed rows and stable under x -> x @ mtx."""
-    rs = RowSpace(p, seeds.shape[1])
-    gained = rs.add(seeds)
-    while gained:
-        # Each image is taken of the basis as it stands after the last add.
-        gained = sum(rs.add((rs.basis @ mtx) % p) for mtx in mats)
+def _act(rows: np.ndarray, action: np.ndarray) -> np.ndarray:
+    """The images x @ action of the rows x, not reduced mod p: an action is a
+    square matrix, or the index array of a permutation matrix, whose product
+    is the column gather x[:, action]."""
+    return rows[:, action] if action.ndim == 1 else rows @ action
+
+
+def _closure(p: int, seeds: np.ndarray, actions: Sequence[np.ndarray]) -> FpSubspace:
+    """Least subspace containing the seed rows and stable under each action
+    (``_act``).
+
+    A spin, as in the MeatAxe (Parker 1984): each vector that joins the span
+    is imaged once by each action, in the round after it joined, and never
+    again.  The joined vectors span the final space V and their images lie
+    in V, so V is stable; every one of them lies in any stable subspace that
+    holds the seeds, so V is the least one.  That subspace is unique and its
+    RREF basis canonical, so imaging other spanning vectors, such as the
+    whole basis every round, gives the same result.
+    """
+    n = seeds.shape[1]
+    rs = RowSpace(p, n)
+    rs.add(seeds)
+    done = 0
+    while done < rs.dim < n:
+        frontier = rs.joined(done)
+        done = rs.dim
+        for action in actions:
+            rs.add(_act(frontier, action))
     return rs.subspace()
 
 
-def _is_stable_under(carrier: FpSubspace, mats: Sequence[np.ndarray]) -> bool:
-    return not any(np.any(carrier.reduce(carrier.basis @ mtx)) for mtx in mats)
+def _is_stable_under(carrier: FpSubspace, actions: Sequence[np.ndarray]) -> bool:
+    return not any(np.any(carrier.reduce(_act(carrier.basis, action))) for action in actions)
 
 
 def _actions(m: GModule) -> List[np.ndarray]:
@@ -310,6 +331,19 @@ class FreeBimodule:
         """Permutation action of the group element h on one side."""
         return self.mul_matrix(np.eye(self.block, dtype=np.int64)[h], side)
 
+    def element_gather(self, h: int, side: str = "right") -> np.ndarray:
+        """The index array idx with x @ element_action(h, side) == x[:, idx]:
+        x*h has entry x[k h^-1] at k (side 'right'), and h*x has x[h^-1 k]
+        (side 'left'), in each copy."""
+        g = self.group
+        if side == "right":
+            idx = g.mul[:, g.inv[h]]
+        elif side == "left":
+            idx = g.mul[g.inv[h]]
+        else:
+            raise ModuleError("side must be 'right' or 'left'")
+        return (np.arange(0, self.dim, self.block)[:, None] + idx).ravel()
+
     @memo
     def as_gmodule(self, side: str = "right") -> GModule:
         act = self.mul_matrix(np.eye(self.block, dtype=np.int64), side)
@@ -339,13 +373,10 @@ class FreeBimodule:
 
 
 def _free_actions(fb: FreeBimodule, side: str) -> List[np.ndarray]:
+    """The generators' actions on one side or both, as column gathers."""
     gens = fb.group.burnside_basis()
-    mats = []
-    if side in ("right", "both"):
-        mats += [fb.element_action(g, "right") for g in gens]
-    if side in ("left", "both"):
-        mats += [fb.element_action(g, "left") for g in gens]
-    return mats
+    sides = ("right", "left") if side == "both" else (side,)
+    return [fb.element_gather(g, s) for s in sides for g in gens]
 
 
 def free_submodule_closure(fb: FreeBimodule, vectors: np.ndarray, side: str) -> FpSubspace:

@@ -11,7 +11,7 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence
 
-from .catalog import CatalogEntry, builtin_catalog
+from .catalog import CatalogEntry, builtin_catalog, catalog_filter
 from .checks import ALIASES, CHECKS, COUNTEREXAMPLE, PASS, SKIPPED, UNSUPPORTED, CheckVerdict
 from .cohomology import solve_once
 
@@ -69,7 +69,7 @@ def run_suite(
     catalog: Optional[Sequence[CatalogEntry]] = None,
 ) -> Dict[str, object]:
     cat = list(catalog) if catalog is not None else list(builtin_catalog())
-    cat = [e for e in cat if e.matches(catalog_expr)]
+    cat = list(filter(catalog_filter(catalog_expr), cat))
     entries = {e.name: e for e in cat}
     limit = _instance_limit(budget_ms)
     check_ids = resolve_check_ids(check_expr)

@@ -7,13 +7,14 @@ collected.  ``src/pgv`` keeps only what pgv runs
 as ``cyclic_group`` or the brute-force subgroup lattice, lives here.
 """
 
+import fnmatch
 import itertools
 from pathlib import Path
 
 import numpy as np
 
 from pgv import fp_linalg as fl
-from pgv.catalog import _base_entries, abelian_presentation, builtin_catalog, dihedral, quaternion
+from pgv.catalog import _base_entries, _filter_int, abelian_presentation, builtin_catalog, dihedral, quaternion
 from pgv.checks import CHECKS
 from pgv.cohomology import Cochain, CohomologyError, coboundary, cohomology, unit_cochains
 from pgv.extensions import build_extension
@@ -481,3 +482,74 @@ def loop_quotient(g, n):
     qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False)
     qt.verify_associativity()
     return qt, QuotientMap(g, qt, n, coset_id, reps_arr)
+
+
+# -- oracles for the packed ``fp_linalg.RowSpace``, the spin ``gmodule._closure``
+#    on column gathers, and ``catalog.catalog_filter``: the forms they replaced ---
+
+
+class NumpyRowSpace:
+    """``fp_linalg.RowSpace`` on an int64 RREF basis at every p: each batch is
+    merged in by ``fp_linalg._extend``."""
+
+    def __init__(self, p, ncols):
+        self.p = p
+        self.ncols = ncols
+        self._rows = np.zeros((0, ncols), dtype=np.int64)
+        self._piv = []
+
+    @property
+    def dim(self):
+        return len(self._piv)
+
+    @property
+    def basis(self):
+        return self._rows
+
+    def add(self, rows):
+        self._rows, self._piv, new = fl._extend(self._rows, self._piv, rows, self.p)
+        return new.shape[0]
+
+    def subspace(self):
+        return FpSubspace(self.p, self.ncols, self._rows, tuple(self._piv))
+
+
+def naive_closure(seeds, mats, p):
+    """Stack the images of the whole basis and re-run RREF from scratch until
+    the rank stops; returns (basis, pivots)."""
+    R, piv = fl.rref_array(seeds, p)
+    while True:
+        basis = R[: len(piv)]
+        R2, piv2 = fl.rref_array(np.vstack([basis] + [(basis @ m) % p for m in mats]), p)
+        if len(piv2) == len(piv):
+            return basis, piv
+        R, piv = R2, piv2
+
+
+def dense_free_actions(fb, side):
+    """The generators' permutation matrices on one side of the free module,
+    or on both."""
+    gens = fb.group.burnside_basis()
+    mats = []
+    if side in ("right", "both"):
+        mats += [fb.element_action(g, "right") for g in gens]
+    if side in ("left", "both"):
+        mats += [fb.element_action(g, "left") for g in gens]
+    return mats
+
+
+def loop_matches(entry, expr):
+    """Does a catalog filter match the entry, with the expression parsed on
+    every call."""
+    hits = []
+    for needle in filter(None, (s.strip() for s in expr.split(","))):
+        if needle.startswith("order<="):
+            hits.append(entry.order <= _filter_int(needle, "order<="))
+        elif needle.startswith("order="):
+            hits.append(entry.order == _filter_int(needle, "order="))
+        elif needle.startswith("p="):
+            hits.append(entry.p == _filter_int(needle, "p="))
+        else:
+            names = (entry.name, *entry.tags)
+            hits.append(needle in ("all", "*") or any(fnmatch.fnmatch(x, needle) for x in names))
+    return any(hits)

@@ -14,6 +14,7 @@ from pgv.catalog import (
     LEDGER,
     CatalogError,
     builtin_catalog,
+    catalog_filter,
     dedupe_candidates,
     dihedral,
     find_entry,
@@ -35,7 +36,7 @@ from pgv.group_core import (
 )
 from pgv.gmodule import trivial_module
 from pgv.presentations import PresentationError, render_presentation
-from tests.groups import all_subgroups, maximal_subgroups_bruteforce, order8_list
+from tests.groups import all_subgroups, loop_matches, maximal_subgroups_bruteforce, order8_list
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "data" / "special32.pres"
@@ -115,16 +116,34 @@ def test_catalog_has_expected_members(catalog):
 
 
 def test_tag_filtering(catalog):
-    dihedrals = [e for e in catalog if e.matches("dihedral")]
+    dihedrals = list(filter(catalog_filter("dihedral"), catalog))
     assert {e.name for e in dihedrals} >= {"D8", "D16", "D32", "D64"}
-    small = [e for e in catalog if e.matches("order<=16")]
+    small = list(filter(catalog_filter("order<=16"), catalog))
     assert all(e.order <= 16 for e in small)
-    assert [e for e in catalog if e.matches("all")] == list(catalog)
+    assert list(filter(catalog_filter("all"), catalog)) == list(catalog)
     d8 = find_entry("D8", catalog)
-    assert d8.matches("p=3,order=8") and not d8.matches("p=3,order<=4")
+    assert catalog_filter("p=3,order=8")(d8) and not catalog_filter("p=3,order<=4")(d8)
     for bad in ("order<=abc", "order=", "p=x", "all,p=x"):
         with pytest.raises(CatalogError):
-            d8.matches(bad)
+            catalog_filter(bad)
+
+
+FILTERS = (
+    "all", "*", "", " , ", "dihedral", "quaternion", "dihedral,quaternion", "order<=16", "order=8", "p=3",
+    "p=3,order=8", "order=8,order<=4", "D*", "*x*", "C2xC2", "D8, Q8", "[CD]8", "?8", "abelian", "nonexistent",
+    "order<=abc", "order=", "p=x", "all,p=x", "D8,order=1.5", "p=",
+)  # fmt: skip
+
+
+def test_catalog_filter_selects_what_the_per_entry_parse_selects(catalog):
+    for expr in FILTERS:
+        try:
+            want = [e.name for e in catalog if loop_matches(e, expr)]
+        except CatalogError:
+            with pytest.raises(CatalogError):
+                catalog_filter(expr)
+            continue
+        assert [e.name for e in filter(catalog_filter(expr), catalog)] == want, expr
 
 
 def test_missing_data_file_is_an_error(monkeypatch):

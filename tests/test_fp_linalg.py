@@ -25,7 +25,15 @@ from pgv.fp_linalg import (
 )
 from pgv.cohomology import cohomology
 from pgv.gmodule import _closure
-from tests.groups import intersect, loop_left_kernel, numpy_loop_rref, small_modules, transposed_complement_reps
+from tests.groups import (
+    NumpyRowSpace,
+    intersect,
+    loop_left_kernel,
+    naive_closure,
+    numpy_loop_rref,
+    small_modules,
+    transposed_complement_reps,
+)
 
 
 def all_vectors(n, p):
@@ -331,17 +339,6 @@ def test_left_kernel_annihilates(p, seed):
 # -- the one echelon representation --------------------------------------------
 
 
-def naive_closure(seeds, mats, p):
-    """Oracle: stack images and re-run RREF from scratch until the rank stops."""
-    R, piv = rref_array(seeds, p)
-    while True:
-        basis = R[: len(piv)]
-        R2, piv2 = rref_array(np.vstack([basis] + [(basis @ m) % p for m in mats]), p)
-        if len(piv2) == len(piv):
-            return basis, piv
-        R, piv = R2, piv2
-
-
 def span_or_zero(rows, p, n):
     return span_by_enumeration(rows, p) if len(rows) else {(0,) * n}
 
@@ -454,6 +451,84 @@ def test_subspace_basis_is_read_only_echelon():
         FpSubspace(3, 3, np.array([[0, 2, 0]]), (1,))
     with pytest.raises(ValueError):  # a zero row
         FpSubspace(3, 3, np.zeros((1, 3), dtype=np.int64), (0,))
+    with pytest.raises(ValueError):  # a nonzero entry before the first row's pivot
+        FpSubspace(3, 3, np.array([[1, 1, 0], [0, 0, 1]]), (1, 2))
+    with pytest.raises(ValueError):  # pivots out of order
+        FpSubspace(3, 3, np.array([[0, 0, 1], [1, 0, 0]]), (2, 0))
+    with pytest.raises(ValueError):  # a pivot repeated
+        FpSubspace(3, 3, np.array([[0, 1, 0], [0, 1, 1]]), (1, 1))
+    with pytest.raises(ValueError):  # a second nonzero entry below the first pivot
+        FpSubspace(3, 3, np.array([[1, 0, 0], [2, 1, 0]]), (0, 1))
+    with pytest.raises(ValueError):  # a pivot outside the ambient dimension
+        FpSubspace(3, 3, np.array([[0, 0, 0]]), (3,))
+    # Bases in RREF are accepted, the empty one too.
+    assert FpSubspace(3, 3, np.array([[1, 0, 2], [0, 1, 1]]), (0, 1)).dim == 2
+    assert FpSubspace(3, 0, np.zeros((0, 0), dtype=np.int64), ()).dim == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rowspace_add_checks_the_batch_width(p):
+    rs = RowSpace(p, 4)
+    for bad in (np.ones((2, 3)), np.ones((2, 5)), np.ones(5), np.ones((1, 2, 4)), np.zeros((0, 3))):
+        with pytest.raises(ValueError):
+            rs.add(bad)
+    assert rs.dim == 0
+    assert rs.add(np.zeros((0, 4), dtype=np.int64)) == 0
+    assert rs.add([1, 0, 0, 1]) == 1  # one row, 1-D
+    assert rs.add(np.array([p + 1, 0, 0, 1])) == 0
+    for bad in (np.ones((1, 3)), np.ones(8), [[1, 2, 3, 4, 5]]):
+        with pytest.raises(ValueError):
+            rs.add(bad)
+    assert rs.add(np.zeros((0, 4))) == 0 and rs.dim == 1
+    assert np.array_equal(rs.basis, [[1, 0, 0, 1]]) and rs.subspace().pivots == (0,)
+
+
+def rowspace_batch(kind, m, ncols, p, rng, earlier):
+    if kind == "zero":
+        return np.zeros((m, ncols), dtype=np.int64)
+    if kind == "repeat":  # an earlier batch again
+        return earlier[int(rng.integers(len(earlier)))] if earlier else np.zeros((0, ncols), dtype=np.int64)
+    if kind == "row":
+        return rng.integers(0, p, size=ncols)
+    if kind == "low rank":
+        return rng.integers(0, p, size=(m, 2)) @ rng.integers(0, p, size=(2, ncols))
+    return rng.integers(-p, 2 * p, size=(m, ncols))  # raw entries, not residues
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([0, 1, 8, 9, 70]),
+    st.lists(
+        st.tuples(st.sampled_from(["random", "zero", "repeat", "row", "low rank"]), st.integers(0, 12)), max_size=8
+    ),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(p=2, ncols=70, batches=[("random", 12), ("repeat", 0), ("low rank", 12), ("zero", 3)], seed=0)
+@example(p=3, ncols=9, batches=[("row", 1), ("repeat", 0), ("random", 12), ("random", 12)], seed=1)
+@example(p=5, ncols=8, batches=[("zero", 0), ("random", 3), ("repeat", 0), ("random", 12)], seed=2)
+@example(p=5, ncols=0, batches=[("random", 3), ("row", 0), ("random", 0)], seed=3)
+@example(p=2, ncols=1, batches=[("zero", 2), ("row", 0), ("random", 4)], seed=4)
+@example(p=3, ncols=0, batches=[("row", 0), ("zero", 5)], seed=5)
+def test_rowspace_matches_the_numpy_builder_after_every_batch(p, ncols, batches, seed):
+    rng = np.random.default_rng(seed)
+    fast, slow = RowSpace(p, ncols), NumpyRowSpace(p, ncols)
+    earlier = []
+    for kind, m in batches:
+        rows = rowspace_batch(kind, m, ncols, p, rng, earlier)
+        earlier.append(rows)
+        with deadline():
+            gained = fast.add(rows)
+        assert gained == slow.add(rows) and fast.dim == slow.dim
+        basis = fast.basis
+        assert basis.dtype == np.int64 and np.array_equal(basis, slow.basis)
+        sub, want = fast.subspace(), slow.subspace()
+        assert sub == want and sub.pivots == want.pivots
+        # What joined, in order, spans the space at every dimension on the way.
+        joined = fast.joined()
+        assert joined.shape == (fast.dim, ncols)
+        assert np.array_equal(fast.joined(fast.dim - gained), joined[fast.dim - gained :])
+        assert FpSubspace.from_rows(joined, p, ncols) == sub
 
 
 # -- large matrices against the per-pivot row loop ----------------------------

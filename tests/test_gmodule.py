@@ -5,6 +5,7 @@ import pytest
 
 from pgv.catalog import builtin_catalog, find_entry
 from pgv.cohomology import sample_nG_module
+from pgv import fp_linalg as fl
 from pgv.fp_linalg import FpSubspace, rank_array
 from pgv.group_core import (
     Subgroup,
@@ -40,8 +41,10 @@ from pgv.gmodule import (
 )
 from tests.groups import (
     cyclic_group,
+    dense_free_actions,
     fixed_points_in_carrier,
     h1_of_restriction,
+    naive_closure,
     pres_d16,
     pres_d8,
     pres_heis27,
@@ -518,3 +521,34 @@ def test_free_bimodule_layout_matches_elementwise_oracle(name):
             # side 'left': y_i * x_{i,l}, so x_{i,l} multiplies from the right.
             want = place_oracle([[times_oracle(g, x[l * q : (l + 1) * q], acting) for l in range(n)] for x in xs], n)
             assert np.array_equal(tuple_product_matrix(fb, xs, side), want)
+
+
+def test_gather_closures_match_the_dense_oracle_on_the_catalog():
+    # Seeds in the whole module, in the augmentation ideal I and in I^2, and
+    # the socle, so the closures take from one to several rounds.
+    rng = np.random.default_rng(34)
+    for e in builtin_catalog():
+        if e.order > 16:
+            continue
+        g = e.group()
+        p, q = g.p, g.order
+        for n in (1, 2):
+            fb = FreeBimodule(g, n)
+            x = rng.integers(0, p, size=(2, n, q))
+            x[:, :, 0] -= x.sum(axis=2)  # every copy in I
+            aug = np.atleast_2d(fb.algebra_product(x[0].ravel(), x[1].ravel()))  # in I^2
+            seed_sets = [rng.integers(0, p, size=(2, fb.dim)), x[:1].reshape(1, -1), aug, fb.socle_basis()]
+            for side in ("right", "left", "both"):
+                mats = dense_free_actions(fb, side)
+                for h in range(q):
+                    for one_side in ("right", "left"):
+                        action = fb.element_action(h, one_side)
+                        assert np.array_equal(x[0].reshape(1, -1) @ action, x[0].reshape(1, -1)[:, fb.element_gather(h, one_side)])
+                for seeds in seed_sets:
+                    got = free_submodule_closure(fb, seeds, side)
+                    basis, piv = naive_closure(fl.as_residues(seeds, p), mats, p)
+                    assert np.array_equal(got.basis, basis) and got.pivots == tuple(piv), (e.name, n, side)
+                    assert is_free_submodule(fb, got, side)
+                    span = FpSubspace.from_rows(seeds, p, fb.dim)
+                    dense_stable = not any(np.any(span.reduce(span.basis @ m)) for m in mats)
+                    assert is_free_submodule(fb, span, side) == dense_stable, (e.name, n, side)
