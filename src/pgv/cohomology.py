@@ -30,16 +30,22 @@ of that seed: the identity then holds at every element (see
 ``_solution_space``).  Every elimination runs in ``fp_linalg``, whose
 ``matmul_mod`` uses exact float64 BLAS products.
 
-Inside a ``solve_once()`` block, ``cohomology`` solves each distinct
-(table, action, degree) once.  The key is what the solve reads: the degree,
-p and a sha256 of the table's ``mul`` and the module's ``act``; a hit is
-confirmed by comparing both arrays, so it is exact.  A repeat gets a new
-``CohomologySpace`` for its own group and module that shares the first
-solve's read-only bases.  ``run_suite`` opens one scope per check id, over
-the check's instance generation and its instances, because the checks
-rebuild equal modules by restriction, inflation, quotients and sampling.
-Outside a scope nothing is kept, so ``replay_counterexamples``, which runs
-after the suite's scopes close, solves every space again.
+``cohomology`` keeps one process-wide cache of solves, so a repeat of a
+(table, action, degree) solved earlier in the process, in one check, across
+checks or across commands, reads that solve's bases.  The key is what the
+solve reads: the degree, p and a sha256 of the table's ``mul`` and the
+module's ``act``.  Each key keeps a list of entries and a hit is confirmed
+by comparing both arrays, so a hit is exact and a digest collision neither
+returns a wrong space nor evicts the other entry.  A repeat gets a new
+``CohomologySpace`` for its own group and module, over read-only int64
+bases equal to a fresh solve's byte for byte.  An array of at most
+``COPY_ABOVE_BYTES`` is stored as it is (every array a solve reads or
+returns is read-only), a larger one as a copy in the narrowest unsigned
+dtype that holds it, which a hit reads back as int64.  ``SOLVE_CACHE_BYTES``
+bounds the bytes the stored arrays keep alive: the least recently used
+entries go first, and a solve larger than the whole budget is not stored.
+``replay_counterexamples`` runs in an empty cache of its own
+(``fresh_solve_cache``), so replay derives every verdict from scratch.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -271,25 +278,117 @@ def solve_size(g: GroupTable, dim: int, degree: int) -> Tuple[int, int]:
     return unknowns, unknowns * q**degree * dim * np.dtype(np.int64).itemsize
 
 
-# The spaces solved inside the open ``solve_once`` scope, None outside one:
-# (degree, p, content digest) -> [(mul, act, z_basis, b_basis), ...].
-_solved: Optional[Dict[tuple, List[tuple]]] = None
+# The bytes the process-wide cache of solves may keep alive.
+SOLVE_CACHE_BYTES = 256 * 1024
+# An array of at most this many bytes is stored as it is, by reference (the
+# arrays a solve reads and returns are read-only); a larger one as a copy in
+# the narrowest unsigned dtype.  A copy of a small array saves little, and
+# each copy is one more long-lived allocation among the solver's temporaries.
+COPY_ABOVE_BYTES = 32 * 1024
+
+
+def _narrow(bound: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every value in [0, bound)."""
+    return np.min_scalar_type(bound - 1)
+
+
+def _held_bytes(a: np.ndarray) -> int:
+    """The bytes a reference to ``a`` keeps alive: those of its base array."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+def _store(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a`` as the cache keeps it: itself, or a narrow copy."""
+    return a if a.nbytes <= COPY_ABOVE_BYTES else a.astype(_narrow(bound))
+
+
+def _stored_bytes(a: np.ndarray, bound: int) -> int:
+    """The bytes that ``_store(a, bound)`` keeps alive."""
+    return _held_bytes(a) if a.nbytes <= COPY_ABOVE_BYTES else a.size * _narrow(bound).itemsize
+
+
+def _int64(a: np.ndarray) -> np.ndarray:
+    if a.dtype == np.int64:
+        return a
+    a = a.astype(np.int64)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(eq=False)
+class _Solved:
+    """One solve as the cache stores it (``_store``): the table and action
+    it read, the Z and B bases it found, and the bytes they keep alive."""
+
+    mul: np.ndarray
+    act: np.ndarray
+    z_basis: np.ndarray
+    b_basis: np.ndarray
+    nbytes: int
+
+    def reads(self, m: GModule) -> bool:
+        return np.array_equal(self.mul, m.group.mul) and np.array_equal(self.act, m.act)
+
+    def bases(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 bases, equal to a fresh solve's."""
+        return _int64(self.z_basis), _int64(self.b_basis)
+
+
+class _SolveCache:
+    """Solves keyed by (degree, p, sha256 of ``mul`` and ``act``).  Each key
+    keeps a list of entries, so that modules whose digests collide keep one
+    entry each; ``lru`` holds every entry with its key, least recently used
+    first.  ``nbytes``, the bytes the stored arrays keep alive, never
+    exceeds ``SOLVE_CACHE_BYTES``."""
+
+    def __init__(self):
+        self.entries: Dict[tuple, List[_Solved]] = {}
+        self.lru: "OrderedDict[_Solved, tuple]" = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key: tuple, m: GModule) -> Optional[_Solved]:
+        for e in self.entries.get(key, ()):
+            if e.reads(m):
+                self.lru.move_to_end(e)
+                return e
+        return None
+
+    def put(self, key: tuple, m: GModule, z: np.ndarray, b: np.ndarray) -> None:
+        """Store the solve, unless it alone exceeds the budget; then drop
+        least recently used entries until it fits."""
+        q, p = m.group.order, m.p
+        parts = ((m.group.mul, q), (m.act, p), (z, p), (b, p))
+        nbytes = sum(_stored_bytes(a, bound) for a, bound in parts)
+        if nbytes > SOLVE_CACHE_BYTES:
+            return
+        e = _Solved(*(_store(a, bound) for a, bound in parts), nbytes)
+        self.entries.setdefault(key, []).append(e)
+        self.lru[e] = key
+        self.nbytes += nbytes
+        while self.nbytes > SOLVE_CACHE_BYTES:
+            old, old_key = self.lru.popitem(last=False)
+            self.entries[old_key].remove(old)
+            if not self.entries[old_key]:
+                del self.entries[old_key]
+            self.nbytes -= old.nbytes
+
+
+_solves = _SolveCache()
 
 
 @contextlib.contextmanager
-def solve_once():
-    """Within the block, ``cohomology`` solves each (table, action, degree)
-    once (see the module docstring).  An inner scope uses the outer one's
-    entries and leaves them at its exit; the outermost scope drops them at
-    its exit, an exception included."""
-    global _solved
-    outer = _solved
-    if outer is None:
-        _solved = {}
+def fresh_solve_cache():
+    """Within the block ``cohomology`` uses an empty cache of its own and
+    reads no entry made before the block; at its exit, an exception
+    included, the process-wide cache is back as it was."""
+    global _solves
+    outer, _solves = _solves, _SolveCache()
     try:
         yield
     finally:
-        _solved = outer
+        _solves = outer
 
 
 def _content_digest(m: GModule) -> bytes:
@@ -297,8 +396,13 @@ def _content_digest(m: GModule) -> bytes:
 
 
 def _solve(m: GModule, degree: int) -> Tuple[np.ndarray, np.ndarray]:
-    """RREF bases of Z^n and B^n over ``m.group``, both read-only."""
+    """RREF bases of Z^n and B^n over ``m.group``, both read-only.  Over the
+    zero module no cochain has a value, so both are empty: H^n(G, 0) = 0."""
     q, d, p = m.group.order, m.dim, m.p
+    if d == 0:
+        Z = B = np.zeros((0, 0), dtype=np.int64)
+        Z.setflags(write=False)
+        return Z, B
 
     def flat(cochains):  # a stack of tables as rows of |G|^n dim values, a view
         return cochains.reshape(len(cochains), q**degree * d)
@@ -322,22 +426,20 @@ def cohomology(
     h2_order_cap: int = DEFAULT_H2_ORDER_CAP,
 ) -> CohomologySpace:
     """Z^n, B^n and H^n of g with coefficients in m, n = ``degree`` (1 or 2).
-    Inside ``solve_once`` a repeat of an earlier solve shares its bases."""
+    A repeat of a solve still in the process-wide cache reads its bases from
+    there; the caps and the module's table are checked first."""
     if m.group is not g and not np.array_equal(m.group.mul, g.mul):
         raise CohomologyError("module is not over this group")
     if degree not in (1, 2):
         raise CohomologyError("degree must be 1 or 2")
     if degree == 2 and g.order > h2_order_cap:
         raise CohomologyError(f"cap exceeded: degree-2 limited to order {h2_order_cap}")
-    if _solved is None:
-        return CohomologySpace(degree, g, m, *_solve(m, degree))
-    mul, act = m.group.mul, m.act
-    solved = _solved.setdefault((degree, m.p, _content_digest(m)), [])
-    for mul0, act0, Z, B in solved:
-        if np.array_equal(mul0, mul) and np.array_equal(act0, act):
-            return CohomologySpace(degree, g, m, Z, B)
+    key = (degree, m.p, _content_digest(m))
+    hit = _solves.get(key, m)
+    if hit is not None:
+        return CohomologySpace(degree, g, m, *hit.bases())
     Z, B = _solve(m, degree)
-    solved.append((mul, act, Z, B))
+    _solves.put(key, m, Z, B)
     return CohomologySpace(degree, g, m, Z, B)
 
 

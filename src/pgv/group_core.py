@@ -718,7 +718,12 @@ def quotient(g: GroupTable, n: Subgroup) -> Tuple[GroupTable, QuotientMap]:
     """G/N as a table: quotient element i is the coset of ``section[i]``, the
     i-th least of the least coset elements.  Row x of ``g.mul[:, N]`` is the
     coset xN, so one ``min`` finds every coset's least element, and a sorted
-    search numbers the cosets in that order."""
+    search numbers the cosets in that order.
+
+    When G has Phi(G) memoised, G/N gets Phi(G)N/N as its own memoised
+    Phi, read through the coset ids.  That is exact for a p-group: the
+    projection maps the commutators and p-th powers of G onto those of G/N,
+    so it maps Phi(G) = G'G^p onto Phi(G/N)."""
     if not n.is_normal():
         raise GroupError("not normal")
     least = g.mul[:, n.members].min(axis=1)
@@ -727,6 +732,9 @@ def quotient(g: GroupTable, n: Subgroup) -> Tuple[GroupTable, QuotientMap]:
     qmul = coset_id[g.mul[np.ix_(reps, reps)]]
     qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False)
     qt.verify_associativity()
+    phi = g._cache.get(("frattini",))  # the key @memo gives frattini(g)
+    if phi is not None:
+        qt._cache[("frattini",)] = Subgroup(qt, coset_id[phi.members], check=False)
     return qt, QuotientMap(g, qt, n, coset_id, reps)
 
 

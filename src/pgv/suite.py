@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .catalog import CatalogEntry, builtin_catalog, catalog_filter
 from .checks import ALIASES, CHECKS, COUNTEREXAMPLE, PASS, SKIPPED, UNSUPPORTED, CheckVerdict
-from .cohomology import solve_once
+from .cohomology import fresh_solve_cache
 
 
 def _instance_limit(budget_ms: Optional[int]) -> int:
@@ -78,21 +78,18 @@ def run_suite(
     counts = {PASS: 0, COUNTEREXAMPLE: 0, SKIPPED: 0, UNSUPPORTED: 0}
     infra_errors: List[Dict[str, str]] = []
     for cid in check_ids:
-        # One scope per check: its generator and its instances solve each
-        # cohomology space once, and the spaces go when the check is done.
-        with solve_once():
-            for inst in CHECKS[cid].generate(cat, seed, limit):
-                if "group" in inst and inst["group"] not in entries:
-                    continue
-                try:
-                    v = _run(cid, inst, entries)
-                except Exception as e:  # infrastructure failure, not a finding
-                    infra_errors.append(
-                        {"check_id": cid, "instance": json.dumps(inst, sort_keys=True), "error": repr(e)}
-                    )
-                    v = CheckVerdict(cid, inst, UNSUPPORTED, {"error": repr(e)})
-                counts[v.status] = counts.get(v.status, 0) + 1
-                verdicts.append(v.to_dict())
+        for inst in CHECKS[cid].generate(cat, seed, limit):
+            if "group" in inst and inst["group"] not in entries:
+                continue
+            try:
+                v = _run(cid, inst, entries)
+            except Exception as e:  # infrastructure failure, not a finding
+                infra_errors.append(
+                    {"check_id": cid, "instance": json.dumps(inst, sort_keys=True), "error": repr(e)}
+                )
+                v = CheckVerdict(cid, inst, UNSUPPORTED, {"error": repr(e)})
+            counts[v.status] = counts.get(v.status, 0) + 1
+            verdicts.append(v.to_dict())
 
     report = {
         "meta": {
@@ -118,15 +115,16 @@ def replay_counterexamples(
     report: Dict[str, object], catalog: Optional[Sequence[CatalogEntry]] = None
 ) -> List[Dict[str, object]]:
     """Re-run every COUNTEREXAMPLE from its stored instance, with groups named
-    in ``catalog`` (the built-in one by default); returns mismatches.  The suite's
-    ``solve_once`` scopes are closed by then, so every cohomology space is
-    solved again."""
+    in ``catalog`` (the built-in one by default); returns mismatches.  Replay
+    runs in an empty cache of cohomology solves of its own, so it reads no
+    space the suite solved and derives every verdict again from scratch."""
     entries = {e.name: e for e in (catalog if catalog is not None else builtin_catalog())}
     mismatches = []
-    for v in report["verdicts"]:
-        if v["status"] != COUNTEREXAMPLE:
-            continue
-        again = _run(v["check_id"], v["instance"], entries)
-        if again.status != COUNTEREXAMPLE:
-            mismatches.append({"original": v, "replay_status": again.status})
+    with fresh_solve_cache():
+        for v in report["verdicts"]:
+            if v["status"] != COUNTEREXAMPLE:
+                continue
+            again = _run(v["check_id"], v["instance"], entries)
+            if again.status != COUNTEREXAMPLE:
+                mismatches.append({"original": v, "replay_status": again.status})
     return mismatches

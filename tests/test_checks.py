@@ -187,35 +187,57 @@ def test_counterexample_replay():
 
 
 def test_replay_solves_its_cohomology_again(monkeypatch):
-    # The suite shares solves within a check; replay runs outside that scope,
-    # so it derives every verdict again from scratch.
+    # Replay runs in an empty cache of its own: it reads no solve the suite
+    # left in the process-wide cache, so it derives every verdict again.
     rep = run_suite("jx_rank", catalog=_fresh_catalog())
     assert rep["counts"][COUNTEREXAMPLE] >= 1
-    solves = []
-    real = cohomology_module._solve
+    suite_cache = cohomology_module._solves
+    made_before = {id(e) for entries in suite_cache.entries.values() for e in entries}
+    assert made_before
+    solves, hits = [], []
+    real_solve, real_get = cohomology_module._solve, cohomology_module._SolveCache.get
 
     def counted(m, degree):
-        assert cohomology_module._solved is None
+        assert cohomology_module._solves is not suite_cache
         solves.append(degree)
-        return real(m, degree)
+        return real_solve(m, degree)
+
+    def looked_up(cache, key, m):
+        hit = real_get(cache, key, m)
+        if hit is not None:
+            hits.append(id(hit))
+        return hit
 
     monkeypatch.setattr(cohomology_module, "_solve", counted)
+    monkeypatch.setattr(cohomology_module._SolveCache, "get", looked_up)
     assert replay_counterexamples(rep) == []
-    assert len(solves) > 0
+    assert len(solves) > 0 and not made_before & set(hits)
+    assert cohomology_module._solves is suite_cache
 
 
-def test_the_suite_shares_solves_within_a_check_and_not_across_checks(monkeypatch):
-    # du_growth and jx_rank draw the same modules: one scope over both runs
-    # would solve 10 fewer spaces than the two checks alone.
-    solves = []
-    real = cohomology_module._solve
-    monkeypatch.setattr(cohomology_module, "_solve", lambda m, degree: solves.append(degree) or real(m, degree))
+def test_the_suite_shares_solves_across_checks(monkeypatch):
+    # du_growth and jx_rank draw the same modules.  In one process every
+    # distinct (table, action, degree) is solved once, across checks and
+    # across runs alike, so both checks solve fewer spaces than the two alone.
+    solves, spaces = [], set()
+    real_solve, real_get = cohomology_module._solve, cohomology_module._SolveCache.get
+
+    def looked_up(cache, key, m):
+        spaces.add((key[:2], m.group.mul.tobytes(), m.act.tobytes()))
+        return real_get(cache, key, m)
+
+    monkeypatch.setattr(cohomology_module, "_solve", lambda m, degree: solves.append(degree) or real_solve(m, degree))
+    monkeypatch.setattr(cohomology_module._SolveCache, "get", looked_up)
     counts = {}
-    for cids in ("du_growth", "jx_rank", "du_growth,jx_rank"):
+    for runs in (["du_growth"], ["jx_rank"], ["du_growth,jx_rank"], ["du_growth", "jx_rank"]):
         del solves[:]
-        run_suite(cids, catalog=_fresh_catalog())
-        counts[cids] = len(solves)
-    assert counts["du_growth,jx_rank"] == counts["du_growth"] + counts["jx_rank"] > 0
+        spaces.clear()
+        with cohomology_module.fresh_solve_cache():
+            for cids in runs:
+                run_suite(cids, catalog=_fresh_catalog())
+        counts[" ".join(runs)] = len(solves)
+        assert len(solves) == len(spaces), runs
+    assert counts["du_growth,jx_rank"] == counts["du_growth jx_rank"] < counts["du_growth"] + counts["jx_rank"]
 
 
 def test_report_json_serializable():

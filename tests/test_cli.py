@@ -3,8 +3,9 @@ import json
 import pytest
 
 import pgv.cli as cli
+import pgv.cohomology as cohomology_module
 import pgv.fp_linalg as fl
-from pgv.catalog import find_entry
+from pgv.catalog import builtin_catalog, find_entry
 from pgv.cli import main
 from pgv.cohomology import cohomology, solve_size
 from pgv.gmodule import DEFAULT_DIM_CAP, trivial_module
@@ -231,6 +232,29 @@ def test_h2_caps_the_module_dimension_before_building_it(monkeypatch, capsys):
     monkeypatch.setattr(cli, "H2_ANNOUNCE_BYTES", 0)
     assert main(["h2", "--group", "D8", "--module", "trivial:2"]) == 0
     assert built == [(2, "h2: 28 unknowns; the seed and each slice image take 0 MiB\n")]
+
+
+def test_h2_then_extend_share_solves_and_print_what_an_empty_cache_prints(monkeypatch, capsys):
+    # Each extend reads the H^2 that the h2 command before it solved: on the
+    # groups of order 16 and 27, 52 commands make 33 solves in one process.
+    solves = []
+    real = cohomology_module._solve
+    monkeypatch.setattr(cohomology_module, "_solve", lambda m, degree: solves.append(degree) or real(m, degree))
+    argvs = []
+    for e in builtin_catalog():
+        if e.order in (16, 27):
+            for module in ("trivial:1", "trivial:2") if e.order == 16 else ("trivial:1",):
+                argvs.append(["h2", "--group", e.name, "--module", module])
+            argvs.append(["extend", "--group", e.name, "--kernel", "1"])
+    outs = []
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        outs.append(capsys.readouterr().out)
+    assert (len(argvs), len(solves)) == (52, 33)
+    for argv, out in zip(argvs, outs):
+        with cohomology_module.fresh_solve_cache():
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
 
 
 def test_extend_command(tmp_path, capsys):

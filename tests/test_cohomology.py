@@ -38,6 +38,7 @@ from pgv.gmodule import (
     FreeBimodule,
     free_submodule_closure,
     module_from_conjugation,
+    quotient_module,
     trivial_module,
 )
 from pgv.suite import run_suite
@@ -581,11 +582,14 @@ def test_conjugation_h1_is_built_once_per_pair(monkeypatch):
     assert built == [(klein.key(), klein.key()), (klein.key(), rotations.key())]
 
 
-# -- solve_once: one solve per distinct (table, action, degree) ----------------
+# -- the process-wide cache of solves -------------------------------------------
 
 
 def test_a_module_over_another_table_of_the_same_order_is_refused():
     c4, v4 = cyclic_group(2, 4), klein()
+    # H^1(V4, F_2) is solved and cached first: the table check runs before
+    # the lookup, so the cached space is not read for C4.
+    assert cohomology(v4, trivial_module(v4, 1), 1).h_dim == 2
     with pytest.raises(CohomologyError):
         cohomology(c4, trivial_module(v4, 1), 1)  # once read as H^1(C4, F_2) = 2
     assert cohomology(c4, trivial_module(c4, 1), 1).h_dim == 1
@@ -593,26 +597,44 @@ def test_a_module_over_another_table_of_the_same_order_is_refused():
     assert cohomology(klein(), trivial_module(v4, 1), 1).h_dim == 2
 
 
+def test_the_caps_are_checked_before_the_lookup():
+    g = cyclic_group(2, 8)
+    m = trivial_module(g, 1)
+    assert cohomology(g, m, 2).h_dim == 1  # cached at the default cap
+    with pytest.raises(CohomologyError, match="cap exceeded"):
+        cohomology(g, m, 2, h2_order_cap=4)
+    with pytest.raises(CohomologyError, match="degree"):
+        cohomology(g, m, 3)
+
+
 def _count_solves(monkeypatch):
     solves = []
-    real = cohomology_module._solution_space
+    real = cohomology_module._solve
 
-    def counted(*args):
-        solves.append(1)
-        return real(*args)
+    def counted(m, degree):
+        solves.append(degree)
+        return real(m, degree)
 
-    monkeypatch.setattr(cohomology_module, "_solution_space", counted)
+    monkeypatch.setattr(cohomology_module, "_solve", counted)
     return solves
 
 
 def _same_bases(a, b):
     return all(
-        x.shape == y.shape and x.tobytes() == y.tobytes()
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         for x, y in ((a.z_basis, b.z_basis), (a.b_basis, b.b_basis))
     )
 
 
-def test_spaces_shared_in_a_scope_equal_a_fresh_solve(monkeypatch):
+def _stored(cache):
+    return [e for entries in cache.entries.values() for e in entries]
+
+
+def _kept_bytes(cache):
+    return sum(e.nbytes for e in _stored(cache))
+
+
+def test_spaces_served_by_the_cache_equal_a_fresh_solve(monkeypatch):
     spaces = []
     real = cohomology_module.CohomologySpace
 
@@ -625,74 +647,158 @@ def test_spaces_shared_in_a_scope_equal_a_fresh_solve(monkeypatch):
     report = run_suite("du_growth,jx_rank,px_iff", catalog=builtin_catalog.__wrapped__())
     monkeypatch.undo()
     assert not report["infra_errors"]
-    # The suite's scope served most of these spaces from an earlier solve.
+    # The cache served most of these spaces from an earlier solve.
     assert len(spaces) > 2 * len(solves) > 0
-    assert cohomology_module._solved is None
     for sp in spaces:
-        fresh = cohomology(sp.group, sp.module, sp.degree)
+        fresh = real(sp.degree, sp.group, sp.module, *cohomology_module._solve(sp.module, sp.degree))
         assert _same_bases(sp, fresh), (sp.group.name, sp.module.name, sp.degree)
+        assert not sp.z_basis.flags.writeable and not sp.b_basis.flags.writeable
 
 
 def test_distinct_modules_under_one_digest_keep_their_own_spaces(monkeypatch):
     modules = [m for m in small_modules() if m.group.order <= 8]
-    fresh = [cohomology(m.group, m, degree) for m in modules for degree in (1, 2)]
+    with cohomology_module.fresh_solve_cache():
+        fresh = [cohomology(m.group, m, degree) for m in modules for degree in (1, 2)]
     monkeypatch.setattr(cohomology_module, "_content_digest", lambda m: b"")
+    monkeypatch.setattr(cohomology_module, "SOLVE_CACHE_BYTES", 1 << 22)  # room for every space
     solves = _count_solves(monkeypatch)
-    with cohomology_module.solve_once():
-        for _ in range(2):
-            shared = [cohomology(m.group, m, degree) for m in modules for degree in (1, 2)]
-            assert all(_same_bases(a, b) for a, b in zip(shared, fresh))
+    for _ in range(2):
+        shared = [cohomology(m.group, m, degree) for m in modules for degree in (1, 2)]
+        assert all(_same_bases(a, b) for a, b in zip(shared, fresh))
+    # Every module collides under one key per (degree, p) and keeps an entry
+    # of its own there: the second pass solves nothing.
     distinct = {(d, m.p, m.group.mul.tobytes(), m.act.tobytes()) for m in modules for d in (1, 2)}
-    assert len(solves) == len(distinct) < len(fresh)
+    cache = cohomology_module._solves
+    assert set(cache.entries) == {(d, p, b"") for d, p, *_ in distinct}
+    assert len(solves) == len(distinct) == len(_stored(cache)) < len(fresh)
 
 
-def test_nothing_is_shared_outside_a_scope(monkeypatch):
+@pytest.mark.parametrize("collide", [False, True])
+def test_the_cache_evicts_least_recently_used_entries_by_stored_bytes(monkeypatch, collide):
+    if collide:  # one key for all three: eviction still drops one entry at a time
+        monkeypatch.setattr(cohomology_module, "_content_digest", lambda m: b"")
     g = cyclic_group(2, 4)
+    a, b, c = (trivial_module(g, d) for d in (1, 2, 3))
+    sizes = []
+    for m in (a, b, c):
+        with cohomology_module.fresh_solve_cache():
+            cohomology(g, m, 2)
+            sizes.append(cohomology_module._solves.nbytes)
+    assert sizes[0] < sizes[1] < sizes[2]
+    # Room for any two of them, not for all three.
+    monkeypatch.setattr(cohomology_module, "SOLVE_CACHE_BYTES", sizes[1] + sizes[2])
     solves = _count_solves(monkeypatch)
-    for _ in range(3):
-        cohomology(g, trivial_module(g, 1), 1)
+    cache = cohomology_module._solves
+    cohomology(g, a, 2)
+    cohomology(g, b, 2)
+    cohomology(g, a, 2)  # a hit: b is now the least recently used
+    cohomology(g, c, 2)  # b goes
+    assert len(solves) == 3 and cache.nbytes == sizes[0] + sizes[2] == _kept_bytes(cache)
+    cohomology(g, a, 2)
+    cohomology(g, c, 2)
     assert len(solves) == 3
-    with cohomology_module.solve_once():
-        first = cohomology(g, trivial_module(g, 1), 1)
-        again = cohomology(cyclic_group(2, 4), trivial_module(cyclic_group(2, 4), 1), 1)
-    assert len(solves) == 4
-    # The caller's table and module label the space; the bases are shared.
-    assert again.group is not first.group and again.module is not first.module
-    assert again.z_basis is first.z_basis and again.b_basis is first.b_basis
+    cohomology(g, b, 2)  # solved again, and a, least recently used, goes
+    cohomology(g, c, 2)
+    assert len(solves) == 4 and cache.nbytes == sizes[1] + sizes[2] == _kept_bytes(cache)
+    cohomology(g, a, 2)  # b, least recently used, goes
+    assert len(solves) == 5 and cache.nbytes == sizes[0] + sizes[2] == _kept_bytes(cache)
+    assert len(_stored(cache)) == len(cache.lru) == 2
 
 
-def test_shared_bases_refuse_writes():
-    g = cyclic_group(2, 2)
-    with cohomology_module.solve_once():
+def test_the_cache_stores_narrow_copies_and_skips_a_solve_over_the_budget(monkeypatch):
+    cache = cohomology_module._solves
+    for g, degree, mul_dtype in ((cyclic_group(2, 4), 2, np.uint8), (cyclic_group(3, 9), 2, np.uint8),
+                                 (cyclic_group(2, 512), 1, np.uint16)):
+        m = trivial_module(g, 2)
+        monkeypatch.setattr(cohomology_module, "SOLVE_CACHE_BYTES", 1 << 20)
+        # Arrays up to COPY_ABOVE_BYTES are kept as they are, larger ones as
+        # narrow copies; with a threshold of 0 every array is copied.
+        for copy_above in (cohomology_module.COPY_ABOVE_BYTES, 0):
+            monkeypatch.setattr(cohomology_module, "COPY_ABOVE_BYTES", copy_above)
+            with cohomology_module.fresh_solve_cache():
+                sp = cohomology(g, m, degree)
+                (entry,) = _stored(cohomology_module._solves)
+                stored = cohomology_module._solves.nbytes
+            for kept, given, dtype in ((entry.mul, g.mul, mul_dtype), (entry.act, m.act, np.uint8),
+                                       (entry.z_basis, sp.z_basis, np.uint8), (entry.b_basis, sp.b_basis, np.uint8)):
+                if given.nbytes <= copy_above:
+                    assert kept is given, g.name
+                else:
+                    assert kept.dtype == dtype and np.array_equal(kept, given), g.name
+            assert stored == entry.nbytes
+        assert stored * 3 < sum(a.nbytes for a in (g.mul, m.act, sp.z_basis, sp.b_basis))
+        # One byte less than the entry: it is not stored, and nothing is evicted for it.
+        monkeypatch.setattr(cohomology_module, "SOLVE_CACHE_BYTES", stored - 1)
+        small = cyclic_group(2, 2)
+        cohomology(small, trivial_module(small, 1), 1)
+        before = _stored(cache)
+        solves = _count_solves(monkeypatch)
+        for _ in range(2):
+            assert _same_bases(cohomology(g, m, degree), sp)
+        assert len(solves) == 2 and _stored(cache) == before
+        monkeypatch.undo()
+
+
+def test_shared_bases_refuse_writes(monkeypatch):
+    g, h = cyclic_group(2, 2), cyclic_group(2, 2)
+    first = cohomology(g, regular_module(g), 1)
+    sp = cohomology(h, regular_module(h), 1)  # a hit: the stored bases themselves
+    assert sp.z_dim == sp.b_dim == 1 and sp.z_basis is first.z_basis and sp.b_basis is first.b_basis
+    # The caller's table and module label the space.
+    assert sp.group is h and sp.module is not first.module
+    monkeypatch.setattr(cohomology_module, "COPY_ABOVE_BYTES", 0)
+    with cohomology_module.fresh_solve_cache():
         cohomology(g, regular_module(g), 1)
-        sp = cohomology(g, regular_module(g), 1)
-    assert sp.z_dim == sp.b_dim == 1
-    for basis in (sp.z_basis, sp.b_basis):
+        copied = cohomology(g, regular_module(g), 1)  # a hit: int64 copies of narrow bases
+    assert _same_bases(copied, first) and copied.z_basis is not first.z_basis
+    for basis in (first.z_basis, first.b_basis, copied.z_basis, copied.b_basis):
         with pytest.raises(ValueError):
             basis[0, 0] = 0
 
 
 def test_scopes_nest_and_an_exception_closes_them(monkeypatch):
+    # A fresh_solve_cache block, replay's own cache, reads no entry made
+    # before it, and at its exit the cache outside is back as it was.
     g = klein()
     m1, m2 = trivial_module(g, 1), trivial_module(g, 2)
     solves = _count_solves(monkeypatch)
-    with cohomology_module.solve_once():
+    outer = cohomology_module._solves
+    cohomology(g, m1, 1)
+    with cohomology_module.fresh_solve_cache():
         cohomology(g, m1, 1)
-        with cohomology_module.solve_once():
+        with cohomology_module.fresh_solve_cache():
             cohomology(g, m1, 1)
             cohomology(g, m2, 1)
-        assert len(solves) == 2
+        assert len(solves) == 4
         cohomology(g, m1, 1)
         cohomology(g, m2, 1)
-        assert len(solves) == 2
-    assert cohomology_module._solved is None
+        assert len(solves) == 5
+    assert cohomology_module._solves is outer
+    cohomology(g, m1, 1)
+    assert len(solves) == 5
     with pytest.raises(RuntimeError):
-        with cohomology_module.solve_once():
+        with cohomology_module.fresh_solve_cache():
             cohomology(g, m1, 1)
             raise RuntimeError("stop")
-    assert cohomology_module._solved is None
+    assert cohomology_module._solves is outer and len(solves) == 6
     cohomology(g, m1, 1)
-    assert len(solves) == 4
+    cohomology(g, m2, 1)
+    assert len(solves) == 7
+
+
+def test_the_zero_module_has_zero_cohomology(monkeypatch):
+    g = find_entry("D8").group()
+    m = regular_module(g)
+    whole = fl.FpSubspace.from_rows(np.eye(m.dim, dtype=np.int64), m.p)
+    solves = _count_solves(monkeypatch)
+    # Both modules are 0 over one table: the second one reads the cache.
+    for zero in (trivial_module(g, 0), quotient_module(m, whole)[0]):
+        assert zero.dim == 0
+        for degree in (1, 2):
+            sp = cohomology(g, zero, degree)
+            assert sp.z_basis.shape == sp.b_basis.shape == (0, 0)
+            assert (sp.z_dim, sp.b_dim, sp.h_dim, sp.h_reps) == (0, 0, 0, [])
+    assert solves == [1, 2]
 
 
 def solver_spaces(order):

@@ -168,6 +168,25 @@ def test_associativity_test_agrees_with_every_element_on_tables_and_quotients():
     assert quotients == 1488
 
 
+def test_quotients_read_their_frattini_off_a_memoised_parent():
+    # Phi(G/N) = Phi(G)N/N for a p-group: G/N gets it through the coset ids
+    # whenever Phi(G) is memoised, and it equals Phi of a fresh copy of the
+    # quotient table, as does the Burnside basis read off it.
+    quotients = 0
+    for e in builtin_catalog():
+        if e.order > 32:
+            continue
+        g = e.group()
+        frattini(g)
+        for n in normal_subgroups(g):
+            q, _ = quotient(g, n)
+            fresh = GroupTable(q.p, q.mul, check=False)
+            assert q._cache[("frattini",)].key() == frattini(fresh).key(), e.name
+            assert q.burnside_basis() == fresh.burnside_basis(), e.name
+            quotients += 1
+    assert quotients == 1488
+
+
 def _twisted_loop(g, f):
     """G x C_p with (x, a)(y, b) = (xy, a + b + f(x, y)) at index p x + a: a
     loop for f vanishing at the identity, associative exactly when f is a
