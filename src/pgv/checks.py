@@ -385,7 +385,7 @@ def check_ut_embed(inst):
     equiv_ok = True
     for h in g.burnside_basis():
         lhs = (mod.act[h] @ emb.matrix) % g.p
-        rhs = (emb.matrix @ emb.free.element_action(h, "right")) % g.p
+        rhs = emb.matrix[:, emb.free.element_gather(h)]
         if not np.array_equal(lhs, rhs):
             equiv_ok = False
     ok = emb.injective and socle_ok and equiv_ok
@@ -479,7 +479,7 @@ def check_ww(inst):
         raise Skip("socle not full")
     m = s.h1_dim
     left = annihilator(s.free, s.carrier, "left_of_right")
-    d_left = d_G(restrict_action(s.free.as_gmodule("left"), left)) if left.dim else 0
+    d_left = d_G(s.free.restrict(left, "left")) if left.dim else 0
     return m == d_left, {"h1": int(m), "d_of_annihilator": int(d_left)}
 
 
@@ -534,20 +534,14 @@ def check_to(inst):
     g, ext, tp = _build_transfer(inst)
     p = g.p
     inj = fl.rank_array(tp.up, p) == tp.up.shape[0]
-    img = FpSubspace.from_rows(tp.up, p)
-    trivial_action = True
-    for a in ext.kernel_generators():
-        R = tp.free_total.element_action(a, "right")
-        if not np.array_equal((tp.up @ R) % p, tp.up % p):
-            trivial_action = False
-    equivariant = True
-    for h in range(ext.total.order):
-        hg = ext.projection(h)
-        lhs = (tp.free_base.element_action(hg, "right") @ tp.up) % p
-        rhs = (tp.up @ tp.free_total.element_action(h, "right")) % p
-        if not np.array_equal(lhs, rhs):
-            equivariant = False
-            break
+    gathers = tp.free_total.element_gather(ext.kernel_generators())
+    trivial_action = all(np.array_equal(tp.up[:, idx], tp.up) for idx in gathers)
+    # For every h: P @ up, with P the permutation matrix of the image of h
+    # in the base, is up with its rows gathered by that image's inverse.
+    base = tp.free_base
+    lhs = tp.up[base.element_gather(base.group.inv[ext.projection.image_of])]
+    rhs = tp.up[:, tp.free_total.element_gather(np.arange(ext.total.order))]
+    equivariant = np.array_equal(lhs, np.moveaxis(rhs, 1, 0))
     ok = inj and trivial_action and equivariant
     return ok, {"injective": bool(inj), "kernel_acts_trivially": bool(trivial_action), "equivariant": bool(equivariant)}
 
@@ -597,18 +591,14 @@ def check_dd(inst):
     want = n * t * g.order
     # The kernel of the projection acts trivially on every layer: layers are
     # modules over the base group.
-    kernel_trivial = True
     top = t * (p - 1)
     spaces = [filtration(tp, i) for i in range(top + 2)]
-    for i in range(1, top + 1):
-        for a in ext.kernel_generators():
-            for mtx in (
-                tp.free_total.element_action(a, "right"),
-                tp.free_total.element_action(a, "left"),
-            ):
-                moved = spaces[i].basis @ mtx - spaces[i].basis
-                if np.any(spaces[i + 1].reduce(moved)):
-                    kernel_trivial = False
+    gathers = [idx for side in ("right", "left") for idx in tp.free_total.element_gather(ext.kernel_generators(), side)]
+    kernel_trivial = not any(
+        np.any(spaces[i + 1].reduce(spaces[i].basis[:, idx] - spaces[i].basis))
+        for i in range(1, top + 1)
+        for idx in gathers
+    )
     ok = layer == want and i1 == kd and kernel_trivial
     return ok, {
         "layer_dim": int(layer),
@@ -701,7 +691,7 @@ def _growth_instance(inst) -> SampledModule:
     fb = FreeBimodule(g, n)
     if inst.get("kind") == "radical":
         # The radical of the free module: an exactly-n module (H^1 = n).
-        return SampledModule(fb, radical(fb.as_gmodule("right")))
+        return SampledModule(fb, fb.radical())
     if seed % 4 == 0:
         return SampledModule(fb, FpSubspace.full(fb.dim, g.p))
     return sample_nG_module(g, n, seed)
@@ -749,7 +739,7 @@ def check_jj(inst):
     tp = transfer_maps(ext, n)
     q_up = _up_carrier(tp, s.carrier)
     lt = annihilator(tp.free_total, q_up, "left_of_right")
-    lmod = restrict_action(tp.free_total.as_gmodule("left"), lt)
+    lmod = tp.free_total.restrict(lt, "left")
     gens = d_G(lmod)
     return gens >= n, {"n": n, "m": int(m), "annihilator_generators": int(gens)}
 
@@ -779,7 +769,7 @@ def check_aa(inst):
     ext = _class_extension(g, t, int(inst["seed"]))
     tp = transfer_maps(ext, n)
     q_up = _up_carrier(tp, s.carrier)
-    qmod_t = restrict_action(tp.free_total.as_gmodule("right"), q_up)
+    qmod_t = tp.free_total.restrict(q_up)
     h1_ext = _h1_of_module(ext.total, qmod_t)
     if m == 0:
         ok = h1_ext == t * n
@@ -994,7 +984,7 @@ def check_io(inst):
     _, qm = quotient(g, nsub)
     fbq = FreeBimodule(qm.group, 1)
     rank_results = []
-    for qmod_quot in _one_modules(fbq, [radical(fbq.as_gmodule("right"))], int(inst["seed"])):
+    for qmod_quot in _one_modules(fbq, [fbq.radical()], int(inst["seed"])):
         qmod, stable = _inflated(qm, qmod_quot)
         if not stable:
             continue
@@ -1038,7 +1028,7 @@ def check_jx(inst):
     fb = FreeBimodule(g, 1)
     carriers = [
         FpSubspace.from_rows(fb.socle_basis(), g.p, fb.dim),  # trivial 1-module
-        radical(fb.as_gmodule("right")),
+        fb.radical(),
     ]
     modules = _one_modules(fb, carriers, int(inst["seed"]))
     cyclic_subs = []
@@ -1119,7 +1109,7 @@ def check_du(inst):
     nsub = cyclics[int(inst["seed"]) % len(cyclics)]
     qt, qm = quotient(g, nsub)
     fbq = FreeBimodule(qt, 1)
-    carriers = [FpSubspace.full(fbq.dim, g.p), radical(fbq.as_gmodule("right"))]
+    carriers = [FpSubspace.full(fbq.dim, g.p), fbq.radical()]
     modules = _one_modules(fbq, carriers, int(inst["seed"]))
 
     def trials():
@@ -1634,11 +1624,11 @@ def check_tu(inst):
     q = free_submodule_closure(fbt, gens_rows, "left")
     if q.dim == 0:
         raise Skip("zero module")
-    lmod = restrict_action(fbt.as_gmodule("left"), q)
+    lmod = fbt.restrict(q, "left")
     d_t = d_G(lmod)
     down_img = FpSubspace.from_rows((q.basis @ tp.down) % p, p, tp.free_base.dim)
     try:
-        bmod = restrict_action(tp.free_base.as_gmodule("left"), down_img)
+        bmod = tp.free_base.restrict(down_img, "left")
         d_g_img = d_G(bmod)
     except ModuleError:
         raise Skip("image not a base submodule")

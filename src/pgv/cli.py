@@ -51,7 +51,7 @@ from .noninner import (
     verify_certificate,
 )
 from .presentations import PresentationError, parse_presentations, render_presentation
-from .suite import UnknownCheckError, replay_counterexamples, report_to_json, run_suite
+from .suite import UnknownCheckError, replay_counterexamples, report_to_json, resolve_check_ids, run_suite
 
 
 # `pgv h2` says on stderr how large its solve is once its seed (see
@@ -310,6 +310,15 @@ def cmd_check(args) -> int:
         f"SKIPPED={counts['SKIPPED_HYPOTHESIS']} UNSUPPORTED={counts['UNSUPPORTED']}",
         file=sys.stderr,
     )
+    # The checks this run never tested: with no instance, or with every
+    # verdict SKIPPED or UNSUPPORTED.
+    tested = {}
+    for v in report["verdicts"]:
+        tested[v["check_id"]] = tested.get(v["check_id"], False) or v["status"] in ("PASS", "COUNTEREXAMPLE")
+    ids = list(dict.fromkeys(resolve_check_ids(args.id)))
+    none, vacuous = [c for c in ids if c not in tested], [c for c in ids if tested.get(c) is False]
+    print(f"no instance ({len(none)}): {' '.join(none) or '-'}", file=sys.stderr)
+    print(f"no PASS or COUNTEREXAMPLE ({len(vacuous)}): {' '.join(vacuous) or '-'}", file=sys.stderr)
     return 2 if report["infra_errors"] else 0
 
 

@@ -70,7 +70,6 @@ from .gmodule import (
     free_submodule_closure,
     module_from_conjugation,
     random_right_submodule,
-    restrict_action,
 )
 
 DEFAULT_H2_ORDER_CAP = 64
@@ -510,7 +509,7 @@ class SampledModule:
     module: GModule = field(init=False)
 
     def __post_init__(self):
-        self.module = restrict_action(self.free.as_gmodule("right"), self.carrier)
+        self.module = self.free.restrict(self.carrier)
 
     @property
     def fixed_dim(self) -> int:

@@ -9,13 +9,13 @@ Elimination has two kernels.  At p = 2 and 3, ``rref_array``,
 and eliminate by word operations: one int per row and XOR at p = 2
 (``_rref_f2``, ``_left_kernel_f2``), two bit planes per row at p = 3
 (``_rref_f3``, ``_left_kernel_f3``).  The RREF of a matrix of fewer than
-PACK_MIN entries, and at p = 3 that of a tall one, runs the numpy per-pivot
-loop (``_eliminate``) instead, as does every elimination at p >= 5.  The loop
-is the tests' oracle at every p.  Left kernels and complements need no
-transpose.  ``RowSpace``, the incremental builder, keeps the same packed
-echelon at p = 2 and 3 and reduces each row once as it is added; its basis
-comes out by one back-substitution (``_echelon_rref``), the one that
-``_rref_f2`` and ``_rref_f3`` end with.
+PACK_MIN entries runs the numpy per-pivot loop (``_eliminate``) instead, as
+does every elimination at p >= 5.  The loop is the tests' oracle at every p.
+Left kernels and complements need no transpose.  ``RowSpace``, the
+incremental builder, keeps the same packed echelon at p = 2 and 3 and
+reduces each row once as it is added; its basis comes out by one
+back-substitution (``_echelon_rref``), the one that ``_rref_f2`` and
+``_rref_f3`` end with.
 
 Integer arrays are brought back to residues by ``as_residues`` alone, but for
 the packed F_2 kernel, which reads each entry's parity as it packs.  numpy's
@@ -168,14 +168,6 @@ def _eliminate(A: np.ndarray, p: int) -> List[int]:
 # entries on (and at 2 x 2 and 2 x 3) packing costs less.  Over the F_3 RREFs
 # of the registry checks the two break even at about 9 to 12 entries.
 PACK_MIN = 9
-
-# An F_3 RREF runs packed only on matrices with at most this many rows per
-# column.  A row of a taller matrix mostly reduces to zero through the whole
-# echelon, one Python step per pivot, while the loop clears all rows at a
-# pivot at once.  Over the tall F_3 RREFs of the registry checks (same host),
-# packing took 3.2 ms in all against the loop's 9.4 at 1 to 2 rows per
-# column, 8.4 against 8.0 at 2 to 4, and 18.7 against 9.3 beyond 4.
-F3_TALL = 2
 
 
 def _pack_f2(A: np.ndarray) -> List[int]:
@@ -387,14 +379,14 @@ def rref_array(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices).
 
     A matrix of at least PACK_MIN entries runs on packed rows at p = 2
-    (``_rref_f2``), and at p = 3 (``_rref_f3``) when it has at most F3_TALL
-    rows per column.  The rest take the per-pivot loop.  Every path gives
-    the same result, since the RREF is unique.
+    (``_rref_f2``) and p = 3 (``_rref_f3``), whatever its shape.  The rest
+    take the per-pivot loop.  Every path gives the same result, since the
+    RREF is unique.
     """
     A = _int_matrix(a)
     if p == 2 and A.size >= PACK_MIN:
         return _rref_f2(A)
-    if p == 3 and A.size >= PACK_MIN and A.shape[0] <= F3_TALL * A.shape[1]:
+    if p == 3 and A.size >= PACK_MIN:
         return _rref_f3(A)
     A = as_residues(A, p)
     return A, _eliminate(A, p)

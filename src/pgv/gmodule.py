@@ -176,7 +176,8 @@ def is_stable(m: GModule, carrier: FpSubspace) -> bool:
 
 
 def restrict_action(m: GModule, carrier: FpSubspace) -> GModule:
-    """Abstract module on a stable carrier, in coordinates of ``carrier.basis``."""
+    """Abstract module on a stable carrier, in coordinates of ``carrier.basis``.
+    A submodule of the free module restricts through ``FreeBimodule.restrict``."""
     if not is_stable(m, carrier):
         raise ModuleError("carrier not stable under the action")
     # Stable under the Burnside basis, hence under every element of G.
@@ -282,10 +283,13 @@ def module_from_conjugation(g: GroupTable, n1: Subgroup, w: Subgroup) -> Conjuga
 class FreeBimodule:
     """prod^n F_p(G): coordinate l*|G| + g is group element g of copy l.
 
-    ``mul_block`` and ``copies`` are the only code that knows this layout and
-    the product formula; every other matrix on the free module is written
-    through them, except the embedding matrix of ``embed_into_free``, whose
-    columns follow the coordinate rule above.
+    A group element acts on either side by permuting coordinates, so G acts
+    only through column gathers (``element_gather``): no permutation matrix
+    of the module is built.  ``mul_block``, ``copies`` and ``copy_gather``
+    are the only code that knows this layout and the product formula; every
+    other matrix or gather on the free module is written through them,
+    except the embedding matrix of ``embed_into_free``, whose columns follow
+    the coordinate rule above.
     """
 
     def __init__(self, group: GroupTable, n: int):
@@ -296,7 +300,6 @@ class FreeBimodule:
         self.n = n
         self.block = group.order
         self.dim = n * group.order
-        self._cache: dict = {}  # filled by @memo
 
     def mul_block(self, y: np.ndarray, side: str = "right") -> np.ndarray:
         """The |G| x |G| matrix of x -> x*y (side 'right') or x -> y*x
@@ -323,32 +326,45 @@ class FreeBimodule:
             out[..., l, :, l, :] = block
         return out.reshape(*lead, self.n * r, self.n * c)
 
-    def mul_matrix(self, y: np.ndarray, side: str = "right") -> np.ndarray:
-        """Matrix M with x @ M = x*y (side 'right') or y*x (side 'left') per copy."""
-        return self.copies(self.mul_block(y, side))
+    def copy_gather(self, idx: np.ndarray) -> np.ndarray:
+        """The gather of the whole module that applies the gather ``idx`` of
+        one copy (last axis |G|) in every copy; leading axes index a stack."""
+        idx = np.asarray(idx)
+        out = np.arange(0, self.dim, self.block)[:, None] + idx[..., None, :]
+        return out.reshape(*idx.shape[:-1], self.dim)
 
-    def element_action(self, h: int, side: str = "right") -> np.ndarray:
-        """Permutation action of the group element h on one side."""
-        return self.mul_matrix(np.eye(self.block, dtype=np.int64)[h], side)
-
-    def element_gather(self, h: int, side: str = "right") -> np.ndarray:
-        """The index array idx with x @ element_action(h, side) == x[:, idx]:
-        x*h has entry x[k h^-1] at k (side 'right'), and h*x has x[h^-1 k]
-        (side 'left'), in each copy."""
-        g = self.group
+    def element_gather(self, h, side: str = "right") -> np.ndarray:
+        """The index array idx with x*h == x[:, idx] (side 'right') or
+        h*x == x[:, idx] (side 'left'): x*h has entry x[k h^-1] at k, and
+        h*x has x[h^-1 k], in each copy.  An array of elements h gives one
+        row per element."""
+        g, inv_h = self.group, self.group.inv[np.asarray(h, dtype=np.int64)]
         if side == "right":
-            idx = g.mul[:, g.inv[h]]
+            idx = g.mul.T[inv_h]
         elif side == "left":
-            idx = g.mul[g.inv[h]]
+            idx = g.mul[inv_h]
         else:
             raise ModuleError("side must be 'right' or 'left'")
-        return (np.arange(0, self.dim, self.block)[:, None] + idx).ravel()
+        return self.copy_gather(idx)
 
-    @memo
-    def as_gmodule(self, side: str = "right") -> GModule:
-        act = self.mul_matrix(np.eye(self.block, dtype=np.int64), side)
+    def restrict(self, carrier: FpSubspace, side: str = "right") -> GModule:
+        """The action x -> x*h (side 'right'), or x -> h*x over the opposite
+        table (side 'left'), on a stable carrier, in coordinates of
+        ``carrier.basis``."""
+        if not is_free_submodule(self, carrier, side):
+            raise ModuleError("carrier not stable under the action")
+        # Coordinates in an RREF basis are the entries at its pivot columns,
+        # so act[h][i, j] = basis[i, idx_h[pivot j]]; one gather for all of G.
+        idx = self.element_gather(np.arange(self.block), side)[:, list(carrier.pivots)]
         grp = self.group if side == "right" else opposite(self.group)
-        return GModule(grp, act, check=False, name=f"free^{self.n}")
+        return GModule(grp, np.moveaxis(carrier.basis[:, idx], 1, 0), check=False)
+
+    def radical(self) -> FpSubspace:
+        """J_G of the module, on either side: the span of the x(g - 1), or of
+        the (g - 1)x, is the augmentation ideal in every copy, the vectors
+        whose copies each sum to zero."""
+        sums = self.socle_basis().T  # x @ sums: the sum of each copy of x
+        return FpSubspace.from_rows(fl.left_kernel_basis(sums, self.p), self.p, self.dim)
 
     def socle_basis(self) -> np.ndarray:
         """One all-ones vector per copy: the fixed points of either action."""
@@ -364,12 +380,6 @@ class FreeBimodule:
         # One product per copy: (rows of x) @ (blocks of y) -> (y, x, copy, g).
         out = np.stack([fl.matmul_mod(xs[:, l], ys[:, l], self.p) for l in range(self.n)], axis=-2)
         return out.reshape(y.shape[:-1] + x.shape)
-
-    @memo
-    def delta_pairing_matrix(self) -> np.ndarray:
-        """Gram matrix of <x,y> = Delta(sum_l x_l y_l); a permutation matrix."""
-        # <e_a, e_b> = 1 exactly when b = a^-1.
-        return self.copies(np.eye(self.block, dtype=np.int64)[self.group.inv])
 
 
 def _free_actions(fb: FreeBimodule, side: str) -> List[np.ndarray]:
@@ -402,14 +412,11 @@ def annihilator(fb: FreeBimodule, q: FpSubspace, side: str) -> FpSubspace:
     want = "right" if side == "left_of_right" else "left"
     if not is_free_submodule(fb, q, want):
         raise ModuleError(f"carrier is not a {want} submodule")
-    B = fb.delta_pairing_matrix()
-    if side == "left_of_right":
-        # x with x B y^T = 0 for y in Q: left kernel of B @ Q^T.
-        m = (B @ q.basis.T) % fb.p
-    else:
-        # x with y B x^T = 0: kernel of (Q B)
-        m = np.ascontiguousarray(((q.basis @ B) % fb.p).T)
-    rows = fl.left_kernel_basis(m, fb.p)
+    # <x, y> = Delta(sum_l x_l y_l) pairs e_a with e_b exactly when b = a^-1,
+    # in each copy: <x, y> = x . y[pair].  The pairing is symmetric, so on
+    # either side the annihilator is the left kernel of the columns y[pair].
+    pair = fb.copy_gather(fb.group.inv)
+    rows = fl.left_kernel_basis(np.ascontiguousarray(q.basis[:, pair].T), fb.p)
     return FpSubspace.from_rows(rows, fb.p, fb.dim)
 
 

@@ -251,7 +251,7 @@ def _orders_modulo(g: GroupTable, inside: np.ndarray) -> np.ndarray:
 
 @memo
 def opposite(g: GroupTable) -> GroupTable:
-    return GroupTable(g.p, np.ascontiguousarray(g.mul.T), name=f"{g.name}^op", check=False)
+    return GroupTable(g.p, np.ascontiguousarray(g.mul.T), name=f"{g.name}^op", check=False, order_cap=g.order)
 
 
 def direct_product_tables(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -558,9 +558,7 @@ def _adjoin(g: GroupTable, members: np.ndarray, x: int) -> np.ndarray:
     return bits
 
 
-def normal_subgroups(
-    g: GroupTable, within: Optional[Subgroup] = None, order_cap: int = DEFAULT_ORDER_CAP
-) -> Tuple[Subgroup, ...]:
+def normal_subgroups(g: GroupTable, within: Optional[Subgroup] = None) -> Tuple[Subgroup, ...]:
     """All subgroups of `within` that are normal in g, built layer by layer.
 
     Every normal subgroup of a p-group sits in a chain of normal subgroups
@@ -569,16 +567,15 @@ def normal_subgroups(
     with x^p in N and [x, G] <= N: the central layer of order p in G/N.
     One candidate is taken per order-p subgroup of that layer: after
     M = <N, x> is built, all of M leaves the candidate mask, because every
-    y in M \\ N generates the same M over N.
+    y in M \\ N generates the same M over N.  No order cap is checked: a
+    table exists only below the cap it was built under.
     """
-    if g.order > order_cap:
-        raise GroupError(f"order cap: {g.order} > {order_cap}")
     return _normal_subgroups(g, within)
 
 
 @memo
 def _normal_subgroups(g: GroupTable, within: Optional[Subgroup]) -> Tuple[Subgroup, ...]:
-    """``normal_subgroups`` below its order cap, cached per ``within``."""
+    """``normal_subgroups``, cached per ``within`` under a positional key."""
     allowed = np.ones(g.order, dtype=bool) if within is None else within.bitmap
     comm_with_gens = _commutators_with_generators(g)
     pw = g.pow_p_table
@@ -730,7 +727,8 @@ def quotient(g: GroupTable, n: Subgroup) -> Tuple[GroupTable, QuotientMap]:
     reps = distinct_elements(g, least)
     coset_id = np.searchsorted(reps, least)
     qmul = coset_id[g.mul[np.ix_(reps, reps)]]
-    qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False)
+    # G/N is no larger than G, which exists under its own cap.
+    qt = GroupTable(g.p, qmul, name=f"{g.name}/N", check=False, order_cap=g.order)
     qt.verify_associativity()
     phi = g._cache.get(("frattini",))  # the key @memo gives frattini(g)
     if phi is not None:

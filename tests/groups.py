@@ -32,6 +32,7 @@ from pgv.group_core import (
     iter_isomorphisms,
     map_order,
     normal_subgroups,
+    opposite,
     subgroup_closure,
 )
 from pgv.noninner import BRUTE_FORCE_LIMIT
@@ -266,19 +267,52 @@ def equivalence_map(ext, f, f2):
     return fmap
 
 
+# -- dense oracles of G's action on prod^n F_p(G), which pgv runs as gathers --
+
+
+def dense_mul_matrix(fb, y, side):
+    """The matrix M with x @ M = x*y (side 'right') or y*x (side 'left') in
+    every copy, y a group algebra vector."""
+    return fb.copies(fb.mul_block(y, side))
+
+
+def dense_element_action(fb, h, side):
+    """The permutation matrix of the group element h on one side."""
+    return dense_mul_matrix(fb, np.eye(fb.block, dtype=np.int64)[h], side)
+
+
+def dense_free_module(fb, side):
+    """The whole free module with one permutation matrix per element; the
+    left action is a module over the opposite table."""
+    act = dense_mul_matrix(fb, np.eye(fb.block, dtype=np.int64), side)
+    return GModule(fb.group if side == "right" else opposite(fb.group), act, check=False)
+
+
+def dense_restriction(fb, carrier, side="right"):
+    """``FreeBimodule.restrict`` by way of the dense module: the images of the
+    carrier basis under each matrix, in coordinates of that basis."""
+    return restrict_action(dense_free_module(fb, side), carrier)
+
+
+def dense_pairing_matrix(fb):
+    """Gram matrix of <x, y> = Delta(sum_l x_l y_l): <e_a, e_b> = 1 exactly
+    when b = a^-1, in each copy."""
+    return fb.copies(np.eye(fb.block, dtype=np.int64)[fb.group.inv])
+
+
 # -- oracles for a right submodule of prod^n F_p(G), read off its carrier -----
 
 
 def fixed_points_in_carrier(fb, carrier):
     """The vectors of the carrier fixed by G: the free module's own fixed
     points intersected with the carrier, with no restricted module."""
-    return intersect(fixed_points(fb.as_gmodule("right")), carrier)
+    return intersect(fixed_points(dense_free_module(fb, "right")), carrier)
 
 
 def h1_of_restriction(fb, carrier):
     """dim H^1 of a restriction of the free module to the carrier, made here
     and not taken from any object that already holds one."""
-    sub = restrict_action(fb.as_gmodule("right"), carrier)
+    sub = dense_restriction(fb, carrier)
     return cohomology(sub.group, sub, 1).h_dim
 
 
@@ -532,9 +566,9 @@ def dense_free_actions(fb, side):
     gens = fb.group.burnside_basis()
     mats = []
     if side in ("right", "both"):
-        mats += [fb.element_action(g, "right") for g in gens]
+        mats += [dense_element_action(fb, g, "right") for g in gens]
     if side in ("left", "both"):
-        mats += [fb.element_action(g, "left") for g in gens]
+        mats += [dense_element_action(fb, g, "left") for g in gens]
     return mats
 
 

@@ -26,7 +26,6 @@ from pgv.gmodule import (
     free_submodule_closure,
     minimal_generators,
     radical,
-    restrict_action,
     trivial_module,
 )
 from pgv.group_core import direct_product_tables
@@ -38,7 +37,14 @@ from pgv.noninner import (
     verify_certificate,
 )
 from pgv.suite import replay_counterexamples, run_suite
-from tests.groups import brute_force_z1, cyclic_group, regular_module
+from tests.groups import (
+    brute_force_z1,
+    cyclic_group,
+    dense_free_module,
+    dense_mul_matrix,
+    dense_restriction,
+    regular_module,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +99,10 @@ def test_criterion_2_oracle_agreement(catalog):
 def test_criterion_3_worked_example(p):
     g = cyclic_group(p, p)
     fb = FreeBimodule(g, 1)
-    rad = radical(fb.as_gmodule("right"))
-    mod = restrict_action(fb.as_gmodule("right"), rad)
+    rad = fb.radical()
+    assert rad == radical(dense_free_module(fb, "right"))
+    mod = fb.restrict(rad)
+    assert np.array_equal(mod.act, dense_restriction(fb, rad).act)
     assert cohomology(g, mod, 1).h_dim == 1
     cp = trivial_module(g, 1)
     sp2 = cohomology(g, cp, 2)
@@ -182,7 +190,8 @@ def test_criterion_6_freeness(catalog):
             for carrier in carriers:
                 if carrier.dim == 0:
                     continue
-                mod = restrict_action(fb.as_gmodule("right"), carrier)
+                mod = fb.restrict(carrier)
+                assert np.array_equal(mod.act, dense_restriction(fb, carrier).act)
                 h1 = cohomology(g, mod, 1).h_dim
                 if h1 != 0:
                     continue
@@ -209,7 +218,7 @@ def test_criterion_7_transfer_suite(p):
     for n in (1, 2):
         tp = transfer_maps(ext, n)
         assert not np.any((tp.up @ tp.down) % p)
-        Rnorm = tp.free_total.mul_matrix(tp.norm_vector, "right")
+        Rnorm = dense_mul_matrix(tp.free_total, tp.norm_vector, "right")
         rng = np.random.default_rng(7)
         for _ in range(4):
             x = rng.integers(0, p, size=tp.down.shape[0])

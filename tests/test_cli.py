@@ -6,6 +6,7 @@ import pgv.cli as cli
 import pgv.cohomology as cohomology_module
 import pgv.fp_linalg as fl
 from pgv.catalog import builtin_catalog, find_entry
+from pgv.checks import CHECKS
 from pgv.cli import main
 from pgv.cohomology import cohomology, solve_size
 from pgv.gmodule import DEFAULT_DIM_CAP, trivial_module
@@ -449,6 +450,28 @@ def test_check_on_the_special_fixture_has_no_infrastructure_error(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["infra_errors"] == [] and rep["replay_mismatches"] == []
     assert rep["counts"]["PASS"] > 0 and rep["counts"]["COUNTEREXAMPLE"] > 0
+
+
+def test_check_names_the_checks_it_never_tested_on_stderr(capsys):
+    from pathlib import Path
+
+    fixture = Path(__file__).resolve().parent / "data" / "special32.pres"
+    assert main(["check", "--id", "all", "--catalog-file", str(fixture)]) == 0
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    # Oracle: the registry's ids against the statuses of the report.
+    statuses = {cid: {v["status"] for v in rep["verdicts"] if v["check_id"] == cid} for cid in sorted(CHECKS)}
+    none = [cid for cid, st in statuses.items() if not st]
+    vacuous = [cid for cid, st in statuses.items() if st and not st & {"PASS", "COUNTEREXAMPLE"}]
+    assert (len(none), len(vacuous)) == (30, 8)
+    assert vacuous == ["hh", "j", "l3_2", "qk", "qp", "ty", "xx", "xy"]
+    assert err.splitlines()[1:] == [
+        f"no instance (30): {' '.join(none)}",
+        "no PASS or COUNTEREXAMPLE (8): hh j l3_2 qk qp ty xx xy",
+    ]
+    # A run that tests every check it names says so.
+    assert main(["check", "--id", "gen_count,gen_count", "--catalog", "C2xC2"]) == 0
+    assert capsys.readouterr().err.splitlines()[1:] == ["no instance (0): -", "no PASS or COUNTEREXAMPLE (0): -"]
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys):

@@ -21,6 +21,7 @@ from pgv.gmodule import FreeBimodule, free_submodule_closure, trivial_module
 from tests.groups import (
     cyclic_group,
     equivalence_map,
+    dense_mul_matrix,
     filtration_product_by_pairs,
     pres_d8,
     pres_heis27,
@@ -161,7 +162,7 @@ def test_transfer_identities_rank_one_kernel(p, n):
     assert rank_array(tp.up, p) == tp.up.shape[0]
 
     # up(down(x)) = x * (norm, ..., norm).
-    Rnorm_blocks = tp.free_total.mul_matrix(tp.norm_vector, "right")
+    Rnorm_blocks = dense_mul_matrix(tp.free_total, tp.norm_vector, "right")
     for _ in range(4):
         x = rng.integers(0, p, size=n * to)
         got = (x @ tp.down @ tp.up) % p
@@ -293,7 +294,7 @@ def test_up_image_independent_of_section():
     # Recompute up with every other fiber representative; image must agree.
     from pgv.gmodule import FreeBimodule as FB
 
-    norm_R = FB(ext.total, 1).mul_matrix(tp.norm_vector, "right")
+    norm_R = dense_mul_matrix(FB(ext.total, 1), tp.norm_vector, "right")
     img_std = FpSubspace.from_rows(tp.up, p)
     for a in ext.kernel.members:
         alt_rows = []

@@ -864,7 +864,7 @@ def test_only_tiny_f2_rrefs_take_the_loop(monkeypatch):
     assert packed == [(1, 9), (3, 3), (9, 1)]
 
 
-def test_only_tiny_or_tall_f3_rrefs_take_the_loop(monkeypatch):
+def test_only_tiny_f3_rrefs_take_the_loop(monkeypatch):
     packed, looped = [], []
     real_f3, real_loop = fl._rref_f3, fl._eliminate
 
@@ -878,14 +878,15 @@ def test_only_tiny_or_tall_f3_rrefs_take_the_loop(monkeypatch):
 
     monkeypatch.setattr(fl, "_rref_f3", counting_f3)
     monkeypatch.setattr(fl, "_eliminate", counting_loop)
-    assert fl.PACK_MIN == 9 and fl.F3_TALL == 2
+    assert fl.PACK_MIN == 9
     shapes = ((1, 8), (2, 4), (8, 1), (0, 5), (1, 9), (3, 3), (6, 3), (7, 3), (9, 1), (18, 9), (19, 9))
     for shape in shapes:
         rref_array(np.ones(shape, dtype=np.int64), 3)
-    assert packed == [(1, 9), (3, 3), (6, 3), (18, 9)]
-    assert looped == [(1, 8), (2, 4), (8, 1), (0, 5), (7, 3), (9, 1), (19, 9)]
-    # Large ones run the loop once on the whole matrix: at p >= 5, and at
-    # p = 3 when tall.
+    # Tall or wide, every matrix of at least PACK_MIN entries is packed.
+    assert packed == [(1, 9), (3, 3), (6, 3), (7, 3), (9, 1), (18, 9), (19, 9)]
+    assert looped == [(1, 8), (2, 4), (8, 1), (0, 5)]
+    # Large ones run the loop once on the whole matrix at p >= 5 only; a
+    # tall one at p = 3 is packed.
     del looped[:]
     rng = np.random.default_rng(0)
     for p, shape in ((5, (70, 70)), (3, (200, 65))):
@@ -893,13 +894,13 @@ def test_only_tiny_or_tall_f3_rrefs_take_the_loop(monkeypatch):
         R, piv = rref_array(a, p)
         want_R, want_piv = loop_rref(a, p)
         assert piv == want_piv and np.array_equal(R, want_R)
-    assert looped == [(70, 70), (200, 65)]
+    assert looped == [(70, 70)] and packed[-1] == (200, 65)
     # Other primes never take it, and left kernels and complements at p = 3
     # take no RREF of a transpose: the kernel none at all, the complement
     # only that of `space`.
     for p in (2, 5):
         rref_array(np.ones((3, 3), dtype=np.int64), p)
-    assert len(packed) == 4
+    assert len(packed) == 8
     del packed[:], looped[:]
     rrefs = []
     real_rref = fl.rref_array

@@ -41,7 +41,12 @@ from pgv.gmodule import (
 )
 from tests.groups import (
     cyclic_group,
+    dense_element_action,
     dense_free_actions,
+    dense_free_module,
+    dense_mul_matrix,
+    dense_pairing_matrix,
+    dense_restriction,
     fixed_points_in_carrier,
     h1_of_restriction,
     naive_closure,
@@ -101,9 +106,9 @@ def test_radical_matches_definition_oracle():
     g = klein()
     fb = FreeBimodule(g, 2)
     rng = np.random.default_rng(5)
-    mod = fb.as_gmodule("right")
     carrier = free_submodule_closure(fb, rng.integers(0, 2, size=(2, 8)), "right")
-    sub = restrict_action(mod, carrier)
+    sub = fb.restrict(carrier)
+    assert np.array_equal(sub.act, dense_restriction(fb, carrier).act)
     rad = radical(sub)
     # Definition oracle: span of x * r over all x in the module and r in the
     # augmentation ideal of F_2(G), enumerated exhaustively.
@@ -130,7 +135,8 @@ def test_d_G_regular_and_free():
     g = from_pc_presentation(pres_d8())
     assert d_G(regular_module(g)) == 1
     fb = FreeBimodule(g, 3)
-    assert d_G(fb.as_gmodule("right")) == 3
+    assert d_G(dense_free_module(fb, "right")) == 3
+    assert d_G(fb.restrict(FpSubspace.full(fb.dim, 2))) == 3
     gens = minimal_generators(regular_module(g))
     assert gens.shape[0] == 1
 
@@ -168,12 +174,12 @@ def test_dual_fixed_points_equal_d_G():
     g = klein()
     fb = FreeBimodule(g, 2)
     rng = np.random.default_rng(9)
-    mod = fb.as_gmodule("right")
     for _ in range(4):
         carrier = free_submodule_closure(fb, rng.integers(0, 2, size=(2, 8)), "right")
         if carrier.dim == 0:
             continue
-        sub = restrict_action(mod, carrier)
+        sub = fb.restrict(carrier)
+        assert np.array_equal(sub.act, dense_restriction(fb, carrier).act)
         lhs = fixed_points(dual_module(sub)).dim
         assert lhs == d_G(sub)
 
@@ -257,13 +263,12 @@ def test_embed_sampled_module_klein():
     g = klein()
     fb = FreeBimodule(g, 2)
     rng = np.random.default_rng(3)
-    mod = fb.as_gmodule("right")
     tried = 0
     while tried < 3:
         carrier = free_submodule_closure(
             fb, np.vstack([fb.socle_basis(), rng.integers(0, 2, size=(1, 8))]), "right"
         )
-        sub = restrict_action(mod, carrier)
+        sub = dense_restriction(fb, carrier)
         if fixed_points(sub).dim != 2:
             continue
         tried += 1
@@ -273,8 +278,9 @@ def test_embed_sampled_module_klein():
         P = emb.matrix
         for gidx in range(4):
             lhs = (sub.act[gidx] @ P) % 2
-            rhs = (P @ emb.free.element_action(gidx, "right")) % 2
+            rhs = (P @ dense_element_action(emb.free, gidx, "right")) % 2
             assert np.array_equal(lhs, rhs)
+            assert np.array_equal(P[:, emb.free.element_gather(gidx)], rhs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -287,7 +293,7 @@ def test_embed_sampled_module(name, n, seed):
     fb = FreeBimodule(g, n)
     rng = np.random.default_rng(seed)
     seeds = np.vstack([fb.socle_basis(), rng.integers(0, g.p, size=(1, fb.dim))])
-    sub = restrict_action(fb.as_gmodule("right"), free_submodule_closure(fb, seeds, "right"))
+    sub = dense_restriction(fb, free_submodule_closure(fb, seeds, "right"))
     fixed = fixed_points(sub)
     assert fixed.dim == n
     emb = embed_into_free(sub)
@@ -296,7 +302,7 @@ def test_embed_sampled_module(name, n, seed):
     assert np.array_equal((fixed.basis @ P) % g.p, emb.free.socle_basis())
     for x in range(g.order):
         lhs = (sub.act[x] @ P) % g.p
-        rhs = (P @ emb.free.element_action(x, "right")) % g.p
+        rhs = (P @ dense_element_action(emb.free, x, "right")) % g.p
         assert np.array_equal(lhs, rhs), x
     assert emb.injective and rank_array(P, g.p) == sub.dim
 
@@ -370,7 +376,7 @@ def test_tuple_product_matrix_extremes_and_bruteforce():
 def test_sample_nG_module_cp_chain():
     g = cyclic_group(3, 3)
     fb = FreeBimodule(g, 1)
-    m = fb.as_gmodule("right")
+    m = dense_free_module(fb, "right")
     # Submodules of F_3(C_3) form the chain of radical powers; every sample
     # must be one of them.
     chain = [FpSubspace.full(3, 3)]
@@ -415,16 +421,18 @@ def test_free_bimodule_left_right_commute():
     rng = np.random.default_rng(17)
     a = rng.integers(0, 2, size=8)
     b = rng.integers(0, 2, size=8)
-    L = fb.mul_matrix(a, "left")
-    R = fb.mul_matrix(b, "right")
+    L = dense_mul_matrix(fb, a, "left")
+    R = dense_mul_matrix(fb, b, "right")
     assert np.array_equal((L @ R) % 2, (R @ L) % 2)
 
 
 def test_delta_pairing_nondegenerate():
     g = from_pc_presentation(pres_d8())
     fb = FreeBimodule(g, 2)
-    B = fb.delta_pairing_matrix()
+    B = dense_pairing_matrix(fb)
     assert rank_array(B, 2) == fb.dim
+    # The pairing gather that ``annihilator`` reads is this matrix's.
+    assert np.array_equal(np.eye(fb.dim, dtype=np.int64)[:, fb.copy_gather(g.inv)], B)
 
 
 from hypothesis import given, settings
@@ -477,7 +485,7 @@ def diag_oracle(block, n):
     return place_oracle([[block if l == i else 0 * block for l in range(n)] for i in range(n)], n)
 
 
-def test_mul_matrix_rejects_a_vector_of_the_n_fold_module():
+def test_mul_block_rejects_a_vector_of_the_n_fold_module():
     # A vector of length 2|G| is an element of F_p(G)^2, not of the group
     # algebra; reading only its first copy would be a silent wrong answer.
     g = find_entry("D8").group()
@@ -485,7 +493,7 @@ def test_mul_matrix_rejects_a_vector_of_the_n_fold_module():
     y = np.arange(fb.dim) % 2
     for side in ("right", "left"):
         with pytest.raises(ModuleError, match="group algebra vector has length 8"):
-            fb.mul_matrix(y, side)
+            fb.mul_block(y, side)
         with pytest.raises(ModuleError):
             fb.mul_block(y.reshape(1, -1), side)
 
@@ -502,10 +510,11 @@ def test_free_bimodule_layout_matches_elementwise_oracle(name):
         assert np.array_equal(fb.copies(stack), np.kron(np.eye(n, dtype=np.int64), stack))
         y = rng.integers(0, p, size=q)
         for side in ("right", "left"):
-            assert np.array_equal(fb.mul_matrix(y, side), diag_oracle(times_oracle(g, y, side), n))
+            assert np.array_equal(dense_mul_matrix(fb, y, side), diag_oracle(times_oracle(g, y, side), n))
             for h in range(q):
                 assert np.array_equal(
-                    fb.element_action(h, side), diag_oracle(times_oracle(g, np.eye(q, dtype=np.int64)[h], side), n)
+                    dense_element_action(fb, h, side),
+                    diag_oracle(times_oracle(g, np.eye(q, dtype=np.int64)[h], side), n),
                 )
         socle = np.zeros((n, fb.dim), dtype=np.int64)
         for l in range(n):
@@ -515,7 +524,7 @@ def test_free_bimodule_layout_matches_elementwise_oracle(name):
         for l in range(n):
             for a in range(q):
                 gram[l * q + a, l * q + g.inv[a]] = 1
-        assert np.array_equal(fb.delta_pairing_matrix(), gram)
+        assert np.array_equal(dense_pairing_matrix(fb), gram)
         xs = [rng.integers(0, p, size=fb.dim) for _ in range(2)]
         for side, acting in (("left", "right"), ("right", "left")):
             # side 'left': y_i * x_{i,l}, so x_{i,l} multiplies from the right.
@@ -542,7 +551,7 @@ def test_gather_closures_match_the_dense_oracle_on_the_catalog():
                 mats = dense_free_actions(fb, side)
                 for h in range(q):
                     for one_side in ("right", "left"):
-                        action = fb.element_action(h, one_side)
+                        action = dense_element_action(fb, h, one_side)
                         assert np.array_equal(x[0].reshape(1, -1) @ action, x[0].reshape(1, -1)[:, fb.element_gather(h, one_side)])
                 for seeds in seed_sets:
                     got = free_submodule_closure(fb, seeds, side)
@@ -552,3 +561,40 @@ def test_gather_closures_match_the_dense_oracle_on_the_catalog():
                     span = FpSubspace.from_rows(seeds, p, fb.dim)
                     dense_stable = not any(np.any(span.reduce(span.basis @ m)) for m in mats)
                     assert is_free_submodule(fb, span, side) == dense_stable, (e.name, n, side)
+
+
+def test_restriction_radical_and_annihilator_match_the_dense_oracle_on_the_catalog():
+    # FreeBimodule.restrict reads one gather per element, radical is the
+    # augmentation ideal in every copy, and annihilator reads the pairing
+    # gather; the oracles build the permutation matrices of the module.
+    rng = np.random.default_rng(36)
+    for e in builtin_catalog():
+        if e.order > 16:
+            continue
+        g = e.group()
+        p, q = g.p, g.order
+        for n in (1, 2):
+            fb = FreeBimodule(g, n)
+            full = FpSubspace.full(fb.dim, p)
+            for side in ("right", "left"):
+                every = fb.element_gather(np.arange(q), side)
+                assert all(np.array_equal(every[h], fb.element_gather(h, side)) for h in range(q))
+                dense = dense_free_module(fb, side)
+                assert fb.radical() == radical(dense), (e.name, n, side)
+                carriers = [full, fb.radical(), free_submodule_closure(fb, rng.integers(0, p, size=(1, fb.dim)), side)]
+                for carrier in carriers:
+                    got, want = fb.restrict(carrier, side), dense_restriction(fb, carrier, side)
+                    assert np.array_equal(got.act, want.act) and np.array_equal(got.group.mul, want.group.mul)
+                    assert got.name == want.name == ""
+            unstable = FpSubspace.from_rows(np.eye(fb.dim, dtype=np.int64)[:1], p, fb.dim)
+            for side in ("right", "left"):
+                for restrict in (fb.restrict, lambda c, s: dense_restriction(fb, c, s)):
+                    with pytest.raises(ModuleError, match="^carrier not stable under the action$"):
+                        restrict(unstable, side)
+            B = dense_pairing_matrix(fb)
+            qr = free_submodule_closure(fb, rng.integers(0, p, size=(1, fb.dim)), "right")
+            ql = free_submodule_closure(fb, rng.integers(0, p, size=(1, fb.dim)), "left")
+            want_left = FpSubspace.from_rows(fl.left_kernel_basis((B @ qr.basis.T) % p, p), p, fb.dim)
+            want_right = FpSubspace.from_rows(fl.left_kernel_basis(((ql.basis @ B) % p).T, p), p, fb.dim)
+            assert annihilator(fb, qr, "left_of_right") == want_left
+            assert annihilator(fb, ql, "right_of_left") == want_right

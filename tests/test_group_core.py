@@ -36,7 +36,15 @@ from pgv.group_core import (
     _element_signature,
     abelian_cyclic_basis,
 )
-from pgv.catalog import PRODUCT_CAP, _product_entries, builtin_catalog, find_entry, load_catalog, table_to_presentation
+from pgv.catalog import (
+    PRODUCT_CAP,
+    _product_entries,
+    builtin_catalog,
+    dihedral,
+    find_entry,
+    load_catalog,
+    table_to_presentation,
+)
 from pgv.cohomology import cohomology
 from pgv.gmodule import trivial_module
 from pgv.noninner import Certificate, find_noninner
@@ -441,17 +449,24 @@ def test_normal_subgroups_of_he27_squared():
     assert len(normal_subgroups(direct_product_tables(he, he))) == 259
 
 
-def test_normal_subgroups_order_cap_message():
-    g = from_pc_presentation(pres_d8())
+def test_a_table_above_the_default_cap_needs_a_raised_cap():
+    # The order cap is checked once, where the table is built.
+    with pytest.raises(GroupError, match=r"^order cap: 2048 > 1024$"):
+        from_pc_presentation(dihedral(11))
     with pytest.raises(GroupError, match=r"^order cap: 8 > 4$"):
-        normal_subgroups(g, order_cap=4)
+        from_pc_presentation(pres_d8(), order_cap=4)
 
 
-def test_normal_subgroups_order_cap_refuses_after_a_cached_call():
-    g = from_pc_presentation(pres_d8())
-    assert len(normal_subgroups(g)) == 6
-    with pytest.raises(GroupError, match=r"^order cap: 8 > 4$"):
-        normal_subgroups(g, order_cap=4)
+def test_a_table_above_the_default_cap_has_its_lattice_quotient_and_opposite():
+    # D2048 built under a raised cap: its lattice, G/1 and G^op are read
+    # from the table, under no cap of their own.
+    g = from_pc_presentation(dihedral(11), order_cap=2048)
+    # The subgroups of the cyclic group of index 2, the two dihedral
+    # subgroups of index 2, and G.
+    assert [n.order for n in normal_subgroups(g)] == [2**k for k in range(11)] + [1024, 1024, 2048]
+    qt, qm = quotient(g, normal_subgroups(g)[0])
+    assert np.array_equal(qt.mul, g.mul) and np.array_equal(qm.section, np.arange(2048))
+    assert np.array_equal(opposite(g).mul, g.mul.T)
 
 
 def test_normal_subgroups_keyword_and_positional_within_share_an_entry():
